@@ -28,7 +28,12 @@ on analytic curves.
 
 All kernel assembly here is vectorized through scipy.special; the series
 oracle below runs on the in-house cylinder-function module instead, so
-the two routes share no special-function code.
+the two routes share no special-function code.  The Hankel functions are
+formed as H_n^(1) = J_n + i Y_n from the Cephes routines j0, j1, y0 and y1
+rather than scipy.special.hankel1: hankel1 goes through AMOS, which on
+large argument arrays costs about ten times the J and Y calls together,
+and the kernels need J_0 and J_1 on their own anyway.  Only the operators
+a representation uses are assembled (see ``_OPERATORS``).
 """
 
 from __future__ import annotations
@@ -38,10 +43,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
-from scipy.special import hankel1 as _sp_hankel1
 from scipy.special import j0 as _sp_j0
 from scipy.special import j1 as _sp_j1
+from scipy.special import y0 as _sp_y0
+from scipy.special import y1 as _sp_y1
 
 from . import cylfun
 from .geometry import BoundaryCurve
@@ -137,6 +142,18 @@ class RingMeasurement:
 # Incident field
 # ---------------------------------------------------------------------------
 
+def _hankel1(order: int, x: np.ndarray, j: np.ndarray | None = None) -> np.ndarray:
+    """H_order^(1)(x) = J_order(x) + i Y_order(x) for order 0 or 1.
+
+    Pass ``j`` to reuse J_order(x) already computed.
+    """
+    j_fn, y_fn = (_sp_j0, _sp_y0) if order == 0 else (_sp_j1, _sp_y1)
+    h = np.empty(x.shape, dtype=complex)
+    h.real = j_fn(x) if j is None else j
+    h.imag = y_fn(x)
+    return h
+
+
 def _diff_to_source(x, z):
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     d = pts - np.asarray(z, dtype=float)[None, :]
@@ -150,7 +167,7 @@ def incident_field(x, z, k: float):
     """Point-source incident field (i/4) H_0^(1)(k|x-z|); x may be (..., 2)."""
     x_arr = np.asarray(x, dtype=float)
     pts, _, r = _diff_to_source(x_arr.reshape(-1, 2), z)
-    vals = 0.25j * _sp_hankel1(0, k * r)
+    vals = 0.25j * _hankel1(0, k * r)
     return complex(vals[0]) if x_arr.ndim == 1 else vals.reshape(x_arr.shape[:-1])
 
 
@@ -158,7 +175,7 @@ def incident_gradient(x, z, k: float):
     """grad_x u_i = -(i k/4) H_1^(1)(k|x-z|) (x-z)/|x-z|; shape (..., 2)."""
     x_arr = np.asarray(x, dtype=float)
     _, d, r = _diff_to_source(x_arr.reshape(-1, 2), z)
-    fac = -0.25j * k * _sp_hankel1(1, k * r) / r
+    fac = -0.25j * k * _hankel1(1, k * r) / r
     g = fac[:, None] * d
     return g[0] if x_arr.ndim == 1 else g.reshape(x_arr.shape)
 
@@ -188,18 +205,35 @@ def _log_weight_circulant(m_nodes: int) -> np.ndarray:
     return row[idx]
 
 
+def _split_operator(a1: np.ndarray, full: np.ndarray, lg: np.ndarray, rw: np.ndarray,
+                    h: float, diag) -> np.ndarray:
+    """R_j A1 + h A2 with A2 = full - A1 ln(4 sin^2((t - tau)/2)).
+
+    ``diag`` holds the diagonal limits (A1, A2), or None for off-node targets.
+    """
+    a2 = full - a1 * lg
+    if diag is not None:
+        np.fill_diagonal(a1, diag[0])
+        np.fill_diagonal(a2, diag[1])
+    a2 *= h
+    a2 += rw * a1
+    return a2
+
+
 def _kernel_blocks(curve: BoundaryCurve, k: float, t_targets: np.ndarray,
-                   pos_t: np.ndarray, tan_t: np.ndarray, diagonal: bool):
-    """S, K, K' Nystrom blocks mapping node densities to values at t_targets.
+                   pos_t: np.ndarray, tan_t: np.ndarray, diagonal: bool,
+                   ops) -> dict[str, np.ndarray]:
+    """Nystrom blocks named in ``ops`` ("S", "K", "K'") mapping node densities
+    to values at t_targets.
 
     With ``diagonal=True`` the targets are the curve nodes themselves and the
-    split-kernel diagonal limits are inserted.
+    split-kernel diagonal limits are inserted.  Each block is computed the
+    same way whatever else ``ops`` names.
     """
     mm = curve.n_nodes
     h = 2.0 * np.pi / mm
     tj = curve.t
     y = curve.points
-    nj = np.column_stack([curve.tangents[:, 1], -curve.tangents[:, 0]])  # nu |x'|
     spj = curve.speed
 
     dt = t_targets[:, None] - tj[None, :]
@@ -208,52 +242,44 @@ def _kernel_blocks(curve: BoundaryCurve, k: float, t_targets: np.ndarray,
     if diagonal:
         np.fill_diagonal(r, 1.0)
     kr = k * r
-    j0, j1 = _sp_j0(kr), _sp_j1(kr)
-    h0, h1 = _sp_hankel1(0, kr), _sp_hankel1(1, kr)
 
     lg = np.log(np.maximum(4.0 * np.sin(0.5 * dt) ** 2, 1e-300))
     if diagonal:
         np.fill_diagonal(lg, 0.0)
         rw = _log_weight_circulant(mm)
+        w = curve.tangents[:, 0] * curve.seconds[:, 1] - curve.tangents[:, 1] * curve.seconds[:, 0]
+        dl_diag = (0.0, -w / (4.0 * np.pi * spj**2))
     else:
         rw = _log_weights_from_diff(dt, mm)
+        dl_diag = None
 
-    sp_t = np.hypot(tan_t[:, 0], tan_t[:, 1])
-    nt = np.column_stack([tan_t[:, 1], -tan_t[:, 0]])
-
-    # single layer
-    s1 = -(0.25 / np.pi) * j0 * spj[None, :]
-    s2 = 0.25j * h0 * spj[None, :] - s1 * lg
-    # double layer: nu(tau) . (x(tau) - x(t)) = -(n_j . dx)
-    b_k = -(dx[..., 0] * nj[None, :, 0] + dx[..., 1] * nj[None, :, 1])
-    k1 = (0.25 * k / np.pi) * j1 * b_k / r
-    k_full = -0.25j * k * h1 * b_k / r
-    k2 = k_full - k1 * lg
-    # adjoint double layer: nu(t) . (x(t) - x(tau)) = n_t . dx
-    b_kp = dx[..., 0] * nt[:, None, 0] + dx[..., 1] * nt[:, None, 1]
-    scale = spj[None, :] / sp_t[:, None]
-    kp1 = (0.25 * k / np.pi) * j1 * b_kp / r * scale
-    kp_full = -0.25j * k * h1 * b_kp / r * scale
-    kp2 = kp_full - kp1 * lg
-
-    if diagonal:
-        w = curve.tangents[:, 0] * curve.seconds[:, 1] - curve.tangents[:, 1] * curve.seconds[:, 0]
-        d_idx = np.arange(mm)
-        s1[d_idx, d_idx] = -(0.25 / np.pi) * spj          # J_0(0) = 1
-        s2[d_idx, d_idx] = (0.25j - (np.log(0.5 * k * spj) + EULER_GAMMA) / (2.0 * np.pi)) * spj
-        k1[d_idx, d_idx] = 0.0
-        k2[d_idx, d_idx] = -w / (4.0 * np.pi * spj**2)
-        kp1[d_idx, d_idx] = 0.0
-        kp2[d_idx, d_idx] = -w / (4.0 * np.pi * spj**2)
-
-    s_op = rw * s1 + h * s2
-    k_op = rw * k1 + h * k2
-    kp_op = rw * kp1 + h * kp2
-    return s_op, k_op, kp_op
-
-
-def _boundary_operators(curve: BoundaryCurve, k: float):
-    return _kernel_blocks(curve, k, curve.t, curve.points, curve.tangents, diagonal=True)
+    blocks = {}
+    if "S" in ops:
+        j0 = _sp_j0(kr)
+        s1 = -(0.25 / np.pi) * j0 * spj[None, :]
+        s_full = 0.25j * _hankel1(0, kr, j0) * spj[None, :]
+        s_diag = None
+        if diagonal:                                     # J_0(0) = 1
+            s_diag = (-(0.25 / np.pi) * spj,
+                      (0.25j - (np.log(0.5 * k * spj) + EULER_GAMMA) / (2.0 * np.pi)) * spj)
+        blocks["S"] = _split_operator(s1, s_full, lg, rw, h, s_diag)
+    if "K" in ops or "K'" in ops:
+        j1 = _sp_j1(kr)
+        c1 = (0.25 * k / np.pi) * j1 / r
+        c_full = -0.25j * k * _hankel1(1, kr, j1) / r
+    if "K" in ops:
+        nj = np.column_stack([curve.tangents[:, 1], -curve.tangents[:, 0]])  # nu |x'|
+        # double layer: nu(tau) . (x(tau) - x(t)) = -(n_j . dx)
+        b_k = -(dx[..., 0] * nj[None, :, 0] + dx[..., 1] * nj[None, :, 1])
+        blocks["K"] = _split_operator(c1 * b_k, c_full * b_k, lg, rw, h, dl_diag)
+    if "K'" in ops:
+        sp_t = np.hypot(tan_t[:, 0], tan_t[:, 1])
+        nt = np.column_stack([tan_t[:, 1], -tan_t[:, 0]])
+        # adjoint double layer: nu(t) . (x(t) - x(tau)) = n_t . dx
+        b_kp = dx[..., 0] * nt[:, None, 0] + dx[..., 1] * nt[:, None, 1]
+        b_kp *= spj[None, :] / sp_t[:, None]
+        blocks["K'"] = _split_operator(c1 * b_kp, c_full * b_kp, lg, rw, h, dl_diag)
+    return blocks
 
 
 _REPRESENTATION = {
@@ -263,19 +289,32 @@ _REPRESENTATION = {
     ("interior", "hard"): "single-layer",
 }
 
+# the boundary operators each (side, bc) system and its trace use
+_OPERATORS = {
+    ("exterior", "soft"): ("S", "K"),
+    ("exterior", "hard"): ("K'",),
+    ("interior", "soft"): ("K",),
+    ("interior", "hard"): ("K'",),
+}
+
+
+def _boundary_operators(curve: BoundaryCurve, k: float, side: str, bc: str):
+    return _kernel_blocks(curve, k, curve.t, curve.points, curve.tangents, diagonal=True,
+                          ops=_OPERATORS[(side, bc)])
+
 
 def _system_matrix(curve: BoundaryCurve, bc: str, side: str, k: float) -> np.ndarray:
-    s_op, k_op, kp_op = _boundary_operators(curve, k)
-    eye = np.eye(curve.n_nodes)
+    if (side, bc) not in _OPERATORS:
+        raise ValueError(f"unknown problem variant side={side!r} bc={bc!r}")
+    ops = _boundary_operators(curve, k, side, bc)
+    half_eye = 0.5 * np.eye(curve.n_nodes)
     if (side, bc) == ("exterior", "soft"):
-        return 0.5 * eye + k_op - 1j * k * s_op
+        return half_eye + ops["K"] - 1j * k * ops["S"]
     if (side, bc) == ("exterior", "hard"):
-        return kp_op - 0.5 * eye
+        return ops["K'"] - half_eye
     if (side, bc) == ("interior", "soft"):
-        return k_op - 0.5 * eye
-    if (side, bc) == ("interior", "hard"):
-        return kp_op + 0.5 * eye
-    raise ValueError(f"unknown problem variant side={side!r} bc={bc!r}")
+        return ops["K"] - half_eye
+    return ops["K'"] + half_eye
 
 
 @dataclass
@@ -303,18 +342,12 @@ def _rhs(curve: BoundaryCurve, bc: str, k: float, sources: SourceSet) -> np.ndar
 
 
 def _condition_estimate(a: np.ndarray, lu_piv) -> float:
-    norm1 = float(np.abs(a).sum(axis=0).max())
-    mm = a.shape[0]
-    inv_op = spla.LinearOperator(
-        (mm, mm), dtype=complex,
-        matvec=lambda v: sla.lu_solve(lu_piv, v),
-        rmatvec=lambda v: sla.lu_solve(lu_piv, v, trans=2),
-    )
-    try:
-        inv_norm = float(spla.onenormest(inv_op))
-    except Exception:
-        inv_norm = float(np.abs(np.linalg.inv(a)).sum(axis=0).max())
-    return norm1 * inv_norm
+    """LAPACK's 1-norm condition estimate from the LU factors; inf if singular."""
+    anorm = float(np.abs(a).sum(axis=0).max())
+    rcond, info = sla.lapack.zgecon(lu_piv[0], anorm, norm="1")
+    if info != 0:
+        raise RuntimeError(f"zgecon failed with info={info}")
+    return math.inf if rcond == 0.0 else 1.0 / rcond
 
 
 def solve_densities(curve: BoundaryCurve, bc: str, side: str, k: float,
@@ -355,11 +388,12 @@ def evaluate_scattered(curve: BoundaryCurve, sol: DensitySolution, points) -> np
     d = pts[:, None, :] - y[None, :, :]
     r = np.hypot(d[..., 0], d[..., 1])
     kr = sol.k * r
-    s_ker = 0.25j * _sp_hankel1(0, kr) * curve.speed[None, :]
+    if sol.representation != "double-layer":
+        s_ker = 0.25j * _hankel1(0, kr) * curve.speed[None, :]
     if sol.representation == "single-layer":
         g = s_ker
     else:
-        d_ker = 0.25j * sol.k * _sp_hankel1(1, kr) \
+        d_ker = 0.25j * sol.k * _hankel1(1, kr) \
             * (d[..., 0] * nj[None, :, 0] + d[..., 1] * nj[None, :, 1]) / r
         g = d_ker if sol.representation == "double-layer" else d_ker - 1j * sol.k * s_ker
     h = 2.0 * np.pi / curve.n_nodes
@@ -423,7 +457,8 @@ def boundary_residual(curve: BoundaryCurve, sol: DensitySolution, sources: Sourc
         raise ValueError("checkpoints must be off-node")
     pos = curve.position(t_star)
     tan = curve.derivative(t_star)
-    s_rows, k_rows, kp_rows = _kernel_blocks(curve, sol.k, t_star, pos, tan, diagonal=False)
+    rows = _kernel_blocks(curve, sol.k, t_star, pos, tan, diagonal=False,
+                          ops=_OPERATORS[(sol.side, sol.bc)])
     phi_star = np.array([_trig_interp(p, t_star) for p in sol.density])
 
     worst = 0.0
@@ -432,16 +467,16 @@ def boundary_residual(curve: BoundaryCurve, sol: DensitySolution, sources: Sourc
         if sol.bc == "soft":
             ui = incident_field(pos, z, sol.k)
             if sol.representation == "combined-layer":
-                trace = (k_rows - 1j * sol.k * s_rows) @ phi + 0.5 * phi_star[i]
+                trace = (rows["K"] - 1j * sol.k * rows["S"]) @ phi + 0.5 * phi_star[i]
             else:                       # interior double layer
-                trace = k_rows @ phi - 0.5 * phi_star[i]
+                trace = rows["K"] @ phi - 0.5 * phi_star[i]
             resid = np.abs(ui + trace).max() / np.abs(ui).max()
         else:
             g = incident_gradient(pos, z, sol.k)
             nu = curve.normal(t_star)
             dn_ui = g[:, 0] * nu[:, 0] + g[:, 1] * nu[:, 1]
             jump = -0.5 if sol.side == "exterior" else 0.5
-            trace = kp_rows @ phi + jump * phi_star[i]
+            trace = rows["K'"] @ phi + jump * phi_star[i]
             resid = np.abs(dn_ui + trace).max() / np.abs(dn_ui).max()
         worst = max(worst, float(resid))
     return worst

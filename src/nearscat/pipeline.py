@@ -197,7 +197,10 @@ class RunResult:
 
 
 def _k_tag(k: float) -> str:
-    return f"{k:g}"
+    """Artifact-name tag for k: the short %g form when it reads back as k,
+    else the exact repr, so that distinct wavenumbers never share a tag."""
+    tag = f"{k:g}"
+    return tag if float(tag) == k else repr(k)
 
 
 def run_scenario(config: ScenarioConfig, outdir) -> RunResult:

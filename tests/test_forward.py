@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import hankel1
 
 from nearscat import forward as fw
 from nearscat.geometry import ShapeSpec, make_curve
@@ -27,6 +28,20 @@ class TestIncidentField:
     def test_singularity_error(self):
         with pytest.raises(fw.SingularityError):
             fw.incident_field(np.array([1.0, 1.0]), np.array([1.0, 1.0 + 1e-13]), 1.0)
+
+    def test_field_and_gradient_match_amos_hankel(self):
+        # the J + iY route against scipy's AMOS hankel1 over k r in [1e-4, 80]
+        k, z = 2.5, np.array([0.3, -0.2])
+        x = z + (np.geomspace(1e-4, 80.0, 500) / k)[:, None] * np.array([0.6, 0.8])
+        d = x - z
+        r = np.hypot(d[:, 0], d[:, 1])
+        want = 0.25j * hankel1(0, k * r)
+        got = fw.incident_field(x, z, k)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+        want_g = (-0.25j * k * hankel1(1, k * r) / r)[:, None] * d
+        got_g = fw.incident_gradient(x, z, k)
+        rel = np.linalg.norm(got_g - want_g, axis=1) / np.linalg.norm(want_g, axis=1)
+        assert rel.max() < 1e-13
 
 
 class TestIncidentGradient:
@@ -151,6 +166,32 @@ class TestNystrom:
         sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1, side="exterior")
         with pytest.raises(fw.ResonanceError):
             fw.solve_densities(circ, "hard", "exterior", FIRST_J0_ZERO, sources)
+
+    @pytest.mark.parametrize("side,bc", sorted(fw._OPERATORS))
+    def test_pruned_operators_match_full(self, kite_512, side, bc):
+        # each representation builds only its own blocks, bit for bit the
+        # blocks an all-operators assembly gives, on and off the nodes
+        k, all_ops = 3.0, ("S", "K", "K'")
+        full = fw._kernel_blocks(kite_512, k, kite_512.t, kite_512.points,
+                                 kite_512.tangents, diagonal=True, ops=all_ops)
+        pruned = fw._boundary_operators(kite_512, k, side, bc)
+        assert set(pruned) == set(fw._OPERATORS[(side, bc)])
+        for name, block in pruned.items():
+            assert np.array_equal(block, full[name])
+        t_off = 2 * np.pi * (np.arange(37) + 0.531) / 37
+        args = (kite_512, k, t_off, kite_512.position(t_off), kite_512.derivative(t_off))
+        full = fw._kernel_blocks(*args, diagonal=False, ops=all_ops)
+        for name, block in fw._kernel_blocks(*args, diagonal=False,
+                                             ops=fw._OPERATORS[(side, bc)]).items():
+            assert np.array_equal(block, full[name])
+
+    def test_solve_leaves_global_rng_alone(self, kite_512):
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2, side="exterior")
+        before = np.random.get_state()
+        fw.solve_densities(kite_512, "hard", "exterior", 3.0, sources)
+        after = np.random.get_state()
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
 
     def test_source_side_checks(self, unit_circle_512):
         inside = fw.SourceSet(center=(0.0, 0.0), radius=0.5, count=2, side="exterior")

@@ -72,6 +72,21 @@ class TestRunScenario:
         r2 = run_scenario(replace(SMALL, seed=8), tmp_path / "b")
         assert r1.checksums["ring_k3.csv"] != r2.checksums["ring_k3.csv"]
 
+    def test_close_wavenumbers_get_distinct_artifacts(self, tmp_path):
+        # k = 3 and 3.0000001 both print as "3" under %g; neither run may
+        # overwrite the other's files or manifest lines
+        from dataclasses import replace
+        cfg = replace(SMALL, wavenumbers=(3.0, 3.0000001), grid_nx=20, grid_ny=20,
+                      forward_nodes=128)
+        result = run_scenario(cfg, tmp_path)
+        for tag in ("3", "3.0000001"):
+            for name in (f"ring_k{tag}.csv", f"indicator_k{tag}.csv",
+                         f"indicator_k{tag}.pgm"):
+                assert name in result.checksums and (tmp_path / name).exists()
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "# N_k3 = 3" in manifest and "# N_k3.0000001 = 3" in manifest
+        assert sum(line.startswith("# sha256 ring_k") for line in manifest) == 2
+
     def test_config_echo_reproduces(self, tmp_path):
         r1 = run_scenario(SMALL, tmp_path / "a")
         echoed = ScenarioConfig.from_file(tmp_path / "a" / "config.txt")
