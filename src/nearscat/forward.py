@@ -31,7 +31,7 @@ oracle below runs on the in-house cylinder-function module instead, so
 the two routes share no special-function code.  The Hankel functions are
 formed as H_n^(1) = J_n + i Y_n from the Cephes routines j0, j1, y0 and y1
 rather than scipy.special.hankel1: hankel1 goes through AMOS, which on
-large argument arrays costs about ten times the J and Y calls together,
+large argument arrays costs several times the J and Y calls together,
 and the kernels need J_0 and J_1 on their own anyway.  Only the operators
 a representation uses are assembled (see ``_OPERATORS``).
 """
