@@ -10,29 +10,23 @@ synthesis and verification.
 """
 
 from .continuation import (ModeCoefficients, compute_coefficients, eval_field,
-                           eval_gradient, guard_interior_modes, truncation_order)
-from .forward import (DensitySolution, RingMeasurement, SourceSet, analytic_circle,
-                      incident_field, incident_gradient, simulate_ring,
-                      solve_densities, solve_forward)
-from .geometry import (BoundaryCurve, ImagingGrid, ShapeSpec, imaging_grid,
-                       make_curve, min_distance)
+                           guard_interior_modes, truncation_order)
+from .forward import RingMeasurement, SourceSet, analytic_circle, simulate_ring
+from .geometry import BoundaryCurve, ImagingGrid, ShapeSpec, imaging_grid, make_curve
 from .indicator import (IndicatorImage, indicator_hard, indicator_soft, normalize,
-                        reciprocal, select_reference_source,
-                        superpose_multifrequency)
+                        reciprocal, superpose_multifrequency)
 from .noise import NoiseSpec, add_noise
 from .pipeline import (RateReport, RayReport, ScenarioConfig, convergence_study,
-                       radial_boundary_error, render_pgm, run_scenario)
+                       radial_boundary_error, reconstruct, render_pgm, run_scenario)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryCurve", "DensitySolution", "ImagingGrid", "IndicatorImage",
-    "ModeCoefficients", "NoiseSpec", "RateReport", "RayReport", "RingMeasurement",
-    "ScenarioConfig", "ShapeSpec", "SourceSet", "add_noise", "analytic_circle",
-    "compute_coefficients", "convergence_study", "eval_field", "eval_gradient",
-    "guard_interior_modes", "imaging_grid", "incident_field", "incident_gradient",
-    "indicator_hard", "indicator_soft", "make_curve", "min_distance", "normalize",
-    "radial_boundary_error", "reciprocal", "render_pgm", "run_scenario",
-    "select_reference_source", "simulate_ring", "solve_densities", "solve_forward",
-    "superpose_multifrequency", "truncation_order",
+    "BoundaryCurve", "ImagingGrid", "IndicatorImage", "ModeCoefficients", "NoiseSpec",
+    "RateReport", "RayReport", "RingMeasurement", "ScenarioConfig", "ShapeSpec",
+    "SourceSet", "add_noise", "analytic_circle", "compute_coefficients",
+    "convergence_study", "eval_field", "guard_interior_modes", "imaging_grid",
+    "indicator_hard", "indicator_soft", "make_curve", "normalize",
+    "radial_boundary_error", "reciprocal", "reconstruct", "render_pgm", "run_scenario",
+    "simulate_ring", "superpose_multifrequency", "truncation_order",
 ]

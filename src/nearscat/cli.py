@@ -11,55 +11,57 @@ Subcommands mirror the pipeline stages so every experiment is scriptable:
   oracle-check  Nystrom solver vs the analytic circle oracle
 
 Config files are flat ``key = value`` text (keys = ScenarioConfig fields);
-command-line flags override config-file keys.
+command-line flags override config-file keys.  ``reconstruct`` takes its
+grid, truncation and mode-guard defaults from the same config keys.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import continuation as ct
 from . import formats
 from . import indicator as ind
 from .forward import SourceSet, analytic_circle, simulate_ring
 from .geometry import ShapeSpec, make_curve
 from .noise import NoiseSpec, add_noise
-from .pipeline import ScenarioConfig, convergence_study, render_pgm, run_scenario
+from .pipeline import (ScenarioConfig, _k_tag, _value_type, _write_indicator,
+                       convergence_study, reconstruct, render_pgm, run_scenario)
 
-_OVERRIDE_KEYS = [
-    ("side", str), ("bc", str), ("shape", str), ("shape-radius", float),
-    ("delta", float), ("seed", int), ("truncation", int),
-    ("source-radius", float), ("source-count", int),
-    ("receiver-radius", float), ("receiver-count", int),
-    ("forward-nodes", int), ("grid-nx", int), ("grid-ny", int),
-]
+# config keys settable as --key-name flags on simulate and pipeline
+_OVERRIDE_KEYS = ("side", "bc", "shape", "shape_radius", "delta", "seed", "truncation",
+                  "source_radius", "source_count", "receiver_radius", "receiver_count",
+                  "forward_nodes", "grid_nx", "grid_ny")
+# reconstruct flags and the config keys they set
+_RECONSTRUCT_FLAGS = {"truncation": "truncation", "xmin": "grid_xmin", "xmax": "grid_xmax",
+                      "ymin": "grid_ymin", "ymax": "grid_ymax", "nx": "grid_nx",
+                      "ny": "grid_ny"}
+
+
+def _flag_values(args, flags: dict[str, str]) -> dict:
+    """Config overrides from the flags that were given; flags maps dest -> key."""
+    return {key: getattr(args, dest) for dest, key in flags.items()
+            if getattr(args, dest) is not None}
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", "-c", type=Path, help="flat key = value config file")
-    for name, typ in _OVERRIDE_KEYS:
-        p.add_argument(f"--{name}", type=typ, default=None)
+    for key in _OVERRIDE_KEYS:
+        p.add_argument(f"--{key.replace('_', '-')}", type=_value_type(key), default=None)
     p.add_argument("--k", type=float, nargs="+", default=None,
                    help="wavenumber list (overrides config)")
 
 
 def _config_from_args(args) -> ScenarioConfig:
     cfg = ScenarioConfig.from_file(args.config) if args.config else ScenarioConfig()
-    overrides = {}
-    for name, _ in _OVERRIDE_KEYS:
-        value = getattr(args, name.replace("-", "_"))
-        if value is not None:
-            overrides[name.replace("-", "_")] = value
+    overrides = _flag_values(args, {key: key for key in _OVERRIDE_KEYS})
     if args.k is not None:
         overrides["wavenumbers"] = tuple(args.k)
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def _cmd_simulate(args) -> int:
@@ -71,7 +73,7 @@ def _cmd_simulate(args) -> int:
     for k in cfg.wavenumbers:
         ring = simulate_ring(curve, cfg.bc, cfg.side, k, sources,
                              cfg.receiver_radius, cfg.receiver_count)
-        path = outdir / f"ring_k{k:g}.csv"
+        path = outdir / f"ring_k{_k_tag(k)}.csv"
         formats.write_ring_csv(path, ring, extra={"bc": cfg.bc, "shape": cfg.shape,
                                                   "seed": cfg.seed})
         print(f"wrote {path}")
@@ -91,35 +93,26 @@ def _cmd_noise(args) -> int:
 def _cmd_reconstruct(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    overrides = _flag_values(args, _RECONSTRUCT_FLAGS)
     normalized = []
     for path in args.ring:
         ring, meta = formats.read_ring_csv(path)
-        bc = meta.get("bc", "soft")
-        n_trunc = args.truncation
-        if n_trunc is None:
-            n_trunc = ct.truncation_order(ring.noise_level, ring.side)
-        coeffs = ct.compute_coefficients(ring, n_trunc)
-        if ring.side == "interior":
-            coeffs = ct.guard_interior_modes(coeffs)
-        from .geometry import imaging_grid
-        excl = ((0.0, 0.0), ring.radius) if ring.side == "interior" else None
-        grid = imaging_grid(args.xmin, args.xmax, args.ymin, args.ymax,
-                            args.nx, args.ny, exclusion=excl)
-        raw = (ind.indicator_soft if bc == "soft" else ind.indicator_hard)(
-            coeffs, ring.sources, grid)
-        norm = ind.normalize(raw)
-        normalized.append(norm)
-        tag = f"{ring.k:g}"
-        csv_path = outdir / f"indicator_k{tag}.csv"
-        formats.write_grid_csv(csv_path, norm, extra={"bc": bc, "truncation": n_trunc})
-        formats.write_pgm(outdir / f"indicator_k{tag}.pgm",
-                          formats.pixels_from_image(ind.reciprocal(norm)))
-        print(f"wrote {csv_path} (N={n_trunc})")
+        # the scenario the ring file records, so grid, exclusion disk,
+        # truncation and mode guard follow the config defaults
+        cfg = ScenarioConfig(side=ring.side, bc=meta.get("bc", "soft"),
+                             shape=meta.get("shape", "unknown"), wavenumbers=(ring.k,),
+                             delta=ring.noise_level, source_radius=ring.sources.radius,
+                             source_count=ring.sources.count, receiver_radius=ring.radius,
+                             receiver_count=ring.n_receivers, **overrides).resolved()
+        coeffs, raw = reconstruct(ring, cfg.bc, cfg.grid(), cfg.truncation_for(ring.k),
+                                  cfg.mode_guard)
+        normalized.append(ind.normalize(raw))
+        stem = f"indicator_k{_k_tag(ring.k)}"
+        _write_indicator(outdir, stem, normalized[-1], cfg, coeffs)
+        print(f"wrote {outdir / stem}.csv (N={coeffs.truncation})")
     if len(normalized) > 1:
-        sup = ind.superpose_multifrequency(normalized)
-        formats.write_grid_csv(outdir / "indicator_multi.csv", sup)
-        formats.write_pgm(outdir / "indicator_multi.pgm",
-                          formats.pixels_from_image(ind.reciprocal(sup)))
+        _write_indicator(outdir, "indicator_multi",
+                         ind.superpose_multifrequency(normalized), cfg)
         print(f"wrote {outdir / 'indicator_multi.csv'}")
     return 0
 
@@ -132,7 +125,7 @@ def _cmd_pipeline(args) -> int:
     for k, n in result.truncation_by_k.items():
         excl = result.excluded_by_k[k]
         note = f", excluded modes {excl}" if excl else ""
-        print(f"k={k:g}: N={n}{note}")
+        print(f"k={_k_tag(k)}: N={n}{note}")
     print(f"manifest: {result.files['manifest.txt']}")
     return 0
 
@@ -193,13 +186,9 @@ def main(argv=None) -> int:
     p.add_argument("--ring", "-r", action="append", required=True,
                    help="ring CSV path (repeat per wavenumber)")
     p.add_argument("--outdir", "-o", required=True)
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--xmin", type=float, default=-1.5)
-    p.add_argument("--xmax", type=float, default=1.5)
-    p.add_argument("--ymin", type=float, default=-1.5)
-    p.add_argument("--ymax", type=float, default=1.5)
-    p.add_argument("--nx", type=int, default=150)
-    p.add_argument("--ny", type=int, default=150)
+    for dest, key in _RECONSTRUCT_FLAGS.items():
+        p.add_argument(f"--{dest}", type=_value_type(key), default=None,
+                       help=f"default: config key {key}")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("pipeline", help="full scenario run")

@@ -143,14 +143,8 @@ def _radial_tables(coeffs: ModeCoefficients, r: np.ndarray, with_deriv: bool):
     ratio = vals[:-1] / anchor[:, None]
     deriv = None
     if with_deriv:
-        orders = np.arange(n_top + 1)[:, None]
-        if coeffs.side == "exterior":
-            dvals = -vals[1:] + orders * vals[:-1] / kr[None, :]
-        else:
-            dvals = np.empty_like(vals[:-1])
-            dvals[0] = -vals[1]
-            dvals[1:] = vals[:-2] - orders[1:] * vals[1:-1] / kr[None, :]
-        deriv = k * dvals / anchor[:, None]
+        kind = "H" if coeffs.side == "exterior" else "J"
+        deriv = k * cylfun.derivative_all(vals, kr, kind) / anchor[:, None]
 
     n_abs = np.abs(coeffs.orders)
     keep = ~coeffs.excluded

@@ -11,11 +11,12 @@ special-function code:
 * Y_n for n >= 2 by upward recurrence, stable because |Y_n| grows with
   the order.
 
-Negative orders reduce through J_{-n} = (-1)^n J_n, Y_{-n} = (-1)^n Y_n
-before any recurrence runs.  |Y_n| saturates at ``SATURATION`` instead
-of overflowing to inf; callers can detect the clamp via
-:func:`cyl_eval` or the ``return_saturated`` flag of
-:func:`bessel_y_all`.
+Tables cover the orders 0..n_max; callers reduce negative orders through
+J_{-n} = (-1)^n J_n, Y_{-n} = (-1)^n Y_n.  |Y_n| saturates at
+``SATURATION`` instead of overflowing to inf; callers can detect the
+clamp via the ``return_saturated`` flag of :func:`bessel_y_all`.
+:func:`derivative_all` turns a J or H table into derivatives by the
+standard recurrences.
 
 The module also provides two-sided envelope checks for |H_n^(1)(t)| and
 |J_n(t)| in the deep evanescent regime n >> t.  Those ratios involve
@@ -47,21 +48,6 @@ class DomainError(ValueError):
 
 class OverflowGuardError(ArithmeticError):
     """A log-space bound check hit a non-representable magnitude."""
-
-
-@dataclass(frozen=True)
-class CylEval:
-    """J_n, Y_n and H_n^(1) = J_n + i Y_n at a single (order, argument)."""
-
-    order: int
-    argument: float
-    jn: float
-    yn: float
-    y_saturated: bool = False
-
-    @property
-    def h1(self) -> complex:
-        return complex(self.jn, self.yn)
 
 
 @dataclass(frozen=True)
@@ -186,15 +172,6 @@ def _bessel_j_miller(n_max: int, t: np.ndarray) -> np.ndarray:
     return out / norm
 
 
-def bessel_j(n: int, t: float) -> float:
-    """Bessel function of the first kind, integer order, real t >= 0."""
-    n = _check_order(n)
-    sign = -1.0 if (n < 0 and n % 2 != 0) else 1.0
-    n = abs(n)
-    val = bessel_j_all(n, float(t))[n]
-    return sign * float(val)
-
-
 # ---------------------------------------------------------------------------
 # Y_n
 # ---------------------------------------------------------------------------
@@ -297,15 +274,6 @@ def bessel_y_all(n_max: int, t, return_saturated: bool = False):
     return out
 
 
-def bessel_y(n: int, t: float) -> float:
-    """Bessel function of the second kind (Neumann function), t > 0."""
-    n = _check_order(n)
-    sign = -1.0 if (n < 0 and n % 2 != 0) else 1.0
-    n = abs(n)
-    val = bessel_y_all(n, float(t))[n]
-    return sign * float(val)
-
-
 # ---------------------------------------------------------------------------
 # H_n^(1) and derivatives
 # ---------------------------------------------------------------------------
@@ -317,50 +285,22 @@ def hankel1_all(n_max: int, t) -> np.ndarray:
     return j + 1j * y
 
 
-def hankel1(n: int, t: float) -> complex:
-    """Hankel function of the first kind, H_n^(1)(t) = J_n(t) + i Y_n(t)."""
-    n = _check_order(n)
-    sign = -1.0 if (n < 0 and n % 2 != 0) else 1.0
-    n = abs(n)
-    return sign * complex(bessel_j(n, t), bessel_y(n, t))
+def derivative_all(table: np.ndarray, t, kind: str) -> np.ndarray:
+    """C_0' .. C_N' at t from the table C_0 .. C_{N+1} (orders along axis 0).
 
-
-def cyl_eval(n: int, t: float) -> CylEval:
-    """Evaluate J_n, Y_n, H_n^(1) at (n, t) with a saturation flag."""
-    n = _check_order(n)
-    sign = -1.0 if (n < 0 and n % 2 != 0) else 1.0
-    m = abs(n)
-    jn = sign * float(bessel_j_all(m, float(t))[m])
-    yv, sat = bessel_y_all(m, float(t), return_saturated=True)
-    yn = sign * float(yv[m])
-    return CylEval(order=n, argument=float(t), jn=jn, yn=yn,
-                   y_saturated=bool(sat[m]))
-
-
-def bessel_j_deriv(n: int, t: float) -> float:
-    """dJ_n/dt through J_n'(t) = J_{n-1}(t) - n J_n(t)/t; t = 0 by series limit."""
-    n = _check_order(n)
-    sign = -1.0 if (n < 0 and n % 2 != 0) else 1.0
-    n = abs(n)
-    t = float(t)
-    if t == 0.0:
-        return sign * (0.5 if n == 1 else 0.0)
-    vals = bessel_j_all(max(n, 1), t)
-    if n == 0:
-        return -float(vals[1])
-    return sign * float(vals[n - 1] - n * vals[n] / t)
-
-
-def hankel1_deriv(n: int, t: float) -> complex:
-    """dH_n^(1)/dt through H_n^(1)'(t) = -H_{n+1}^(1)(t) + n H_n^(1)(t)/t."""
-    n = _check_order(n)
-    sign = -1.0 if (n < 0 and n % 2 != 0) else 1.0
-    n = abs(n)
-    t = float(t)
-    if t <= 0.0:
-        raise DomainError("argument must be positive")
-    h = hankel1_all(n + 1, t)
-    return sign * complex(-h[n + 1] + n * h[n] / t)
+    kind "J": J_n' = J_{n-1} - n J_n / t with J_0' = -J_1; kind "H":
+    H_n^(1)' = -H_{n+1}^(1) + n H_n^(1) / t.  t > 0 broadcasts against
+    ``table[0]``.
+    """
+    orders = np.arange(table.shape[0] - 1).reshape((-1,) + (1,) * (table.ndim - 1))
+    if kind == "H":
+        return -table[1:] + orders * table[:-1] / t
+    if kind != "J":
+        raise ValueError(f"unknown cylinder-function kind {kind!r}")
+    out = np.empty_like(table[:-1])
+    out[0] = -table[1]
+    out[1:] = table[:-2] - orders[1:] * table[1:-1] / t
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -106,25 +106,6 @@ def read_ring_csv(path) -> tuple[RingMeasurement, dict]:
     return ring, meta
 
 
-def write_coefficients_csv(path, coeffs) -> None:
-    """Debug dump of ring Fourier coefficients: source,n,re,im,excluded rows."""
-    meta = {
-        "format": "nearscat-coeffs-1",
-        "k": repr(coeffs.k),
-        "side": coeffs.side,
-        "anchor_radius": repr(coeffs.anchor_radius),
-        "truncation": coeffs.truncation,
-    }
-    with open(path, "w", encoding="ascii") as f:
-        _write_header(f, meta)
-        f.write("# columns=source,n,re,im,excluded\n")
-        for j in range(coeffs.values.shape[0]):
-            for i, n in enumerate(coeffs.orders):
-                v = coeffs.values[j, i]
-                f.write(f"{j},{n},{v.real:.17g},{v.imag:.17g},"
-                        f"{int(coeffs.excluded[i])}\n")
-
-
 # ---------------------------------------------------------------------------
 # Indicator grids
 # ---------------------------------------------------------------------------

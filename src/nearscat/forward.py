@@ -54,7 +54,6 @@ from .geometry import BoundaryCurve
 EULER_GAMMA = cylfun.EULER_GAMMA
 CONDITION_LIMIT = 1e12
 SOURCE_ON_BOUNDARY_TOL = 1e-9
-NEAR_BOUNDARY_WAVELENGTHS = 0.05
 _ORACLE_REL_TOL = 1e-14
 _ORACLE_RUN = 8          # consecutive negligible terms required
 _ORACLE_MAX_ORDER = 180
@@ -427,14 +426,6 @@ def simulate_ring(curve: BoundaryCurve, bc: str, side: str, k: float,
                            side=side, sources=sources)
 
 
-def near_boundary_mask(curve: BoundaryCurve, points, k: float) -> np.ndarray:
-    """True where a point is closer to the boundary than 0.05 wavelengths."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = pts[:, None, :] - curve.points[None, :, :]
-    dist = np.hypot(d[..., 0], d[..., 1]).min(axis=1)
-    return dist < NEAR_BOUNDARY_WAVELENGTHS * (2.0 * np.pi / k)
-
-
 def _trig_interp(values: np.ndarray, t_star: np.ndarray) -> np.ndarray:
     mm = values.size
     c = np.fft.fft(values) / mm
@@ -489,18 +480,11 @@ def boundary_residual(curve: BoundaryCurve, sol: DensitySolution, sources: Sourc
 def _oracle_arrays(n_hi: int, bc: str, side: str, k: float, a: float):
     """Per-order boundary coefficients: numerator and denominator factors."""
     ka = k * a
-    ja = cylfun.bessel_j_all(n_hi, ka)
-    ha = cylfun.hankel1_all(n_hi, ka)
     if bc == "soft":
-        num_a, den_a = ja, ha
+        num_a, den_a = cylfun.bessel_j_all(n_hi, ka), cylfun.hankel1_all(n_hi, ka)
     else:
-        orders = np.arange(n_hi + 1)
-        jd = np.empty(n_hi + 1)
-        jd[0] = -ja[1]
-        jd[1:] = ja[:-1] - orders[1:] * ja[1:] / ka
-        ha_ext = cylfun.hankel1_all(n_hi + 1, ka)
-        hd = -ha_ext[1:] + orders * ha_ext[:-1] / ka
-        num_a, den_a = jd, hd
+        num_a = cylfun.derivative_all(cylfun.bessel_j_all(n_hi + 1, ka), ka, "J")
+        den_a = cylfun.derivative_all(cylfun.hankel1_all(n_hi + 1, ka), ka, "H")
     if side == "interior":
         num_a, den_a = den_a, num_a
     return num_a, den_a
@@ -567,14 +551,8 @@ def _circle_series_attempt(n_hi, a, bc, side, k, rz, th_z, rx, th_x, radial_deri
         radial = cylfun.bessel_j_all(n_hi + 1, k * rx).astype(complex)
         src = cylfun.bessel_j_all(n_hi, k * rz).astype(complex)
     if radial_derivative:
-        orders = np.arange(n_hi + 1)[:, None]
-        if side == "exterior":
-            rad = k * (-radial[1:] + orders * radial[:-1] / (k * rx[None, :]))
-        else:
-            jd = np.empty_like(radial[:-1])
-            jd[0] = -radial[1]
-            jd[1:] = radial[:-2] - orders[1:] * radial[1:-1] / (k * rx[None, :])
-            rad = k * jd
+        kind = "H" if side == "exterior" else "J"
+        rad = k * cylfun.derivative_all(radial, k * rx, kind)
     else:
         rad = radial[:-1]
 

@@ -141,11 +141,6 @@ class BoundaryCurve:
 
     # -- derived quantities ---------------------------------------------------
 
-    def polygon_area(self) -> float:
-        """Signed shoelace area of the node polygon (positive = CCW)."""
-        x, y = self.points[:, 0], self.points[:, 1]
-        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
     def radial_profile(self, theta, center=(0.0, 0.0), n_dense: int = 4096) -> np.ndarray:
         """Radius of the curve along rays of angle theta from ``center``.
 
@@ -186,16 +181,6 @@ class BoundaryCurve:
 def make_curve(spec: ShapeSpec) -> BoundaryCurve:
     """Build a sampled BoundaryCurve; raises ValueError on a bad spec."""
     return BoundaryCurve(spec)
-
-
-def min_distance(curve: BoundaryCurve, center, radius: float) -> float:
-    """min_j | |x(t_j) - center| - radius |, the node-sampled distance to a circle.
-
-    Diagnostic accuracy only; sampled at the curve's own nodes, so use a
-    dense curve (M >= 256, M = 4096 for reporting) when it matters.
-    """
-    d = curve.points - np.asarray(center, dtype=float)[None, :]
-    return float(np.abs(np.hypot(d[:, 0], d[:, 1]) - radius).min())
 
 
 @dataclass(frozen=True)

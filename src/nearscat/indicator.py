@@ -93,11 +93,7 @@ def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
 
     if kind != "hard":
         raise ValueError(f"unknown indicator kind {kind!r}")
-    grad = eval_gradient(coeffs, rp, tp)                         # (n_src, 2, P)
-    for j, z in enumerate(sources.positions):
-        grad[j] += incident_gradient(sub, z, coeffs.k).T
-    norms = np.sqrt(np.abs(grad[:, 0, :]) ** 2 + np.abs(grad[:, 1, :]) ** 2)
-    ref = np.argmax(norms, axis=0)                               # lowest index wins ties
+    grad, norms, ref = _reference_gradients(coeffs, sources, sub)
     cols = np.arange(rp.size)
     xi = grad[ref, :, cols].T                                    # (2, P)
     xi_norm = norms[ref, cols]
@@ -114,17 +110,16 @@ def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
     return values, flags
 
 
-def select_reference_source(coeffs: ModeCoefficients, sources: SourceSet, x):
-    """Reference source index (argmax gradient norm) and its gradient at x."""
-    pt = np.asarray(x, dtype=float).reshape(1, 2)
-    _check_sources(coeffs, sources, pt)
-    r, theta = _polar(pt)
-    grad = eval_gradient(coeffs, r, theta)[:, :, 0]              # (n_src, 2)
+def _reference_gradients(coeffs: ModeCoefficients, sources: SourceSet,
+                         points: np.ndarray):
+    """Continued total-field gradients at (P, 2) points, their norms and the
+    reference source per point (argmax norm, lowest index on ties);
+    shapes (n_src, 2, P), (n_src, P), (P,)."""
+    grad = eval_gradient(coeffs, *_polar(points))
     for j, z in enumerate(sources.positions):
-        grad[j] += incident_gradient(pt[0], z, coeffs.k)
-    norms = np.sqrt(np.abs(grad[:, 0]) ** 2 + np.abs(grad[:, 1]) ** 2)
-    j0 = int(np.argmax(norms))
-    return j0, grad[j0]
+        grad[j] += incident_gradient(points, z, coeffs.k).T
+    norms = np.sqrt(np.abs(grad[:, 0, :]) ** 2 + np.abs(grad[:, 1, :]) ** 2)
+    return grad, norms, np.argmax(norms, axis=0)
 
 
 def _on_grid(coeffs: ModeCoefficients, sources: SourceSet, grid: ImagingGrid,

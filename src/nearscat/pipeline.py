@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import math
+import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import continuation as ct
 from . import formats
 from . import indicator as ind
-from .forward import SourceSet, simulate_ring
+from .forward import RingMeasurement, SourceSet, analytic_circle, simulate_ring
 from .geometry import BoundaryCurve, ImagingGrid, ShapeSpec, imaging_grid, make_curve
 from .indicator import IndicatorImage
 from .noise import NoiseSpec, add_noise
@@ -35,10 +36,11 @@ FIRST_J0_ZERO = 2.404825557695773
 # Configuration
 # ---------------------------------------------------------------------------
 
-_SIDE_DEFAULTS = {
-    "exterior": {"ring_radius": 2.2, "delta_soft": 0.05},
-    "interior": {"ring_radius": 0.5, "delta_soft": 0.05},
-}
+class ConfigError(ValueError):
+    """A scenario config that cannot describe a run."""
+
+
+_RING_RADIUS = {"exterior": 2.2, "interior": 0.5}     # source/receiver default per side
 
 
 @dataclass(frozen=True)
@@ -78,9 +80,8 @@ class ScenarioConfig:
     forward_nodes: int = 512
 
     def resolved(self) -> "ScenarioConfig":
-        if self.side not in ("exterior", "interior"):
-            raise ValueError(f"unknown side {self.side!r}")
-        ring_default = _SIDE_DEFAULTS[self.side]["ring_radius"]
+        self.validate()
+        ring_default = _RING_RADIUS[self.side]
         src = self.source_radius if self.source_radius is not None else ring_default
         rec = self.receiver_radius if self.receiver_radius is not None else ring_default
         excl = self.exclusion_radius
@@ -88,6 +89,32 @@ class ScenarioConfig:
             excl = rec
         return replace(self, source_radius=src, receiver_radius=rec,
                        exclusion_radius=excl)
+
+    def validate(self) -> None:
+        """Raise ConfigError unless every wavenumber can run: known side and
+        bc, finite k > 0, a 2-entry shape center, 2N+1 <= receiver_count."""
+        if self.side not in _RING_RADIUS:
+            raise ConfigError(f"unknown side {self.side!r}")
+        if self.bc not in ("soft", "hard"):
+            raise ConfigError(f"unknown boundary condition {self.bc!r}")
+        if not self.wavenumbers:
+            raise ConfigError("no wavenumbers given")
+        if not all(0.0 < k < math.inf for k in self.wavenumbers):
+            raise ConfigError(f"wavenumbers must be finite and positive: {self.wavenumbers}")
+        if len(self.shape_center) != 2:
+            raise ConfigError(f"shape_center needs 2 entries, got {self.shape_center}")
+        n = self._truncation()
+        if 2 * n + 1 > self.receiver_count:
+            raise ConfigError(
+                f"truncation {n} needs {2 * n + 1} receivers, have {self.receiver_count}")
+
+    def _truncation(self) -> int:
+        if self.truncation is not None:
+            return self.truncation
+        try:
+            return ct.truncation_order(self.delta, self.side)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     # -- geometry builders ---------------------------------------------------
 
@@ -115,13 +142,9 @@ class ScenarioConfig:
                             cfg.grid_ymax, cfg.grid_nx, cfg.grid_ny, exclusion=excl)
 
     def truncation_for(self, k: float) -> int:
-        cfg = self.resolved()
-        n = cfg.truncation if cfg.truncation is not None \
-            else ct.truncation_order(cfg.delta, cfg.side)
-        if 2 * n + 1 > cfg.receiver_count:
-            raise ValueError(
-                f"truncation {n} needs {2 * n + 1} receivers, have {cfg.receiver_count}")
-        return n
+        """Truncation N at wavenumber k: ``truncation``, else the noise rule."""
+        self.validate()
+        return self._truncation()
 
     # -- flat text form --------------------------------------------------------
 
@@ -138,18 +161,17 @@ class ScenarioConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ScenarioConfig":
-        known = {f_.name: f_ for f_ in fields(cls)}
         kwargs: dict = {}
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"bad config line: {raw!r}")
+                raise ConfigError(f"bad config line: {raw!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in known:
-                raise ValueError(f"unknown config key {key!r}")
+            if key not in _FIELD_TYPES:
+                raise ConfigError(f"unknown config key {key!r}")
             kwargs[key] = _parse_value(key, value)
         return cls(**kwargs)
 
@@ -161,23 +183,21 @@ class ScenarioConfig:
         return cls.from_text(Path(path).read_text(encoding="ascii"))
 
 
-_TUPLE_KEYS = {"wavenumbers", "shape_center", "shape_x_cos", "shape_x_sin",
-               "shape_y_cos", "shape_y_sin"}
-_INT_KEYS = {"source_count", "receiver_count", "grid_nx", "grid_ny",
-             "seed", "forward_nodes", "truncation"}
-_STR_KEYS = {"side", "bc", "shape"}
+_FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
+
+
+def _value_type(key: str) -> type:
+    """Scalar type of a config field: X for ``X``, ``X | None`` and the
+    items of ``tuple[X, ...]``."""
+    hint = _FIELD_TYPES[key]
+    return next((a for a in typing.get_args(hint) if a not in (type(None), Ellipsis)), hint)
 
 
 def _parse_value(key: str, value: str):
-    if key in _STR_KEYS:
-        return value
-    if key in _TUPLE_KEYS:
-        if not value:
-            return ()
-        return tuple(float(v) for v in value.split(","))
-    if key in _INT_KEYS:
-        return int(value)
-    return float(value)
+    convert = _value_type(key)
+    if typing.get_origin(_FIELD_TYPES[key]) is tuple:
+        return tuple(convert(v) for v in value.split(",")) if value else ()
+    return convert(value)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +221,40 @@ def _k_tag(k: float) -> str:
     else the exact repr, so that distinct wavenumbers never share a tag."""
     tag = f"{k:g}"
     return tag if float(tag) == k else repr(k)
+
+
+def _coefficients(ring: RingMeasurement, truncation: int,
+                  mode_guard: float = ct.DEFAULT_MODE_GUARD) -> ct.ModeCoefficients:
+    """Ring Fourier coefficients up to order N, mode-guarded on the interior side."""
+    coeffs = ct.compute_coefficients(ring, truncation)
+    if ring.side == "interior":
+        coeffs = ct.guard_interior_modes(coeffs, mode_guard)
+    return coeffs
+
+
+def reconstruct(ring: RingMeasurement, bc: str, grid: ImagingGrid, truncation: int,
+                mode_guard: float = ct.DEFAULT_MODE_GUARD):
+    """One wavenumber's imaging step on ``ring``: the Fourier coefficients up
+    to order ``truncation`` (interior modes with |J_n(kR)| < mode_guard
+    dropped) and the raw ``bc`` indicator image on ``grid``."""
+    if bc not in ("soft", "hard"):
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    coeffs = _coefficients(ring, truncation, mode_guard)
+    indicator = ind.indicator_soft if bc == "soft" else ind.indicator_hard
+    return coeffs, indicator(coeffs, ring.sources, grid)
+
+
+def _write_indicator(out: Path, stem: str, norm: IndicatorImage, cfg: ScenarioConfig,
+                     coeffs: ct.ModeCoefficients | None = None) -> dict[str, Path]:
+    """Write a normalized image to ``<stem>.csv`` and its reciprocal to ``<stem>.pgm``."""
+    extra = {"bc": cfg.bc, "shape": cfg.shape}
+    if coeffs is not None:
+        extra["truncation"] = coeffs.truncation
+        extra["excluded"] = " ".join(str(n) for n in coeffs.excluded_orders)
+    paths = {name: out / name for name in (f"{stem}.csv", f"{stem}.pgm")}
+    formats.write_grid_csv(paths[f"{stem}.csv"], norm, extra=extra)
+    formats.write_pgm(paths[f"{stem}.pgm"], formats.pixels_from_image(ind.reciprocal(norm)))
+    return paths
 
 
 def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
@@ -229,44 +283,23 @@ def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
         ring = simulate_ring(curve, cfg.bc, cfg.side, k, sources,
                              cfg.receiver_radius, cfg.receiver_count)
         ring = add_noise(ring, NoiseSpec(level=cfg.delta, seed=cfg.seed))
-        n_trunc = cfg.truncation_for(k)
-        coeffs = ct.compute_coefficients(ring, n_trunc)
-        if cfg.side == "interior":
-            coeffs = ct.guard_interior_modes(coeffs, cfg.mode_guard)
-        truncation_by_k[k] = n_trunc
+        coeffs, images[k] = reconstruct(ring, cfg.bc, grid, cfg.truncation_for(k),
+                                        cfg.mode_guard)
+        truncation_by_k[k] = coeffs.truncation
         excluded_by_k[k] = coeffs.excluded_orders
+        normalized.append(ind.normalize(images[k]))
 
-        raw = (ind.indicator_soft if cfg.bc == "soft" else ind.indicator_hard)(
-            coeffs, sources, grid)
-        norm = ind.normalize(raw)
-        recip = ind.reciprocal(norm)
-        normalized.append(norm)
-        images[k] = raw
-
-        tag = _k_tag(k)
-        ring_path = out / f"ring_k{tag}.csv"
-        formats.write_ring_csv(ring_path, ring, extra={
+        ring_name = f"ring_k{_k_tag(k)}.csv"
+        files[ring_name] = out / ring_name
+        formats.write_ring_csv(files[ring_name], ring, extra={
             "bc": cfg.bc, "shape": cfg.shape, "seed": cfg.seed})
-        grid_path = out / f"indicator_k{tag}.csv"
-        formats.write_grid_csv(grid_path, norm, extra={
-            "bc": cfg.bc, "shape": cfg.shape, "truncation": n_trunc,
-            "excluded": " ".join(str(n) for n in coeffs.excluded_orders)})
-        pgm_path = out / f"indicator_k{tag}.pgm"
-        formats.write_pgm(pgm_path, formats.pixels_from_image(recip))
-        files[f"ring_k{tag}.csv"] = ring_path
-        files[f"indicator_k{tag}.csv"] = grid_path
-        files[f"indicator_k{tag}.pgm"] = pgm_path
+        files.update(_write_indicator(out, f"indicator_k{_k_tag(k)}", normalized[-1],
+                                      cfg, coeffs))
 
     superposed = None
     if len(cfg.wavenumbers) > 1:
         superposed = ind.superpose_multifrequency(normalized)
-        sup_csv = out / "indicator_multi.csv"
-        formats.write_grid_csv(sup_csv, superposed, extra={
-            "bc": cfg.bc, "shape": cfg.shape})
-        sup_pgm = out / "indicator_multi.pgm"
-        formats.write_pgm(sup_pgm, formats.pixels_from_image(ind.reciprocal(superposed)))
-        files["indicator_multi.csv"] = sup_csv
-        files["indicator_multi.pgm"] = sup_pgm
+        files.update(_write_indicator(out, "indicator_multi", superposed, cfg))
 
     cfg_path = out / "config.txt"
     config.to_file(cfg_path)
@@ -410,7 +443,6 @@ class RateReport:
 
 def _study_ring(side: str, a: float, meas_r: float, k: float, bc: str,
                 n_src: int, n_rec: int):
-    from .forward import RingMeasurement, analytic_circle
     angles = 2.0 * np.pi * np.arange(n_rec) / n_rec
     pts = np.column_stack([meas_r * np.cos(angles), meas_r * np.sin(angles)])
     sources = SourceSet(center=(0.0, 0.0), radius=meas_r, count=n_src, side=side)
@@ -471,16 +503,12 @@ def convergence_study(side: str, *, obstacle_radius: float = 1.0,
     a = obstacle_radius
     ring = _study_ring(side, a, meas, k, bc, n_sources, n_receivers)
     th = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
-    from .forward import analytic_circle
     bpts = np.column_stack([a * np.cos(th), a * np.sin(th)])
     u_true = np.array([analytic_circle(a, bc, side, k, z, bpts)
                        for z in ring.sources.positions])
 
     def boundary_error(r, n: int) -> float:
-        coeffs = ct.compute_coefficients(r, n)
-        if side == "interior":
-            coeffs = ct.guard_interior_modes(coeffs)
-        u_n = ct.eval_field(coeffs, np.full(n_boundary, a), th)
+        u_n = ct.eval_field(_coefficients(r, n), np.full(n_boundary, a), th)
         return float(np.sqrt(np.mean(np.abs(u_n - u_true) ** 2)))
 
     orders = np.array(list(clean_orders), dtype=int)

@@ -21,7 +21,7 @@ from nearscat import indicator as ind
 from nearscat import noise as nz
 from nearscat.geometry import ShapeSpec, imaging_grid, make_curve
 from nearscat.pipeline import (ScenarioConfig, convergence_study,
-                               radial_boundary_error, run_scenario)
+                               radial_boundary_error, reconstruct, run_scenario)
 
 GRID_CELL = 3.0 / 149
 
@@ -43,11 +43,7 @@ def _median_cells(shape: str, bc: str, side: str, k: float, delta: float,
     for kk in ks:
         ring = fw.simulate_ring(curve, bc, side, kk, sources, ring_r, 128)
         ring = nz.add_noise(ring, nz.NoiseSpec(level=delta, seed=seed))
-        coeffs = ct.compute_coefficients(ring, ct.truncation_order(delta, side))
-        if side == "interior":
-            coeffs = ct.guard_interior_modes(coeffs)
-        image = (ind.indicator_soft if bc == "soft" else ind.indicator_hard)(
-            coeffs, sources, grid)
+        _, image = reconstruct(ring, bc, grid, ct.truncation_order(delta, side))
         meds[kk] = radial_boundary_error(image, curve).median / GRID_CELL
         normalized.append(ind.normalize(image))
     sup_med = None
@@ -266,13 +262,7 @@ def test_a9_indicator_algebra(example1_ring, exterior_sources, paper_grid,
     ring = nz.add_noise(ring, nz.NoiseSpec(level=0.02, seed=7))
     coeffs = ct.compute_coefficients(ring, 4)
     pts = paper_grid.points
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    th = np.arctan2(pts[:, 1], pts[:, 0])
-    grad = ct.eval_gradient(coeffs, r, th)
-    for j, z in enumerate(exterior_sources.positions):
-        grad[j] += fw.incident_gradient(pts, z, coeffs.k).T
-    norms = np.sqrt(np.abs(grad[:, 0, :]) ** 2 + np.abs(grad[:, 1, :]) ** 2)
-    ref = np.argmax(norms, axis=0)
+    grad, norms, ref = ind._reference_gradients(coeffs, exterior_sources, pts)
     cols = np.arange(pts.shape[0])
     xi = grad[ref, :, cols].T
     xi_norm = norms[ref, cols]

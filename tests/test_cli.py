@@ -3,6 +3,7 @@ import pytest
 
 from nearscat import formats
 from nearscat.cli import main
+from nearscat.pipeline import ScenarioConfig
 
 
 @pytest.fixture()
@@ -45,6 +46,36 @@ def test_simulate_noise_reconstruct_chain(tmp_path, small_config):
     img = formats.read_grid_csv(recon / "indicator_k3.csv")
     assert img.state == "normalized"
     assert (recon / "indicator_k3.pgm").exists()
+
+
+def test_close_wavenumbers_get_distinct_files(tmp_path, small_config):
+    # k = 3 and 3.0000001 both print as "3" under %g; neither file may
+    # overwrite the other in simulate or reconstruct
+    data, recon = tmp_path / "data", tmp_path / "recon"
+    assert main(["simulate", "-c", str(small_config), "-o", str(data),
+                 "--k", "3", "3.0000001", "--forward-nodes", "128"]) == 0
+    assert sorted(p.name for p in data.iterdir()) == ["ring_k3.0000001.csv", "ring_k3.csv"]
+    args = ["reconstruct", "-o", str(recon), "--truncation", "3", "--nx", "20", "--ny", "20"]
+    for path in sorted(data.iterdir()):
+        args += ["-r", str(path)]
+    assert main(args) == 0
+    for tag in ("3", "3.0000001"):
+        for ext in ("csv", "pgm"):
+            assert (recon / f"indicator_k{tag}.{ext}").exists()
+    assert (recon / "indicator_multi.csv").exists()
+
+
+def test_reconstruct_defaults_follow_config(tmp_path, small_config):
+    data, recon = tmp_path / "data", tmp_path / "recon"
+    main(["simulate", "-c", str(small_config), "-o", str(data),
+          "--side", "interior", "--forward-nodes", "128"])
+    assert main(["reconstruct", "-r", str(data / "ring_k3.csv"), "-o", str(recon),
+                 "--truncation", "4"]) == 0
+    img = formats.read_grid_csv(recon / "indicator_k3.csv")
+    defaults = ScenarioConfig(side="interior").resolved()
+    assert (img.grid.nx, img.grid.ny) == (defaults.grid_nx, defaults.grid_ny)
+    assert (img.grid.xmin, img.grid.ymax) == (defaults.grid_xmin, defaults.grid_ymax)
+    assert img.grid.exclusion == (0.0, 0.0, defaults.receiver_radius)
 
 
 def test_pipeline_command_matches_library(tmp_path, small_config, capsys):

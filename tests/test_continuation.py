@@ -39,6 +39,16 @@ class TestComputeCoefficients:
         rest = np.delete(co.values[0], co.truncation + 2)
         assert np.abs(rest).max() < 1e-14
 
+    def test_coefficient_layout(self):
+        # one row per source, columns n = -N..N, nothing excluded off the interior
+        th = 2 * np.pi * np.arange(16) / 16
+        ring = _ring(np.exp(1j * th)[None, :].repeat(2, axis=0), n_src=2)
+        co = ct.compute_coefficients(ring, 2)
+        assert co.values.shape == (2, 5)
+        assert co.orders.tolist() == [-2, -1, 0, 1, 2]
+        assert not co.excluded.any() and co.excluded_orders == []
+        assert co.values[:, 3] == pytest.approx([1.0, 1.0], abs=1e-14)
+
     def test_constant_input(self):
         co = ct.compute_coefficients(_ring(np.full(32, 2.5 + 1.0j)), 4)
         assert co.values[0, co.truncation] == pytest.approx(2.5 + 1.0j, abs=1e-14)

@@ -14,27 +14,55 @@ Y0_AT_1 = y0_series(1.0)          # 0.08825696421567696
 J0_AT_1 = j_series(0, 1.0)        # 0.7651976865579666
 
 
+def jn(n, t):
+    return float(cf.bessel_j_all(n, t)[n])
+
+
+def yn(n, t):
+    return float(cf.bessel_y_all(n, t)[n])
+
+
+def hn(n, t):
+    return complex(cf.hankel1_all(n, t)[n])
+
+
+def signed(table, n):
+    """Order-n entry of a J/Y/H table for signed n: C_{-m} = (-1)^m C_m."""
+    return (-1.0) ** n * table[-n] if n < 0 else table[n]
+
+
+def j_deriv(n, t):
+    return float(cf.derivative_all(cf.bessel_j_all(n + 1, t), t, "J")[n])
+
+
+def h_deriv(n, t):
+    return complex(cf.derivative_all(cf.hankel1_all(n + 1, t), t, "H")[n])
+
+
 class TestBesselJ:
     def test_zero_argument_limits(self):
-        assert cf.bessel_j(0, 0.0) == 1.0
-        assert cf.bessel_j(3, 0.0) == 0.0
+        assert jn(0, 0.0) == 1.0
+        assert jn(3, 0.0) == 0.0
 
     def test_first_j0_zero_from_bisection_oracle(self):
         assert FIRST_J0_ZERO == pytest.approx(2.4048255577, abs=1e-9)
-        assert abs(cf.bessel_j(0, FIRST_J0_ZERO)) < 1e-9
+        assert abs(jn(0, FIRST_J0_ZERO)) < 1e-9
 
     def test_series_oracle_agreement_small_args(self):
         # the float64 series oracle itself carries ~1e-12 cancellation error
         # by t ~ 11, so the shared tolerance stays at the contract level
         for n in (0, 1, 2, 5, 9):
             for t in (0.3, 1.0, 2.7, 6.4, 11.0):
-                assert cf.bessel_j(n, t) == pytest.approx(j_series(n, t), rel=1e-9,
-                                                          abs=1e-14)
+                assert jn(n, t) == pytest.approx(j_series(n, t), rel=1e-9, abs=1e-14)
 
     def test_negative_order_symmetry_exact(self):
+        # J_{-n} = (-1)^n J_n, the reduction continuation relies on, against
+        # scipy's own negative-order values
+        import scipy.special as sp
         for n in (1, 2, 7, 80):
             for t in (0.1, 2.3, 41.0):
-                assert cf.bessel_j(-n, t) == (-1.0) ** n * cf.bessel_j(n, t)
+                want = sp.jv(-n, t)
+                assert signed(cf.bessel_j_all(n, t), -n) == pytest.approx(want, rel=1e-9)
 
     def test_wide_grid_against_scipy(self):
         import scipy.special as sp
@@ -49,25 +77,26 @@ class TestBesselJ:
 
     def test_domain_errors(self):
         with pytest.raises(cf.DomainError):
-            cf.bessel_j(0, -1.0)
+            cf.bessel_j_all(0, -1.0)
         with pytest.raises(cf.DomainError):
-            cf.bessel_j(201, 1.0)
+            cf.bessel_j_all(201, 1.0)
 
 
 class TestBesselY:
     def test_y0_series_oracle(self):
-        assert cf.bessel_y(0, 1.0) == pytest.approx(Y0_AT_1, rel=1e-9)
+        assert yn(0, 1.0) == pytest.approx(Y0_AT_1, rel=1e-9)
         assert Y0_AT_1 == pytest.approx(0.0882569642, abs=1e-9)
 
     def test_negative_order_convention(self):
+        import scipy.special as sp
         for t in (0.4, 3.3, 17.0):
-            assert cf.bessel_y(-1, t) == -cf.bessel_y(1, t)
+            assert signed(cf.bessel_y_all(1, t), -1) == pytest.approx(sp.yv(-1, t), rel=1e-9)
 
     def test_small_argument_pole(self):
         # Y_1(t) ~ -2/(pi t): below the 0.9 envelope line at t = 1e-3
         t = 1e-3
-        assert cf.bessel_y(1, t) < -(2.0 / math.pi) / t * 0.9
-        assert cf.bessel_y(1, t) == pytest.approx(-(2.0 / math.pi) / t, rel=1e-3)
+        assert yn(1, t) < -(2.0 / math.pi) / t * 0.9
+        assert yn(1, t) == pytest.approx(-(2.0 / math.pi) / t, rel=1e-3)
 
     def test_wide_grid_against_scipy(self):
         import scipy.special as sp
@@ -81,33 +110,34 @@ class TestBesselY:
         assert rel.max() < 1e-9
 
     def test_saturation_flag(self):
-        ev = cf.cyl_eval(80, 1e-3)
-        assert ev.y_saturated
-        assert ev.yn == -cf.SATURATION
+        y, saturated = cf.bessel_y_all(80, 1e-3, return_saturated=True)
+        assert saturated[80]
+        assert y[80] == -cf.SATURATION
 
     def test_domain_error(self):
         with pytest.raises(cf.DomainError):
-            cf.bessel_y(0, 0.0)
+            cf.bessel_y_all(0, 0.0)
 
 
 class TestHankel:
     def test_h0_at_1_series_oracle(self):
         want = complex(J0_AT_1, Y0_AT_1)
-        assert cf.hankel1(0, 1.0) == pytest.approx(want, rel=1e-9)
+        assert hn(0, 1.0) == pytest.approx(want, rel=1e-9)
         assert want.real == pytest.approx(0.7651976866, abs=1e-9)
         assert want.imag == pytest.approx(0.0882569642, abs=1e-9)
 
     def test_negative_order_factor(self):
+        import scipy.special as sp
         for n in (1, 2, 5):
             for t in (0.7, 4.0):
-                assert cf.hankel1(-n, t) == (-1.0) ** n * cf.hankel1(n, t)
+                got = signed(cf.hankel1_all(n, t), -n)
+                assert got == pytest.approx(sp.hankel1(-n, t), rel=1e-9)
 
     def test_h1_equals_j_plus_iy(self):
-        ev = cf.cyl_eval(4, 2.6)
-        assert ev.h1 == complex(ev.jn, ev.yn)
+        assert hn(4, 2.6) == complex(jn(4, 2.6), yn(4, 2.6))
 
     def test_modulus_nonincreasing(self):
-        assert abs(cf.hankel1(3, 2.0)) >= abs(cf.hankel1(3, 5.0))
+        assert abs(hn(3, 2.0)) >= abs(hn(3, 5.0))
         t = np.linspace(0.5, 40.0, 200)
         for n in (0, 2, 7, 19):
             h = np.abs(cf.hankel1_all(n, t)[n])
@@ -116,32 +146,46 @@ class TestHankel:
 
 class TestDerivatives:
     def test_h0_prime_is_minus_h1(self):
-        assert cf.hankel1_deriv(0, 1.0) == -cf.hankel1(1, 1.0)
+        assert h_deriv(0, 1.0) == -hn(1, 1.0)
 
     def test_hankel_finite_difference(self):
         fd = central_diff(lambda t: h1_series(2, t), 3.0, 1e-5)
-        assert cf.hankel1_deriv(2, 3.0) == pytest.approx(fd, abs=1e-7)
+        assert h_deriv(2, 3.0) == pytest.approx(fd, abs=1e-7)
 
     def test_hankel_wronskian_consistency(self):
         n, t = 4, 2.0
-        h = cf.hankel1(n, t)
-        hp = cf.hankel1_deriv(n, t)
+        h = hn(n, t)
+        hp = h_deriv(n, t)
         want = 2.0 / (math.pi * t)
         assert (h.conjugate() * hp).imag == pytest.approx(want, rel=1e-9)
 
     def test_j0_prime_is_minus_j1(self):
-        assert cf.bessel_j_deriv(0, 2.0) == -cf.bessel_j(1, 2.0)
+        assert j_deriv(0, 2.0) == -jn(1, 2.0)
 
     def test_j_finite_difference(self):
         fd = central_diff(lambda t: j_series(3, t), 1.7, 1e-5)
-        assert cf.bessel_j_deriv(3, 1.7) == pytest.approx(fd, abs=1e-7)
+        assert j_deriv(3, 1.7) == pytest.approx(fd, abs=1e-7)
 
     def test_j1_prime_at_zero(self):
-        assert cf.bessel_j_deriv(1, 0.0) == 0.5
+        # the recurrence divides by t; its small-t limit is J_1'(0) = 1/2
+        assert j_deriv(1, 1e-9) == pytest.approx(0.5, abs=1e-15)
 
     def test_hankel_deriv_domain(self):
         with pytest.raises(cf.DomainError):
-            cf.hankel1_deriv(2, 0.0)
+            h_deriv(2, 0.0)
+
+    def test_table_derivatives_match_scipy(self):
+        import scipy.special as sp
+        t = np.linspace(0.3, 30.0, 50)
+        jd = cf.derivative_all(cf.bessel_j_all(21, t), t, "J")
+        hd = cf.derivative_all(cf.hankel1_all(21, t), t, "H")
+        for n in range(21):
+            assert np.abs(jd[n] - sp.jvp(n, t)).max() < 1e-10
+            assert np.max(np.abs(hd[n] - sp.h1vp(n, t)) / np.abs(sp.h1vp(n, t))) < 1e-9
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            cf.derivative_all(cf.bessel_j_all(3, 1.0), 1.0, "Y")
 
 
 class TestIdentities:
@@ -165,15 +209,18 @@ class TestIdentities:
     @given(n=st.integers(min_value=-80, max_value=79),
            t=st.floats(min_value=0.1, max_value=60.0))
     def test_wronskian_property(self, n, t):
-        w = cf.bessel_j(n + 1, t) * cf.bessel_y(n, t) \
-            - cf.bessel_j(n, t) * cf.bessel_y(n + 1, t)
+        j, y = cf.bessel_j_all(81, t), cf.bessel_y_all(81, t)
+        w = signed(j, n + 1) * signed(y, n) - signed(j, n) * signed(y, n + 1)
         assert w == pytest.approx(2.0 / (math.pi * t), rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(min_value=-80, max_value=80),
            t=st.floats(min_value=0.1, max_value=60.0))
     def test_symmetry_property(self, n, t):
-        assert cf.bessel_j(-n, t) - (-1.0) ** n * cf.bessel_j(n, t) == 0.0
+        # signed-order J_n against scipy, to 1e-9 of the |H_n| envelope
+        import scipy.special as sp
+        got = signed(cf.bessel_j_all(80, t), n)
+        assert abs(got - sp.jv(n, t)) <= 1e-9 * abs(sp.hankel1(n, t))
 
 
 class TestEnvelopeBounds:

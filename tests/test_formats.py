@@ -133,21 +133,6 @@ class TestPgm:
         assert flat[10] == round(65535 * 10 / top)
 
 
-def test_coefficients_debug_dump(tmp_path):
-    from nearscat import continuation as ct
-    th = 2 * np.pi * np.arange(16) / 16
-    ring = _ring().with_samples(np.exp(1j * th)[None, :].repeat(2, axis=0), 0.0)
-    co = ct.compute_coefficients(ring, 2)
-    path = tmp_path / "coeffs.csv"
-    formats.write_coefficients_csv(path, co)
-    rows = [line for line in path.read_text().splitlines()
-            if line and not line.startswith("#")]
-    assert len(rows) == 2 * 5
-    src, n, re_, im_, excl = rows[3].split(",")     # source 0, order n = +1
-    assert (src, n, excl) == ("0", "1", "0")
-    assert float(re_) == pytest.approx(1.0, abs=1e-14)
-
-
 def test_sha256(tmp_path):
     p = tmp_path / "x.txt"
     p.write_text("abc")

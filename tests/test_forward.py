@@ -201,11 +201,6 @@ class TestNystrom:
         with pytest.raises(fw.GeometryError):
             fw.solve_densities(unit_circle_512, "soft", "interior", 3.0, outside)
 
-    def test_near_boundary_mask(self, unit_circle_512):
-        pts = np.array([[1.001, 0.0], [1.5, 0.0]])
-        mask = fw.near_boundary_mask(unit_circle_512, pts, 3.0)
-        assert mask.tolist() == [True, False]
-
     def test_representations(self, unit_circle_512):
         sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1, side="exterior")
         sol = fw.solve_densities(unit_circle_512, "soft", "exterior", 3.0, sources)

@@ -3,13 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from nearscat.geometry import (ShapeSpec, imaging_grid, make_curve,
-                               min_distance)
+from nearscat.geometry import ShapeSpec, imaging_grid, make_curve
 
 from oracle_series import central_diff
 
 KITE_TRIG = ShapeSpec(kind="trig", x_cos=(-0.3, 1.0, 0.6), y_sin=(0.0, 1.3),
                       n_nodes=64)
+
+
+def polygon_area(curve) -> float:
+    """Signed shoelace area of the node polygon (positive = counterclockwise)."""
+    x, y = curve.points[:, 0], curve.points[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def min_distance(curve, center, radius: float) -> float:
+    """min_j | |x(t_j) - center| - radius | over the curve nodes."""
+    d = curve.points - np.asarray(center, dtype=float)[None, :]
+    return float(np.abs(np.hypot(d[:, 0], d[:, 1]) - radius).min())
 
 
 class TestShapes:
@@ -63,7 +74,7 @@ class TestCurveInvariants:
     @pytest.mark.parametrize("kind", ["circle", "kite", "starfish"])
     def test_counterclockwise(self, kind):
         c = make_curve(ShapeSpec(kind=kind, n_nodes=128))
-        assert c.polygon_area() > 0.0
+        assert polygon_area(c) > 0.0
 
     def test_circle_speed_and_radial_normal(self):
         c = make_curve(ShapeSpec(kind="circle", radius=0.7, n_nodes=64))
@@ -73,7 +84,7 @@ class TestCurveInvariants:
 
     def test_polygon_area_converges(self):
         truth = math.pi
-        err = [abs(make_curve(ShapeSpec(kind="circle", n_nodes=m)).polygon_area()
+        err = [abs(polygon_area(make_curve(ShapeSpec(kind="circle", n_nodes=m)))
                    - truth) for m in (64, 128, 256)]
         assert err[1] <= err[0] and err[2] <= err[1]
 

@@ -1,13 +1,19 @@
 import math
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearscat import formats
 from nearscat import indicator as ind
+from nearscat import pipeline
 from nearscat.geometry import ShapeSpec, imaging_grid, make_curve
-from nearscat.pipeline import (ScenarioConfig, convergence_study,
-                               radial_boundary_error, render_pgm, run_scenario)
+from nearscat.pipeline import (ConfigError, ScenarioConfig, convergence_study,
+                               radial_boundary_error, reconstruct, render_pgm,
+                               run_scenario)
 
 SMALL = ScenarioConfig(side="exterior", bc="soft", shape="circle",
                        wavenumbers=(3.0,), delta=0.05, seed=7,
@@ -54,6 +60,69 @@ class TestConfig:
         cfg = ScenarioConfig(delta=0.05, truncation=20, receiver_count=32)
         with pytest.raises(ValueError):
             cfg.truncation_for(3.0)
+        with pytest.raises(ConfigError, match="41 receivers"):
+            cfg.resolved()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+_HARMONICS = st.lists(_FINITE, max_size=4).map(tuple)
+# every config these draw passes validate(): 2N+1 <= 43 <= receiver_count
+_VALID_CONFIGS = st.builds(
+    ScenarioConfig,
+    side=st.sampled_from(["exterior", "interior"]), bc=st.sampled_from(["soft", "hard"]),
+    shape=st.sampled_from(["circle", "kite", "starfish", "trig"]),
+    shape_radius=_POSITIVE, shape_center=st.tuples(_FINITE, _FINITE),
+    shape_x_cos=_HARMONICS, shape_x_sin=_HARMONICS,
+    shape_y_cos=_HARMONICS, shape_y_sin=_HARMONICS,
+    wavenumbers=st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),
+    delta=st.floats(min_value=1e-6, max_value=0.99),
+    source_radius=st.none() | _POSITIVE, source_count=st.integers(1, 64),
+    receiver_radius=st.none() | _POSITIVE, receiver_count=st.integers(43, 512),
+    grid_xmin=_FINITE, grid_xmax=_FINITE, grid_ymin=_FINITE, grid_ymax=_FINITE,
+    grid_nx=st.integers(2, 400), grid_ny=st.integers(2, 400),
+    exclusion_radius=st.none() | st.floats(min_value=0.0, max_value=10.0),
+    truncation=st.none() | st.integers(0, 21),
+    mode_guard=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(-2**40, 2**40), forward_nodes=st.integers(8, 2048).map(lambda m: 2 * m))
+
+
+class TestConfigValidation:
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=_VALID_CONFIGS)
+    def test_text_round_trip(self, cfg):
+        cfg.validate()
+        back = ScenarioConfig.from_text(cfg.to_text())
+        assert back == cfg
+        for f in fields(cfg):
+            assert type(getattr(back, f.name)) is type(getattr(cfg, f.name)), f.name
+
+    def test_empty_wavenumbers(self, tmp_path):
+        with pytest.raises(ConfigError, match="no wavenumbers"):
+            run_scenario(replace(SMALL, wavenumbers=()), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("k", [-3.0, 0.0, math.inf, math.nan])
+    def test_nonpositive_or_nonfinite_wavenumber(self, tmp_path, k):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            run_scenario(replace(SMALL, wavenumbers=(3.0, k)), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_shape_center_needs_two_entries(self, tmp_path):
+        with pytest.raises(ConfigError, match="shape_center"):
+            run_scenario(replace(SMALL, shape_center=(0.1,)), tmp_path / "run")
+        with pytest.raises(ConfigError, match="shape_center"):
+            ScenarioConfig.from_text("shape_center = 0.1, 0.2, 0.3\n").resolved()
+
+    def test_unknown_side_and_bc(self):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(side="outside").resolved()
+        with pytest.raises(ConfigError):
+            ScenarioConfig(bc="sticky").resolved()
+
+    def test_clean_data_error_is_named(self):
+        with pytest.raises(ConfigError, match="clean data"):
+            ScenarioConfig(delta=0.0).resolved()
 
 
 class TestRunScenario:
@@ -67,7 +136,6 @@ class TestRunScenario:
         assert r1.checksums == r2.checksums
 
     def test_seed_changes_outputs(self, tmp_path):
-        from dataclasses import replace
         r1 = run_scenario(SMALL, tmp_path / "a")
         r2 = run_scenario(replace(SMALL, seed=8), tmp_path / "b")
         assert r1.checksums["ring_k3.csv"] != r2.checksums["ring_k3.csv"]
@@ -75,7 +143,6 @@ class TestRunScenario:
     def test_close_wavenumbers_get_distinct_artifacts(self, tmp_path):
         # k = 3 and 3.0000001 both print as "3" under %g; neither run may
         # overwrite the other's files or manifest lines
-        from dataclasses import replace
         cfg = replace(SMALL, wavenumbers=(3.0, 3.0000001), grid_nx=20, grid_ny=20,
                       forward_nodes=128)
         result = run_scenario(cfg, tmp_path)
@@ -94,7 +161,6 @@ class TestRunScenario:
         assert r1.checksums == r2.checksums
 
     def test_multi_k_superposition_written(self, tmp_path):
-        from dataclasses import replace
         cfg = replace(SMALL, wavenumbers=(3.0, 4.0), bc="hard", delta=0.02)
         result = run_scenario(cfg, tmp_path / "m")
         assert (tmp_path / "m" / "indicator_multi.csv").exists()
@@ -102,7 +168,6 @@ class TestRunScenario:
         assert result.superposed.state == "normalized"
 
     def test_interior_warning_and_exclusions(self, tmp_path):
-        from dataclasses import replace
         cfg = replace(SMALL, side="interior", wavenumbers=(6.0,), delta=0.05)
         result = run_scenario(cfg, tmp_path / "i")
         assert any("J_0 zero" in w for w in result.warnings)
@@ -113,6 +178,45 @@ class TestRunScenario:
         assert img.state == "normalized"
         live = ~img.grid.mask
         assert np.nanmax(img.values[live]) == pytest.approx(1.0)
+
+
+class TestReconstruct:
+    def test_matches_run_scenario_from_written_ring(self, tmp_path):
+        # the written ring CSV is lossless, so one reconstruct call on it
+        # repeats the run's raw image bit for bit
+        result = run_scenario(SMALL, tmp_path)
+        ring, _ = formats.read_ring_csv(result.files["ring_k3.csv"])
+        cfg = SMALL.resolved()
+        coeffs, image = reconstruct(ring, cfg.bc, cfg.grid(), cfg.truncation_for(3.0))
+        assert coeffs.truncation == result.truncation_by_k[3.0]
+        assert image.state == "raw" and image.kind == "soft"
+        np.testing.assert_array_equal(image.values, result.images[3.0].values)
+        with pytest.raises(ValueError, match="boundary condition"):
+            reconstruct(ring, "Soft", cfg.grid(), 3)
+
+
+class TestBenchmarkHooks:
+    """perfbench/ rebinds these module attributes to trace and capture runs."""
+
+    def test_span_targets_resolve(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import spans
+        for module, attr, _, _ in spans.TARGETS:
+            assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+    def test_simulate_ring_looked_up_per_k(self, tmp_path, monkeypatch):
+        calls = []
+        real = pipeline.simulate_ring
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "simulate_ring", counting)
+        cfg = replace(SMALL, wavenumbers=(3.0, 4.0), grid_nx=20, grid_ny=20,
+                      forward_nodes=128)
+        run_scenario(cfg, tmp_path)
+        assert calls == [3.0, 4.0]
 
 
 class TestRadialBoundaryError:
