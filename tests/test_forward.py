@@ -159,6 +159,17 @@ class TestNystrom:
                                    np.array([pos[3], pos[0]]))
         assert samples[0, 0] == pytest.approx(samples[3, 1], rel=1e-8)
 
+    @pytest.mark.parametrize("shape", ["kite", "starfish"])
+    @pytest.mark.parametrize("side,bc", sorted(fw._OPERATORS))
+    def test_reciprocity_matrix(self, shape, side, bc):
+        # 12 sources and 12 receivers on one circle, both starting at angle 0:
+        # samples[j, m] = u_s(x_m; z_j) = u_s(z_j; x_m) = samples[m, j]
+        curve = make_curve(ShapeSpec(kind=shape, n_nodes=512))
+        radius = 2.5 if side == "exterior" else 0.5
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=radius, count=12, side=side)
+        s = fw.simulate_ring(curve, bc, side, 3.0, sources, radius, 12).samples
+        assert np.abs(s - s.T).max() <= 1e-8 * np.abs(s).max()
+
     def test_resonance_guard(self):
         # the exterior Neumann single-layer representation breaks down at an
         # interior Dirichlet eigenvalue (k a = first J_0 zero)
