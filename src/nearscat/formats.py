@@ -12,8 +12,10 @@ once, and emit the bytes of formatting every row with `%.17g`.  Readers
 parse all data rows with one `np.loadtxt` call and raise ValueError,
 naming the row, for a repeated grid point or (source, receiver) pair, a
 point outside the grid or an index out of range, a row at a masked grid
-point, and a non-integer index or flag; missing rows are rejected too.
-A PGM must hold exactly nx*ny pixels, each in 0..maxval.
+point, a non-integer index or flag, and ring rows of one receiver that
+disagree on its theta; missing rows are rejected too, and so is a header
+without a key the reader needs (named in the error).  A PGM must hold
+exactly nx*ny pixels, each in 0..maxval.
 """
 
 from __future__ import annotations
@@ -45,10 +47,11 @@ def _write_header(f, meta: dict) -> None:
         f.write(f"# {key}={value}\n")
 
 
-def _read_table(path, fmt: str, dtype: np.dtype) -> tuple[dict, np.ndarray]:
+def _read_table(path, fmt: str, dtype: np.dtype, required) -> tuple[dict, np.ndarray]:
     """Header of a `fmt` CSV and its data rows as a structured array.
 
-    The leading `#` lines form the header.  The data rows after it are
+    The leading `#` lines form the header, which must hold every key in
+    `required`.  The data rows after it are
     parsed by one `np.loadtxt` call, which skips empty lines and rejects a
     comment, a wrong column count or, in an integer field, non-integer text.
     """
@@ -67,6 +70,9 @@ def _read_table(path, fmt: str, dtype: np.dtype) -> tuple[dict, np.ndarray]:
                 meta[key.strip()] = value.strip()
         if meta.get("format") != fmt:
             raise ValueError(f"{path}: not a {fmt} file")
+        missing = [key for key in required if key not in meta]
+        if missing:
+            raise ValueError(f"{path}: header has no {missing[0]!r} line")
         text = first + f.read()
     try:
         with warnings.catch_warnings():
@@ -101,6 +107,8 @@ def _repeats(keys: np.ndarray, n_keys: int) -> np.ndarray:
 
 _RING_ROW = np.dtype([("source", np.int64), ("receiver", np.int64),
                       ("theta", np.float64), ("re", np.float64), ("im", np.float64)])
+_RING_KEYS = ("k", "side", "field", "ring_radius", "n_receivers", "n_sources",
+              "source_radius", "source_center", "delta")
 
 
 def write_ring_csv(path, ring: RingMeasurement, extra: dict | None = None) -> None:
@@ -129,7 +137,7 @@ def write_ring_csv(path, ring: RingMeasurement, extra: dict | None = None) -> No
 
 
 def read_ring_csv(path) -> tuple[RingMeasurement, dict]:
-    meta, rows = _read_table(path, "nearscat-ring-1", _RING_ROW)
+    meta, rows = _read_table(path, "nearscat-ring-1", _RING_ROW, _RING_KEYS)
     n_src = int(meta["n_sources"])
     n_rec = int(meta["n_receivers"])
     cx, cy = (float(v) for v in meta["source_center"].split())
@@ -142,8 +150,10 @@ def read_ring_csv(path) -> tuple[RingMeasurement, dict]:
             "has a source or receiver index out of range")
     _reject(path, rows, _repeats(j * n_rec + m, n_src * n_rec),
             "repeats the (source, receiver) pair of an earlier row")
-    angles = np.zeros(n_rec)
-    angles[m] = rows["theta"]
+    # every (source, receiver) pair occurs once: receiver m's first row sets its angle
+    angles = rows["theta"][np.unique(m, return_index=True)[1]]
+    _reject(path, rows, rows["theta"] != angles[m],
+            "disagrees with an earlier row on the receiver's theta")
     samples = np.zeros((n_src, n_rec), dtype=complex)
     samples.real[j, m] = rows["re"]
     samples.imag[j, m] = rows["im"]
@@ -160,6 +170,7 @@ def read_ring_csv(path) -> tuple[RingMeasurement, dict]:
 
 _GRID_ROW = np.dtype([("x", np.float64), ("y", np.float64),
                       ("value", np.float64), ("flag", np.int64)])
+_GRID_KEYS = ("xmin", "xmax", "ymin", "ymax", "nx", "ny", "kind", "state", "wavenumbers")
 
 
 def write_grid_csv(path, image: IndicatorImage, extra: dict | None = None) -> None:
@@ -197,7 +208,7 @@ def write_grid_csv(path, image: IndicatorImage, extra: dict | None = None) -> No
 
 
 def read_grid_csv(path) -> IndicatorImage:
-    meta, rows = _read_table(path, "nearscat-grid-1", _GRID_ROW)
+    meta, rows = _read_table(path, "nearscat-grid-1", _GRID_ROW, _GRID_KEYS)
     exclusion = None
     if "exclusion" in meta:
         cx, cy, rad = (float(v) for v in meta["exclusion"].split())
@@ -266,6 +277,12 @@ def write_pgm(path, pixels: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """Pixels of a PGM that `write_pgm` wrote, as a (ny, nx) int64 array.
+
+    The pipeline never reads a PGM back.  This reader is kept on purpose
+    as the writer's round-trip partner: the tests check every written
+    image through it.
+    """
     tokens = Path(path).read_text(encoding="ascii").split()
     if not tokens or tokens[0] != "P2":
         raise ValueError(f"{path}: not an ASCII PGM")

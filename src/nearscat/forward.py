@@ -26,6 +26,15 @@ the standard splitting  kernel = A1(t, tau) ln(4 sin^2((t - tau)/2)) + A2
 and the spectrally accurate log-quadrature weights R_j; spectral accuracy
 on analytic curves.
 
+Assembly comes in two parts.  A ``NystromGeometry`` holds everything that
+does not depend on k (distances, the log factor, the weights R_j, the
+normal products of the operators in use) and is built once per curve and
+target set; ``run_scenario`` shares one across its wavenumbers.  Its
+per-k pass ``blocks(k)`` makes the Bessel calls and forms each operator
+in place, freeing every M x M temporary as soon as it is used.  The
+arithmetic and its order are those of a one-shot assembly, so the blocks
+are bit for bit the same.
+
 All kernel assembly here is vectorized through scipy.special; the series
 oracle below runs on the in-house cylinder-function module instead, so
 the two routes share no special-function code.  The Hankel functions are
@@ -204,81 +213,132 @@ def _log_weight_circulant(m_nodes: int) -> np.ndarray:
     return row[idx]
 
 
-def _split_operator(a1: np.ndarray, full: np.ndarray, lg: np.ndarray, rw: np.ndarray,
-                    h: float, diag) -> np.ndarray:
-    """R_j A1 + h A2 with A2 = full - A1 ln(4 sin^2((t - tau)/2)).
+class NystromGeometry:
+    """The k-free part of the Nystrom blocks ``ops`` ("S", "K", "K'") for one
+    curve and one set of target parameters.
 
-    ``diag`` holds the diagonal limits (A1, A2), or None for off-node targets.
+    Holds |x(t) - x(tau)| (1 on the diagonal), ln(4 sin^2((t - tau)/2)), the
+    log-quadrature weights R_j, the double-layer diagonal limits and the
+    normal products of the K/K' kernels that ``ops`` names; ``blocks(k)``
+    adds the Bessel part of one wavenumber.  With ``diagonal=True`` the
+    targets are the curve nodes themselves and the split-kernel diagonal
+    limits are inserted.  The geometry keeps the curve's spec, not the
+    curve, so a curve may hold its geometry without forming a cycle.
     """
-    a2 = full - a1 * lg
-    if diag is not None:
-        np.fill_diagonal(a1, diag[0])
-        np.fill_diagonal(a2, diag[1])
-    a2 *= h
-    a2 += rw * a1
-    return a2
+
+    def __init__(self, curve: BoundaryCurve, t_targets: np.ndarray, pos_t: np.ndarray,
+                 tan_t: np.ndarray, diagonal: bool, ops):
+        mm = curve.n_nodes
+        self.spec = curve.spec
+        self.n_nodes = mm
+        self.diagonal = diagonal
+        self.ops = tuple(ops)
+        self.speed = curve.speed
+        y = curve.points
+        dt = t_targets[:, None] - curve.t[None, :]
+        dx = pos_t[:, None, 0] - y[None, :, 0]            # x(t) - x(tau)
+        dy = pos_t[:, None, 1] - y[None, :, 1]
+        self.r = np.hypot(dx, dy)
+        self.lg = np.log(np.maximum(4.0 * np.sin(0.5 * dt) ** 2, 1e-300))
+        if diagonal:
+            np.fill_diagonal(self.r, 1.0)
+            np.fill_diagonal(self.lg, 0.0)
+            self.rw = _log_weight_circulant(mm)
+            tg, sc = curve.tangents, curve.seconds
+            w = tg[:, 0] * sc[:, 1] - tg[:, 1] * sc[:, 0]
+            self.dl_diag = (0.0, -w / (4.0 * np.pi * self.speed**2))
+        else:
+            self.rw = _log_weights_from_diff(dt, mm)
+            self.dl_diag = None
+        del dt
+        self.normal = {}
+        if "K" in self.ops:
+            nj = np.column_stack([curve.tangents[:, 1], -curve.tangents[:, 0]])  # nu |x'|
+            # double layer: nu(tau) . (x(tau) - x(t)) = -(n_j . dx)
+            self.normal["K"] = -(dx * nj[None, :, 0] + dy * nj[None, :, 1])
+        if "K'" in self.ops:
+            sp_t = np.hypot(tan_t[:, 0], tan_t[:, 1])
+            nt = np.column_stack([tan_t[:, 1], -tan_t[:, 0]])
+            # adjoint double layer: nu(t) . (x(t) - x(tau)) = n_t . dx
+            b_kp = dx * nt[:, None, 0] + dy * nt[:, None, 1]
+            b_kp *= self.speed[None, :] / sp_t[:, None]
+            self.normal["K'"] = b_kp
+
+    def check(self, curve: BoundaryCurve, bc: str, side: str) -> None:
+        """Raise ValueError unless this is the node geometry of the (side, bc)
+        system on ``curve``."""
+        ops = _operators(bc, side)
+        if curve.n_nodes != self.n_nodes:
+            raise ValueError(f"Nystrom geometry built for {self.n_nodes} nodes, "
+                             f"the curve has {curve.n_nodes}")
+        if curve.spec != self.spec:
+            raise ValueError("Nystrom geometry built for another curve")
+        if not self.diagonal:
+            raise ValueError("Nystrom geometry built for off-node targets")
+        if self.ops != ops:
+            raise ValueError(f"Nystrom geometry built for operators {self.ops}, "
+                             f"the {side} {bc} system needs {ops}")
+
+    def _split(self, a1: np.ndarray, full: np.ndarray, diag) -> np.ndarray:
+        """R_j A1 + h A2 with A2 = full - A1 ln(4 sin^2((t - tau)/2)), formed in
+        ``full``; ``a1`` is overwritten.
+
+        ``diag`` holds the diagonal limits (A1, A2), or None for off-node targets.
+        """
+        full -= a1 * self.lg
+        if diag is not None:
+            np.fill_diagonal(a1, diag[0])
+            np.fill_diagonal(full, diag[1])
+        full *= 2.0 * np.pi / self.n_nodes
+        a1 *= self.rw
+        full += a1
+        return full
+
+    def blocks(self, k: float) -> dict[str, np.ndarray]:
+        """The blocks named in ``ops`` at wavenumber k, mapping node densities
+        to values at the targets.  Each block is computed the same way
+        whatever else ``ops`` names."""
+        spj = self.speed
+        kr = k * self.r
+        blocks = {}
+        if "S" in self.ops:
+            j0 = _sp_j0(kr)
+            s1 = np.multiply(-(0.25 / np.pi), j0)
+            s1 *= spj[None, :]
+            s_full = _hankel1(0, kr, j0)
+            del j0
+            np.multiply(0.25j, s_full, out=s_full)
+            s_full *= spj[None, :]
+            s_diag = None
+            if self.diagonal:                                # J_0(0) = 1
+                s_diag = (-(0.25 / np.pi) * spj,
+                          (0.25j - (np.log(0.5 * k * spj) + EULER_GAMMA) / (2.0 * np.pi)) * spj)
+            blocks["S"] = self._split(s1, s_full, s_diag)
+            del s1, s_full
+        names = [name for name in ("K", "K'") if name in self.ops]
+        if names:
+            j1 = _sp_j1(kr)
+            c_full = _hankel1(1, kr, j1)
+            del kr
+            c1 = np.multiply(0.25 * k / np.pi, j1, out=j1)
+            c1 /= self.r
+            np.multiply(-0.25j * k, c_full, out=c_full)
+            c_full /= self.r
+            *first, last = names
+            for name in first:               # only when both K and K' are asked for
+                b = self.normal[name]
+                blocks[name] = self._split(c1 * b, c_full * b, self.dl_diag)
+            c1 *= self.normal[last]
+            c_full *= self.normal[last]
+            blocks[last] = self._split(c1, c_full, self.dl_diag)
+        return blocks
 
 
 def _kernel_blocks(curve: BoundaryCurve, k: float, t_targets: np.ndarray,
                    pos_t: np.ndarray, tan_t: np.ndarray, diagonal: bool,
                    ops) -> dict[str, np.ndarray]:
-    """Nystrom blocks named in ``ops`` ("S", "K", "K'") mapping node densities
-    to values at t_targets.
-
-    With ``diagonal=True`` the targets are the curve nodes themselves and the
-    split-kernel diagonal limits are inserted.  Each block is computed the
-    same way whatever else ``ops`` names.
-    """
-    mm = curve.n_nodes
-    h = 2.0 * np.pi / mm
-    tj = curve.t
-    y = curve.points
-    spj = curve.speed
-
-    dt = t_targets[:, None] - tj[None, :]
-    dx = pos_t[:, None, :] - y[None, :, :]          # x(t) - x(tau)
-    r = np.hypot(dx[..., 0], dx[..., 1])
-    if diagonal:
-        np.fill_diagonal(r, 1.0)
-    kr = k * r
-
-    lg = np.log(np.maximum(4.0 * np.sin(0.5 * dt) ** 2, 1e-300))
-    if diagonal:
-        np.fill_diagonal(lg, 0.0)
-        rw = _log_weight_circulant(mm)
-        w = curve.tangents[:, 0] * curve.seconds[:, 1] - curve.tangents[:, 1] * curve.seconds[:, 0]
-        dl_diag = (0.0, -w / (4.0 * np.pi * spj**2))
-    else:
-        rw = _log_weights_from_diff(dt, mm)
-        dl_diag = None
-
-    blocks = {}
-    if "S" in ops:
-        j0 = _sp_j0(kr)
-        s1 = -(0.25 / np.pi) * j0 * spj[None, :]
-        s_full = 0.25j * _hankel1(0, kr, j0) * spj[None, :]
-        s_diag = None
-        if diagonal:                                     # J_0(0) = 1
-            s_diag = (-(0.25 / np.pi) * spj,
-                      (0.25j - (np.log(0.5 * k * spj) + EULER_GAMMA) / (2.0 * np.pi)) * spj)
-        blocks["S"] = _split_operator(s1, s_full, lg, rw, h, s_diag)
-    if "K" in ops or "K'" in ops:
-        j1 = _sp_j1(kr)
-        c1 = (0.25 * k / np.pi) * j1 / r
-        c_full = -0.25j * k * _hankel1(1, kr, j1) / r
-    if "K" in ops:
-        nj = np.column_stack([curve.tangents[:, 1], -curve.tangents[:, 0]])  # nu |x'|
-        # double layer: nu(tau) . (x(tau) - x(t)) = -(n_j . dx)
-        b_k = -(dx[..., 0] * nj[None, :, 0] + dx[..., 1] * nj[None, :, 1])
-        blocks["K"] = _split_operator(c1 * b_k, c_full * b_k, lg, rw, h, dl_diag)
-    if "K'" in ops:
-        sp_t = np.hypot(tan_t[:, 0], tan_t[:, 1])
-        nt = np.column_stack([tan_t[:, 1], -tan_t[:, 0]])
-        # adjoint double layer: nu(t) . (x(t) - x(tau)) = n_t . dx
-        b_kp = dx[..., 0] * nt[:, None, 0] + dx[..., 1] * nt[:, None, 1]
-        b_kp *= spj[None, :] / sp_t[:, None]
-        blocks["K'"] = _split_operator(c1 * b_kp, c_full * b_kp, lg, rw, h, dl_diag)
-    return blocks
+    """One wavenumber's Nystrom blocks ``ops`` from a geometry built for it alone."""
+    return NystromGeometry(curve, t_targets, pos_t, tan_t, diagonal, ops).blocks(k)
 
 
 _REPRESENTATION = {
@@ -297,23 +357,37 @@ _OPERATORS = {
 }
 
 
-def _boundary_operators(curve: BoundaryCurve, k: float, side: str, bc: str):
-    return _kernel_blocks(curve, k, curve.t, curve.points, curve.tangents, diagonal=True,
-                          ops=_OPERATORS[(side, bc)])
-
-
-def _system_matrix(curve: BoundaryCurve, bc: str, side: str, k: float) -> np.ndarray:
+def _operators(bc: str, side: str) -> tuple[str, ...]:
     if (side, bc) not in _OPERATORS:
         raise ValueError(f"unknown problem variant side={side!r} bc={bc!r}")
-    ops = _boundary_operators(curve, k, side, bc)
-    half_eye = 0.5 * np.eye(curve.n_nodes)
-    if (side, bc) == ("exterior", "soft"):
-        return half_eye + ops["K"] - 1j * k * ops["S"]
-    if (side, bc) == ("exterior", "hard"):
-        return ops["K'"] - half_eye
-    if (side, bc) == ("interior", "soft"):
-        return ops["K"] - half_eye
-    return ops["K'"] + half_eye
+    return _OPERATORS[(side, bc)]
+
+
+def boundary_geometry(curve: BoundaryCurve, bc: str, side: str) -> NystromGeometry:
+    """The k-free Nystrom geometry of the (side, bc) boundary system on the
+    curve nodes; pass it to ``simulate_ring`` or ``solve_densities`` to share
+    it across wavenumbers."""
+    return NystromGeometry(curve, curve.t, curve.points, curve.tangents, diagonal=True,
+                           ops=_operators(bc, side))
+
+
+def _system_matrix(curve: BoundaryCurve, bc: str, side: str, k: float,
+                   geometry: NystromGeometry | None = None) -> np.ndarray:
+    if geometry is None:
+        geometry = boundary_geometry(curve, bc, side)
+    else:
+        geometry.check(curve, bc, side)
+    ops = geometry.blocks(k)
+    # +-I/2, then -i k S, in place: the order of the sum (I/2 + K) - i k S
+    a = ops["K"] if bc == "soft" else ops["K'"]
+    diagonal = np.einsum("ii->i", a)
+    if (side, bc) in (("exterior", "soft"), ("interior", "hard")):
+        diagonal += 0.5
+    else:
+        diagonal -= 0.5
+    if "S" in ops:
+        a -= np.multiply(1j * k, ops["S"], out=ops["S"])
+    return a
 
 
 @dataclass
@@ -350,8 +424,13 @@ def _condition_estimate(a: np.ndarray, lu_piv) -> float:
 
 
 def solve_densities(curve: BoundaryCurve, bc: str, side: str, k: float,
-                    sources: SourceSet) -> DensitySolution:
-    """Assemble and solve the boundary system for every source at once."""
+                    sources: SourceSet, geometry: NystromGeometry | None = None
+                    ) -> DensitySolution:
+    """Assemble and solve the boundary system for every source at once.
+
+    ``geometry`` is the curve's ``boundary_geometry`` for (bc, side), built
+    here when not given; ValueError if it was built for anything else.
+    """
     if bc not in ("soft", "hard"):
         raise ValueError(f"unknown boundary condition {bc!r}")
     zs = sources.positions
@@ -364,7 +443,7 @@ def solve_densities(curve: BoundaryCurve, bc: str, side: str, k: float,
     if side == "interior" and not np.all(inside):
         raise GeometryError("interior problem but a source is outside the cavity")
 
-    a = _system_matrix(curve, bc, side, k)
+    a = _system_matrix(curve, bc, side, k, geometry)
     lu_piv = sla.lu_factor(a)
     cond = _condition_estimate(a, lu_piv)
     if cond > CONDITION_LIMIT:
@@ -400,16 +479,22 @@ def evaluate_scattered(curve: BoundaryCurve, sol: DensitySolution, points) -> np
 
 
 def solve_forward(curve: BoundaryCurve, bc: str, side: str, k: float,
-                  sources: SourceSet, eval_points) -> np.ndarray:
+                  sources: SourceSet, eval_points,
+                  geometry: NystromGeometry | None = None) -> np.ndarray:
     """Scattered field u_s(x; z_j) at eval points, one row per source."""
-    sol = solve_densities(curve, bc, side, k, sources)
+    sol = solve_densities(curve, bc, side, k, sources, geometry=geometry)
     return evaluate_scattered(curve, sol, eval_points)
 
 
 def simulate_ring(curve: BoundaryCurve, bc: str, side: str, k: float,
                   sources: SourceSet, ring_radius: float, n_receivers: int,
-                  center=(0.0, 0.0)) -> RingMeasurement:
-    """Clean scattered-field samples on an equispaced receiver circle."""
+                  center=(0.0, 0.0), geometry: NystromGeometry | None = None
+                  ) -> RingMeasurement:
+    """Clean scattered-field samples on an equispaced receiver circle.
+
+    Pass the curve's ``boundary_geometry`` as ``geometry`` to reuse it
+    across wavenumbers.
+    """
     angles = 2.0 * np.pi * np.arange(n_receivers) / n_receivers
     pts = np.column_stack([center[0] + ring_radius * np.cos(angles),
                            center[1] + ring_radius * np.sin(angles)])
@@ -418,7 +503,7 @@ def simulate_ring(curve: BoundaryCurve, bc: str, side: str, k: float,
         raise GeometryError("exterior problem but a receiver is inside the scatterer")
     if side == "interior" and not np.all(inside):
         raise GeometryError("interior problem but a receiver is outside the cavity")
-    samples = solve_forward(curve, bc, side, k, sources, pts)
+    samples = solve_forward(curve, bc, side, k, sources, pts, geometry)
     if not np.all(np.isfinite(samples)):
         raise RuntimeError("forward solve produced non-finite ring samples")
     return RingMeasurement(radius=float(ring_radius), angles=angles, k=float(k),

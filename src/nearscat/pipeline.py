@@ -24,7 +24,8 @@ import numpy as np
 from . import continuation as ct
 from . import formats
 from . import indicator as ind
-from .forward import RingMeasurement, SourceSet, analytic_circle, simulate_ring
+from .forward import (RingMeasurement, SourceSet, analytic_circle, boundary_geometry,
+                      simulate_ring)
 from .geometry import BoundaryCurve, ImagingGrid, ShapeSpec, imaging_grid, make_curve
 from .indicator import IndicatorImage
 from .noise import NoiseSpec, add_noise
@@ -279,9 +280,16 @@ def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
     excluded_by_k: dict[float, list[int]] = {}
     normalized: list[IndicatorImage] = []
 
-    for k in cfg.wavenumbers:
-        ring = simulate_ring(curve, cfg.bc, cfg.side, k, sources,
-                             cfg.receiver_radius, cfg.receiver_count)
+    # All rings first, sharing one Nystrom geometry, which is then released
+    # before imaging.  Noise is seeded per (seed, source), so the order of
+    # the phases does not change any byte.
+    geometry = boundary_geometry(curve, cfg.bc, cfg.side)
+    rings = [simulate_ring(curve, cfg.bc, cfg.side, k, sources, cfg.receiver_radius,
+                           cfg.receiver_count, geometry=geometry)
+             for k in cfg.wavenumbers]
+    del geometry
+
+    for k, ring in zip(cfg.wavenumbers, rings):
         ring = add_noise(ring, NoiseSpec(level=cfg.delta, seed=cfg.seed))
         coeffs, images[k] = reconstruct(ring, cfg.bc, grid, cfg.truncation_for(k),
                                         cfg.mode_guard)

@@ -130,6 +130,24 @@ class TestRingCsv:
         with pytest.raises(ValueError, match="data row 4 .*out of range"):
             formats.read_ring_csv(path)
 
+    @pytest.mark.parametrize("edited", [1, 17])
+    def test_rejects_disagreeing_theta(self, tmp_path, edited):
+        # rows 2 and 18 both carry receiver 1; its angle used to come from
+        # whichever was read last
+        path = tmp_path / "ring.csv"
+        formats.write_ring_csv(path, _ring())
+        _edit_data_row(path, edited, lambda line: ",".join(
+            line.split(",")[:2] + ["2.5"] + line.split(",")[3:]))
+        with pytest.raises(ValueError, match="data row 18 .*theta"):
+            formats.read_ring_csv(path)
+
+    def test_rejects_missing_header_key(self, tmp_path):
+        path = tmp_path / "ring.csv"
+        formats.write_ring_csv(path, _ring())
+        path.write_text(path.read_text().replace("# n_sources=2\n", ""))
+        with pytest.raises(ValueError, match="ring.csv: header has no 'n_sources'"):
+            formats.read_ring_csv(path)
+
     @_FILE_SETTINGS
     @given(n_src=st.integers(1, 5), n_rec=st.integers(1, 40),
            seed=st.integers(0, 2**32 - 1), special=st.lists(_EXTREME, max_size=8))
@@ -176,7 +194,7 @@ class TestGridCsv:
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# format=nearscat-grid-1\n# xmin=0\n")
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="bad.csv: header has no 'xmax'"):
             formats.read_grid_csv(path)
 
     def test_rejects_duplicated_row(self, tmp_path):

@@ -7,6 +7,61 @@ from nearscat.geometry import ShapeSpec, make_curve
 
 from oracle_series import FIRST_J0_ZERO, h1_series, j_series, y0_series
 
+_ALL_OPS = ("S", "K", "K'")
+_KS = (2.5, 3.0, 4.0, 6.0)
+_T_OFF = 2 * np.pi * (np.arange(37) + 0.531) / 37
+
+
+def _blocks_reference(curve, k, t_targets, pos_t, tan_t, diagonal, ops):
+    """The Nystrom blocks as one function of k, with out-of-place arithmetic:
+    the reference that the geometry plus per-k pass must match bit for bit."""
+    mm, h, spj = curve.n_nodes, 2.0 * np.pi / curve.n_nodes, curve.speed
+    dt = t_targets[:, None] - curve.t[None, :]
+    dx = pos_t[:, None, :] - curve.points[None, :, :]
+    r = np.hypot(dx[..., 0], dx[..., 1])
+    lg = np.log(np.maximum(4.0 * np.sin(0.5 * dt) ** 2, 1e-300))
+    if diagonal:
+        np.fill_diagonal(r, 1.0)
+        np.fill_diagonal(lg, 0.0)
+        rw = fw._log_weight_circulant(mm)
+        tg, sc = curve.tangents, curve.seconds
+        dl_diag = (0.0, -(tg[:, 0] * sc[:, 1] - tg[:, 1] * sc[:, 0]) / (4.0 * np.pi * spj**2))
+    else:
+        rw, dl_diag = fw._log_weights_from_diff(dt, mm), None
+    kr = k * r
+
+    def split(a1, full, diag):
+        a2 = full - a1 * lg
+        if diag is not None:
+            np.fill_diagonal(a1, diag[0])
+            np.fill_diagonal(a2, diag[1])
+        a2 *= h
+        a2 += rw * a1
+        return a2
+
+    blocks = {}
+    if "S" in ops:
+        j0 = fw._sp_j0(kr)
+        s_diag = None
+        if diagonal:
+            s_diag = (-(0.25 / np.pi) * spj,
+                      (0.25j - (np.log(0.5 * k * spj) + fw.EULER_GAMMA) / (2.0 * np.pi)) * spj)
+        blocks["S"] = split(-(0.25 / np.pi) * j0 * spj[None, :],
+                            0.25j * fw._hankel1(0, kr, j0) * spj[None, :], s_diag)
+    j1 = fw._sp_j1(kr)
+    c1 = (0.25 * k / np.pi) * j1 / r
+    c_full = -0.25j * k * fw._hankel1(1, kr, j1) / r
+    if "K" in ops:
+        nj = np.column_stack([curve.tangents[:, 1], -curve.tangents[:, 0]])
+        b_k = -(dx[..., 0] * nj[None, :, 0] + dx[..., 1] * nj[None, :, 1])
+        blocks["K"] = split(c1 * b_k, c_full * b_k, dl_diag)
+    if "K'" in ops:
+        nt = np.column_stack([tan_t[:, 1], -tan_t[:, 0]])
+        b_kp = dx[..., 0] * nt[:, None, 0] + dx[..., 1] * nt[:, None, 1]
+        b_kp *= spj[None, :] / np.hypot(tan_t[:, 0], tan_t[:, 1])[:, None]
+        blocks["K'"] = split(c1 * b_kp, c_full * b_kp, dl_diag)
+    return blocks
+
 
 class TestIncidentField:
     def test_value_against_series_oracle(self):
@@ -185,7 +240,7 @@ class TestNystrom:
         k, all_ops = 3.0, ("S", "K", "K'")
         full = fw._kernel_blocks(kite_512, k, kite_512.t, kite_512.points,
                                  kite_512.tangents, diagonal=True, ops=all_ops)
-        pruned = fw._boundary_operators(kite_512, k, side, bc)
+        pruned = fw.boundary_geometry(kite_512, bc, side).blocks(k)
         assert set(pruned) == set(fw._OPERATORS[(side, bc)])
         for name, block in pruned.items():
             assert np.array_equal(block, full[name])
@@ -195,6 +250,73 @@ class TestNystrom:
         for name, block in fw._kernel_blocks(*args, diagonal=False,
                                              ops=fw._OPERATORS[(side, bc)]).items():
             assert np.array_equal(block, full[name])
+
+    @pytest.mark.parametrize("shape", ["circle", "kite", "starfish"])
+    @pytest.mark.parametrize("side,bc", sorted(fw._OPERATORS))
+    def test_geometry_reuse_bit_identical(self, shape, side, bc):
+        # one geometry serves every k, on and off the nodes, bit for bit as a
+        # fresh assembly and as the out-of-place reference
+        curve = make_curve(ShapeSpec(kind=shape, n_nodes=128))
+        ops = fw._OPERATORS[(side, bc)]
+        for targets in [(curve.t, curve.points, curve.tangents, True),
+                        (_T_OFF, curve.position(_T_OFF), curve.derivative(_T_OFF), False)]:
+            geometry = fw.NystromGeometry(curve, *targets, ops)
+            for k in _KS:
+                fresh = fw._kernel_blocks(curve, k, *targets, ops)
+                reference = _blocks_reference(curve, k, *targets, ops)
+                blocks = geometry.blocks(k)
+                assert set(blocks) == set(fresh) == set(ops)
+                for name in ops:
+                    assert np.array_equal(blocks[name], fresh[name])
+                    assert np.array_equal(blocks[name], reference[name])
+
+    @pytest.mark.parametrize("shape", ["circle", "kite", "starfish"])
+    def test_all_operator_blocks_match_reference(self, shape):
+        curve = make_curve(ShapeSpec(kind=shape, n_nodes=64))
+        for targets in [(curve.t, curve.points, curve.tangents, True),
+                        (_T_OFF, curve.position(_T_OFF), curve.derivative(_T_OFF), False)]:
+            geometry = fw.NystromGeometry(curve, *targets, _ALL_OPS)
+            for k in _KS:
+                reference = _blocks_reference(curve, k, *targets, _ALL_OPS)
+                for name, block in geometry.blocks(k).items():
+                    assert np.array_equal(block, reference[name])
+
+    @pytest.mark.parametrize("side,bc", sorted(fw._OPERATORS))
+    def test_system_matrix_in_place(self, kite_512, side, bc):
+        # +-I/2 and -i k S applied in place: bit for bit the out-of-place sums
+        k = 3.0
+        ops = fw._kernel_blocks(kite_512, k, kite_512.t, kite_512.points, kite_512.tangents,
+                                diagonal=True, ops=_ALL_OPS)
+        half_eye = 0.5 * np.eye(kite_512.n_nodes)
+        want = {("exterior", "soft"): lambda: half_eye + ops["K"] - 1j * k * ops["S"],
+                ("exterior", "hard"): lambda: ops["K'"] - half_eye,
+                ("interior", "soft"): lambda: ops["K"] - half_eye,
+                ("interior", "hard"): lambda: ops["K'"] + half_eye}[(side, bc)]()
+        assert np.array_equal(fw._system_matrix(kite_512, bc, side, k), want)
+
+    def test_geometry_mismatch_rejected(self, unit_circle_512, kite_512):
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2, side="exterior")
+        circle_256 = make_curve(ShapeSpec(kind="circle", n_nodes=256))
+        off_nodes = fw.NystromGeometry(kite_512, _T_OFF, kite_512.position(_T_OFF),
+                                       kite_512.derivative(_T_OFF), False, ("K'",))
+        cases = [(fw.boundary_geometry(kite_512, "hard", "exterior"), "another curve"),
+                 (fw.boundary_geometry(circle_256, "hard", "exterior"), "256 nodes"),
+                 (fw.boundary_geometry(unit_circle_512, "soft", "exterior"), "operators"),
+                 (off_nodes, "another curve")]
+        for geometry, why in cases:
+            with pytest.raises(ValueError, match=why):
+                fw.solve_densities(unit_circle_512, "hard", "exterior", 3.0, sources,
+                                   geometry=geometry)
+        with pytest.raises(ValueError, match="off-node"):
+            fw.solve_densities(kite_512, "hard", "exterior", 3.0, sources, geometry=off_nodes)
+        with pytest.raises(ValueError, match="unknown problem variant"):
+            fw.boundary_geometry(kite_512, "hard", "outside")
+        shared = fw.boundary_geometry(unit_circle_512, "hard", "exterior")
+        for k in (3.0, 4.0):
+            want = fw.simulate_ring(unit_circle_512, "hard", "exterior", k, sources, 2.2, 16)
+            got = fw.simulate_ring(unit_circle_512, "hard", "exterior", k, sources, 2.2, 16,
+                                   geometry=shared)
+            assert np.array_equal(got.samples, want.samples)
 
     def test_solve_leaves_global_rng_alone(self, kite_512):
         sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2, side="exterior")

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearscat import continuation as ct
 from nearscat import forward as fw
 from nearscat import indicator as ind
 from nearscat import noise as nz
-from nearscat.geometry import imaging_grid
+from nearscat.geometry import ShapeSpec, imaging_grid, make_curve
+from nearscat.pipeline import reconstruct
 
 
 def _coeffs(values, radius=2.2, k=3.0, side="exterior", n_trunc=None):
@@ -242,3 +245,27 @@ class TestBoundaryDip:
         ratio = self._dip_ratio(unit_circle_512, "hard", "exterior", 4.0, 4,
                                 1.3, delta=0.02)
         assert ratio <= 0.40
+
+
+class TestCircleSymmetry:
+    """12 sources and 128 receivers on a circle about a centred circle: a
+    quarter turn maps source j to j + 3 (receiver m to m + 32) and y -> -y
+    maps source j to 12 - j (receiver m to 128 - m).  The discrete problem
+    has the same symmetries (128 nodes), so on a centred square grid the
+    indicator image is unchanged by either, up to rounding."""
+
+    CURVE = make_curve(ShapeSpec(kind="circle", radius=1.0, n_nodes=128))
+    SOURCES = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=12, side="exterior")
+
+    @settings(max_examples=20, deadline=None)
+    @given(bc=st.sampled_from(["soft", "hard"]), k=st.floats(1.0, 6.0),
+           truncation=st.integers(1, 10), n=st.integers(2, 41),
+           half_width=st.floats(0.5, 2.0))
+    def test_quarter_turn_and_reflection(self, bc, k, truncation, n, half_width):
+        ring = fw.simulate_ring(self.CURVE, bc, "exterior", k, self.SOURCES, 2.2, 128)
+        grid = imaging_grid(-half_width, half_width, -half_width, half_width, n, n)
+        _, image = reconstruct(ring, bc, grid, truncation)
+        values = grid.as_image(image.values)
+        tol = 1e-6 * np.abs(values).max()     # with 13 sources the gap is about 0.2
+        assert np.abs(np.rot90(values) - values).max() <= tol
+        assert np.abs(np.flipud(values) - values).max() <= tol

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -217,6 +219,33 @@ class TestBenchmarkHooks:
                       forward_nodes=128)
         run_scenario(cfg, tmp_path)
         assert calls == [3.0, 4.0]
+
+    def test_geometry_shared_and_released_before_imaging(self, tmp_path, monkeypatch):
+        # one Nystrom geometry serves every k and is freed by reference
+        # counting alone (no cycle) before the first image is formed
+        refs, alive_at_imaging = [], []
+        real_simulate, real_reconstruct = pipeline.simulate_ring, pipeline.reconstruct
+
+        def simulate(*args, geometry=None, **kwargs):
+            refs.append(weakref.ref(geometry))
+            return real_simulate(*args, geometry=geometry, **kwargs)
+
+        def imaging(*args, **kwargs):
+            alive_at_imaging.append(refs[0]() is not None)
+            return real_reconstruct(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "simulate_ring", simulate)
+        monkeypatch.setattr(pipeline, "reconstruct", imaging)
+        cfg = replace(SMALL, wavenumbers=(3.0, 4.0), grid_nx=20, grid_ny=20,
+                      forward_nodes=128)
+        gc.disable()
+        try:
+            run_scenario(cfg, tmp_path)
+        finally:
+            gc.enable()
+        assert len(refs) == 2 and refs[0] is refs[1]
+        assert alive_at_imaging == [False, False]
+        assert refs[0]() is None
 
 
 class TestRadialBoundaryError:
