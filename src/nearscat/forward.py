@@ -30,6 +30,7 @@ Assembly comes in two parts.  A ``NystromGeometry`` holds everything that
 does not depend on k (distances, the log factor, the weights R_j, the
 normal products of the operators in use) and is built once per curve and
 target set; ``run_scenario`` shares one across its wavenumbers.  Its
+arrays share one anonymous memory mapping, off the malloc heap.  Its
 per-k pass ``blocks(k)`` makes the Bessel calls and forms each operator
 in place, freeing every M x M temporary as soon as it is used.  The
 arithmetic and its order are those of a one-shot assembly, so the blocks
@@ -48,6 +49,7 @@ a representation uses are assembled (see ``_OPERATORS``).
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -204,13 +206,28 @@ def _log_weights_from_diff(dt: np.ndarray, m_nodes: int) -> np.ndarray:
     return -(2.0 * np.pi / n) * acc.sum(axis=-1) - (np.pi / n**2) * np.cos(n * dt)
 
 
-def _log_weight_circulant(m_nodes: int) -> np.ndarray:
-    """R_{|i-j|} as a full (M, M) circulant, built from one weight vector."""
-    n = m_nodes // 2
+def _log_weight_circulant(m_nodes: int, out: np.ndarray | None = None) -> np.ndarray:
+    """R_{|i-j|} as a full (M, M) circulant, built from one weight vector
+    (into ``out`` when given)."""
     d = 2.0 * np.pi * np.arange(m_nodes) / m_nodes
     row = _log_weights_from_diff(d, m_nodes)      # R at distance d
     idx = (np.arange(m_nodes)[:, None] - np.arange(m_nodes)[None, :]) % m_nodes
-    return row[idx]
+    return np.take(row, idx, out=out)
+
+
+def _mapped_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float array in an anonymous memory mapping of its
+    own, unmapped when the array and its views are gone.
+
+    The Nystrom geometry lives in one of these rather than on the malloc
+    heap.  Its arrays outlive every per-k temporary of the same size; on
+    the heap, whether the blocks freed around them were reused or stayed
+    resident beside new ones depended on where small objects happened to
+    sit, and peak memory moved by one M x M complex block from run to run.
+    """
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(count, 1) * np.dtype(float).itemsize)
+    return np.frombuffer(buf, dtype=float, count=count).reshape(shape)
 
 
 class NystromGeometry:
@@ -223,7 +240,8 @@ class NystromGeometry:
     adds the Bessel part of one wavenumber.  With ``diagonal=True`` the
     targets are the curve nodes themselves and the split-kernel diagonal
     limits are inserted.  The geometry keeps the curve's spec, not the
-    curve, so a curve may hold its geometry without forming a cycle.
+    curve, so a curve may hold its geometry without forming a cycle.  Its
+    M x M arrays are rows of one ``_mapped_empty`` block.
     """
 
     def __init__(self, curve: BoundaryCurve, t_targets: np.ndarray, pos_t: np.ndarray,
@@ -235,34 +253,36 @@ class NystromGeometry:
         self.ops = tuple(ops)
         self.speed = curve.speed
         y = curve.points
+        names = [name for name in ("K", "K'") if name in self.ops]
+        self.r, self.lg, self.rw, *normals = _mapped_empty((3 + len(names), len(t_targets), mm))
+        self.normal = dict(zip(names, normals))
         dt = t_targets[:, None] - curve.t[None, :]
         dx = pos_t[:, None, 0] - y[None, :, 0]            # x(t) - x(tau)
         dy = pos_t[:, None, 1] - y[None, :, 1]
-        self.r = np.hypot(dx, dy)
-        self.lg = np.log(np.maximum(4.0 * np.sin(0.5 * dt) ** 2, 1e-300))
+        np.hypot(dx, dy, out=self.r)
+        np.log(np.maximum(4.0 * np.sin(0.5 * dt) ** 2, 1e-300), out=self.lg)
         if diagonal:
             np.fill_diagonal(self.r, 1.0)
             np.fill_diagonal(self.lg, 0.0)
-            self.rw = _log_weight_circulant(mm)
+            _log_weight_circulant(mm, out=self.rw)
             tg, sc = curve.tangents, curve.seconds
             w = tg[:, 0] * sc[:, 1] - tg[:, 1] * sc[:, 0]
             self.dl_diag = (0.0, -w / (4.0 * np.pi * self.speed**2))
         else:
-            self.rw = _log_weights_from_diff(dt, mm)
+            self.rw[...] = _log_weights_from_diff(dt, mm)
             self.dl_diag = None
         del dt
-        self.normal = {}
         if "K" in self.ops:
             nj = np.column_stack([curve.tangents[:, 1], -curve.tangents[:, 0]])  # nu |x'|
             # double layer: nu(tau) . (x(tau) - x(t)) = -(n_j . dx)
-            self.normal["K"] = -(dx * nj[None, :, 0] + dy * nj[None, :, 1])
+            np.negative(dx * nj[None, :, 0] + dy * nj[None, :, 1], out=self.normal["K"])
         if "K'" in self.ops:
             sp_t = np.hypot(tan_t[:, 0], tan_t[:, 1])
             nt = np.column_stack([tan_t[:, 1], -tan_t[:, 0]])
             # adjoint double layer: nu(t) . (x(t) - x(tau)) = n_t . dx
-            b_kp = dx * nt[:, None, 0] + dy * nt[:, None, 1]
+            b_kp = self.normal["K'"]
+            np.add(dx * nt[:, None, 0], dy * nt[:, None, 1], out=b_kp)
             b_kp *= self.speed[None, :] / sp_t[:, None]
-            self.normal["K'"] = b_kp
 
     def check(self, curve: BoundaryCurve, bc: str, side: str) -> None:
         """Raise ValueError unless this is the node geometry of the (side, bc)

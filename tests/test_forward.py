@@ -1,3 +1,7 @@
+import gc
+import mmap
+import weakref
+
 import numpy as np
 import pytest
 from scipy.special import hankel1
@@ -293,6 +297,30 @@ class TestNystrom:
                 ("interior", "soft"): lambda: ops["K"] - half_eye,
                 ("interior", "hard"): lambda: ops["K'"] + half_eye}[(side, bc)]()
         assert np.array_equal(fw._system_matrix(kite_512, bc, side, k), want)
+
+    @pytest.mark.parametrize("side,bc", sorted(fw._OPERATORS))
+    def test_geometry_in_one_mapping_released_with_it(self, kite_512, side, bc):
+        # the k-free arrays sit in one anonymous mapping, off the malloc heap,
+        # and the mapping is gone with the geometry (no cycle collector needed)
+        geometry = fw.boundary_geometry(kite_512, bc, side)
+        arrays = [geometry.r, geometry.lg, geometry.rw, *geometry.normal.values()]
+        owner = arrays[0]
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        owner = owner.obj if isinstance(owner, memoryview) else owner
+        assert isinstance(owner, mmap.mmap)
+        assert len(owner) == sum(a.nbytes for a in arrays)
+        whole = np.frombuffer(owner)
+        assert all(np.shares_memory(a, whole) for a in arrays)
+        mapping = weakref.ref(owner)
+        del owner, arrays, whole
+        gc.disable()
+        try:
+            geometry.blocks(3.0)
+            del geometry
+            assert mapping() is None
+        finally:
+            gc.enable()
 
     def test_geometry_mismatch_rejected(self, unit_circle_512, kite_512):
         sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2, side="exterior")
