@@ -26,7 +26,7 @@ import numpy as np
 
 from . import formats
 from . import indicator as ind
-from .forward import SourceSet, analytic_circle, simulate_ring
+from .forward import SourceSet, analytic_circle, boundary_geometry, simulate_ring
 from .geometry import ShapeSpec, make_curve
 from .noise import NoiseSpec, add_noise
 from .pipeline import (ScenarioConfig, _k_tag, _value_type, _write_indicator,
@@ -70,9 +70,10 @@ def _cmd_simulate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     curve = cfg.curve()
     sources = cfg.sources()
+    geometry = boundary_geometry(curve, cfg.bc, cfg.side)
     for k in cfg.wavenumbers:
         ring = simulate_ring(curve, cfg.bc, cfg.side, k, sources,
-                             cfg.receiver_radius, cfg.receiver_count)
+                             cfg.receiver_radius, cfg.receiver_count, geometry=geometry)
         path = outdir / f"ring_k{_k_tag(k)}.csv"
         formats.write_ring_csv(path, ring, extra={"bc": cfg.bc, "shape": cfg.shape,
                                                   "seed": cfg.seed})
@@ -149,10 +150,12 @@ def _cmd_oracle_check(args) -> int:
     worst = 0.0
     for side, ring_r in (("exterior", 2.2), ("interior", 0.5)):
         curve = make_curve(ShapeSpec(kind="circle", radius=1.0, n_nodes=args.nodes))
+        sources = SourceSet(center=(0.0, 0.0), radius=ring_r, count=3, side=side)
         for bc in ("soft", "hard"):
+            geometry = boundary_geometry(curve, bc, side)
             for k in args.k:
-                sources = SourceSet(center=(0.0, 0.0), radius=ring_r, count=3, side=side)
-                ring = simulate_ring(curve, bc, side, k, sources, ring_r, 64)
+                ring = simulate_ring(curve, bc, side, k, sources, ring_r, 64,
+                                     geometry=geometry)
                 err = 0.0
                 for j, z in enumerate(sources.positions):
                     ref = analytic_circle(1.0, bc, side, k, z, ring.receiver_points)

@@ -72,6 +72,8 @@ def _check_sources(coeffs: ModeCoefficients, sources: SourceSet, points: np.ndar
 def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
                      points, kind: str):
     """Raw indicator values and flags at arbitrary points; (P,), (P,) uint8."""
+    if kind not in ("soft", "hard"):
+        raise ValueError(f"unknown indicator kind {kind!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     _check_sources(coeffs, sources, pts)
     weight = 2.0 * np.pi * sources.radius / sources.count
@@ -91,8 +93,6 @@ def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
         flags[ok] = FLAG_OK
         return values, flags
 
-    if kind != "hard":
-        raise ValueError(f"unknown indicator kind {kind!r}")
     grad, norms, ref = _reference_gradients(coeffs, sources, sub)
     cols = np.arange(rp.size)
     xi = grad[ref, :, cols].T                                    # (2, P)

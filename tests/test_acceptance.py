@@ -23,6 +23,8 @@ from nearscat.geometry import ShapeSpec, imaging_grid, make_curve
 from nearscat.pipeline import (ScenarioConfig, convergence_study,
                                radial_boundary_error, reconstruct, run_scenario)
 
+import envelope_checks as envelope
+
 GRID_CELL = 3.0 / 149
 
 
@@ -60,10 +62,10 @@ def _median_cells(shape: str, bc: str, side: str, k: float, delta: float,
 def test_a1_special_functions():
     t0 = time.perf_counter()
     for t in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
-        report = cf.check_hankel_bounds(t, 60)
+        report = envelope.check_hankel_bounds(t, 60)
         assert report.passed, f"|H_n| envelope violated at t={t}"
     for t in (0.5, 1.0, 2.0, 4.0):
-        report = cf.check_bessel_bounds(t, 60)
+        report = envelope.check_bessel_bounds(t, 60)
         assert report.passed, f"|J_n| envelope violated at t={t}"
     tg = np.linspace(0.1, 60.0, 300)
     j = cf.bessel_j_all(81, tg)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nearscat import formats
+from nearscat import forward as fw
 from nearscat.cli import main
 from nearscat.pipeline import ScenarioConfig
 
@@ -63,6 +64,35 @@ def test_close_wavenumbers_get_distinct_files(tmp_path, small_config):
         for ext in ("csv", "pgm"):
             assert (recon / f"indicator_k{tag}.{ext}").exists()
     assert (recon / "indicator_multi.csv").exists()
+
+
+def test_simulate_shares_one_geometry(tmp_path, small_config, monkeypatch):
+    # one Nystrom geometry for all wavenumbers, and the same bytes as a
+    # fresh geometry per wavenumber
+    cfg = ScenarioConfig.from_file(small_config).resolved()
+    curve, sources = cfg.curve(), cfg.sources()
+    expected = {}
+    for k in (3.0, 4.0, 5.0):
+        ring = fw.simulate_ring(curve, cfg.bc, cfg.side, k, sources,
+                                cfg.receiver_radius, cfg.receiver_count)
+        path = tmp_path / f"expected_k{k:g}.csv"
+        formats.write_ring_csv(path, ring, extra={"bc": cfg.bc, "shape": cfg.shape,
+                                                  "seed": cfg.seed})
+        expected[f"ring_k{k:g}.csv"] = path.read_bytes()
+
+    built = []
+    init = fw.NystromGeometry.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fw.NystromGeometry, "__init__", counting_init)
+    data = tmp_path / "data"
+    assert main(["simulate", "-c", str(small_config), "-o", str(data),
+                 "--k", "3", "4", "5"]) == 0
+    assert len(built) == 1
+    assert {p.name: p.read_bytes() for p in data.iterdir()} == expected
 
 
 def test_reconstruct_defaults_follow_config(tmp_path, small_config):

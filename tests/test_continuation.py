@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nearscat import continuation as ct
+from nearscat import cylfun as cf
 from nearscat import forward as fw
+from nearscat.geometry import imaging_grid
 
 from oracle_series import FIRST_J0_ZERO
 
@@ -236,3 +240,117 @@ class TestCleanDecay:
         assert np.exp(slope) < 1.0                         # geometric ratio < 1
         resid = np.log(errs) - (slope * np.array(list(orders)) + icpt)
         assert np.abs(resid).max() < 0.5                   # close to log-linear
+
+
+def _per_point_tables(co, r):
+    """Radial tables evaluated at every point, as before the distinct-radius
+    gather: C_n(kr)/C_n(kR) and k C_n'(kr)/C_n(kR) per signed order."""
+    kr = co.k * r
+    ka = co.k * co.anchor_radius
+    if co.side == "exterior":
+        vals = cf.hankel1_all(co.truncation + 1, kr)
+        anchor = cf.hankel1_all(co.truncation, float(ka))
+    else:
+        vals = cf.bessel_j_all(co.truncation + 1, kr).astype(complex)
+        anchor = cf.bessel_j_all(co.truncation, float(ka)).astype(complex)
+    anchor = np.where(np.abs(anchor) < 1e-300, 1.0, anchor)
+    ratio = vals[:-1] / anchor[:, None]
+    kind = "H" if co.side == "exterior" else "J"
+    deriv = co.k * cf.derivative_all(vals, kr, kind) / anchor[:, None]
+    n_abs = np.abs(co.orders)
+    keep = ~co.excluded
+    return ratio[n_abs] * keep[:, None], deriv[n_abs] * keep[:, None]
+
+
+def _per_point_field(co, r, theta):
+    r_flat, th_flat = (a.ravel() for a in np.broadcast_arrays(
+        np.atleast_1d(np.asarray(r, float)), np.atleast_1d(np.asarray(theta, float))))
+    ratio, _ = _per_point_tables(co, r_flat)
+    phases = np.exp(1j * np.outer(co.orders, th_flat))
+    out = co.values @ (ratio * phases)
+    return out.reshape((co.n_sources,) + np.shape(r)) if np.shape(r) else out[:, 0]
+
+
+def _per_point_gradient(co, r, theta):
+    r_flat, th_flat = (a.ravel() for a in np.broadcast_arrays(
+        np.atleast_1d(np.asarray(r, float)), np.atleast_1d(np.asarray(theta, float))))
+    ratio, dratio = _per_point_tables(co, r_flat)
+    phases = np.exp(1j * np.outer(co.orders, th_flat))
+    g_rad = co.values @ (dratio * phases)
+    g_ang = co.values @ ((1j * co.orders[:, None] / r_flat[None, :]) * ratio * phases)
+    cos_t, sin_t = np.cos(th_flat), np.sin(th_flat)
+    gx = g_rad * cos_t[None, :] - g_ang * sin_t[None, :]
+    gy = g_rad * sin_t[None, :] + g_ang * cos_t[None, :]
+    out = np.stack([gx, gy], axis=1)
+    return out.reshape((co.n_sources, 2) + np.shape(r)) if np.shape(r) else out[:, :, 0]
+
+
+def _random_coeffs(side, truncation, n_src=12, excluded_order=None, seed=0):
+    rng = np.random.default_rng(seed)
+    shape = (n_src, 2 * truncation + 1)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    orders = np.arange(-truncation, truncation + 1)
+    # excluded columns keep their values: the guard in the tables must zero them
+    excluded = np.abs(orders) == excluded_order
+    return ct.ModeCoefficients(values=values, anchor_radius=2.2 if side == "exterior" else 0.5,
+                               k=3.0, side=side, truncation=truncation, excluded=excluded)
+
+
+def _grid_polar(n):
+    pts = imaging_grid(-1.5, 1.5, -1.5, 1.5, n, n).points
+    return np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestDistinctRadii:
+    """The distinct-radius evaluation repeats the per-point formulas bit for bit."""
+
+    CASES = [("exterior", 3, None), ("exterior", 5, 2), ("interior", 5, None),
+             ("interior", 4, 0)]
+
+    @pytest.fixture(scope="class")
+    def grid_polar(self):
+        return _grid_polar(150)
+
+    @pytest.mark.parametrize("side,truncation,excluded_order", CASES)
+    def test_grid_points(self, grid_polar, side, truncation, excluded_order):
+        co = _random_coeffs(side, truncation, excluded_order=excluded_order)
+        r, th = grid_polar
+        assert _same_bits(ct.eval_field(co, r, th), _per_point_field(co, r, th))
+        assert _same_bits(ct.eval_gradient(co, r, th), _per_point_gradient(co, r, th))
+
+    @pytest.mark.parametrize("side,truncation,excluded_order", CASES)
+    def test_one_radius(self, side, truncation, excluded_order):
+        # the convergence study evaluates on np.full(n, a)
+        co = _random_coeffs(side, truncation, excluded_order=excluded_order)
+        r, th = np.full(256, 1.0), 2 * np.pi * np.arange(256) / 256
+        assert _same_bits(ct.eval_field(co, r, th), _per_point_field(co, r, th))
+        assert _same_bits(ct.eval_gradient(co, r, th), _per_point_gradient(co, r, th))
+
+    @pytest.mark.parametrize("side", ["exterior", "interior"])
+    def test_scalar_and_2d_inputs(self, grid_polar, side):
+        co = _random_coeffs(side, 4, n_src=3)
+        for r, th in ((1.3, 0.4), (np.float64(0.7), -2.0),
+                      (grid_polar[0].reshape(150, 150), grid_polar[1].reshape(150, 150))):
+            assert _same_bits(ct.eval_field(co, r, th), _per_point_field(co, r, th))
+            assert _same_bits(ct.eval_gradient(co, r, th), _per_point_gradient(co, r, th))
+
+
+@pytest.mark.parametrize("truncation", [3, 5])
+def test_gradient_peak_memory(truncation):
+    # the tables are freed after their products and both components are
+    # written into the output, so the peak stays near the output's own size
+    co = _random_coeffs("interior", truncation, n_src=12)
+    r, th = _grid_polar(150)
+    ct.eval_gradient(co, r[:100], th[:100])
+    tracemalloc.start()
+    try:
+        out = ct.eval_gradient(co, r, th)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * out.nbytes

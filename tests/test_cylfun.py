@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nearscat import cylfun as cf
 
+import envelope_checks as envelope
 from oracle_series import (FIRST_J0_ZERO, central_diff, h1_series, j_series,
                            y0_series)
 
@@ -225,12 +226,12 @@ class TestIdentities:
 
 class TestEnvelopeBounds:
     def test_hankel_bound_examples(self):
-        r = cf.check_hankel_bounds(1.0, 40)
+        r = envelope.check_hankel_bounds(1.0, 40)
         assert r.n_start <= 3 and r.passed
         sub = r.ratios[(r.orders >= 3) & (r.orders <= 40)]
         assert np.all(sub >= 0.5) and np.all(sub <= math.e)
 
-        r10 = cf.check_hankel_bounds(10.0, 60)
+        r10 = envelope.check_hankel_bounds(10.0, 60)
         assert r10.n_start == 15 and r10.passed
         assert r10.upper == pytest.approx(math.exp(10.0))
 
@@ -243,17 +244,17 @@ class TestEnvelopeBounds:
         assert ratio >= 0.5
 
     def test_bessel_bound_examples(self):
-        r = cf.check_bessel_bounds(1.0, 40)
+        r = envelope.check_bessel_bounds(1.0, 40)
         assert r.n_start == 2 and r.passed
         assert r.min_ratio >= 1.0 / 6.0 and r.max_ratio <= 1.0
 
-        r4 = cf.check_bessel_bounds(4.0, 60)
+        r4 = envelope.check_bessel_bounds(4.0, 60)
         assert r4.n_start == 5 and r4.passed
 
     def test_bessel_ratio_tends_to_one(self):
-        r = cf.check_bessel_bounds(1.0, 40)
+        r = envelope.check_bessel_bounds(1.0, 40)
         assert r.ratios[-1] > 0.99
 
     def test_overflow_guard(self):
-        with pytest.raises(cf.OverflowGuardError):
-            cf.check_bessel_bounds(0.01, 200)
+        with pytest.raises(envelope.OverflowGuardError):
+            envelope.check_bessel_bounds(0.01, 200)

@@ -83,6 +83,14 @@ class TestSoftIndicator:
         with pytest.raises(ValueError):
             ind.indicator_values(co, src, np.array([[1.0, 0.0]]), "soft")
 
+    @pytest.mark.parametrize("points", [[[0.0, 0.0]], [[0.0, 0.0], [0.3, 0.4]]])
+    def test_unknown_kind_rejected(self, points):
+        # also when every point sits at the origin and no indicator is formed
+        src = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1, side="exterior")
+        co = _coeffs([0.1, 0.2, 0.1], radius=2.2)
+        with pytest.raises(ValueError, match="unknown indicator kind"):
+            ind.indicator_values(co, src, np.array(points), "bogus")
+
 
 class TestHardIndicator:
     def test_single_source_image_vanishes(self, unit_circle_512):
