@@ -29,8 +29,9 @@ from . import indicator as ind
 from .forward import SourceSet, analytic_circle, boundary_geometry, simulate_ring
 from .geometry import ShapeSpec, make_curve
 from .noise import NoiseSpec, add_noise
-from .pipeline import (ScenarioConfig, _k_tag, _value_type, _write_indicator,
-                       convergence_study, reconstruct, render_pgm, run_scenario)
+from .pipeline import (ScenarioConfig, _k_tag, _value_type, _write_indicator, _write_ring,
+                       convergence_study, reconstruct, render_pgm, run_scenario,
+                       simulate_rings)
 
 # config keys settable as --key-name flags on simulate and pipeline
 _OVERRIDE_KEYS = ("side", "bc", "shape", "shape_radius", "delta", "seed", "truncation",
@@ -68,16 +69,8 @@ def _cmd_simulate(args) -> int:
     cfg = _config_from_args(args).resolved()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    curve = cfg.curve()
-    sources = cfg.sources()
-    geometry = boundary_geometry(curve, cfg.bc, cfg.side)
-    for k in cfg.wavenumbers:
-        ring = simulate_ring(curve, cfg.bc, cfg.side, k, sources,
-                             cfg.receiver_radius, cfg.receiver_count, geometry=geometry)
-        path = outdir / f"ring_k{_k_tag(k)}.csv"
-        formats.write_ring_csv(path, ring, extra={"bc": cfg.bc, "shape": cfg.shape,
-                                                  "seed": cfg.seed})
-        print(f"wrote {path}")
+    for ring in simulate_rings(cfg):
+        print(f"wrote {_write_ring(outdir, ring, cfg)}")
     return 0
 
 
@@ -92,12 +85,19 @@ def _cmd_noise(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    rings = [(path, *formats.read_ring_csv(path)) for path in args.ring]
+    path_by_tag: dict[str, str] = {}
+    for path, ring, _ in rings:
+        tag = _k_tag(ring.k)
+        if tag in path_by_tag:
+            raise ValueError(f"ring files {path_by_tag[tag]} and {path} both have k = {tag}; "
+                             f"their indicator_k{tag} images would overwrite each other")
+        path_by_tag[tag] = path
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     overrides = _flag_values(args, _RECONSTRUCT_FLAGS)
     normalized = []
-    for path in args.ring:
-        ring, meta = formats.read_ring_csv(path)
+    for _, ring, meta in rings:
         # the scenario the ring file records, so grid, exclusion disk,
         # truncation and mode guard follow the config defaults
         cfg = ScenarioConfig(side=ring.side, bc=meta.get("bc", "soft"),

@@ -43,7 +43,11 @@ formed as H_n^(1) = J_n + i Y_n from the Cephes routines j0, j1, y0 and y1
 rather than scipy.special.hankel1: hankel1 goes through AMOS, which on
 large argument arrays costs several times the J and Y calls together,
 and the kernels need J_0 and J_1 on their own anyway.  Only the operators
-a representation uses are assembled (see ``_OPERATORS``).
+a representation uses are assembled.
+
+``_FORMULATIONS`` holds the four rows above (representation, operators,
+jump); the system matrix, the layer-potential evaluation and the boundary
+residual all take them from there.
 """
 
 from __future__ import annotations
@@ -231,27 +235,29 @@ def _mapped_empty(shape: tuple[int, ...]) -> np.ndarray:
 
 
 class NystromGeometry:
-    """The k-free part of the Nystrom blocks ``ops`` ("S", "K", "K'") for one
-    curve and one set of target parameters.
+    """The k-free part of the Nystrom blocks ``ops`` ("S", "K", "K'") on one
+    curve, at the parameters ``t_targets`` or, when None, at the nodes.
 
     Holds |x(t) - x(tau)| (1 on the diagonal), ln(4 sin^2((t - tau)/2)), the
     log-quadrature weights R_j, the double-layer diagonal limits and the
     normal products of the K/K' kernels that ``ops`` names; ``blocks(k)``
-    adds the Bessel part of one wavenumber.  With ``diagonal=True`` the
-    targets are the curve nodes themselves and the split-kernel diagonal
-    limits are inserted.  The geometry keeps the curve's spec, not the
-    curve, so a curve may hold its geometry without forming a cycle.  Its
-    M x M arrays are rows of one ``_mapped_empty`` block.
+    adds the Bessel part of one wavenumber.  On the nodes the split-kernel
+    diagonal limits are inserted.  The geometry keeps the curve's spec, not
+    the curve, so a curve may hold its geometry without forming a cycle.
+    Its M x M arrays are rows of one ``_mapped_empty`` block.
     """
 
-    def __init__(self, curve: BoundaryCurve, t_targets: np.ndarray, pos_t: np.ndarray,
-                 tan_t: np.ndarray, diagonal: bool, ops):
+    def __init__(self, curve: BoundaryCurve, ops, t_targets: np.ndarray | None = None):
         mm = curve.n_nodes
         self.spec = curve.spec
         self.n_nodes = mm
-        self.diagonal = diagonal
+        self.diagonal = t_targets is None
         self.ops = tuple(ops)
         self.speed = curve.speed
+        if self.diagonal:
+            t_targets, pos_t, tan_t = curve.t, curve.points, curve.tangents
+        else:
+            pos_t, tan_t = curve.position(t_targets), curve.derivative(t_targets)
         y = curve.points
         names = [name for name in ("K", "K'") if name in self.ops]
         self.r, self.lg, self.rw, *normals = _mapped_empty((3 + len(names), len(t_targets), mm))
@@ -261,7 +267,7 @@ class NystromGeometry:
         dy = pos_t[:, None, 1] - y[None, :, 1]
         np.hypot(dx, dy, out=self.r)
         np.log(np.maximum(4.0 * np.sin(0.5 * dt) ** 2, 1e-300), out=self.lg)
-        if diagonal:
+        if self.diagonal:
             np.fill_diagonal(self.r, 1.0)
             np.fill_diagonal(self.lg, 0.0)
             _log_weight_circulant(mm, out=self.rw)
@@ -287,7 +293,7 @@ class NystromGeometry:
     def check(self, curve: BoundaryCurve, bc: str, side: str) -> None:
         """Raise ValueError unless this is the node geometry of the (side, bc)
         system on ``curve``."""
-        ops = _operators(bc, side)
+        ops = _formulation(bc, side)[1]
         if curve.n_nodes != self.n_nodes:
             raise ValueError(f"Nystrom geometry built for {self.n_nodes} nodes, "
                              f"the curve has {curve.n_nodes}")
@@ -354,41 +360,29 @@ class NystromGeometry:
         return blocks
 
 
-def _kernel_blocks(curve: BoundaryCurve, k: float, t_targets: np.ndarray,
-                   pos_t: np.ndarray, tan_t: np.ndarray, diagonal: bool,
-                   ops) -> dict[str, np.ndarray]:
-    """One wavenumber's Nystrom blocks ``ops`` from a geometry built for it alone."""
-    return NystromGeometry(curve, t_targets, pos_t, tan_t, diagonal, ops).blocks(k)
-
-
-_REPRESENTATION = {
-    ("exterior", "soft"): "combined-layer",
-    ("exterior", "hard"): "single-layer",
-    ("interior", "soft"): "double-layer",
-    ("interior", "hard"): "single-layer",
-}
-
-# the boundary operators each (side, bc) system and its trace use
-_OPERATORS = {
-    ("exterior", "soft"): ("S", "K"),
-    ("exterior", "hard"): ("K'",),
-    ("interior", "soft"): ("K",),
-    ("interior", "hard"): ("K'",),
+# (side, bc) -> (representation, boundary operators, jump).  The last
+# operator is the main one: the boundary system is  main + jump I, less
+# i k S when "S" is listed, and the trace of the representation on the
+# boundary is that same operator applied to the density.
+_FORMULATIONS = {
+    ("exterior", "soft"): ("combined-layer", ("S", "K"), 0.5),
+    ("exterior", "hard"): ("single-layer", ("K'",), -0.5),
+    ("interior", "soft"): ("double-layer", ("K",), -0.5),
+    ("interior", "hard"): ("single-layer", ("K'",), 0.5),
 }
 
 
-def _operators(bc: str, side: str) -> tuple[str, ...]:
-    if (side, bc) not in _OPERATORS:
+def _formulation(bc: str, side: str) -> tuple[str, tuple[str, ...], float]:
+    if (side, bc) not in _FORMULATIONS:
         raise ValueError(f"unknown problem variant side={side!r} bc={bc!r}")
-    return _OPERATORS[(side, bc)]
+    return _FORMULATIONS[(side, bc)]
 
 
 def boundary_geometry(curve: BoundaryCurve, bc: str, side: str) -> NystromGeometry:
     """The k-free Nystrom geometry of the (side, bc) boundary system on the
     curve nodes; pass it to ``simulate_ring`` or ``solve_densities`` to share
     it across wavenumbers."""
-    return NystromGeometry(curve, curve.t, curve.points, curve.tangents, diagonal=True,
-                           ops=_operators(bc, side))
+    return NystromGeometry(curve, _formulation(bc, side)[1])
 
 
 def _system_matrix(curve: BoundaryCurve, bc: str, side: str, k: float,
@@ -397,16 +391,14 @@ def _system_matrix(curve: BoundaryCurve, bc: str, side: str, k: float,
         geometry = boundary_geometry(curve, bc, side)
     else:
         geometry.check(curve, bc, side)
-    ops = geometry.blocks(k)
-    # +-I/2, then -i k S, in place: the order of the sum (I/2 + K) - i k S
-    a = ops["K"] if bc == "soft" else ops["K'"]
+    _, ops, jump = _formulation(bc, side)
+    blocks = geometry.blocks(k)
+    # jump I, then -i k S, in place: the order of the sum (I/2 + K) - i k S
+    a = blocks[ops[-1]]
     diagonal = np.einsum("ii->i", a)
-    if (side, bc) in (("exterior", "soft"), ("interior", "hard")):
-        diagonal += 0.5
-    else:
-        diagonal -= 0.5
-    if "S" in ops:
-        a -= np.multiply(1j * k, ops["S"], out=ops["S"])
+    diagonal += jump
+    if "S" in blocks:
+        a -= np.multiply(1j * k, blocks["S"], out=blocks["S"])
     return a
 
 
@@ -423,15 +415,15 @@ class DensitySolution:
     k: float
 
 
-def _rhs(curve: BoundaryCurve, bc: str, k: float, sources: SourceSet) -> np.ndarray:
+def _boundary_data(bc: str, k: float, sources: SourceSet, points: np.ndarray,
+                   normals: np.ndarray) -> np.ndarray:
+    """u_i (soft) or du_i/dnu (hard) of every source at the boundary points;
+    (n_src, P)."""
     zs = sources.positions
     if bc == "soft":
-        return -np.array([incident_field(curve.points, z, k) for z in zs])
-    rows = []
-    for z in zs:
-        g = incident_gradient(curve.points, z, k)
-        rows.append(-(g[:, 0] * curve.normals[:, 0] + g[:, 1] * curve.normals[:, 1]))
-    return np.array(rows)
+        return np.array([incident_field(points, z, k) for z in zs])
+    grads = [incident_gradient(points, z, k) for z in zs]
+    return np.array([g[:, 0] * normals[:, 0] + g[:, 1] * normals[:, 1] for g in grads])
 
 
 def _condition_estimate(a: np.ndarray, lu_piv) -> float:
@@ -443,6 +435,15 @@ def _condition_estimate(a: np.ndarray, lu_piv) -> float:
     return math.inf if rcond == 0.0 else 1.0 / rcond
 
 
+def _check_side(curve: BoundaryCurve, side: str, points: np.ndarray, what: str) -> None:
+    """GeometryError unless every point lies on the problem's side of the curve."""
+    inside = curve.contains(points)
+    if side == "exterior" and np.any(inside):
+        raise GeometryError(f"exterior problem but a {what} is inside the scatterer")
+    if side == "interior" and not np.all(inside):
+        raise GeometryError(f"interior problem but a {what} is outside the cavity")
+
+
 def solve_densities(curve: BoundaryCurve, bc: str, side: str, k: float,
                     sources: SourceSet, geometry: NystromGeometry | None = None
                     ) -> DensitySolution:
@@ -451,17 +452,12 @@ def solve_densities(curve: BoundaryCurve, bc: str, side: str, k: float,
     ``geometry`` is the curve's ``boundary_geometry`` for (bc, side), built
     here when not given; ValueError if it was built for anything else.
     """
-    if bc not in ("soft", "hard"):
-        raise ValueError(f"unknown boundary condition {bc!r}")
+    representation = _formulation(bc, side)[0]
     zs = sources.positions
     d = zs[:, None, :] - curve.points[None, :, :]
     if np.hypot(d[..., 0], d[..., 1]).min() < SOURCE_ON_BOUNDARY_TOL:
         raise GeometryError("a source lies on the boundary")
-    inside = curve.contains(zs)
-    if side == "exterior" and np.any(inside):
-        raise GeometryError("exterior problem but a source is inside the scatterer")
-    if side == "interior" and not np.all(inside):
-        raise GeometryError("interior problem but a source is outside the cavity")
+    _check_side(curve, side, zs, "source")
 
     a = _system_matrix(curve, bc, side, k, geometry)
     lu_piv = sla.lu_factor(a)
@@ -470,10 +466,10 @@ def solve_densities(curve: BoundaryCurve, bc: str, side: str, k: float,
         raise ResonanceError(
             f"boundary system condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e} "
             f"(k={k}, side={side}, bc={bc}); likely an irregular frequency")
-    rhs = _rhs(curve, bc, k, sources)
+    rhs = -_boundary_data(bc, k, sources, curve.points, curve.normals)
     phi = sla.lu_solve(lu_piv, rhs.T).T
     res = np.linalg.norm(phi @ a.T - rhs, axis=1) / np.linalg.norm(rhs, axis=1)
-    return DensitySolution(density=phi, representation=_REPRESENTATION[(side, bc)],
+    return DensitySolution(density=phi, representation=representation,
                            condition_estimate=cond, system_residual=float(res.max()),
                            bc=bc, side=side, k=k)
 
@@ -498,14 +494,6 @@ def evaluate_scattered(curve: BoundaryCurve, sol: DensitySolution, points) -> np
     return h * (sol.density @ g.T)
 
 
-def solve_forward(curve: BoundaryCurve, bc: str, side: str, k: float,
-                  sources: SourceSet, eval_points,
-                  geometry: NystromGeometry | None = None) -> np.ndarray:
-    """Scattered field u_s(x; z_j) at eval points, one row per source."""
-    sol = solve_densities(curve, bc, side, k, sources, geometry=geometry)
-    return evaluate_scattered(curve, sol, eval_points)
-
-
 def simulate_ring(curve: BoundaryCurve, bc: str, side: str, k: float,
                   sources: SourceSet, ring_radius: float, n_receivers: int,
                   center=(0.0, 0.0), geometry: NystromGeometry | None = None
@@ -518,12 +506,9 @@ def simulate_ring(curve: BoundaryCurve, bc: str, side: str, k: float,
     angles = 2.0 * np.pi * np.arange(n_receivers) / n_receivers
     pts = np.column_stack([center[0] + ring_radius * np.cos(angles),
                            center[1] + ring_radius * np.sin(angles)])
-    inside = curve.contains(pts)
-    if side == "exterior" and np.any(inside):
-        raise GeometryError("exterior problem but a receiver is inside the scatterer")
-    if side == "interior" and not np.all(inside):
-        raise GeometryError("interior problem but a receiver is outside the cavity")
-    samples = solve_forward(curve, bc, side, k, sources, pts, geometry)
+    _check_side(curve, side, pts, "receiver")
+    sol = solve_densities(curve, bc, side, k, sources, geometry=geometry)
+    samples = evaluate_scattered(curve, sol, pts)
     if not np.all(np.isfinite(samples)):
         raise RuntimeError("forward solve produced non-finite ring samples")
     return RingMeasurement(radius=float(ring_radius), angles=angles, k=float(k),
@@ -544,38 +529,22 @@ def boundary_residual(curve: BoundaryCurve, sol: DensitySolution, sources: Sourc
 
     The trace of the layer potential is evaluated with the same split-kernel
     quadrature at off-node targets, plus the jump term with a trigonometric
-    interpolation of the density; the residual is scaled by the maximum of
-    |B u_i| over the checkpoints.
+    interpolation of the density; each source's residual is scaled by the
+    maximum of |B u_i| over the checkpoints.
     """
     t_star = np.atleast_1d(np.asarray(t_checkpoints, dtype=float))
     gap = np.abs((t_star[:, None] - curve.t[None, :] + np.pi) % (2 * np.pi) - np.pi)
     if gap.min() < 1e-10:
         raise ValueError("checkpoints must be off-node")
-    pos = curve.position(t_star)
-    tan = curve.derivative(t_star)
-    rows = _kernel_blocks(curve, sol.k, t_star, pos, tan, diagonal=False,
-                          ops=_OPERATORS[(sol.side, sol.bc)])
+    _, ops, jump = _formulation(sol.bc, sol.side)
+    blocks = NystromGeometry(curve, ops, t_star).blocks(sol.k)
+    main = blocks[ops[-1]]
+    if "S" in blocks:
+        main = main - 1j * sol.k * blocks["S"]
     phi_star = np.array([_trig_interp(p, t_star) for p in sol.density])
-
-    worst = 0.0
-    for i, z in enumerate(sources.positions):
-        phi = sol.density[i]
-        if sol.bc == "soft":
-            ui = incident_field(pos, z, sol.k)
-            if sol.representation == "combined-layer":
-                trace = (rows["K"] - 1j * sol.k * rows["S"]) @ phi + 0.5 * phi_star[i]
-            else:                       # interior double layer
-                trace = rows["K"] @ phi - 0.5 * phi_star[i]
-            resid = np.abs(ui + trace).max() / np.abs(ui).max()
-        else:
-            g = incident_gradient(pos, z, sol.k)
-            nu = curve.normal(t_star)
-            dn_ui = g[:, 0] * nu[:, 0] + g[:, 1] * nu[:, 1]
-            jump = -0.5 if sol.side == "exterior" else 0.5
-            trace = rows["K'"] @ phi + jump * phi_star[i]
-            resid = np.abs(dn_ui + trace).max() / np.abs(dn_ui).max()
-        worst = max(worst, float(resid))
-    return worst
+    data = _boundary_data(sol.bc, sol.k, sources, curve.position(t_star), curve.normal(t_star))
+    trace = sol.density @ main.T + jump * phi_star
+    return float((np.abs(data + trace).max(axis=1) / np.abs(data).max(axis=1)).max())
 
 
 # ---------------------------------------------------------------------------

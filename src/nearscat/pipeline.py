@@ -93,7 +93,8 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Raise ConfigError unless every wavenumber can run: known side and
-        bc, finite k > 0, a 2-entry shape center, 2N+1 <= receiver_count."""
+        bc, distinct finite k > 0, positive source and receiver radii, a
+        2-entry shape center, 2N+1 <= receiver_count."""
         if self.side not in _RING_RADIUS:
             raise ConfigError(f"unknown side {self.side!r}")
         if self.bc not in ("soft", "hard"):
@@ -102,6 +103,12 @@ class ScenarioConfig:
             raise ConfigError("no wavenumbers given")
         if not all(0.0 < k < math.inf for k in self.wavenumbers):
             raise ConfigError(f"wavenumbers must be finite and positive: {self.wavenumbers}")
+        if len(set(self.wavenumbers)) != len(self.wavenumbers):
+            raise ConfigError(f"repeated wavenumbers: {self.wavenumbers}")
+        for key in ("source_radius", "receiver_radius"):
+            radius = getattr(self, key)
+            if radius is not None and not 0.0 < radius < math.inf:
+                raise ConfigError(f"{key} must be finite and positive, got {radius}")
         if len(self.shape_center) != 2:
             raise ConfigError(f"shape_center needs 2 entries, got {self.shape_center}")
         n = self._truncation()
@@ -245,6 +252,25 @@ def reconstruct(ring: RingMeasurement, bc: str, grid: ImagingGrid, truncation: i
     return coeffs, indicator(coeffs, ring.sources, grid)
 
 
+def simulate_rings(cfg: ScenarioConfig) -> list[RingMeasurement]:
+    """Clean rings of a resolved config, one per wavenumber in order, all on
+    one Nystrom geometry, which is unreachable once this returns."""
+    curve = cfg.curve()
+    sources = cfg.sources()
+    geometry = boundary_geometry(curve, cfg.bc, cfg.side)
+    return [simulate_ring(curve, cfg.bc, cfg.side, k, sources, cfg.receiver_radius,
+                          cfg.receiver_count, geometry=geometry)
+            for k in cfg.wavenumbers]
+
+
+def _write_ring(out: Path, ring: RingMeasurement, cfg: ScenarioConfig) -> Path:
+    """Write ``ring`` to ``out/ring_k<k>.csv`` with the scenario's bc, shape and seed."""
+    path = out / f"ring_k{_k_tag(ring.k)}.csv"
+    formats.write_ring_csv(path, ring, extra={"bc": cfg.bc, "shape": cfg.shape,
+                                              "seed": cfg.seed})
+    return path
+
+
 def _write_indicator(out: Path, stem: str, norm: IndicatorImage, cfg: ScenarioConfig,
                      coeffs: ct.ModeCoefficients | None = None) -> dict[str, Path]:
     """Write a normalized image to ``<stem>.csv`` and its reciprocal to ``<stem>.pgm``."""
@@ -263,8 +289,6 @@ def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
     cfg = config.resolved()
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    curve = cfg.curve()
-    sources = cfg.sources()
     grid = cfg.grid()
     warnings: list[str] = []
     if cfg.side == "interior":
@@ -280,16 +304,10 @@ def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
     excluded_by_k: dict[float, list[int]] = {}
     normalized: list[IndicatorImage] = []
 
-    # All rings first, sharing one Nystrom geometry, which is then released
-    # before imaging.  Noise is seeded per (seed, source), so the order of
-    # the phases does not change any byte.
-    geometry = boundary_geometry(curve, cfg.bc, cfg.side)
-    rings = [simulate_ring(curve, cfg.bc, cfg.side, k, sources, cfg.receiver_radius,
-                           cfg.receiver_count, geometry=geometry)
-             for k in cfg.wavenumbers]
-    del geometry
-
-    for k, ring in zip(cfg.wavenumbers, rings):
+    # All rings first, so that their Nystrom geometry is released before
+    # imaging.  Noise is seeded per (seed, source), so the order of the
+    # phases does not change any byte.
+    for k, ring in zip(cfg.wavenumbers, simulate_rings(cfg)):
         ring = add_noise(ring, NoiseSpec(level=cfg.delta, seed=cfg.seed))
         coeffs, images[k] = reconstruct(ring, cfg.bc, grid, cfg.truncation_for(k),
                                         cfg.mode_guard)
@@ -297,10 +315,8 @@ def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
         excluded_by_k[k] = coeffs.excluded_orders
         normalized.append(ind.normalize(images[k]))
 
-        ring_name = f"ring_k{_k_tag(k)}.csv"
-        files[ring_name] = out / ring_name
-        formats.write_ring_csv(files[ring_name], ring, extra={
-            "bc": cfg.bc, "shape": cfg.shape, "seed": cfg.seed})
+        ring_path = _write_ring(out, ring, cfg)
+        files[ring_path.name] = ring_path
         files.update(_write_indicator(out, f"indicator_k{_k_tag(k)}", normalized[-1],
                                       cfg, coeffs))
 

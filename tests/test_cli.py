@@ -66,6 +66,23 @@ def test_close_wavenumbers_get_distinct_files(tmp_path, small_config):
     assert (recon / "indicator_multi.csv").exists()
 
 
+def test_reconstruct_rejects_two_rings_of_one_k(tmp_path, small_config):
+    data, recon = tmp_path / "data", tmp_path / "recon"
+    assert main(["simulate", "-c", str(small_config), "-o", str(data),
+                 "--forward-nodes", "128"]) == 0
+    first, second = data / "seed7.csv", data / "seed8.csv"
+    for path, seed in ((first, "7"), (second, "8")):
+        assert main(["noise", "-i", str(data / "ring_k3.csv"), "-o", str(path),
+                     "--delta", "0.05", "--seed", seed]) == 0
+    grid = ["--nx", "20", "--ny", "20"]
+    assert main(["reconstruct", "-r", str(first), "-o", str(recon), *grid]) == 0
+    before = {p.name: p.read_bytes() for p in recon.iterdir()}
+    with pytest.raises(ValueError, match="both have k = 3") as err:
+        main(["reconstruct", "-r", str(first), "-r", str(second), "-o", str(recon), *grid])
+    assert str(first) in str(err.value) and str(second) in str(err.value)
+    assert {p.name: p.read_bytes() for p in recon.iterdir()} == before
+
+
 def test_simulate_shares_one_geometry(tmp_path, small_config, monkeypatch):
     # one Nystrom geometry for all wavenumbers, and the same bytes as a
     # fresh geometry per wavenumber

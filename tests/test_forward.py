@@ -67,6 +67,12 @@ def _blocks_reference(curve, k, t_targets, pos_t, tan_t, diagonal, ops):
     return blocks
 
 
+def _targets(curve):
+    """(t_targets, _blocks_reference targets) on the nodes and off them."""
+    return [(None, (curve.t, curve.points, curve.tangents, True)),
+            (_T_OFF, (_T_OFF, curve.position(_T_OFF), curve.derivative(_T_OFF), False))]
+
+
 class TestIncidentField:
     def test_value_against_series_oracle(self):
         # k = 1, |x - z| = 1:  (i/4) H_0^(1)(1)
@@ -214,12 +220,12 @@ class TestNystrom:
         # equispaced source set contains them
         sources = fw.SourceSet(center=(0.0, 0.0), radius=2.5, count=8, side="exterior")
         pos = sources.positions
-        samples = fw.solve_forward(kite_512, "soft", "exterior", 3.0, sources,
-                                   np.array([pos[3], pos[0]]))
+        sol = fw.solve_densities(kite_512, "soft", "exterior", 3.0, sources)
+        samples = fw.evaluate_scattered(kite_512, sol, np.array([pos[3], pos[0]]))
         assert samples[0, 0] == pytest.approx(samples[3, 1], rel=1e-8)
 
     @pytest.mark.parametrize("shape", ["kite", "starfish"])
-    @pytest.mark.parametrize("side,bc", sorted(fw._OPERATORS))
+    @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
     def test_reciprocity_matrix(self, shape, side, bc):
         # 12 sources and 12 receivers on one circle, both starting at angle 0:
         # samples[j, m] = u_s(x_m; z_j) = u_s(z_j; x_m) = samples[m, j]
@@ -237,36 +243,33 @@ class TestNystrom:
         with pytest.raises(fw.ResonanceError):
             fw.solve_densities(circ, "hard", "exterior", FIRST_J0_ZERO, sources)
 
-    @pytest.mark.parametrize("side,bc", sorted(fw._OPERATORS))
+    @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
     def test_pruned_operators_match_full(self, kite_512, side, bc):
         # each representation builds only its own blocks, bit for bit the
         # blocks an all-operators assembly gives, on and off the nodes
         k, all_ops = 3.0, ("S", "K", "K'")
-        full = fw._kernel_blocks(kite_512, k, kite_512.t, kite_512.points,
-                                 kite_512.tangents, diagonal=True, ops=all_ops)
+        ops = fw._FORMULATIONS[(side, bc)][1]
+        full = fw.NystromGeometry(kite_512, all_ops).blocks(k)
         pruned = fw.boundary_geometry(kite_512, bc, side).blocks(k)
-        assert set(pruned) == set(fw._OPERATORS[(side, bc)])
+        assert set(pruned) == set(ops)
         for name, block in pruned.items():
             assert np.array_equal(block, full[name])
         t_off = 2 * np.pi * (np.arange(37) + 0.531) / 37
-        args = (kite_512, k, t_off, kite_512.position(t_off), kite_512.derivative(t_off))
-        full = fw._kernel_blocks(*args, diagonal=False, ops=all_ops)
-        for name, block in fw._kernel_blocks(*args, diagonal=False,
-                                             ops=fw._OPERATORS[(side, bc)]).items():
+        full = fw.NystromGeometry(kite_512, all_ops, t_off).blocks(k)
+        for name, block in fw.NystromGeometry(kite_512, ops, t_off).blocks(k).items():
             assert np.array_equal(block, full[name])
 
     @pytest.mark.parametrize("shape", ["circle", "kite", "starfish"])
-    @pytest.mark.parametrize("side,bc", sorted(fw._OPERATORS))
+    @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
     def test_geometry_reuse_bit_identical(self, shape, side, bc):
         # one geometry serves every k, on and off the nodes, bit for bit as a
         # fresh assembly and as the out-of-place reference
         curve = make_curve(ShapeSpec(kind=shape, n_nodes=128))
-        ops = fw._OPERATORS[(side, bc)]
-        for targets in [(curve.t, curve.points, curve.tangents, True),
-                        (_T_OFF, curve.position(_T_OFF), curve.derivative(_T_OFF), False)]:
-            geometry = fw.NystromGeometry(curve, *targets, ops)
+        ops = fw._FORMULATIONS[(side, bc)][1]
+        for t_targets, targets in _targets(curve):
+            geometry = fw.NystromGeometry(curve, ops, t_targets)
             for k in _KS:
-                fresh = fw._kernel_blocks(curve, k, *targets, ops)
+                fresh = fw.NystromGeometry(curve, ops, t_targets).blocks(k)
                 reference = _blocks_reference(curve, k, *targets, ops)
                 blocks = geometry.blocks(k)
                 assert set(blocks) == set(fresh) == set(ops)
@@ -277,20 +280,18 @@ class TestNystrom:
     @pytest.mark.parametrize("shape", ["circle", "kite", "starfish"])
     def test_all_operator_blocks_match_reference(self, shape):
         curve = make_curve(ShapeSpec(kind=shape, n_nodes=64))
-        for targets in [(curve.t, curve.points, curve.tangents, True),
-                        (_T_OFF, curve.position(_T_OFF), curve.derivative(_T_OFF), False)]:
-            geometry = fw.NystromGeometry(curve, *targets, _ALL_OPS)
+        for t_targets, targets in _targets(curve):
+            geometry = fw.NystromGeometry(curve, _ALL_OPS, t_targets)
             for k in _KS:
                 reference = _blocks_reference(curve, k, *targets, _ALL_OPS)
                 for name, block in geometry.blocks(k).items():
                     assert np.array_equal(block, reference[name])
 
-    @pytest.mark.parametrize("side,bc", sorted(fw._OPERATORS))
+    @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
     def test_system_matrix_in_place(self, kite_512, side, bc):
         # +-I/2 and -i k S applied in place: bit for bit the out-of-place sums
         k = 3.0
-        ops = fw._kernel_blocks(kite_512, k, kite_512.t, kite_512.points, kite_512.tangents,
-                                diagonal=True, ops=_ALL_OPS)
+        ops = fw.NystromGeometry(kite_512, _ALL_OPS).blocks(k)
         half_eye = 0.5 * np.eye(kite_512.n_nodes)
         want = {("exterior", "soft"): lambda: half_eye + ops["K"] - 1j * k * ops["S"],
                 ("exterior", "hard"): lambda: ops["K'"] - half_eye,
@@ -298,7 +299,7 @@ class TestNystrom:
                 ("interior", "hard"): lambda: ops["K'"] + half_eye}[(side, bc)]()
         assert np.array_equal(fw._system_matrix(kite_512, bc, side, k), want)
 
-    @pytest.mark.parametrize("side,bc", sorted(fw._OPERATORS))
+    @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
     def test_geometry_in_one_mapping_released_with_it(self, kite_512, side, bc):
         # the k-free arrays sit in one anonymous mapping, off the malloc heap,
         # and the mapping is gone with the geometry (no cycle collector needed)
@@ -325,8 +326,7 @@ class TestNystrom:
     def test_geometry_mismatch_rejected(self, unit_circle_512, kite_512):
         sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2, side="exterior")
         circle_256 = make_curve(ShapeSpec(kind="circle", n_nodes=256))
-        off_nodes = fw.NystromGeometry(kite_512, _T_OFF, kite_512.position(_T_OFF),
-                                       kite_512.derivative(_T_OFF), False, ("K'",))
+        off_nodes = fw.NystromGeometry(kite_512, ("K'",), _T_OFF)
         cases = [(fw.boundary_geometry(kite_512, "hard", "exterior"), "another curve"),
                  (fw.boundary_geometry(circle_256, "hard", "exterior"), "256 nodes"),
                  (fw.boundary_geometry(unit_circle_512, "soft", "exterior"), "operators"),

@@ -77,7 +77,7 @@ _VALID_CONFIGS = st.builds(
     shape_radius=_POSITIVE, shape_center=st.tuples(_FINITE, _FINITE),
     shape_x_cos=_HARMONICS, shape_x_sin=_HARMONICS,
     shape_y_cos=_HARMONICS, shape_y_sin=_HARMONICS,
-    wavenumbers=st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),
+    wavenumbers=st.lists(_POSITIVE, min_size=1, max_size=4, unique=True).map(tuple),
     delta=st.floats(min_value=1e-6, max_value=0.99),
     source_radius=st.none() | _POSITIVE, source_count=st.integers(1, 64),
     receiver_radius=st.none() | _POSITIVE, receiver_count=st.integers(43, 512),
@@ -108,6 +108,19 @@ class TestConfigValidation:
     def test_nonpositive_or_nonfinite_wavenumber(self, tmp_path, k):
         with pytest.raises(ConfigError, match="finite and positive"):
             run_scenario(replace(SMALL, wavenumbers=(3.0, k)), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_repeated_wavenumber(self, tmp_path):
+        # would write ring_k3 and indicator_k3 twice and superpose k = 3 with itself
+        with pytest.raises(ConfigError, match="repeated wavenumbers"):
+            run_scenario(replace(SMALL, wavenumbers=(3.0, 4.0, 3.0)), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["source_radius", "receiver_radius"])
+    @pytest.mark.parametrize("radius", [-2.2, 0.0, math.inf, math.nan])
+    def test_nonpositive_or_nonfinite_radius(self, tmp_path, key, radius):
+        with pytest.raises(ConfigError, match=f"{key} must be finite and positive"):
+            run_scenario(replace(SMALL, **{key: radius}), tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
     def test_shape_center_needs_two_entries(self, tmp_path):
