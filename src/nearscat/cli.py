@@ -26,7 +26,7 @@ import numpy as np
 
 from . import formats
 from . import indicator as ind
-from .forward import SourceSet, analytic_circle, boundary_geometry, simulate_ring
+from .forward import NystromGeometry, SourceSet, analytic_circle, simulate_ring
 from .geometry import ShapeSpec, make_curve
 from .noise import NoiseSpec, add_noise
 from .pipeline import (ScenarioConfig, _k_tag, _value_type, _write_indicator, _write_ring,
@@ -41,6 +41,9 @@ _OVERRIDE_KEYS = ("side", "bc", "shape", "shape_radius", "delta", "seed", "trunc
 _RECONSTRUCT_FLAGS = {"truncation": "truncation", "xmin": "grid_xmin", "xmax": "grid_xmax",
                       "ymin": "grid_ymin", "ymax": "grid_ymax", "nx": "grid_nx",
                       "ny": "grid_ny"}
+# resolved config keys that rings must share for their images to be superposed
+_IMAGE_KEYS = ("side", "bc", "grid_xmin", "grid_xmax", "grid_ymin", "grid_ymax", "grid_nx",
+               "grid_ny", "exclusion_radius")
 
 
 def _flag_values(args, flags: dict[str, str]) -> dict:
@@ -85,35 +88,42 @@ def _cmd_noise(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    rings = [(path, *formats.read_ring_csv(path)) for path in args.ring]
+    overrides = _flag_values(args, _RECONSTRUCT_FLAGS)
+    jobs = []
+    for path in args.ring:
+        ring, meta = formats.read_ring_csv(path)
+        # the scenario the ring file records, so grid, exclusion disk,
+        # truncation and mode guard follow the config defaults
+        cfg = ScenarioConfig(side=ring.side, bc=meta.get("bc", "soft"), wavenumbers=(ring.k,),
+                             delta=ring.noise_level, source_radius=ring.sources.radius,
+                             source_count=ring.sources.count, receiver_radius=ring.radius,
+                             receiver_count=ring.n_receivers, **overrides).resolved()
+        jobs.append((path, ring, meta.get("shape", "unknown"), cfg))
     path_by_tag: dict[str, str] = {}
-    for path, ring, _ in rings:
+    first_path, *_, first = jobs[0]
+    for path, ring, _, cfg in jobs:
         tag = _k_tag(ring.k)
         if tag in path_by_tag:
             raise ValueError(f"ring files {path_by_tag[tag]} and {path} both have k = {tag}; "
                              f"their indicator_k{tag} images would overwrite each other")
         path_by_tag[tag] = path
+        if any(getattr(cfg, key) != getattr(first, key) for key in _IMAGE_KEYS):
+            raise ValueError(f"ring files {first_path} ({first.side} {first.bc}) and {path} "
+                             f"({cfg.side} {cfg.bc}) differ in side, bc or imaging grid; "
+                             f"their images cannot be superposed")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    overrides = _flag_values(args, _RECONSTRUCT_FLAGS)
     normalized = []
-    for _, ring, meta in rings:
-        # the scenario the ring file records, so grid, exclusion disk,
-        # truncation and mode guard follow the config defaults
-        cfg = ScenarioConfig(side=ring.side, bc=meta.get("bc", "soft"),
-                             shape=meta.get("shape", "unknown"), wavenumbers=(ring.k,),
-                             delta=ring.noise_level, source_radius=ring.sources.radius,
-                             source_count=ring.sources.count, receiver_radius=ring.radius,
-                             receiver_count=ring.n_receivers, **overrides).resolved()
+    for _, ring, shape, cfg in jobs:
         coeffs, raw = reconstruct(ring, cfg.bc, cfg.grid(), cfg.truncation_for(ring.k),
                                   cfg.mode_guard)
         normalized.append(ind.normalize(raw))
         stem = f"indicator_k{_k_tag(ring.k)}"
-        _write_indicator(outdir, stem, normalized[-1], cfg, coeffs)
+        _write_indicator(outdir, stem, normalized[-1], cfg.bc, shape, coeffs)
         print(f"wrote {outdir / stem}.csv (N={coeffs.truncation})")
     if len(normalized) > 1:
         _write_indicator(outdir, "indicator_multi",
-                         ind.superpose_multifrequency(normalized), cfg)
+                         ind.superpose_multifrequency(normalized), cfg.bc, shape)
         print(f"wrote {outdir / 'indicator_multi.csv'}")
     return 0
 
@@ -152,7 +162,7 @@ def _cmd_oracle_check(args) -> int:
         curve = make_curve(ShapeSpec(kind="circle", radius=1.0, n_nodes=args.nodes))
         sources = SourceSet(center=(0.0, 0.0), radius=ring_r, count=3, side=side)
         for bc in ("soft", "hard"):
-            geometry = boundary_geometry(curve, bc, side)
+            geometry = NystromGeometry(curve, bc, side)
             for k in args.k:
                 ring = simulate_ring(curve, bc, side, k, sources, ring_r, 64,
                                      geometry=geometry)

@@ -28,13 +28,13 @@ on analytic curves.
 
 Assembly comes in two parts.  A ``NystromGeometry`` holds everything that
 does not depend on k (distances, the log factor, the weights R_j, the
-normal products of the operators in use) and is built once per curve and
-target set; ``run_scenario`` shares one across its wavenumbers.  Its
-arrays share one anonymous memory mapping, off the malloc heap.  Its
-per-k pass ``blocks(k)`` makes the Bessel calls and forms each operator
-in place, freeing every M x M temporary as soon as it is used.  The
-arithmetic and its order are those of a one-shot assembly, so the blocks
-are bit for bit the same.
+normal product of the system's K or K') and is built once per curve and
+boundary system, on the nodes; ``run_scenario`` shares one across its
+wavenumbers.  Its arrays share one anonymous memory mapping, off the
+malloc heap.  Its per-k pass ``blocks(k)`` makes the Bessel calls and
+forms each operator in place, freeing every M x M temporary as soon as
+it is used.  The arithmetic and its order are those of a one-shot
+assembly, so the blocks are bit for bit the same.
 
 All kernel assembly here is vectorized through scipy.special; the series
 oracle below runs on the in-house cylinder-function module instead, so
@@ -46,8 +46,8 @@ and the kernels need J_0 and J_1 on their own anyway.  Only the operators
 a representation uses are assembled.
 
 ``_FORMULATIONS`` holds the four rows above (representation, operators,
-jump); the system matrix, the layer-potential evaluation and the boundary
-residual all take them from there.
+jump); the geometry, the system matrix and the layer-potential evaluation
+all take them from there.
 """
 
 from __future__ import annotations
@@ -198,23 +198,16 @@ def incident_gradient(x, z, k: float):
 # Nystrom discretization
 # ---------------------------------------------------------------------------
 
-def _log_weights_from_diff(dt: np.ndarray, m_nodes: int) -> np.ndarray:
-    """Kress weights R_j(t) for the ln(4 sin^2((t - t_j)/2)) factor.
-
-    dt holds t - t_j; with 2n nodes:
-    R_j(t) = -(2 pi/n) sum_{m=1}^{n-1} cos(m (t - t_j))/m - (pi/n^2) cos(n (t - t_j)).
+def _log_weight_circulant(m_nodes: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Kress weights R_{|i-j|} for the ln(4 sin^2((t_i - t_j)/2)) factor as a
+    full (M, M) circulant (into ``out`` when given).  With M = 2n nodes:
+    R(d) = -(2 pi/n) sum_{m=1}^{n-1} cos(m d)/m - (pi/n^2) cos(n d).
     """
     n = m_nodes // 2
-    m = np.arange(1, n)
-    acc = np.cos(dt[..., None] * m) / m          # (..., n-1)
-    return -(2.0 * np.pi / n) * acc.sum(axis=-1) - (np.pi / n**2) * np.cos(n * dt)
-
-
-def _log_weight_circulant(m_nodes: int, out: np.ndarray | None = None) -> np.ndarray:
-    """R_{|i-j|} as a full (M, M) circulant, built from one weight vector
-    (into ``out`` when given)."""
     d = 2.0 * np.pi * np.arange(m_nodes) / m_nodes
-    row = _log_weights_from_diff(d, m_nodes)      # R at distance d
+    m = np.arange(1, n)
+    acc = np.cos(d[:, None] * m) / m             # (M, n-1)
+    row = -(2.0 * np.pi / n) * acc.sum(axis=-1) - (np.pi / n**2) * np.cos(n * d)
     idx = (np.arange(m_nodes)[:, None] - np.arange(m_nodes)[None, :]) % m_nodes
     return np.take(row, idx, out=out)
 
@@ -235,86 +228,60 @@ def _mapped_empty(shape: tuple[int, ...]) -> np.ndarray:
 
 
 class NystromGeometry:
-    """The k-free part of the Nystrom blocks ``ops`` ("S", "K", "K'") on one
-    curve, at the parameters ``t_targets`` or, when None, at the nodes.
+    """The k-free part of the (side, bc) boundary system's Nystrom blocks on
+    the curve nodes: |x(t) - x(tau)| (1 on the diagonal), the log factor, the
+    weights R_j, the double-layer diagonal limits and the normal product of
+    its K or K', in four M x M rows of one ``_mapped_empty`` block.
+    ``blocks(k)`` adds one wavenumber's Bessel part.  It keeps the curve's
+    spec, not the curve, so a curve may hold it without forming a cycle."""
 
-    Holds |x(t) - x(tau)| (1 on the diagonal), ln(4 sin^2((t - tau)/2)), the
-    log-quadrature weights R_j, the double-layer diagonal limits and the
-    normal products of the K/K' kernels that ``ops`` names; ``blocks(k)``
-    adds the Bessel part of one wavenumber.  On the nodes the split-kernel
-    diagonal limits are inserted.  The geometry keeps the curve's spec, not
-    the curve, so a curve may hold its geometry without forming a cycle.
-    Its M x M arrays are rows of one ``_mapped_empty`` block.
-    """
-
-    def __init__(self, curve: BoundaryCurve, ops, t_targets: np.ndarray | None = None):
+    def __init__(self, curve: BoundaryCurve, bc: str, side: str):
         mm = curve.n_nodes
+        self.ops = _formulation(bc, side)[1]
+        self.bc, self.side = bc, side
         self.spec = curve.spec
         self.n_nodes = mm
-        self.diagonal = t_targets is None
-        self.ops = tuple(ops)
         self.speed = curve.speed
-        if self.diagonal:
-            t_targets, pos_t, tan_t = curve.t, curve.points, curve.tangents
-        else:
-            pos_t, tan_t = curve.position(t_targets), curve.derivative(t_targets)
         y = curve.points
-        names = [name for name in ("K", "K'") if name in self.ops]
-        self.r, self.lg, self.rw, *normals = _mapped_empty((3 + len(names), len(t_targets), mm))
-        self.normal = dict(zip(names, normals))
-        dt = t_targets[:, None] - curve.t[None, :]
-        dx = pos_t[:, None, 0] - y[None, :, 0]            # x(t) - x(tau)
-        dy = pos_t[:, None, 1] - y[None, :, 1]
+        self.r, self.lg, self.rw, self.normal = _mapped_empty((4, mm, mm))
+        dt = curve.t[:, None] - curve.t[None, :]
+        dx = y[:, None, 0] - y[None, :, 0]                # x(t) - x(tau)
+        dy = y[:, None, 1] - y[None, :, 1]
         np.hypot(dx, dy, out=self.r)
         np.log(np.maximum(4.0 * np.sin(0.5 * dt) ** 2, 1e-300), out=self.lg)
-        if self.diagonal:
-            np.fill_diagonal(self.r, 1.0)
-            np.fill_diagonal(self.lg, 0.0)
-            _log_weight_circulant(mm, out=self.rw)
-            tg, sc = curve.tangents, curve.seconds
-            w = tg[:, 0] * sc[:, 1] - tg[:, 1] * sc[:, 0]
-            self.dl_diag = (0.0, -w / (4.0 * np.pi * self.speed**2))
-        else:
-            self.rw[...] = _log_weights_from_diff(dt, mm)
-            self.dl_diag = None
         del dt
-        if "K" in self.ops:
-            nj = np.column_stack([curve.tangents[:, 1], -curve.tangents[:, 0]])  # nu |x'|
-            # double layer: nu(tau) . (x(tau) - x(t)) = -(n_j . dx)
-            np.negative(dx * nj[None, :, 0] + dy * nj[None, :, 1], out=self.normal["K"])
-        if "K'" in self.ops:
-            sp_t = np.hypot(tan_t[:, 0], tan_t[:, 1])
-            nt = np.column_stack([tan_t[:, 1], -tan_t[:, 0]])
+        np.fill_diagonal(self.r, 1.0)
+        np.fill_diagonal(self.lg, 0.0)
+        _log_weight_circulant(mm, out=self.rw)
+        tg, sc = curve.tangents, curve.seconds
+        w = tg[:, 0] * sc[:, 1] - tg[:, 1] * sc[:, 0]
+        self.dl_diag = (0.0, -w / (4.0 * np.pi * self.speed**2))
+        n = np.column_stack([tg[:, 1], -tg[:, 0]])       # nu |x'|
+        if self.ops[-1] == "K":
+            # double layer: nu(tau) . (x(tau) - x(t)) = -(n_tau . dx)
+            np.negative(dx * n[None, :, 0] + dy * n[None, :, 1], out=self.normal)
+        else:
             # adjoint double layer: nu(t) . (x(t) - x(tau)) = n_t . dx
-            b_kp = self.normal["K'"]
-            np.add(dx * nt[:, None, 0], dy * nt[:, None, 1], out=b_kp)
-            b_kp *= self.speed[None, :] / sp_t[:, None]
+            np.add(dx * n[:, None, 0], dy * n[:, None, 1], out=self.normal)
+            self.normal *= self.speed[None, :] / self.speed[:, None]
 
     def check(self, curve: BoundaryCurve, bc: str, side: str) -> None:
-        """Raise ValueError unless this is the node geometry of the (side, bc)
+        """Raise ValueError unless this is the geometry of the (side, bc)
         system on ``curve``."""
-        ops = _formulation(bc, side)[1]
-        if curve.n_nodes != self.n_nodes:
-            raise ValueError(f"Nystrom geometry built for {self.n_nodes} nodes, "
-                             f"the curve has {curve.n_nodes}")
         if curve.spec != self.spec:
-            raise ValueError("Nystrom geometry built for another curve")
-        if not self.diagonal:
-            raise ValueError("Nystrom geometry built for off-node targets")
-        if self.ops != ops:
-            raise ValueError(f"Nystrom geometry built for operators {self.ops}, "
-                             f"the {side} {bc} system needs {ops}")
+            raise ValueError(f"Nystrom geometry built for another curve ({self.spec.kind}, "
+                             f"{self.n_nodes} nodes, not {curve.spec.kind}, {curve.n_nodes})")
+        if (side, bc) != (self.side, self.bc):
+            raise ValueError(f"Nystrom geometry built for the {self.side} {self.bc} "
+                             f"system (operators {self.ops}), not the {side} {bc} one")
 
     def _split(self, a1: np.ndarray, full: np.ndarray, diag) -> np.ndarray:
         """R_j A1 + h A2 with A2 = full - A1 ln(4 sin^2((t - tau)/2)), formed in
-        ``full``; ``a1`` is overwritten.
-
-        ``diag`` holds the diagonal limits (A1, A2), or None for off-node targets.
-        """
+        ``full``; ``a1`` is overwritten.  ``diag`` holds the diagonal limits
+        (A1, A2)."""
         full -= a1 * self.lg
-        if diag is not None:
-            np.fill_diagonal(a1, diag[0])
-            np.fill_diagonal(full, diag[1])
+        np.fill_diagonal(a1, diag[0])
+        np.fill_diagonal(full, diag[1])
         full *= 2.0 * np.pi / self.n_nodes
         a1 *= self.rw
         full += a1
@@ -322,8 +289,7 @@ class NystromGeometry:
 
     def blocks(self, k: float) -> dict[str, np.ndarray]:
         """The blocks named in ``ops`` at wavenumber k, mapping node densities
-        to values at the targets.  Each block is computed the same way
-        whatever else ``ops`` names."""
+        to node values."""
         spj = self.speed
         kr = k * self.r
         blocks = {}
@@ -335,34 +301,26 @@ class NystromGeometry:
             del j0
             np.multiply(0.25j, s_full, out=s_full)
             s_full *= spj[None, :]
-            s_diag = None
-            if self.diagonal:                                # J_0(0) = 1
-                s_diag = (-(0.25 / np.pi) * spj,
-                          (0.25j - (np.log(0.5 * k * spj) + EULER_GAMMA) / (2.0 * np.pi)) * spj)
+            s_diag = (-(0.25 / np.pi) * spj,                 # J_0(0) = 1
+                      (0.25j - (np.log(0.5 * k * spj) + EULER_GAMMA) / (2.0 * np.pi)) * spj)
             blocks["S"] = self._split(s1, s_full, s_diag)
             del s1, s_full
-        names = [name for name in ("K", "K'") if name in self.ops]
-        if names:
-            j1 = _sp_j1(kr)
-            c_full = _hankel1(1, kr, j1)
-            del kr
-            c1 = np.multiply(0.25 * k / np.pi, j1, out=j1)
-            c1 /= self.r
-            np.multiply(-0.25j * k, c_full, out=c_full)
-            c_full /= self.r
-            *first, last = names
-            for name in first:               # only when both K and K' are asked for
-                b = self.normal[name]
-                blocks[name] = self._split(c1 * b, c_full * b, self.dl_diag)
-            c1 *= self.normal[last]
-            c_full *= self.normal[last]
-            blocks[last] = self._split(c1, c_full, self.dl_diag)
+        j1 = _sp_j1(kr)
+        c_full = _hankel1(1, kr, j1)
+        del kr
+        c1 = np.multiply(0.25 * k / np.pi, j1, out=j1)
+        c1 /= self.r
+        np.multiply(-0.25j * k, c_full, out=c_full)
+        c_full /= self.r
+        c1 *= self.normal
+        c_full *= self.normal
+        blocks[self.ops[-1]] = self._split(c1, c_full, self.dl_diag)
         return blocks
 
 
 # (side, bc) -> (representation, boundary operators, jump).  The last
-# operator is the main one: the boundary system is  main + jump I, less
-# i k S when "S" is listed, and the trace of the representation on the
+# operator is the main one (K or K'): the boundary system is  main + jump I,
+# less i k S when "S" is listed, and the trace of the representation on the
 # boundary is that same operator applied to the density.
 _FORMULATIONS = {
     ("exterior", "soft"): ("combined-layer", ("S", "K"), 0.5),
@@ -378,25 +336,15 @@ def _formulation(bc: str, side: str) -> tuple[str, tuple[str, ...], float]:
     return _FORMULATIONS[(side, bc)]
 
 
-def boundary_geometry(curve: BoundaryCurve, bc: str, side: str) -> NystromGeometry:
-    """The k-free Nystrom geometry of the (side, bc) boundary system on the
-    curve nodes; pass it to ``simulate_ring`` or ``solve_densities`` to share
-    it across wavenumbers."""
-    return NystromGeometry(curve, _formulation(bc, side)[1])
-
-
 def _system_matrix(curve: BoundaryCurve, bc: str, side: str, k: float,
                    geometry: NystromGeometry | None = None) -> np.ndarray:
-    if geometry is None:
-        geometry = boundary_geometry(curve, bc, side)
-    else:
-        geometry.check(curve, bc, side)
+    geometry = geometry or NystromGeometry(curve, bc, side)
+    geometry.check(curve, bc, side)
     _, ops, jump = _formulation(bc, side)
     blocks = geometry.blocks(k)
     # jump I, then -i k S, in place: the order of the sum (I/2 + K) - i k S
     a = blocks[ops[-1]]
-    diagonal = np.einsum("ii->i", a)
-    diagonal += jump
+    np.einsum("ii->i", a)[:] += jump
     if "S" in blocks:
         a -= np.multiply(1j * k, blocks["S"], out=blocks["S"])
     return a
@@ -449,7 +397,7 @@ def solve_densities(curve: BoundaryCurve, bc: str, side: str, k: float,
                     ) -> DensitySolution:
     """Assemble and solve the boundary system for every source at once.
 
-    ``geometry`` is the curve's ``boundary_geometry`` for (bc, side), built
+    ``geometry`` is the curve's ``NystromGeometry(curve, bc, side)``, built
     here when not given; ValueError if it was built for anything else.
     """
     representation = _formulation(bc, side)[0]
@@ -500,8 +448,8 @@ def simulate_ring(curve: BoundaryCurve, bc: str, side: str, k: float,
                   ) -> RingMeasurement:
     """Clean scattered-field samples on an equispaced receiver circle.
 
-    Pass the curve's ``boundary_geometry`` as ``geometry`` to reuse it
-    across wavenumbers.
+    Pass the curve's ``NystromGeometry(curve, bc, side)`` as ``geometry`` to
+    reuse it across wavenumbers.
     """
     angles = 2.0 * np.pi * np.arange(n_receivers) / n_receivers
     pts = np.column_stack([center[0] + ring_radius * np.cos(angles),
@@ -514,37 +462,6 @@ def simulate_ring(curve: BoundaryCurve, bc: str, side: str, k: float,
     return RingMeasurement(radius=float(ring_radius), angles=angles, k=float(k),
                            samples=samples, field_kind="scattered", noise_level=0.0,
                            side=side, sources=sources)
-
-
-def _trig_interp(values: np.ndarray, t_star: np.ndarray) -> np.ndarray:
-    mm = values.size
-    c = np.fft.fft(values) / mm
-    modes = np.where(np.arange(mm) < mm // 2, np.arange(mm), np.arange(mm) - mm)
-    return np.exp(1j * np.outer(t_star, modes)) @ c
-
-
-def boundary_residual(curve: BoundaryCurve, sol: DensitySolution, sources: SourceSet,
-                      t_checkpoints) -> float:
-    """Max relative residual of B(u_i + u_s) at off-node boundary parameters.
-
-    The trace of the layer potential is evaluated with the same split-kernel
-    quadrature at off-node targets, plus the jump term with a trigonometric
-    interpolation of the density; each source's residual is scaled by the
-    maximum of |B u_i| over the checkpoints.
-    """
-    t_star = np.atleast_1d(np.asarray(t_checkpoints, dtype=float))
-    gap = np.abs((t_star[:, None] - curve.t[None, :] + np.pi) % (2 * np.pi) - np.pi)
-    if gap.min() < 1e-10:
-        raise ValueError("checkpoints must be off-node")
-    _, ops, jump = _formulation(sol.bc, sol.side)
-    blocks = NystromGeometry(curve, ops, t_star).blocks(sol.k)
-    main = blocks[ops[-1]]
-    if "S" in blocks:
-        main = main - 1j * sol.k * blocks["S"]
-    phi_star = np.array([_trig_interp(p, t_star) for p in sol.density])
-    data = _boundary_data(sol.bc, sol.k, sources, curve.position(t_star), curve.normal(t_star))
-    trace = sol.density @ main.T + jump * phi_star
-    return float((np.abs(data + trace).max(axis=1) / np.abs(data).max(axis=1)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -134,11 +134,6 @@ class BoundaryCurve:
     def second_derivative(self, t) -> np.ndarray:
         return self._eval(t, 2)
 
-    def normal(self, t) -> np.ndarray:
-        d = self.derivative(t)
-        out = np.column_stack([d[:, 1], -d[:, 0]])
-        return out / np.hypot(d[:, 0], d[:, 1])[:, None]
-
     # -- derived quantities ---------------------------------------------------
 
     def radial_profile(self, theta, center=(0.0, 0.0), n_dense: int = 4096) -> np.ndarray:

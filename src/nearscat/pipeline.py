@@ -24,7 +24,7 @@ import numpy as np
 from . import continuation as ct
 from . import formats
 from . import indicator as ind
-from .forward import (RingMeasurement, SourceSet, analytic_circle, boundary_geometry,
+from .forward import (NystromGeometry, RingMeasurement, SourceSet, analytic_circle,
                       simulate_ring)
 from .geometry import BoundaryCurve, ImagingGrid, ShapeSpec, imaging_grid, make_curve
 from .indicator import IndicatorImage
@@ -92,9 +92,9 @@ class ScenarioConfig:
                        exclusion_radius=excl)
 
     def validate(self) -> None:
-        """Raise ConfigError unless every wavenumber can run: known side and
-        bc, distinct finite k > 0, positive source and receiver radii, a
-        2-entry shape center, 2N+1 <= receiver_count."""
+        """Raise ConfigError unless every wavenumber can run; the README lists
+        the checks.  Shape and noise rules are ``ShapeSpec.validate`` and
+        ``NoiseSpec.validate``."""
         if self.side not in _RING_RADIUS:
             raise ConfigError(f"unknown side {self.side!r}")
         if self.bc not in ("soft", "hard"):
@@ -105,24 +105,38 @@ class ScenarioConfig:
             raise ConfigError(f"wavenumbers must be finite and positive: {self.wavenumbers}")
         if len(set(self.wavenumbers)) != len(self.wavenumbers):
             raise ConfigError(f"repeated wavenumbers: {self.wavenumbers}")
+        if len(self.shape_center) != 2:
+            raise ConfigError(f"shape_center needs 2 entries, got {self.shape_center}")
+        try:
+            self.shape_spec().validate()
+            NoiseSpec(level=self.delta, seed=self.seed).validate()
+            n = self._truncation()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.source_count < 1:
+            raise ConfigError(f"source_count must be >= 1, got {self.source_count}")
         for key in ("source_radius", "receiver_radius"):
             radius = getattr(self, key)
             if radius is not None and not 0.0 < radius < math.inf:
                 raise ConfigError(f"{key} must be finite and positive, got {radius}")
-        if len(self.shape_center) != 2:
-            raise ConfigError(f"shape_center needs 2 entries, got {self.shape_center}")
-        n = self._truncation()
+        if min(self.grid_nx, self.grid_ny) < 2:
+            raise ConfigError(f"grid_nx and grid_ny must be >= 2, "
+                              f"got {self.grid_nx} and {self.grid_ny}")
+        if not (self.grid_xmax > self.grid_xmin and self.grid_ymax > self.grid_ymin):
+            raise ConfigError(f"grid bounds must increase: x [{self.grid_xmin}, "
+                              f"{self.grid_xmax}], y [{self.grid_ymin}, {self.grid_ymax}]")
+        if n < 0:
+            raise ConfigError(f"truncation must be >= 0, got {n}")
         if 2 * n + 1 > self.receiver_count:
             raise ConfigError(
                 f"truncation {n} needs {2 * n + 1} receivers, have {self.receiver_count}")
+        if not self.mode_guard >= 0.0:
+            raise ConfigError(f"mode_guard must be >= 0, got {self.mode_guard}")
 
     def _truncation(self) -> int:
         if self.truncation is not None:
             return self.truncation
-        try:
-            return ct.truncation_order(self.delta, self.side)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return ct.truncation_order(self.delta, self.side)
 
     # -- geometry builders ---------------------------------------------------
 
@@ -257,7 +271,7 @@ def simulate_rings(cfg: ScenarioConfig) -> list[RingMeasurement]:
     one Nystrom geometry, which is unreachable once this returns."""
     curve = cfg.curve()
     sources = cfg.sources()
-    geometry = boundary_geometry(curve, cfg.bc, cfg.side)
+    geometry = NystromGeometry(curve, cfg.bc, cfg.side)
     return [simulate_ring(curve, cfg.bc, cfg.side, k, sources, cfg.receiver_radius,
                           cfg.receiver_count, geometry=geometry)
             for k in cfg.wavenumbers]
@@ -271,10 +285,10 @@ def _write_ring(out: Path, ring: RingMeasurement, cfg: ScenarioConfig) -> Path:
     return path
 
 
-def _write_indicator(out: Path, stem: str, norm: IndicatorImage, cfg: ScenarioConfig,
+def _write_indicator(out: Path, stem: str, norm: IndicatorImage, bc: str, shape: str,
                      coeffs: ct.ModeCoefficients | None = None) -> dict[str, Path]:
     """Write a normalized image to ``<stem>.csv`` and its reciprocal to ``<stem>.pgm``."""
-    extra = {"bc": cfg.bc, "shape": cfg.shape}
+    extra = {"bc": bc, "shape": shape}
     if coeffs is not None:
         extra["truncation"] = coeffs.truncation
         extra["excluded"] = " ".join(str(n) for n in coeffs.excluded_orders)
@@ -318,12 +332,13 @@ def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
         ring_path = _write_ring(out, ring, cfg)
         files[ring_path.name] = ring_path
         files.update(_write_indicator(out, f"indicator_k{_k_tag(k)}", normalized[-1],
-                                      cfg, coeffs))
+                                      cfg.bc, cfg.shape, coeffs))
 
     superposed = None
     if len(cfg.wavenumbers) > 1:
         superposed = ind.superpose_multifrequency(normalized)
-        files.update(_write_indicator(out, "indicator_multi", superposed, cfg))
+        files.update(_write_indicator(out, "indicator_multi", superposed, cfg.bc,
+                                      cfg.shape))
 
     cfg_path = out / "config.txt"
     config.to_file(cfg_path)

@@ -83,6 +83,23 @@ def test_reconstruct_rejects_two_rings_of_one_k(tmp_path, small_config):
     assert {p.name: p.read_bytes() for p in recon.iterdir()} == before
 
 
+@pytest.mark.parametrize("change", [["--side", "interior"], ["--bc", "hard"]],
+                         ids=["side", "bc"])
+def test_reconstruct_rejects_mixed_rings(tmp_path, small_config, change):
+    # an exterior ring with an interior one, or a soft ring with a hard one,
+    # is refused before any image is written
+    data, recon = tmp_path / "data", tmp_path / "recon"
+    simulate = ["simulate", "-c", str(small_config), "--forward-nodes", "128"]
+    assert main([*simulate, "-o", str(data / "a")]) == 0
+    assert main([*simulate, "-o", str(data / "b"), "--k", "4", *change]) == 0
+    first, second = data / "a" / "ring_k3.csv", data / "b" / "ring_k4.csv"
+    with pytest.raises(ValueError, match="cannot be superposed") as err:
+        main(["reconstruct", "-r", str(first), "-r", str(second), "-o", str(recon),
+              "--truncation", "3", "--nx", "20", "--ny", "20"])
+    assert str(first) in str(err.value) and str(second) in str(err.value)
+    assert not recon.exists()
+
+
 def test_simulate_shares_one_geometry(tmp_path, small_config, monkeypatch):
     # one Nystrom geometry for all wavenumbers, and the same bytes as a
     # fresh geometry per wavenumber

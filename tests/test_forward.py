@@ -16,6 +16,14 @@ _KS = (2.5, 3.0, 4.0, 6.0)
 _T_OFF = 2 * np.pi * (np.arange(37) + 0.531) / 37
 
 
+def _log_weights_from_diff(dt, m_nodes):
+    """Kress weights R_j(t) at targets off the nodes; dt holds t - t_j."""
+    n = m_nodes // 2
+    m = np.arange(1, n)
+    acc = np.cos(dt[..., None] * m) / m
+    return -(2.0 * np.pi / n) * acc.sum(axis=-1) - (np.pi / n**2) * np.cos(n * dt)
+
+
 def _blocks_reference(curve, k, t_targets, pos_t, tan_t, diagonal, ops):
     """The Nystrom blocks as one function of k, with out-of-place arithmetic:
     the reference that the geometry plus per-k pass must match bit for bit."""
@@ -31,7 +39,7 @@ def _blocks_reference(curve, k, t_targets, pos_t, tan_t, diagonal, ops):
         tg, sc = curve.tangents, curve.seconds
         dl_diag = (0.0, -(tg[:, 0] * sc[:, 1] - tg[:, 1] * sc[:, 0]) / (4.0 * np.pi * spj**2))
     else:
-        rw, dl_diag = fw._log_weights_from_diff(dt, mm), None
+        rw, dl_diag = _log_weights_from_diff(dt, mm), None
     kr = k * r
 
     def split(a1, full, diag):
@@ -67,10 +75,42 @@ def _blocks_reference(curve, k, t_targets, pos_t, tan_t, diagonal, ops):
     return blocks
 
 
-def _targets(curve):
-    """(t_targets, _blocks_reference targets) on the nodes and off them."""
-    return [(None, (curve.t, curve.points, curve.tangents, True)),
-            (_T_OFF, (_T_OFF, curve.position(_T_OFF), curve.derivative(_T_OFF), False))]
+def _nodes(curve):
+    """``_blocks_reference`` targets at the curve nodes."""
+    return curve.t, curve.points, curve.tangents, True
+
+
+def _trig_interp(values, t_star):
+    mm = values.size
+    c = np.fft.fft(values) / mm
+    modes = np.where(np.arange(mm) < mm // 2, np.arange(mm), np.arange(mm) - mm)
+    return np.exp(1j * np.outer(t_star, modes)) @ c
+
+
+def boundary_residual(curve, sol, sources, t_checkpoints):
+    """Max relative residual of B(u_i + u_s) at off-node boundary parameters.
+
+    The trace of the layer potential is the split-kernel quadrature of the
+    solver's own ``_FORMULATIONS`` row at off-node targets
+    (``_blocks_reference``), plus the jump term with a trigonometric
+    interpolation of the density; each source's residual is scaled by the
+    maximum of |B u_i| over the checkpoints.
+    """
+    t_star = np.atleast_1d(np.asarray(t_checkpoints, dtype=float))
+    gap = np.abs((t_star[:, None] - curve.t[None, :] + np.pi) % (2 * np.pi) - np.pi)
+    if gap.min() < 1e-10:
+        raise ValueError("checkpoints must be off-node")
+    _, ops, jump = fw._FORMULATIONS[(sol.side, sol.bc)]
+    pos, tan = curve.position(t_star), curve.derivative(t_star)
+    blocks = _blocks_reference(curve, sol.k, t_star, pos, tan, False, ops)
+    main = blocks[ops[-1]]
+    if "S" in blocks:
+        main = main - 1j * sol.k * blocks["S"]
+    phi_star = np.array([_trig_interp(p, t_star) for p in sol.density])
+    normals = np.column_stack([tan[:, 1], -tan[:, 0]]) / np.hypot(tan[:, 0], tan[:, 1])[:, None]
+    data = fw._boundary_data(sol.bc, sol.k, sources, pos, normals)
+    trace = sol.density @ main.T + jump * phi_star
+    return float((np.abs(data + trace).max(axis=1) / np.abs(data).max(axis=1)).max())
 
 
 class TestIncidentField:
@@ -205,8 +245,7 @@ class TestNystrom:
         sources = fw.SourceSet(center=(0.0, 0.0), radius=radius, count=3, side=side)
         sol = fw.solve_densities(kite_512, bc, side, 3.0, sources)
         assert sol.system_residual < 1e-10
-        t_chk = 2 * np.pi * (np.arange(37) + 0.531) / 37
-        assert fw.boundary_residual(kite_512, sol, sources, t_chk) < 1e-6
+        assert boundary_residual(kite_512, sol, sources, _T_OFF) < 1e-6
 
     def test_self_convergence(self, kite_512):
         kite_256 = make_curve(ShapeSpec(kind="kite", n_nodes=256))
@@ -245,45 +284,41 @@ class TestNystrom:
 
     @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
     def test_pruned_operators_match_full(self, kite_512, side, bc):
-        # each representation builds only its own blocks, bit for bit the
-        # blocks an all-operators assembly gives, on and off the nodes
-        k, all_ops = 3.0, ("S", "K", "K'")
-        ops = fw._FORMULATIONS[(side, bc)][1]
-        full = fw.NystromGeometry(kite_512, all_ops).blocks(k)
-        pruned = fw.boundary_geometry(kite_512, bc, side).blocks(k)
-        assert set(pruned) == set(ops)
+        # each system builds only its own blocks, bit for bit the blocks an
+        # all-operators assembly gives
+        k = 3.0
+        full = _blocks_reference(kite_512, k, *_nodes(kite_512), _ALL_OPS)
+        pruned = fw.NystromGeometry(kite_512, bc, side).blocks(k)
+        assert set(pruned) == set(fw._FORMULATIONS[(side, bc)][1])
         for name, block in pruned.items():
-            assert np.array_equal(block, full[name])
-        t_off = 2 * np.pi * (np.arange(37) + 0.531) / 37
-        full = fw.NystromGeometry(kite_512, all_ops, t_off).blocks(k)
-        for name, block in fw.NystromGeometry(kite_512, ops, t_off).blocks(k).items():
             assert np.array_equal(block, full[name])
 
     @pytest.mark.parametrize("shape", ["circle", "kite", "starfish"])
     @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
     def test_geometry_reuse_bit_identical(self, shape, side, bc):
-        # one geometry serves every k, on and off the nodes, bit for bit as a
-        # fresh assembly and as the out-of-place reference
+        # one geometry serves every k, bit for bit as a fresh assembly and as
+        # the out-of-place reference
         curve = make_curve(ShapeSpec(kind=shape, n_nodes=128))
         ops = fw._FORMULATIONS[(side, bc)][1]
-        for t_targets, targets in _targets(curve):
-            geometry = fw.NystromGeometry(curve, ops, t_targets)
-            for k in _KS:
-                fresh = fw.NystromGeometry(curve, ops, t_targets).blocks(k)
-                reference = _blocks_reference(curve, k, *targets, ops)
-                blocks = geometry.blocks(k)
-                assert set(blocks) == set(fresh) == set(ops)
-                for name in ops:
-                    assert np.array_equal(blocks[name], fresh[name])
-                    assert np.array_equal(blocks[name], reference[name])
+        geometry = fw.NystromGeometry(curve, bc, side)
+        for k in _KS:
+            fresh = fw.NystromGeometry(curve, bc, side).blocks(k)
+            reference = _blocks_reference(curve, k, *_nodes(curve), ops)
+            blocks = geometry.blocks(k)
+            assert set(blocks) == set(fresh) == set(ops)
+            for name in ops:
+                assert np.array_equal(blocks[name], fresh[name])
+                assert np.array_equal(blocks[name], reference[name])
 
     @pytest.mark.parametrize("shape", ["circle", "kite", "starfish"])
     def test_all_operator_blocks_match_reference(self, shape):
+        # S, K and K' of the four systems against one all-operators reference
         curve = make_curve(ShapeSpec(kind=shape, n_nodes=64))
-        for t_targets, targets in _targets(curve):
-            geometry = fw.NystromGeometry(curve, _ALL_OPS, t_targets)
-            for k in _KS:
-                reference = _blocks_reference(curve, k, *targets, _ALL_OPS)
+        geometries = [fw.NystromGeometry(curve, bc, side) for side, bc in fw._FORMULATIONS]
+        assert {name for g in geometries for name in g.ops} == set(_ALL_OPS)
+        for k in _KS:
+            reference = _blocks_reference(curve, k, *_nodes(curve), _ALL_OPS)
+            for geometry in geometries:
                 for name, block in geometry.blocks(k).items():
                     assert np.array_equal(block, reference[name])
 
@@ -291,7 +326,7 @@ class TestNystrom:
     def test_system_matrix_in_place(self, kite_512, side, bc):
         # +-I/2 and -i k S applied in place: bit for bit the out-of-place sums
         k = 3.0
-        ops = fw.NystromGeometry(kite_512, _ALL_OPS).blocks(k)
+        ops = _blocks_reference(kite_512, k, *_nodes(kite_512), _ALL_OPS)
         half_eye = 0.5 * np.eye(kite_512.n_nodes)
         want = {("exterior", "soft"): lambda: half_eye + ops["K"] - 1j * k * ops["S"],
                 ("exterior", "hard"): lambda: ops["K'"] - half_eye,
@@ -301,16 +336,17 @@ class TestNystrom:
 
     @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
     def test_geometry_in_one_mapping_released_with_it(self, kite_512, side, bc):
-        # the k-free arrays sit in one anonymous mapping, off the malloc heap,
-        # and the mapping is gone with the geometry (no cycle collector needed)
-        geometry = fw.boundary_geometry(kite_512, bc, side)
-        arrays = [geometry.r, geometry.lg, geometry.rw, *geometry.normal.values()]
+        # the four k-free M x M arrays sit in one anonymous mapping, off the
+        # malloc heap, and the mapping is gone with the geometry (no cycle
+        # collector needed)
+        geometry = fw.NystromGeometry(kite_512, bc, side)
+        arrays = [geometry.r, geometry.lg, geometry.rw, geometry.normal]
         owner = arrays[0]
         while isinstance(owner, np.ndarray):
             owner = owner.base
         owner = owner.obj if isinstance(owner, memoryview) else owner
         assert isinstance(owner, mmap.mmap)
-        assert len(owner) == sum(a.nbytes for a in arrays)
+        assert len(owner) == 4 * kite_512.n_nodes ** 2 * 8
         whole = np.frombuffer(owner)
         assert all(np.shares_memory(a, whole) for a in arrays)
         mapping = weakref.ref(owner)
@@ -326,20 +362,17 @@ class TestNystrom:
     def test_geometry_mismatch_rejected(self, unit_circle_512, kite_512):
         sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2, side="exterior")
         circle_256 = make_curve(ShapeSpec(kind="circle", n_nodes=256))
-        off_nodes = fw.NystromGeometry(kite_512, ("K'",), _T_OFF)
-        cases = [(fw.boundary_geometry(kite_512, "hard", "exterior"), "another curve"),
-                 (fw.boundary_geometry(circle_256, "hard", "exterior"), "256 nodes"),
-                 (fw.boundary_geometry(unit_circle_512, "soft", "exterior"), "operators"),
-                 (off_nodes, "another curve")]
+        cases = [(fw.NystromGeometry(kite_512, "hard", "exterior"), "another curve"),
+                 (fw.NystromGeometry(circle_256, "hard", "exterior"), "256 nodes"),
+                 (fw.NystromGeometry(unit_circle_512, "soft", "exterior"), "operators"),
+                 (fw.NystromGeometry(unit_circle_512, "hard", "interior"), "operators")]
         for geometry, why in cases:
             with pytest.raises(ValueError, match=why):
                 fw.solve_densities(unit_circle_512, "hard", "exterior", 3.0, sources,
                                    geometry=geometry)
-        with pytest.raises(ValueError, match="off-node"):
-            fw.solve_densities(kite_512, "hard", "exterior", 3.0, sources, geometry=off_nodes)
         with pytest.raises(ValueError, match="unknown problem variant"):
-            fw.boundary_geometry(kite_512, "hard", "outside")
-        shared = fw.boundary_geometry(unit_circle_512, "hard", "exterior")
+            fw.NystromGeometry(kite_512, "hard", "outside")
+        shared = fw.NystromGeometry(unit_circle_512, "hard", "exterior")
         for k in (3.0, 4.0):
             want = fw.simulate_ring(unit_circle_512, "hard", "exterior", k, sources, 2.2, 16)
             got = fw.simulate_ring(unit_circle_512, "hard", "exterior", k, sources, 2.2, 16,

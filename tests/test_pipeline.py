@@ -69,19 +69,28 @@ class TestConfig:
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
 _HARMONICS = st.lists(_FINITE, max_size=4).map(tuple)
-# every config these draw passes validate(): 2N+1 <= 43 <= receiver_count
+_BOUNDS = st.lists(_FINITE, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+def _config_on_bounds(grid_x, grid_y, **kwargs) -> ScenarioConfig:
+    return ScenarioConfig(grid_xmin=grid_x[0], grid_xmax=grid_x[1],
+                          grid_ymin=grid_y[0], grid_ymax=grid_y[1], **kwargs)
+
+
+# every config these draw passes validate(): 2N+1 <= 43 <= receiver_count,
+# increasing grid bounds, and a trig shape always has a coefficient
 _VALID_CONFIGS = st.builds(
-    ScenarioConfig,
+    _config_on_bounds,
     side=st.sampled_from(["exterior", "interior"]), bc=st.sampled_from(["soft", "hard"]),
     shape=st.sampled_from(["circle", "kite", "starfish", "trig"]),
     shape_radius=_POSITIVE, shape_center=st.tuples(_FINITE, _FINITE),
-    shape_x_cos=_HARMONICS, shape_x_sin=_HARMONICS,
-    shape_y_cos=_HARMONICS, shape_y_sin=_HARMONICS,
+    shape_x_cos=st.lists(_FINITE, min_size=1, max_size=4).map(tuple),
+    shape_x_sin=_HARMONICS, shape_y_cos=_HARMONICS, shape_y_sin=_HARMONICS,
     wavenumbers=st.lists(_POSITIVE, min_size=1, max_size=4, unique=True).map(tuple),
     delta=st.floats(min_value=1e-6, max_value=0.99),
     source_radius=st.none() | _POSITIVE, source_count=st.integers(1, 64),
     receiver_radius=st.none() | _POSITIVE, receiver_count=st.integers(43, 512),
-    grid_xmin=_FINITE, grid_xmax=_FINITE, grid_ymin=_FINITE, grid_ymax=_FINITE,
+    grid_x=_BOUNDS, grid_y=_BOUNDS,
     grid_nx=st.integers(2, 400), grid_ny=st.integers(2, 400),
     exclusion_radius=st.none() | st.floats(min_value=0.0, max_value=10.0),
     truncation=st.none() | st.integers(0, 21),
@@ -128,6 +137,26 @@ class TestConfigValidation:
             run_scenario(replace(SMALL, shape_center=(0.1,)), tmp_path / "run")
         with pytest.raises(ConfigError, match="shape_center"):
             ScenarioConfig.from_text("shape_center = 0.1, 0.2, 0.3\n").resolved()
+
+    @pytest.mark.parametrize("change,match", [
+        pytest.param(dict(source_count=0), "source_count", id="no-sources"),
+        pytest.param(dict(shape="blob"), "unknown shape kind", id="unknown-shape"),
+        pytest.param(dict(shape_radius=0.0), "circle radius", id="zero-radius"),
+        pytest.param(dict(forward_nodes=255), "n_nodes", id="odd-nodes"),
+        pytest.param(dict(forward_nodes=14), "n_nodes", id="too-few-nodes"),
+        pytest.param(dict(grid_nx=1), "grid_nx and grid_ny", id="one-column"),
+        pytest.param(dict(grid_ny=0), "grid_nx and grid_ny", id="no-rows"),
+        pytest.param(dict(grid_xmin=1.5, grid_xmax=-1.5), "grid bounds", id="inverted-x"),
+        pytest.param(dict(grid_ymin=0.5, grid_ymax=0.5), "grid bounds", id="flat-y"),
+        pytest.param(dict(truncation=3, delta=1.0), "noise level", id="delta-one"),
+        pytest.param(dict(truncation=3, delta=-0.1), "noise level", id="negative-delta"),
+        pytest.param(dict(truncation=-1), "truncation must be >= 0", id="negative-truncation"),
+        pytest.param(dict(side="interior", mode_guard=math.nan), "mode_guard", id="nan-guard"),
+    ])
+    def test_malformed_config_rejected_before_output(self, tmp_path, change, match):
+        with pytest.raises(ConfigError, match=match):
+            run_scenario(replace(SMALL, **change), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_side_and_bc(self):
         with pytest.raises(ConfigError):
