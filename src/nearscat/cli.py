@@ -70,9 +70,10 @@ def _config_from_args(args) -> ScenarioConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _config_from_args(args).resolved()
+    rings = simulate_rings(cfg)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for ring in simulate_rings(cfg):
+    for ring in rings:
         print(f"wrote {_write_ring(outdir, ring, cfg)}")
     return 0
 

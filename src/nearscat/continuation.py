@@ -16,7 +16,9 @@ the C_{-n}/C_{-n} ratios never see the (-1)^n factors.  The radial factor
 depends on |x| alone, so the cylinder functions are evaluated once per
 distinct radius (a fraction of the points on a Cartesian grid) and
 gathered to the points; the values are those of a per-point evaluation,
-bit for bit.
+bit for bit.  ``radial_tables`` builds them once for a whole evaluation,
+and ``eval_field`` and ``eval_gradient`` take them to serve one block of
+its points at a time.
 
 The interior ratio J_n(k r)/J_n(k R) blows up whenever k R sits near a
 zero of J_n; ``guard_interior_modes`` zeroes and flags such modes.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,12 +129,29 @@ def outside_validity_strip(coeffs: ModeCoefficients, r) -> np.ndarray:
     return r < coeffs.anchor_radius * (1.0 - 1e-12)
 
 
-def _radial_tables(coeffs: ModeCoefficients, r: np.ndarray, with_deriv: bool):
-    """C_n(kr)/C_n(k r_anchor) (and d/dr) per signed order n, shape (2N+1, P).
+class RadialTables(NamedTuple):
+    """Radial factors per signed order n on the distinct radii, and the index
+    of each point's radius among them.
 
-    The cylinder functions are evaluated once per distinct radius and
-    gathered to the points at the end.  Excluded modes are zeroed here so
-    every evaluation path honors the guard.
+    ``ratio`` is C_n(kr)/C_n(k r_anchor) and ``deriv`` its r-derivative
+    (None when not asked for), both (2N+1, U) with excluded modes zeroed;
+    ``inverse`` is (P,).  ``tables._replace(inverse=tables.inverse[block])``
+    serves a block of the points.
+    """
+
+    ratio: np.ndarray
+    deriv: np.ndarray | None
+    inverse: np.ndarray
+
+
+def radial_tables(coeffs: ModeCoefficients, r, with_deriv: bool) -> RadialTables:
+    """The cylinder-function tables of ``coeffs`` at the radii ``r``.
+
+    Evaluated once per distinct radius.  Build them once for all points of
+    an evaluation and serve blocks from them: the Miller recurrence picks
+    its start order from the largest argument of the call, so tables built
+    per block could differ in the last bits.  Excluded modes are zeroed here
+    so every evaluation path honors the guard.
     """
     n_top = coeffs.truncation
     k = coeffs.k
@@ -155,8 +175,8 @@ def _radial_tables(coeffs: ModeCoefficients, r: np.ndarray, with_deriv: bool):
     if with_deriv:
         kind = "H" if coeffs.side == "exterior" else "J"
         deriv = k * cylfun.derivative_all(vals, kr, kind) / anchor[:, None]
-        deriv = (deriv[n_abs] * keep)[:, inverse]
-    return ratio[:, inverse], deriv
+        deriv = deriv[n_abs] * keep
+    return RadialTables(ratio, deriv, inverse)
 
 
 def _as_polar(r, theta):
@@ -166,33 +186,45 @@ def _as_polar(r, theta):
     return r_arr.ravel(), th_arr.ravel()
 
 
-def eval_field(coeffs: ModeCoefficients, r, theta) -> np.ndarray:
+def _point_tables(coeffs: ModeCoefficients, r_flat: np.ndarray,
+                  tables: RadialTables | None, with_deriv: bool):
+    """``tables`` (built here from ``r_flat`` when None) gathered to the
+    points: ratio and deriv, each (2N+1, P) or None."""
+    if np.any(r_flat < _MIN_RADIUS):
+        raise ValueError("radius below 1e-12")
+    if tables is None:
+        tables = radial_tables(coeffs, r_flat, with_deriv)
+    ratio, deriv, inverse = tables
+    return ratio[:, inverse], None if deriv is None else deriv[:, inverse]
+
+
+def eval_field(coeffs: ModeCoefficients, r, theta,
+               tables: RadialTables | None = None) -> np.ndarray:
     """Continued field u_N at polar points; shape (n_src,) + shape(r).
 
     At r = anchor this is exactly the order-N Fourier partial sum of the
-    ring data.
+    ring data.  ``tables`` are ``radial_tables`` whose ``inverse`` covers
+    these points; without them they are built from ``r``.
     """
     r_flat, th_flat = _as_polar(r, theta)
-    if np.any(r_flat < _MIN_RADIUS):
-        raise ValueError("radius below 1e-12")
-    modes, _ = _radial_tables(coeffs, r_flat, with_deriv=False)
+    modes, _ = _point_tables(coeffs, r_flat, tables, with_deriv=False)
     modes *= np.exp(1j * np.outer(coeffs.orders, th_flat))  # (2N+1, P)
     out = coeffs.values @ modes
     return out.reshape((coeffs.n_sources,) + np.shape(r)) if np.shape(r) else out[:, 0]
 
 
-def eval_gradient(coeffs: ModeCoefficients, r, theta) -> np.ndarray:
+def eval_gradient(coeffs: ModeCoefficients, r, theta,
+                  tables: RadialTables | None = None) -> np.ndarray:
     """Cartesian gradient of the continued field; shape (n_src, 2) + shape(r).
 
     Radial part k C_n'(kr)/C_n(k r_anchor), angular part (i n / r) times the
     mode ratio, rotated with (cos th, sin th) and (-sin th, cos th).  Each
     (2N+1, P) table is freed once its product with the coefficients is
     formed, and both components are written into one output array.
+    ``tables`` are as in ``eval_field``, built with ``with_deriv=True``.
     """
     r_flat, th_flat = _as_polar(r, theta)
-    if np.any(r_flat < _MIN_RADIUS):
-        raise ValueError("radius below 1e-12")
-    ratio, dratio = _radial_tables(coeffs, r_flat, with_deriv=True)
+    ratio, dratio = _point_tables(coeffs, r_flat, tables, with_deriv=True)
     # not exp(..., out=...): in place, the malloc heap layout it leaves raised
     # the peak resident memory of the 300^2 cavity benchmark by 16 MB
     phases = np.exp(1j * np.outer(coeffs.orders, th_flat))

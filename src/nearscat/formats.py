@@ -21,7 +21,6 @@ exactly nx*ny pixels, each in 0..maxval.
 from __future__ import annotations
 
 import hashlib
-import io
 import warnings
 from pathlib import Path
 
@@ -51,34 +50,31 @@ def _read_table(path, fmt: str, dtype: np.dtype, required) -> tuple[dict, np.nda
     """Header of a `fmt` CSV and its data rows as a structured array.
 
     The leading `#` lines form the header, which must hold every key in
-    `required`.  The data rows after it are
-    parsed by one `np.loadtxt` call, which skips empty lines and rejects a
-    comment, a wrong column count or, in an integer field, non-integer text.
+    `required`.  The data rows after it are parsed from the file by one
+    `np.loadtxt` call, which skips empty lines and rejects a comment, a
+    wrong column count or, in an integer field, non-integer text.
     """
     meta: dict[str, str] = {}
-    first = ""
+    n_header = 0
     with open(path, "r", encoding="ascii") as f:
         for line in f:
             body = line.strip()
-            if not body:
-                continue
-            if not body.startswith("#"):
-                first = line
+            if body and not body.startswith("#"):
                 break
+            n_header += 1
             key, eq, value = body[1:].partition("=")
             if eq:
                 meta[key.strip()] = value.strip()
-        if meta.get("format") != fmt:
-            raise ValueError(f"{path}: not a {fmt} file")
-        missing = [key for key in required if key not in meta]
-        if missing:
-            raise ValueError(f"{path}: header has no {missing[0]!r} line")
-        text = first + f.read()
+    if meta.get("format") != fmt:
+        raise ValueError(f"{path}: not a {fmt} file")
+    missing = [key for key in required if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: header has no {missing[0]!r} line")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)     # no data rows
-            rows = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",",
-                              comments=None, ndmin=1)
+            rows = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
+                              skiprows=n_header, ndmin=1, encoding="ascii")
     except ValueError as exc:
         raise ValueError(f"{path}: data rows: {exc}") from exc
     return meta, rows

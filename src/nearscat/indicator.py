@@ -18,6 +18,14 @@ scatterer boundary, where the boundary condition kills the total field
 
 Grid points where every gradient is numerically zero are flagged
 degenerate and render as 0 rather than failing.
+
+Each point's value needs only its own continued field or gradient and its
+own incident terms, so the points are evaluated in blocks of
+BLOCK_POINTS: only one block's fields, gradients, incident terms and
+reductions exist at a time, and the values go straight into the output.
+The radial tables are built once for all points (``radial_tables``) and
+gathered per block, and blocks start at multiples of 64 points, so the
+values equal those of one evaluation over every point bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuation import ModeCoefficients, eval_field, eval_gradient
+from .continuation import (ModeCoefficients, RadialTables, eval_field, eval_gradient,
+                           radial_tables)
 from .forward import SourceSet, incident_field, incident_gradient
 from .geometry import ImagingGrid
 
@@ -34,6 +43,10 @@ RECIPROCAL_FLOOR = 1e-12
 DEGENERATE_GRADIENT = 1e-14
 _MIN_SOURCE_DIST = 1e-9
 _MIN_RADIUS = 1e-12
+# Points per evaluation block.  A multiple of 64, so that each block's matrix
+# products round like the same columns of one product over every point (a
+# 97-point block changed the last bit of some values).
+BLOCK_POINTS = 8192
 
 FLAG_OK = 0
 FLAG_DEGENERATE = 1
@@ -61,41 +74,55 @@ def _polar(points: np.ndarray):
     return r, theta
 
 
-def _check_sources(coeffs: ModeCoefficients, sources: SourceSet, points: np.ndarray):
-    if coeffs.n_sources != sources.count:
-        raise ValueError("coefficient rows do not match the source count")
+def _check_sources(sources: SourceSet, points: np.ndarray):
     d = points[:, None, :] - sources.positions[None, :, :]
-    if np.hypot(d[..., 0], d[..., 1]).min() < _MIN_SOURCE_DIST:
+    if d.size and np.hypot(d[..., 0], d[..., 1]).min() < _MIN_SOURCE_DIST:
         raise ValueError("a grid point coincides with a source location")
 
 
 def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
                      points, kind: str):
-    """Raw indicator values and flags at arbitrary points; (P,), (P,) uint8."""
+    """Raw indicator values and flags at arbitrary points; (P,), (P,) uint8.
+
+    Evaluated in blocks of BLOCK_POINTS points with r > 0, on radial tables
+    built once for all of them.
+    """
     if kind not in ("soft", "hard"):
         raise ValueError(f"unknown indicator kind {kind!r}")
+    if coeffs.n_sources != sources.count:
+        raise ValueError("coefficient rows do not match the source count")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    _check_sources(coeffs, sources, pts)
-    weight = 2.0 * np.pi * sources.radius / sources.count
     r, theta = _polar(pts)
     ok = r >= _MIN_RADIUS
+    _check_sources(sources, pts[~ok])          # the origin is in no block
     values = np.zeros(pts.shape[0])
     flags = np.full(pts.shape[0], FLAG_DEGENERATE, dtype=np.uint8)
-    if not np.any(ok):
-        return values, flags
-    rp, tp, sub = r[ok], theta[ok], pts[ok]
+    live = np.flatnonzero(ok)
+    tables = radial_tables(coeffs, r[live], with_deriv=kind == "hard") if live.size else None
+    for start in range(0, live.size, BLOCK_POINTS):
+        blk = slice(start, start + BLOCK_POINTS)
+        idx = live[blk]
+        sub = pts[idx]
+        _check_sources(sources, sub)
+        values[idx], flags[idx] = _block_values(
+            coeffs, sources, sub, tables._replace(inverse=tables.inverse[blk]), kind)
+    return values, flags
 
+
+def _block_values(coeffs: ModeCoefficients, sources: SourceSet, points: np.ndarray,
+                  tables: RadialTables, kind: str):
+    """Indicator values and flags at (B, 2) points with r > 0; ``tables`` as in
+    ``eval_field``.  Everything formed here is freed before the next block."""
+    weight = 2.0 * np.pi * sources.radius / sources.count
     if kind == "soft":
-        total = eval_field(coeffs, rp, tp)                       # (n_src, P)
+        total = eval_field(coeffs, *_polar(points), tables)     # (n_src, B)
         for j, z in enumerate(sources.positions):
-            total[j] += incident_field(sub, z, coeffs.k)
-        values[ok] = weight * np.abs(total).sum(axis=0)
-        flags[ok] = FLAG_OK
-        return values, flags
+            total[j] += incident_field(points, z, coeffs.k)
+        return weight * np.abs(total).sum(axis=0), FLAG_OK
 
-    grad, norms, ref = _reference_gradients(coeffs, sources, sub)
-    cols = np.arange(rp.size)
-    xi = grad[ref, :, cols].T                                    # (2, P)
+    grad, norms, ref = _reference_gradients(coeffs, sources, points, tables)
+    cols = np.arange(points.shape[0])
+    xi = grad[ref, :, cols].T                                    # (2, B)
     xi_norm = norms[ref, cols]
     good = xi_norm > DEGENERATE_GRADIENT
     nu = np.zeros_like(xi)
@@ -104,18 +131,15 @@ def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
     dots = grad[:, 0, :] * nu[0][None, :] + grad[:, 1, :] * nu[1][None, :]
     vals = weight * np.abs(dots).sum(axis=0)
     vals[~good] = 0.0
-    values[ok] = vals
-    sub_flags = np.where(good, FLAG_OK, FLAG_DEGENERATE).astype(np.uint8)
-    flags[ok] = sub_flags
-    return values, flags
+    return vals, np.where(good, FLAG_OK, FLAG_DEGENERATE)
 
 
 def _reference_gradients(coeffs: ModeCoefficients, sources: SourceSet,
-                         points: np.ndarray):
+                         points: np.ndarray, tables: RadialTables | None = None):
     """Continued total-field gradients at (P, 2) points, their norms and the
     reference source per point (argmax norm, lowest index on ties);
-    shapes (n_src, 2, P), (n_src, P), (P,)."""
-    grad = eval_gradient(coeffs, *_polar(points))
+    shapes (n_src, 2, P), (n_src, P), (P,).  ``tables`` as in ``eval_gradient``."""
+    grad = eval_gradient(coeffs, *_polar(points), tables)
     for j, z in enumerate(sources.positions):
         grad[j] += incident_gradient(points, z, coeffs.k).T
     norms = np.sqrt(np.abs(grad[:, 0, :]) ** 2 + np.abs(grad[:, 1, :]) ** 2)

@@ -24,8 +24,8 @@ import numpy as np
 from . import continuation as ct
 from . import formats
 from . import indicator as ind
-from .forward import (NystromGeometry, RingMeasurement, SourceSet, analytic_circle,
-                      simulate_ring)
+from .forward import (GeometryError, NystromGeometry, RingMeasurement, SourceSet,
+                      analytic_circle, simulate_ring)
 from .geometry import BoundaryCurve, ImagingGrid, ShapeSpec, imaging_grid, make_curve
 from .indicator import IndicatorImage
 from .noise import NoiseSpec, add_noise
@@ -119,6 +119,9 @@ class ScenarioConfig:
             radius = getattr(self, key)
             if radius is not None and not 0.0 < radius < math.inf:
                 raise ConfigError(f"{key} must be finite and positive, got {radius}")
+        excl = self.exclusion_radius
+        if excl is not None and not 0.0 <= excl < math.inf:
+            raise ConfigError(f"exclusion_radius must be finite and >= 0, got {excl}")
         if min(self.grid_nx, self.grid_ny) < 2:
             raise ConfigError(f"grid_nx and grid_ny must be >= 2, "
                               f"got {self.grid_nx} and {self.grid_ny}")
@@ -268,13 +271,20 @@ def reconstruct(ring: RingMeasurement, bc: str, grid: ImagingGrid, truncation: i
 
 def simulate_rings(cfg: ScenarioConfig) -> list[RingMeasurement]:
     """Clean rings of a resolved config, one per wavenumber in order, all on
-    one Nystrom geometry, which is unreachable once this returns."""
+    one Nystrom geometry, which is unreachable once this returns.
+
+    ConfigError when a source or receiver lies on the shape or on the wrong
+    side of it; the first wavenumber's solve checks that before any work.
+    """
     curve = cfg.curve()
     sources = cfg.sources()
     geometry = NystromGeometry(curve, cfg.bc, cfg.side)
-    return [simulate_ring(curve, cfg.bc, cfg.side, k, sources, cfg.receiver_radius,
-                          cfg.receiver_count, geometry=geometry)
-            for k in cfg.wavenumbers]
+    try:
+        return [simulate_ring(curve, cfg.bc, cfg.side, k, sources, cfg.receiver_radius,
+                              cfg.receiver_count, geometry=geometry)
+                for k in cfg.wavenumbers]
+    except GeometryError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _write_ring(out: Path, ring: RingMeasurement, cfg: ScenarioConfig) -> Path:
@@ -301,9 +311,12 @@ def _write_indicator(out: Path, stem: str, norm: IndicatorImage, bc: str, shape:
 def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
     """Execute the full imaging pipeline and write all artifacts."""
     cfg = config.resolved()
+    grid = cfg.grid()
+    # All rings first: a config error surfaces before the output directory
+    # exists, and their Nystrom geometry is released before imaging.
+    rings = simulate_rings(cfg)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = cfg.grid()
     warnings: list[str] = []
     if cfg.side == "interior":
         limit = FIRST_J0_ZERO / max(cfg.wavenumbers)
@@ -318,10 +331,9 @@ def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
     excluded_by_k: dict[float, list[int]] = {}
     normalized: list[IndicatorImage] = []
 
-    # All rings first, so that their Nystrom geometry is released before
-    # imaging.  Noise is seeded per (seed, source), so the order of the
-    # phases does not change any byte.
-    for k, ring in zip(cfg.wavenumbers, simulate_rings(cfg)):
+    # Noise is seeded per (seed, source), so the order of the phases does not
+    # change any byte.
+    for k, ring in zip(cfg.wavenumbers, rings):
         ring = add_noise(ring, NoiseSpec(level=cfg.delta, seed=cfg.seed))
         coeffs, images[k] = reconstruct(ring, cfg.bc, grid, cfg.truncation_for(k),
                                         cfg.mode_guard)

@@ -4,7 +4,7 @@ import pytest
 from nearscat import formats
 from nearscat import forward as fw
 from nearscat.cli import main
-from nearscat.pipeline import ScenarioConfig
+from nearscat.pipeline import ConfigError, ScenarioConfig
 
 
 @pytest.fixture()
@@ -98,6 +98,13 @@ def test_reconstruct_rejects_mixed_rings(tmp_path, small_config, change):
               "--truncation", "3", "--nx", "20", "--ny", "20"])
     assert str(first) in str(err.value) and str(second) in str(err.value)
     assert not recon.exists()
+
+
+def test_simulate_rejects_source_inside_before_output(tmp_path, small_config):
+    out = tmp_path / "data"
+    with pytest.raises(ConfigError, match="exterior problem but a source is inside"):
+        main(["simulate", "-c", str(small_config), "-o", str(out), "--source-radius", "0.5"])
+    assert not out.exists()
 
 
 def test_simulate_shares_one_geometry(tmp_path, small_config, monkeypatch):

@@ -221,6 +221,42 @@ class TestGridCsv:
         with pytest.raises(ValueError):
             formats.read_grid_csv(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda line: line + "\n# a comment among the data rows",
+        lambda line: line.rsplit(",", 1)[0]])              # three columns
+    def test_rejects_unparsable_data(self, tmp_path, edit):
+        path = tmp_path / "grid.csv"
+        formats.write_grid_csv(path, _image())
+        _edit_data_row(path, 3, edit)
+        with pytest.raises(ValueError, match="grid.csv: data rows"):
+            formats.read_grid_csv(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        img = _image()
+        path = tmp_path / "grid.csv"
+        formats.write_grid_csv(path, img)
+        lines = path.read_text().splitlines()
+        lines.insert(2, "")                                  # in the header
+        n_header = sum(line.startswith("#") for line in lines)
+        lines[n_header + 1:n_header + 1] = ["", "  "]        # among the data rows
+        path.write_text("\n".join(lines) + "\n\n")
+        back = formats.read_grid_csv(path)
+        live = ~img.grid.mask
+        assert np.array_equal(back.values[live], img.values[live])
+        assert np.array_equal(back.flags, img.flags)
+
+    def test_header_only_file(self, tmp_path):
+        # every grid point masked: the file has no data rows
+        grid = imaging_grid(-1.0, 1.0, -1.0, 1.0, 3, 3, exclusion=((0.0, 0.0), 2.0))
+        img = ind.IndicatorImage(grid=grid, values=np.full(9, np.nan), kind="soft",
+                                 wavenumbers=(3.0,), state="raw",
+                                 flags=np.zeros(9, dtype=np.uint8))
+        path = tmp_path / "grid.csv"
+        formats.write_grid_csv(path, img)
+        assert all(line.startswith("#") for line in path.read_text().splitlines())
+        back = formats.read_grid_csv(path)
+        assert np.all(np.isnan(back.values)) and np.all(back.grid.mask)
+
     @_FILE_SETTINGS
     @given(x0=st.floats(-10.0, 10.0), y0=st.floats(-10.0, 10.0),
            width=st.floats(1e-3, 20.0), height=st.floats(1e-3, 20.0),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,59 @@ class TestHardIndicator:
             nu = np.array([-xi[1], xi[0]]) / nrm
             total = sum(abs(g[0] * nu[0] + g[1] * nu[1]) for g in grads)
             assert got[i] == pytest.approx(w * total, rel=1e-10)
+
+
+def _random_scenario(side, n_trunc=4, n_src=12, seed=0):
+    rng = np.random.default_rng(seed)
+    shape = (n_src, 2 * n_trunc + 1)
+    radius = 2.2 if side == "exterior" else 0.5
+    co = _coeffs(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                 radius=radius, side=side)
+    return co, fw.SourceSet(center=(0.0, 0.0), radius=radius, count=n_src, side=side)
+
+
+class TestBlockedEvaluation:
+    """indicator_values works through the live points in blocks of
+    BLOCK_POINTS; the blocks repeat a one-block evaluation bit for bit."""
+
+    @pytest.mark.parametrize("side", ["exterior", "interior"])
+    @pytest.mark.parametrize("kind", ["soft", "hard"])
+    def test_blocks_match_one_block(self, monkeypatch, side, kind):
+        grid = imaging_grid(-1.2, 1.2, -1.2, 1.2, 41, 41, exclusion=((0.6, -0.3), 0.25))
+        pts = grid.points[~grid.mask]
+        assert np.hypot(pts[:, 0], pts[:, 1]).min() < 1e-12     # the origin is live
+        assert pts.shape[0] > 4 * 256 and pts.shape[0] % 256   # ragged last block
+        co, src = _random_scenario(side)
+        assert pts.shape[0] <= ind.BLOCK_POINTS
+        one_vals, one_flags = ind.indicator_values(co, src, pts, kind)
+        monkeypatch.setattr(ind, "BLOCK_POINTS", 256)
+        vals, flags = ind.indicator_values(co, src, pts, kind)
+        assert vals.tobytes() == one_vals.tobytes()
+        assert flags.dtype == np.uint8 and flags.tobytes() == one_flags.tobytes()
+
+    def test_source_in_last_block_rejected(self, monkeypatch):
+        co, src = _random_scenario("exterior")
+        pts = np.random.default_rng(3).uniform(-1.4, 1.4, size=(600, 2))
+        pts[-1] = src.positions[5]
+        monkeypatch.setattr(ind, "BLOCK_POINTS", 256)
+        for kind in ("soft", "hard"):
+            with pytest.raises(ValueError, match="coincides with a source"):
+                ind.indicator_values(co, src, pts, kind)
+
+    def test_peak_memory_is_one_block(self):
+        # the 300^2 cavity grid of the benchmark, 12 sources; evaluated at
+        # once, its (S, 2, P) gradient alone is 31.6 MB and the peak 85 MB
+        grid = imaging_grid(-1.5, 1.5, -1.5, 1.5, 300, 300, exclusion=((0.0, 0.0), 0.5))
+        co, src = _random_scenario("interior", n_trunc=5)
+        ind.indicator_hard(co, src, imaging_grid(-1.0, 1.0, -1.0, 1.0, 20, 20))
+        tracemalloc.start()
+        try:
+            ind.indicator_hard(co, src, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_gradient = co.n_sources * 2 * 8192 * 16           # 3.1 MB
+        assert peak <= 8 * block_gradient
 
 
 class TestImageAlgebra:

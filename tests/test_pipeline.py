@@ -51,6 +51,9 @@ class TestConfig:
         inte = ScenarioConfig(side="interior").resolved()
         assert inte.source_radius == 0.5 and inte.receiver_radius == 0.5
         assert inte.exclusion_radius == 0.5
+        assert inte.grid().exclusion == (0.0, 0.0, 0.5)
+        no_disk = ScenarioConfig(side="interior", exclusion_radius=0.0)
+        assert no_disk.grid().exclusion is None and not no_disk.grid().mask.any()
 
     def test_clean_data_needs_truncation(self):
         cfg = ScenarioConfig(delta=0.0)
@@ -152,6 +155,17 @@ class TestConfigValidation:
         pytest.param(dict(truncation=3, delta=-0.1), "noise level", id="negative-delta"),
         pytest.param(dict(truncation=-1), "truncation must be >= 0", id="negative-truncation"),
         pytest.param(dict(side="interior", mode_guard=math.nan), "mode_guard", id="nan-guard"),
+        pytest.param(dict(side="interior", exclusion_radius=math.nan), "exclusion_radius",
+                     id="nan-exclusion"),
+        pytest.param(dict(exclusion_radius=-1.0), "exclusion_radius", id="negative-exclusion"),
+        pytest.param(dict(side="interior", exclusion_radius=math.inf), "exclusion_radius",
+                     id="infinite-exclusion"),
+        pytest.param(dict(shape="kite", source_radius=0.5),
+                     "exterior problem but a source is inside", id="source-inside-kite"),
+        pytest.param(dict(receiver_radius=0.5),
+                     "exterior problem but a receiver is inside", id="receiver-inside"),
+        pytest.param(dict(side="interior", source_radius=1.2),
+                     "interior problem but a source is outside", id="source-outside-cavity"),
     ])
     def test_malformed_config_rejected_before_output(self, tmp_path, change, match):
         with pytest.raises(ConfigError, match=match):
