@@ -13,11 +13,14 @@ Subcommands mirror the pipeline stages so every experiment is scriptable:
 Config files are flat ``key = value`` text (keys = ScenarioConfig fields);
 command-line flags override config-file keys.  ``reconstruct`` takes its
 grid, truncation and mode-guard defaults from the same config keys.
+A ValueError (every error the package names is one) or an OSError prints
+``nearscat: error: <message>`` to stderr and exits with status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,13 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from . import indicator as ind
 from .forward import NystromGeometry, SourceSet, analytic_circle, simulate_ring
 from .geometry import ShapeSpec, make_curve
 from .noise import NoiseSpec, add_noise
-from .pipeline import (ScenarioConfig, _k_tag, _value_type, _write_indicator, _write_ring,
-                       convergence_study, reconstruct, render_pgm, run_scenario,
-                       simulate_rings)
+from .pipeline import (ScenarioConfig, _k_tag, _value_type, _write_ring, convergence_study,
+                       render_pgm, run_scenario, simulate_rings, write_images)
 
 # config keys settable as --key-name flags on simulate and pipeline
 _OVERRIDE_KEYS = ("side", "bc", "shape", "shape_radius", "delta", "seed", "truncation",
@@ -114,17 +115,12 @@ def _cmd_reconstruct(args) -> int:
                              f"their images cannot be superposed")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    normalized = []
-    for _, ring, shape, cfg in jobs:
-        coeffs, raw = reconstruct(ring, cfg.bc, cfg.grid(), cfg.truncation_for(ring.k),
-                                  cfg.mode_guard)
-        normalized.append(ind.normalize(raw))
-        stem = f"indicator_k{_k_tag(ring.k)}"
-        _write_indicator(outdir, stem, normalized[-1], cfg.bc, shape, coeffs)
-        print(f"wrote {outdir / stem}.csv (N={coeffs.truncation})")
-    if len(normalized) > 1:
-        _write_indicator(outdir, "indicator_multi",
-                         ind.superpose_multifrequency(normalized), cfg.bc, shape)
+    results, superposed, _ = write_images(
+        outdir, [(ring, cfg.truncation_for(ring.k), shape) for _, ring, shape, cfg in jobs],
+        first.bc, first.grid(), first.mode_guard)
+    for coeffs, _ in results:
+        print(f"wrote {outdir}/indicator_k{_k_tag(coeffs.k)}.csv (N={coeffs.truncation})")
+    if superposed is not None:
         print(f"wrote {outdir / 'indicator_multi.csv'}")
     return 0
 
@@ -158,6 +154,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if not all(0.0 < k < math.inf for k in args.k):
+        raise ValueError(f"--k must be finite and positive, got {args.k}")
     worst = 0.0
     for side, ring_r in (("exterior", 2.2), ("interior", 0.5)):
         curve = make_curve(ShapeSpec(kind="circle", radius=1.0, n_nodes=args.nodes))
@@ -231,7 +229,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_oracle_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"nearscat: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

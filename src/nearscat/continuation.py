@@ -18,7 +18,8 @@ distinct radius (a fraction of the points on a Cartesian grid) and
 gathered to the points; the values are those of a per-point evaluation,
 bit for bit.  ``radial_tables`` builds them once for a whole evaluation,
 and ``eval_field`` and ``eval_gradient`` take them to serve one block of
-its points at a time.
+its points at a time.  Both take the points as (P,) arrays of r and theta
+and return (n_src, P) values or (n_src, 2, P) gradients.
 
 The interior ratio J_n(k r)/J_n(k R) blows up whenever k R sits near a
 zero of J_n; ``guard_interior_modes`` zeroes and flags such modes.
@@ -179,43 +180,36 @@ def radial_tables(coeffs: ModeCoefficients, r, with_deriv: bool) -> RadialTables
     return RadialTables(ratio, deriv, inverse)
 
 
-def _as_polar(r, theta):
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    th_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    r_arr, th_arr = np.broadcast_arrays(r_arr, th_arr)
-    return r_arr.ravel(), th_arr.ravel()
-
-
-def _point_tables(coeffs: ModeCoefficients, r_flat: np.ndarray,
+def _point_tables(coeffs: ModeCoefficients, r: np.ndarray,
                   tables: RadialTables | None, with_deriv: bool):
-    """``tables`` (built here from ``r_flat`` when None) gathered to the
-    points: ratio and deriv, each (2N+1, P) or None."""
-    if np.any(r_flat < _MIN_RADIUS):
+    """``tables`` (built here from ``r`` when None) gathered to the points:
+    ratio and deriv, each (2N+1, P) or None."""
+    if np.any(r < _MIN_RADIUS):
         raise ValueError("radius below 1e-12")
     if tables is None:
-        tables = radial_tables(coeffs, r_flat, with_deriv)
+        tables = radial_tables(coeffs, r, with_deriv)
     ratio, deriv, inverse = tables
     return ratio[:, inverse], None if deriv is None else deriv[:, inverse]
 
 
-def eval_field(coeffs: ModeCoefficients, r, theta,
+def eval_field(coeffs: ModeCoefficients, r: np.ndarray, theta: np.ndarray,
                tables: RadialTables | None = None) -> np.ndarray:
-    """Continued field u_N at polar points; shape (n_src,) + shape(r).
+    """Continued field u_N at the polar points given by the (P,) arrays
+    ``r`` and ``theta``; (n_src, P).
 
     At r = anchor this is exactly the order-N Fourier partial sum of the
     ring data.  ``tables`` are ``radial_tables`` whose ``inverse`` covers
     these points; without them they are built from ``r``.
     """
-    r_flat, th_flat = _as_polar(r, theta)
-    modes, _ = _point_tables(coeffs, r_flat, tables, with_deriv=False)
-    modes *= np.exp(1j * np.outer(coeffs.orders, th_flat))  # (2N+1, P)
-    out = coeffs.values @ modes
-    return out.reshape((coeffs.n_sources,) + np.shape(r)) if np.shape(r) else out[:, 0]
+    modes, _ = _point_tables(coeffs, r, tables, with_deriv=False)
+    modes *= np.exp(1j * np.outer(coeffs.orders, theta))     # (2N+1, P)
+    return coeffs.values @ modes
 
 
-def eval_gradient(coeffs: ModeCoefficients, r, theta,
+def eval_gradient(coeffs: ModeCoefficients, r: np.ndarray, theta: np.ndarray,
                   tables: RadialTables | None = None) -> np.ndarray:
-    """Cartesian gradient of the continued field; shape (n_src, 2) + shape(r).
+    """Cartesian gradient of the continued field at (P,) polar points;
+    (n_src, 2, P).
 
     Radial part k C_n'(kr)/C_n(k r_anchor), angular part (i n / r) times the
     mode ratio, rotated with (cos th, sin th) and (-sin th, cos th).  Each
@@ -223,26 +217,25 @@ def eval_gradient(coeffs: ModeCoefficients, r, theta,
     formed, and both components are written into one output array.
     ``tables`` are as in ``eval_field``, built with ``with_deriv=True``.
     """
-    r_flat, th_flat = _as_polar(r, theta)
-    ratio, dratio = _point_tables(coeffs, r_flat, tables, with_deriv=True)
+    ratio, dratio = _point_tables(coeffs, r, tables, with_deriv=True)
     # not exp(..., out=...): in place, the malloc heap layout it leaves raised
     # the peak resident memory of the 300^2 cavity benchmark by 16 MB
-    phases = np.exp(1j * np.outer(coeffs.orders, th_flat))
+    phases = np.exp(1j * np.outer(coeffs.orders, theta))
     dratio *= phases
     g_rad = coeffs.values @ dratio                           # (n_src, P)
     del dratio
-    ang = 1j * coeffs.orders[:, None] / r_flat[None, :]
+    ang = 1j * coeffs.orders[:, None] / r[None, :]
     ang *= ratio
     del ratio
     ang *= phases
     del phases
     g_ang = coeffs.values @ ang
     del ang
-    cos_t, sin_t = np.cos(th_flat), np.sin(th_flat)
-    out = np.empty((coeffs.n_sources, 2, r_flat.size), dtype=complex)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    out = np.empty((coeffs.n_sources, 2, r.size), dtype=complex)
     np.multiply(g_rad, cos_t, out=out[:, 0])
     np.multiply(g_rad, sin_t, out=out[:, 1])
     out[:, 0] -= np.multiply(g_ang, sin_t, out=g_rad)
     g_ang *= cos_t
     out[:, 1] += g_ang
-    return out.reshape((coeffs.n_sources, 2) + np.shape(r)) if np.shape(r) else out[:, :, 0]
+    return out

@@ -244,8 +244,11 @@ def pixels_from_image(image: IndicatorImage, scale: str = "percentile",
     """Map indicator values to a (ny, nx) uint array; masked points become 0.
 
     linear: pixel = round(65535 * v / max); percentile: the clip_percent
-    quantile of the unmasked values maps to 65535, larger values saturate.
+    quantile of the unmasked values maps to 65535, larger values saturate;
+    ValueError unless 0 < clip_percent <= 100.
     """
+    if not 0.0 < clip_percent <= 100.0:
+        raise ValueError(f"clip percent must lie in (0, 100], got {clip_percent}")
     g = image.grid
     vals = image.values.copy()
     live = ~g.mask & ~np.isnan(vals)

@@ -168,30 +168,25 @@ def _hankel1(order: int, x: np.ndarray, j: np.ndarray | None = None) -> np.ndarr
     return h
 
 
-def _diff_to_source(x, z):
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    d = pts - np.asarray(z, dtype=float)[None, :]
+def _diff_to_source(x: np.ndarray, z: np.ndarray):
+    d = x - z
     r = np.hypot(d[:, 0], d[:, 1])
     if np.any(r < 1e-12):
         raise SingularityError("evaluation point coincides with the source")
-    return pts, d, r
+    return d, r
 
 
-def incident_field(x, z, k: float):
-    """Point-source incident field (i/4) H_0^(1)(k|x-z|); x may be (..., 2)."""
-    x_arr = np.asarray(x, dtype=float)
-    pts, _, r = _diff_to_source(x_arr.reshape(-1, 2), z)
-    vals = 0.25j * _hankel1(0, k * r)
-    return complex(vals[0]) if x_arr.ndim == 1 else vals.reshape(x_arr.shape[:-1])
+def incident_field(x: np.ndarray, z: np.ndarray, k: float) -> np.ndarray:
+    """Point-source incident field (i/4) H_0^(1)(k|x-z|) at (P, 2) points; (P,)."""
+    _, r = _diff_to_source(x, z)
+    return 0.25j * _hankel1(0, k * r)
 
 
-def incident_gradient(x, z, k: float):
-    """grad_x u_i = -(i k/4) H_1^(1)(k|x-z|) (x-z)/|x-z|; shape (..., 2)."""
-    x_arr = np.asarray(x, dtype=float)
-    _, d, r = _diff_to_source(x_arr.reshape(-1, 2), z)
+def incident_gradient(x: np.ndarray, z: np.ndarray, k: float) -> np.ndarray:
+    """grad_x u_i = -(i k/4) H_1^(1)(k|x-z|) (x-z)/|x-z| at (P, 2) points; (P, 2)."""
+    d, r = _diff_to_source(x, z)
     fac = -0.25j * k * _hankel1(1, k * r) / r
-    g = fac[:, None] * d
-    return g[0] if x_arr.ndim == 1 else g.reshape(x_arr.shape)
+    return fac[:, None] * d
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +439,14 @@ def evaluate_scattered(curve: BoundaryCurve, sol: DensitySolution, points) -> np
 
 def simulate_ring(curve: BoundaryCurve, bc: str, side: str, k: float,
                   sources: SourceSet, ring_radius: float, n_receivers: int,
-                  center=(0.0, 0.0), geometry: NystromGeometry | None = None
-                  ) -> RingMeasurement:
-    """Clean scattered-field samples on an equispaced receiver circle.
+                  geometry: NystromGeometry | None = None) -> RingMeasurement:
+    """Clean scattered-field samples on an equispaced receiver circle about the origin.
 
     Pass the curve's ``NystromGeometry(curve, bc, side)`` as ``geometry`` to
     reuse it across wavenumbers.
     """
     angles = 2.0 * np.pi * np.arange(n_receivers) / n_receivers
-    pts = np.column_stack([center[0] + ring_radius * np.cos(angles),
-                           center[1] + ring_radius * np.sin(angles)])
+    pts = np.column_stack([ring_radius * np.cos(angles), ring_radius * np.sin(angles)])
     _check_side(curve, side, pts, "receiver")
     sol = solve_densities(curve, bc, side, k, sources, geometry=geometry)
     samples = evaluate_scattered(curve, sol, pts)
@@ -482,8 +475,8 @@ def _oracle_arrays(n_hi: int, bc: str, side: str, k: float, a: float):
 
 
 def analytic_circle(radius: float, bc: str, side: str, k: float, z, eval_points,
-                    radial_derivative: bool = False, center=(0.0, 0.0)) -> np.ndarray:
-    """Scattered field of a sound-soft/hard circle for one point source.
+                    radial_derivative: bool = False) -> np.ndarray:
+    """Scattered field of a sound-soft/hard circle about the origin for one point source.
 
     Returns u_s at each eval point (``radial_derivative=True`` gives
     du_s/dr instead).  Exterior soft:
@@ -497,8 +490,7 @@ def analytic_circle(radius: float, bc: str, side: str, k: float, z, eval_points,
     a = float(radius)
     if a <= 0.0:
         raise ValueError("radius must be positive")
-    c = np.asarray(center, dtype=float)
-    zz = np.asarray(z, dtype=float) - c
+    zz = np.asarray(z, dtype=float)
     rz = float(np.hypot(zz[0], zz[1]))
     if abs(rz - a) < SOURCE_ON_BOUNDARY_TOL:
         raise GeometryError("source on the circle")
@@ -508,7 +500,7 @@ def analytic_circle(radius: float, bc: str, side: str, k: float, z, eval_points,
         raise GeometryError("interior oracle needs the source inside the circle")
     th_z = math.atan2(zz[1], zz[0])
 
-    pts = np.atleast_2d(np.asarray(eval_points, dtype=float)) - c[None, :]
+    pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
     rx = np.hypot(pts[:, 0], pts[:, 1])
     th_x = np.arctan2(pts[:, 1], pts[:, 0])
     if np.any(rx < 1e-12) and side == "exterior":

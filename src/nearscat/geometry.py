@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+N_DENSE = 4096           # curve samples behind BoundaryCurve.radial_profile
+
 
 @dataclass(frozen=True)
 class ShapeSpec:
@@ -136,23 +138,23 @@ class BoundaryCurve:
 
     # -- derived quantities ---------------------------------------------------
 
-    def radial_profile(self, theta, center=(0.0, 0.0), n_dense: int = 4096) -> np.ndarray:
-        """Radius of the curve along rays of angle theta from ``center``.
+    def radial_profile(self, theta) -> np.ndarray:
+        """Radius of the curve along rays of angle theta from the origin.
 
-        Nearest-angle lookup on a dense resampling; valid for curves that
-        are star-shaped with respect to ``center``.
+        Nearest-angle lookup on N_DENSE samples; valid for curves that are
+        star-shaped with respect to the origin.
         """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        td = 2.0 * np.pi * np.arange(n_dense) / n_dense
-        p = self.position(td) - np.asarray(center)[None, :]
+        td = 2.0 * np.pi * np.arange(N_DENSE) / N_DENSE
+        p = self.position(td)
         ang = np.mod(np.arctan2(p[:, 1], p[:, 0]), 2.0 * np.pi)
         rad = np.hypot(p[:, 0], p[:, 1])
         order = np.argsort(ang)
         ang, rad = ang[order], rad[order]
         q = np.mod(theta, 2.0 * np.pi)
         idx = np.searchsorted(ang, q)
-        lo = (idx - 1) % n_dense
-        hi = idx % n_dense
+        lo = (idx - 1) % N_DENSE
+        hi = idx % N_DENSE
         d_lo = np.abs(q - ang[lo])
         d_hi = np.abs(ang[hi] - q)
         d_lo = np.minimum(d_lo, 2 * np.pi - d_lo)

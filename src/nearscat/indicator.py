@@ -81,8 +81,8 @@ def _check_sources(sources: SourceSet, points: np.ndarray):
 
 
 def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
-                     points, kind: str):
-    """Raw indicator values and flags at arbitrary points; (P,), (P,) uint8.
+                     points: np.ndarray, kind: str):
+    """Raw indicator values and flags at (P, 2) points; (P,), (P,) uint8.
 
     Evaluated in blocks of BLOCK_POINTS points with r > 0, on radial tables
     built once for all of them.
@@ -91,18 +91,17 @@ def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
         raise ValueError(f"unknown indicator kind {kind!r}")
     if coeffs.n_sources != sources.count:
         raise ValueError("coefficient rows do not match the source count")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    r, theta = _polar(pts)
+    r, theta = _polar(points)
     ok = r >= _MIN_RADIUS
-    _check_sources(sources, pts[~ok])          # the origin is in no block
-    values = np.zeros(pts.shape[0])
-    flags = np.full(pts.shape[0], FLAG_DEGENERATE, dtype=np.uint8)
+    _check_sources(sources, points[~ok])       # the origin is in no block
+    values = np.zeros(points.shape[0])
+    flags = np.full(points.shape[0], FLAG_DEGENERATE, dtype=np.uint8)
     live = np.flatnonzero(ok)
     tables = radial_tables(coeffs, r[live], with_deriv=kind == "hard") if live.size else None
     for start in range(0, live.size, BLOCK_POINTS):
         blk = slice(start, start + BLOCK_POINTS)
         idx = live[blk]
-        sub = pts[idx]
+        sub = points[idx]
         _check_sources(sources, sub)
         values[idx], flags[idx] = _block_values(
             coeffs, sources, sub, tables._replace(inverse=tables.inverse[blk]), kind)

@@ -31,6 +31,9 @@ from .indicator import IndicatorImage
 from .noise import NoiseSpec, add_noise
 
 FIRST_J0_ZERO = 2.404825557695773
+N_RAYS = 64              # rays of radial_boundary_error
+STUDY_SOURCES = 12       # sources of convergence_study, on the measurement circle
+STUDY_POINTS = 256       # its receivers, and its points on the boundary
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +311,25 @@ def _write_indicator(out: Path, stem: str, norm: IndicatorImage, bc: str, shape:
     return paths
 
 
+def write_images(out: Path, jobs, bc: str, grid: ImagingGrid, mode_guard: float):
+    """Reconstruct each (ring, truncation, shape) job on ``grid``, write it
+    normalized as ``indicator_k<k>`` and, for several, their superposition
+    as ``indicator_multi``.  Returns the (coefficients, raw image) pairs,
+    the superposed image (or None) and the written files by name."""
+    results, normalized, files = [], [], {}
+    for ring, truncation, shape in jobs:
+        coeffs, raw = reconstruct(ring, bc, grid, truncation, mode_guard)
+        results.append((coeffs, raw))
+        normalized.append(ind.normalize(raw))
+        files.update(_write_indicator(out, f"indicator_k{_k_tag(ring.k)}", normalized[-1],
+                                      bc, shape, coeffs))
+    superposed = None
+    if len(normalized) > 1:
+        superposed = ind.superpose_multifrequency(normalized)
+        files.update(_write_indicator(out, "indicator_multi", superposed, bc, shape))
+    return results, superposed, files
+
+
 def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
     """Execute the full imaging pipeline and write all artifacts."""
     cfg = config.resolved()
@@ -325,32 +347,16 @@ def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
                 f"measurement radius {cfg.receiver_radius} >= {limit:.4f}: "
                 f"k R reaches past the first J_0 zero; the mode guard covers it")
 
-    files: dict[str, Path] = {}
-    images: dict[float, IndicatorImage] = {}
-    truncation_by_k: dict[float, int] = {}
-    excluded_by_k: dict[float, list[int]] = {}
-    normalized: list[IndicatorImage] = []
-
-    # Noise is seeded per (seed, source), so the order of the phases does not
-    # change any byte.
-    for k, ring in zip(cfg.wavenumbers, rings):
-        ring = add_noise(ring, NoiseSpec(level=cfg.delta, seed=cfg.seed))
-        coeffs, images[k] = reconstruct(ring, cfg.bc, grid, cfg.truncation_for(k),
-                                        cfg.mode_guard)
-        truncation_by_k[k] = coeffs.truncation
-        excluded_by_k[k] = coeffs.excluded_orders
-        normalized.append(ind.normalize(images[k]))
-
-        ring_path = _write_ring(out, ring, cfg)
-        files[ring_path.name] = ring_path
-        files.update(_write_indicator(out, f"indicator_k{_k_tag(k)}", normalized[-1],
-                                      cfg.bc, cfg.shape, coeffs))
-
-    superposed = None
-    if len(cfg.wavenumbers) > 1:
-        superposed = ind.superpose_multifrequency(normalized)
-        files.update(_write_indicator(out, "indicator_multi", superposed, cfg.bc,
-                                      cfg.shape))
+    # Noise is seeded per (seed, source): writing all rings first moves no byte.
+    rings = [add_noise(ring, NoiseSpec(level=cfg.delta, seed=cfg.seed)) for ring in rings]
+    files = {path.name: path for path in (_write_ring(out, ring, cfg) for ring in rings)}
+    results, superposed, image_files = write_images(
+        out, [(ring, cfg.truncation_for(ring.k), cfg.shape) for ring in rings],
+        cfg.bc, grid, cfg.mode_guard)
+    files.update(image_files)
+    images = {coeffs.k: raw for coeffs, raw in results}
+    truncation_by_k = {coeffs.k: coeffs.truncation for coeffs, _ in results}
+    excluded_by_k = {coeffs.k: coeffs.excluded_orders for coeffs, _ in results}
 
     cfg_path = out / "config.txt"
     config.to_file(cfg_path)
@@ -391,26 +397,25 @@ class RayReport:
     informative: bool
 
 
-def radial_boundary_error(image: IndicatorImage, truth: BoundaryCurve,
-                          n_rays: int = 64, center=(0.0, 0.0)) -> RayReport:
+def radial_boundary_error(image: IndicatorImage, truth: BoundaryCurve) -> RayReport:
     """Radial argmin of the indicator vs the true boundary, per ray.
 
-    Along each equiangular ray the indicator is sampled at the nearest grid
-    node every half cell inside the annulus [0.6, 1.4] * r_truth(theta); a
-    ray whose samples are all equal (to 1e-12 relative) is flagged
-    non-informative.  Star-shaped truth curves only.
+    Along each of N_RAYS equiangular rays from the origin the indicator is
+    sampled at the nearest grid node every half cell inside the annulus
+    [0.6, 1.4] * r_truth(theta); a ray whose samples are all equal (to
+    1e-12 relative) is flagged non-informative.  Truth curves star-shaped
+    about the origin only.
     """
     grid = image.grid
     step = 0.5 * min(grid.spacing_x, grid.spacing_y)
-    angles = 2.0 * np.pi * np.arange(n_rays) / n_rays
-    r_truth = truth.radial_profile(angles, center=center)
-    dists = np.full(n_rays, np.nan)
+    angles = 2.0 * np.pi * np.arange(N_RAYS) / N_RAYS
+    r_truth = truth.radial_profile(angles)
+    dists = np.full(N_RAYS, np.nan)
     for i, (theta, r_t) in enumerate(zip(angles, r_truth)):
         radii = np.arange(0.6 * r_t, 1.4 * r_t, step)
         vals, rad = [], []
         for r in radii:
-            idx = grid.index_of(center[0] + r * math.cos(theta),
-                                center[1] + r * math.sin(theta))
+            idx = grid.index_of(r * math.cos(theta), r * math.sin(theta))
             if idx < 0 or grid.mask[idx] or np.isnan(image.values[idx]):
                 continue
             vals.append(image.values[idx])
@@ -492,74 +497,63 @@ class RateReport:
         return "\n".join(lines)
 
 
-def _study_ring(side: str, a: float, meas_r: float, k: float, bc: str,
-                n_src: int, n_rec: int):
-    angles = 2.0 * np.pi * np.arange(n_rec) / n_rec
-    pts = np.column_stack([meas_r * np.cos(angles), meas_r * np.sin(angles)])
-    sources = SourceSet(center=(0.0, 0.0), radius=meas_r, count=n_src, side=side)
-    us = np.array([analytic_circle(a, bc, side, k, z, pts)
-                   for z in sources.positions])
-    return RingMeasurement(radius=meas_r, angles=angles, k=k, samples=us,
-                           field_kind="scattered", noise_level=0.0, side=side,
-                           sources=sources)
-
-
-def convergence_study(side: str, *, obstacle_radius: float = 1.0,
-                      measurement_radius: float | None = None,
-                      analysis_radius: float | None = None,
-                      k: float = 3.0, bc: str = "soft",
-                      deltas: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
+def convergence_study(side: str, *, analysis_radius: float | None = None,
+                      k: float = 3.0, deltas: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
                       seeds: tuple[int, ...] = (0, 1, 2),
-                      clean_orders=range(4, 13),
-                      n_sources: int = 12,
-                      n_receivers: int = 256,
-                      n_boundary: int = 256) -> RateReport:
-    """Clean-order and noise-level sweeps on the concentric-circle setup.
+                      clean_orders=range(4, 13)) -> RateReport:
+    """Clean-order and noise-level sweeps on the concentric-circle setup:
+    a sound-soft unit circle, measured at radius 2.2 (exterior) or 0.5
+    (interior).
 
     The data come from the analytic circle oracle (so distances and rates
     are exact); errors are RMS values of (continued - true) scattered
-    field on the circular boundary, pooled over n_sources equispaced
-    sources on the measurement circle (pooling keeps the fitted exponent
-    from riding on a single amplified top mode's noise draw).
+    field on the circular boundary, pooled over the sources (pooling keeps
+    the fitted exponent from riding on a single amplified top mode's noise
+    draw).
 
     The noise sweep truncates at N = floor(|ln d|) + 1 on the exterior
     side (the practical noise-coupled rule) and at
     N = floor(ln(1/d)/ln r1) on the interior side, where the 1.5 |ln d|
     rule would exceed what the mode guard admits at small k R.
     """
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"k must be finite and positive, got {k}")
+    if side not in _RING_RADIUS:
+        raise ValueError(f"unknown side {side!r}")
+    a, meas = 1.0, _RING_RADIUS[side]
     if side == "exterior":
-        meas = 2.2 if measurement_radius is None else measurement_radius
         anchor = 0.5 if analysis_radius is None else analysis_radius
-        gap = obstacle_radius - anchor          # dist(anchor circle, boundary)
+        gap = a - anchor                        # dist(anchor circle, boundary)
         r1 = meas / anchor
         r2 = (anchor + gap) / anchor
         r3 = meas / (anchor + gap)
         noise_rule = "floor(|ln delta|) + 1"
         rule = lambda d: int(math.floor(abs(math.log(d)))) + 1
-    elif side == "interior":
-        meas = 0.5 if measurement_radius is None else measurement_radius
+    else:
         anchor = 1.2 if analysis_radius is None else analysis_radius
-        gap = anchor - obstacle_radius          # dist(analysis circle, boundary)
+        gap = anchor - a                        # dist(analysis circle, boundary)
         r1 = anchor / meas
         r2 = anchor / (anchor - gap)
         r3 = (anchor - gap) / meas
         noise_rule = "floor(ln(1/delta)/ln r1)"
         rule = lambda d, _r1=r1: int(math.floor(math.log(1.0 / d) / math.log(_r1)))
-    else:
-        raise ValueError(f"unknown side {side!r}")
     if gap <= 0.0:
         raise ValueError("analysis circle must be separated from the boundary")
     exponent = math.log(r2) / math.log(r1)
 
-    a = obstacle_radius
-    ring = _study_ring(side, a, meas, k, bc, n_sources, n_receivers)
-    th = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
-    bpts = np.column_stack([a * np.cos(th), a * np.sin(th)])
-    u_true = np.array([analytic_circle(a, bc, side, k, z, bpts)
-                       for z in ring.sources.positions])
+    th = 2.0 * np.pi * np.arange(STUDY_POINTS) / STUDY_POINTS
+    sources = SourceSet(center=(0.0, 0.0), radius=meas, count=STUDY_SOURCES, side=side)
+
+    def oracle(r: float) -> np.ndarray:
+        pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        return np.array([analytic_circle(a, "soft", side, k, z, pts) for z in sources.positions])
+
+    ring = RingMeasurement(radius=meas, angles=th, k=k, samples=oracle(meas),
+                           field_kind="scattered", noise_level=0.0, side=side, sources=sources)
+    u_true = oracle(a)
 
     def boundary_error(r, n: int) -> float:
-        u_n = ct.eval_field(_coefficients(r, n), np.full(n_boundary, a), th)
+        u_n = ct.eval_field(_coefficients(r, n), np.full(STUDY_POINTS, a), th)
         return float(np.sqrt(np.mean(np.abs(u_n - u_true) ** 2)))
 
     orders = np.array(list(clean_orders), dtype=int)

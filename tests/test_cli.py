@@ -4,7 +4,7 @@ import pytest
 from nearscat import formats
 from nearscat import forward as fw
 from nearscat.cli import main
-from nearscat.pipeline import ConfigError, ScenarioConfig
+from nearscat.pipeline import ScenarioConfig
 
 
 @pytest.fixture()
@@ -66,7 +66,7 @@ def test_close_wavenumbers_get_distinct_files(tmp_path, small_config):
     assert (recon / "indicator_multi.csv").exists()
 
 
-def test_reconstruct_rejects_two_rings_of_one_k(tmp_path, small_config):
+def test_reconstruct_rejects_two_rings_of_one_k(tmp_path, small_config, capsys):
     data, recon = tmp_path / "data", tmp_path / "recon"
     assert main(["simulate", "-c", str(small_config), "-o", str(data),
                  "--forward-nodes", "128"]) == 0
@@ -77,15 +77,18 @@ def test_reconstruct_rejects_two_rings_of_one_k(tmp_path, small_config):
     grid = ["--nx", "20", "--ny", "20"]
     assert main(["reconstruct", "-r", str(first), "-o", str(recon), *grid]) == 0
     before = {p.name: p.read_bytes() for p in recon.iterdir()}
-    with pytest.raises(ValueError, match="both have k = 3") as err:
-        main(["reconstruct", "-r", str(first), "-r", str(second), "-o", str(recon), *grid])
-    assert str(first) in str(err.value) and str(second) in str(err.value)
+    capsys.readouterr()
+    assert main(["reconstruct", "-r", str(first), "-r", str(second), "-o", str(recon),
+                 *grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nearscat: error: ") and "both have k = 3" in err
+    assert str(first) in err and str(second) in err
     assert {p.name: p.read_bytes() for p in recon.iterdir()} == before
 
 
 @pytest.mark.parametrize("change", [["--side", "interior"], ["--bc", "hard"]],
                          ids=["side", "bc"])
-def test_reconstruct_rejects_mixed_rings(tmp_path, small_config, change):
+def test_reconstruct_rejects_mixed_rings(tmp_path, small_config, change, capsys):
     # an exterior ring with an interior one, or a soft ring with a hard one,
     # is refused before any image is written
     data, recon = tmp_path / "data", tmp_path / "recon"
@@ -93,18 +96,57 @@ def test_reconstruct_rejects_mixed_rings(tmp_path, small_config, change):
     assert main([*simulate, "-o", str(data / "a")]) == 0
     assert main([*simulate, "-o", str(data / "b"), "--k", "4", *change]) == 0
     first, second = data / "a" / "ring_k3.csv", data / "b" / "ring_k4.csv"
-    with pytest.raises(ValueError, match="cannot be superposed") as err:
-        main(["reconstruct", "-r", str(first), "-r", str(second), "-o", str(recon),
-              "--truncation", "3", "--nx", "20", "--ny", "20"])
-    assert str(first) in str(err.value) and str(second) in str(err.value)
+    capsys.readouterr()
+    assert main(["reconstruct", "-r", str(first), "-r", str(second), "-o", str(recon),
+                 "--truncation", "3", "--nx", "20", "--ny", "20"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot be superposed" in err
+    assert str(first) in err and str(second) in err
     assert not recon.exists()
 
 
-def test_simulate_rejects_source_inside_before_output(tmp_path, small_config):
+def test_simulate_rejects_source_inside_before_output(tmp_path, small_config, capsys):
     out = tmp_path / "data"
-    with pytest.raises(ConfigError, match="exterior problem but a source is inside"):
-        main(["simulate", "-c", str(small_config), "-o", str(out), "--source-radius", "0.5"])
+    assert main(["simulate", "-c", str(small_config), "-o", str(out),
+                 "--source-radius", "0.5"]) == 2
+    assert "exterior problem but a source is inside" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["rates", "--side", "exterior", "--k", "-1"], "k must be finite and positive"),
+    (["oracle-check", "--k", "3", "0", "--nodes", "64"], "--k must be finite and positive"),
+    (["oracle-check", "--k", "nan", "--nodes", "64"], "--k must be finite and positive"),
+], ids=["rates-k-negative", "oracle-check-k-zero", "oracle-check-k-nan"])
+def test_bad_wavenumber_exits_2(argv, named, capsys):
+    # refused before any solve, with k named, instead of failing deep in
+    # the special functions or in LAPACK
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("nearscat: error: ") and named in captured.err
+    assert "max rel err" not in captured.out
+
+
+@pytest.mark.parametrize("clip", ["0", "150"])
+def test_render_rejects_clip_outside_range(tmp_path, small_config, capsys, clip):
+    out = tmp_path / "run"
+    assert main(["pipeline", "-c", str(small_config), "-o", str(out)]) == 0
+    pgm = tmp_path / "img.pgm"
+    capsys.readouterr()
+    assert main(["render", "-i", str(out / "indicator_k3.csv"), "-o", str(pgm),
+                 "--clip", clip]) == 2
+    assert "clip percent must lie in (0, 100]" in capsys.readouterr().err
+    assert not pgm.exists()
+
+
+def test_unexpected_errors_keep_their_traceback(tmp_path, small_config, monkeypatch):
+    # only ValueError and OSError become exit status 2
+    def boom(*args, **kwargs):
+        raise RuntimeError("not a usage error")
+
+    monkeypatch.setattr("nearscat.cli.run_scenario", boom)
+    with pytest.raises(RuntimeError, match="not a usage error"):
+        main(["pipeline", "-c", str(small_config), "-o", str(tmp_path / "run")])
 
 
 def test_simulate_shares_one_geometry(tmp_path, small_config, monkeypatch):

@@ -358,6 +358,17 @@ class TestPgm:
         assert np.all(flat[values > top] == 65535)       # clipped to maxval
         assert flat[10] == round(65535 * 10 / top)
 
+    @pytest.mark.parametrize("clip", [0.0, -5.0, 150.0, float("nan")])
+    def test_clip_outside_range_rejected(self, clip):
+        # 0 gave a saturated image and 150 failed inside np.percentile
+        with pytest.raises(ValueError, match=r"clip percent must lie in \(0, 100\]"):
+            formats.pixels_from_image(_image(), clip_percent=clip)
+
+    def test_clip_of_100_maps_the_maximum(self):
+        img = _image()
+        assert np.array_equal(formats.pixels_from_image(img, clip_percent=100.0),
+                              formats.pixels_from_image(img, scale="linear"))
+
 
 def test_sha256(tmp_path):
     p = tmp_path / "x.txt"

@@ -43,7 +43,7 @@ class TestSoftIndicator:
         # the anchor ring (mode ratio is exactly 1 there)
         src = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1, side="exterior")
         target = 2.2 * np.array([np.cos(2.0), np.sin(2.0)])
-        ui = fw.incident_field(target, src.positions[0], 3.0)
+        ui = fw.incident_field(target[None, :], src.positions[0], 3.0)[0]
         co = _coeffs([-ui], radius=2.2)
         vals, flags = ind.indicator_values(co, src, target[None, :], "soft")
         assert vals[0] <= 1e-14 * abs(ui)
@@ -56,11 +56,11 @@ class TestSoftIndicator:
         got, flags = ind.indicator_values(co, exterior_sources, pts, "soft")
         w = 2 * np.pi * 2.2 / 12
         for i, p in enumerate(pts):
-            r, th = np.hypot(*p), np.arctan2(p[1], p[0])
+            r, th = np.hypot(p[:1], p[1:]), np.arctan2(p[1:], p[:1])
             total = 0.0
             for j, z in enumerate(exterior_sources.positions):
-                u_n = ct.eval_field(co, r, th)[j]
-                total += abs(u_n + fw.incident_field(p, z, co.k))
+                u_n = ct.eval_field(co, r, th)[j, 0]
+                total += abs(u_n + fw.incident_field(p[None, :], z, co.k)[0])
             assert got[i] == pytest.approx(w * total, rel=1e-12)
             assert flags[i] == ind.FLAG_OK
 
@@ -73,9 +73,9 @@ class TestSoftIndicator:
         w = 2 * np.pi * 2.2 / 12
         for c in (2.0, 0.5):
             for i, p in enumerate(pts):
-                r, th = np.hypot(*p), np.arctan2(p[1], p[0])
-                scaled = sum(abs(c * ct.eval_field(co, r, th)[j]
-                                 + c * fw.incident_field(p, z, co.k))
+                r, th = np.hypot(p[:1], p[1:]), np.arctan2(p[1:], p[:1])
+                scaled = sum(abs(c * ct.eval_field(co, r, th)[j, 0]
+                                 + c * fw.incident_field(p[None, :], z, co.k)[0])
                              for j, z in enumerate(exterior_sources.positions))
                 assert w * scaled == pytest.approx(c * base[i], rel=1e-12)
 
@@ -111,11 +111,10 @@ class TestHardIndicator:
         j0, xi = _reference(co, exterior_sources, x)
         # brute-force argmax over per-source gradient norms
         norms = []
-        r, th = np.hypot(*x), np.arctan2(x[1], x[0])
+        r, th = np.hypot(x[:1], x[1:]), np.arctan2(x[1:], x[:1])
         g = ct.eval_gradient(co, r, th)
         for j, z in enumerate(exterior_sources.positions):
-            gj = g[j, :, 0] if g.ndim == 3 else g[j]
-            gj = gj + fw.incident_gradient(x, z, co.k)
+            gj = g[j, :, 0] + fw.incident_gradient(x[None, :], z, co.k)[0]
             norms.append(np.sqrt(abs(gj[0]) ** 2 + abs(gj[1]) ** 2))
         assert j0 == int(np.argmax(norms))
 
@@ -145,10 +144,11 @@ class TestHardIndicator:
         got, flags = ind.indicator_values(co, exterior_sources, pts, "hard")
         w = 2 * np.pi * 2.2 / 12
         for i, p in enumerate(pts):
-            r, th = np.hypot(*p), np.arctan2(p[1], p[0])
+            r, th = np.hypot(p[:1], p[1:]), np.arctan2(p[1:], p[:1])
             grads = []
             for j, z in enumerate(exterior_sources.positions):
-                gj = ct.eval_gradient(co, r, th)[j] + fw.incident_gradient(p, z, co.k)
+                gj = (ct.eval_gradient(co, r, th)[j, :, 0]
+                      + fw.incident_gradient(p[None, :], z, co.k)[0])
                 grads.append(gj)
             norms = [np.sqrt(abs(g[0]) ** 2 + abs(g[1]) ** 2) for g in grads]
             xi = grads[int(np.argmax(norms))]

@@ -262,6 +262,22 @@ class TestBenchmarkHooks:
         for module, attr, _, _ in spans.TARGETS:
             assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
+    def test_traced_run_reaches_every_span(self, tmp_path, monkeypatch):
+        # a rebound name that the pipeline no longer calls through its module
+        # would leave its span empty
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import spans
+        tracer = spans.Tracer()
+        cfg = replace(SMALL, bc="hard", wavenumbers=(3.0, 4.0), grid_nx=20, grid_ny=20,
+                      forward_nodes=128)
+        with tracer.operation(0):
+            run_scenario(cfg, tmp_path)
+        assert {s.name for s in tracer.op_spans(0)} == set(spans.TIME_METRICS)
+        counts = tracer.exact_counts(0)
+        assert counts["indicator.points"] == 2 * 20 * 20
+        # boundary data and indicator, per source and wavenumber
+        assert counts["forward.incident.points"] == 2 * 12 * (128 + 20 * 20)
+
     def test_simulate_ring_looked_up_per_k(self, tmp_path, monkeypatch):
         calls = []
         real = pipeline.simulate_ring
@@ -387,6 +403,13 @@ class TestConvergenceStudy:
             convergence_study("exterior", analysis_radius=1.5)
         with pytest.raises(ValueError):
             convergence_study("elsewhere")
+
+    @pytest.mark.parametrize("k", [-1.0, 0.0, math.inf, math.nan])
+    def test_rejects_bad_wavenumber(self, k, monkeypatch):
+        # refused before the oracle runs, with k named
+        monkeypatch.setattr(pipeline, "analytic_circle", None)
+        with pytest.raises(ValueError, match="k must be finite and positive"):
+            convergence_study("exterior", k=k)
 
 
 class TestRenderPgm:
