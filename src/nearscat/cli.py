@@ -116,7 +116,7 @@ def _cmd_reconstruct(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     results, superposed, _ = write_images(
-        outdir, [(ring, cfg.truncation_for(ring.k), shape) for _, ring, shape, cfg in jobs],
+        outdir, [(ring, cfg.truncation_order(), shape) for _, ring, shape, cfg in jobs],
         first.bc, first.grid(), first.mode_guard)
     for coeffs, _ in results:
         print(f"wrote {outdir}/indicator_k{_k_tag(coeffs.k)}.csv (N={coeffs.truncation})")

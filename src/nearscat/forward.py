@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -148,9 +148,6 @@ class RingMeasurement:
         return np.column_stack([self.radius * np.cos(self.angles),
                                 self.radius * np.sin(self.angles)])
 
-    def with_samples(self, samples: np.ndarray, noise_level: float) -> "RingMeasurement":
-        return replace(self, samples=samples, noise_level=noise_level)
-
 
 # ---------------------------------------------------------------------------
 # Incident field
@@ -171,8 +168,8 @@ def _hankel1(order: int, x: np.ndarray, j: np.ndarray | None = None) -> np.ndarr
 def _diff_to_source(x: np.ndarray, z: np.ndarray):
     d = x - z
     r = np.hypot(d[:, 0], d[:, 1])
-    if np.any(r < 1e-12):
-        raise SingularityError("evaluation point coincides with the source")
+    if np.any(r < SOURCE_ON_BOUNDARY_TOL):
+        raise SingularityError("evaluation point coincides with a source")
     return d, r
 
 

@@ -1,13 +1,16 @@
 """Parametric closed boundary curves and the rectangular imaging grid.
 
-All curves are counterclockwise, 2*pi-periodic, with closed-form first
-and second parameter derivatives (the boundary-integral quadrature needs
-exact x'' for its diagonal terms).  The built-in shapes:
+All curves are counterclockwise, 2*pi-periodic, and each component is a
+finite trigonometric series sum_j a_j cos(jt) + b_j sin(jt), so the first
+and second parameter derivatives are closed-form (the boundary-integral
+quadrature needs exact x'' for its diagonal terms).  Every shape goes
+through the one series evaluator; the built-in shapes are fixed harmonics:
 
 * ``circle``   : c + a (cos t, sin t)
 * ``kite``     : (cos t + 0.6 cos 2t - 0.3, 1.3 sin t)
 * ``starfish`` : (1 + 0.2 cos 5t)(cos t, sin t)
-* ``trig``     : both components finite trigonometric series
+                 = (cos t + 0.1 cos 4t + 0.1 cos 6t, sin t - 0.1 sin 4t + 0.1 sin 6t)
+* ``trig``     : the harmonics given in the spec
 
 Outward unit normal for a counterclockwise curve: nu = (x2', -x1')/|x'|.
 """
@@ -26,8 +29,8 @@ class ShapeSpec:
     """Description of a closed boundary shape plus its node count.
 
     ``x_cos``/``x_sin``/``y_cos``/``y_sin`` hold the trig-series harmonics
-    (index j is the coefficient of cos(j t) / sin(j t)) and are only used
-    for ``kind="trig"``.
+    (index j is the coefficient of cos(j t) / sin(j t)) of ``kind="trig"``;
+    ``center`` and ``radius`` are those of ``kind="circle"``.
     """
 
     kind: str
@@ -49,27 +52,39 @@ class ShapeSpec:
         if self.kind == "trig" and not (self.x_cos or self.x_sin or self.y_cos or self.y_sin):
             raise ValueError("trig shape needs at least one coefficient")
 
+    def harmonics(self) -> tuple[tuple[float, ...], ...]:
+        """(x_cos, x_sin, y_cos, y_sin) of the shape's trigonometric series."""
+        if self.kind == "circle":
+            (cx, cy), a = self.center, self.radius
+            return (cx, a), (), (cy,), (0.0, a)
+        return _HARMONICS.get(self.kind, (self.x_cos, self.x_sin, self.y_cos, self.y_sin))
+
+
+_HARMONICS = {
+    "kite": ((-0.3, 1.0, 0.6), (), (), (0.0, 1.3)),
+    "starfish": ((0.0, 1.0, 0.0, 0.0, 0.1, 0.0, 0.1), (), (),
+                 (0.0, 1.0, 0.0, 0.0, -0.1, 0.0, 0.1)),
+}
+
+
+# d^n/dt^n of a cos(jt) and b sin(jt) is sign * j^n * fn(jt) times a or b
+_TERMS = {0: ((1.0, np.cos), (1.0, np.sin)),
+          1: ((-1.0, np.sin), (1.0, np.cos)),
+          2: ((-1.0, np.cos), (-1.0, np.sin))}
+
 
 def _trig_eval(coeffs_cos, coeffs_sin, t, deriv):
+    """Series sum_j a_j cos(jt) + b_j sin(jt), or its first or second derivative.
+
+    The j >= 1 terms go in ascending j, cosines before sines, and the
+    constant a_0 last."""
     out = np.zeros_like(t)
-    for j, a in enumerate(coeffs_cos):
-        if a == 0.0:
-            continue
-        if deriv == 0:
-            out += a * np.cos(j * t)
-        elif deriv == 1:
-            out += -a * j * np.sin(j * t)
-        else:
-            out += -a * j * j * np.cos(j * t)
-    for j, b in enumerate(coeffs_sin):
-        if b == 0.0:
-            continue
-        if deriv == 0:
-            out += b * np.sin(j * t)
-        elif deriv == 1:
-            out += b * j * np.cos(j * t)
-        else:
-            out += -b * j * j * np.sin(j * t)
+    for coeffs, (sign, fn) in zip((coeffs_cos, coeffs_sin), _TERMS[deriv]):
+        for j, a in enumerate(coeffs[1:], start=1):
+            if a != 0.0:
+                out += sign * a * j ** deriv * fn(j * t)
+    if deriv == 0 and coeffs_cos and coeffs_cos[0] != 0.0:
+        out += coeffs_cos[0]
     return out
 
 
@@ -92,40 +107,9 @@ class BoundaryCurve:
 
     def _eval(self, t, deriv: int) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        kind = self.spec.kind
-        if kind == "circle":
-            a = self.spec.radius
-            cx, cy = self.spec.center
-            c, s = np.cos(t), np.sin(t)
-            if deriv == 0:
-                return np.column_stack([cx + a * c, cy + a * s])
-            if deriv == 1:
-                return np.column_stack([-a * s, a * c])
-            return np.column_stack([-a * c, -a * s])
-        if kind == "kite":
-            if deriv == 0:
-                return np.column_stack([np.cos(t) + 0.6 * np.cos(2 * t) - 0.3,
-                                        1.3 * np.sin(t)])
-            if deriv == 1:
-                return np.column_stack([-np.sin(t) - 1.2 * np.sin(2 * t),
-                                        1.3 * np.cos(t)])
-            return np.column_stack([-np.cos(t) - 2.4 * np.cos(2 * t),
-                                    -1.3 * np.sin(t)])
-        if kind == "starfish":
-            r = 1.0 + 0.2 * np.cos(5 * t)
-            rp = -np.sin(5 * t)
-            rpp = -5.0 * np.cos(5 * t)
-            c, s = np.cos(t), np.sin(t)
-            if deriv == 0:
-                return np.column_stack([r * c, r * s])
-            if deriv == 1:
-                return np.column_stack([rp * c - r * s, rp * s + r * c])
-            return np.column_stack([rpp * c - 2 * rp * s - r * c,
-                                    rpp * s + 2 * rp * c - r * s])
-        # trig series
-        sp = self.spec
-        return np.column_stack([_trig_eval(sp.x_cos, sp.x_sin, t, deriv),
-                                _trig_eval(sp.y_cos, sp.y_sin, t, deriv)])
+        x_cos, x_sin, y_cos, y_sin = self.spec.harmonics()
+        return np.column_stack([_trig_eval(x_cos, x_sin, t, deriv),
+                                _trig_eval(y_cos, y_sin, t, deriv)])
 
     def position(self, t) -> np.ndarray:
         return self._eval(t, 0)

@@ -36,12 +36,11 @@ import numpy as np
 
 from .continuation import (ModeCoefficients, RadialTables, eval_field, eval_gradient,
                            radial_tables)
-from .forward import SourceSet, incident_field, incident_gradient
+from .forward import SourceSet, _diff_to_source, incident_field, incident_gradient
 from .geometry import ImagingGrid
 
 RECIPROCAL_FLOOR = 1e-12
 DEGENERATE_GRADIENT = 1e-14
-_MIN_SOURCE_DIST = 1e-9
 _MIN_RADIUS = 1e-12
 # Points per evaluation block.  A multiple of 64, so that each block's matrix
 # products round like the same columns of one product over every point (a
@@ -74,12 +73,6 @@ def _polar(points: np.ndarray):
     return r, theta
 
 
-def _check_sources(sources: SourceSet, points: np.ndarray):
-    d = points[:, None, :] - sources.positions[None, :, :]
-    if d.size and np.hypot(d[..., 0], d[..., 1]).min() < _MIN_SOURCE_DIST:
-        raise ValueError("a grid point coincides with a source location")
-
-
 def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
                      points: np.ndarray, kind: str):
     """Raw indicator values and flags at (P, 2) points; (P,), (P,) uint8.
@@ -93,7 +86,8 @@ def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
         raise ValueError("coefficient rows do not match the source count")
     r, theta = _polar(points)
     ok = r >= _MIN_RADIUS
-    _check_sources(sources, points[~ok])       # the origin is in no block
+    for p in points[~ok]:      # the origin is in no block and gets no incident term
+        _diff_to_source(sources.positions, p)
     values = np.zeros(points.shape[0])
     flags = np.full(points.shape[0], FLAG_DEGENERATE, dtype=np.uint8)
     live = np.flatnonzero(ok)
@@ -101,10 +95,8 @@ def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
     for start in range(0, live.size, BLOCK_POINTS):
         blk = slice(start, start + BLOCK_POINTS)
         idx = live[blk]
-        sub = points[idx]
-        _check_sources(sources, sub)
         values[idx], flags[idx] = _block_values(
-            coeffs, sources, sub, tables._replace(inverse=tables.inverse[blk]), kind)
+            coeffs, sources, points[idx], tables._replace(inverse=tables.inverse[blk]), kind)
     return values, flags
 
 

@@ -113,7 +113,9 @@ class ScenarioConfig:
         try:
             self.shape_spec().validate()
             NoiseSpec(level=self.delta, seed=self.seed).validate()
-            n = self._truncation()
+            n = self.truncation
+            if n is None:
+                n = ct.truncation_order(self.delta, self.side)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.source_count < 1:
@@ -138,11 +140,6 @@ class ScenarioConfig:
                 f"truncation {n} needs {2 * n + 1} receivers, have {self.receiver_count}")
         if not self.mode_guard >= 0.0:
             raise ConfigError(f"mode_guard must be >= 0, got {self.mode_guard}")
-
-    def _truncation(self) -> int:
-        if self.truncation is not None:
-            return self.truncation
-        return ct.truncation_order(self.delta, self.side)
 
     # -- geometry builders ---------------------------------------------------
 
@@ -169,10 +166,13 @@ class ScenarioConfig:
         return imaging_grid(cfg.grid_xmin, cfg.grid_xmax, cfg.grid_ymin,
                             cfg.grid_ymax, cfg.grid_nx, cfg.grid_ny, exclusion=excl)
 
-    def truncation_for(self, k: float) -> int:
-        """Truncation N at wavenumber k: ``truncation``, else the noise rule."""
+    def truncation_order(self) -> int:
+        """Truncation N: ``truncation``, else the noise rule for ``delta``;
+        ConfigError unless the config can run."""
         self.validate()
-        return self._truncation()
+        if self.truncation is not None:
+            return self.truncation
+        return ct.truncation_order(self.delta, self.side)
 
     # -- flat text form --------------------------------------------------------
 
@@ -351,7 +351,7 @@ def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
     rings = [add_noise(ring, NoiseSpec(level=cfg.delta, seed=cfg.seed)) for ring in rings]
     files = {path.name: path for path in (_write_ring(out, ring, cfg) for ring in rings)}
     results, superposed, image_files = write_images(
-        out, [(ring, cfg.truncation_for(ring.k), cfg.shape) for ring in rings],
+        out, [(ring, cfg.truncation_order(), cfg.shape) for ring in rings],
         cfg.bc, grid, cfg.mode_guard)
     files.update(image_files)
     images = {coeffs.k: raw for coeffs, raw in results}
@@ -457,15 +457,9 @@ class RateReport:
     gap: float
     rates: tuple[float, float, float]
     predicted_exponent: float
-    clean_orders: np.ndarray
-    clean_errors: np.ndarray
     fitted_ratio: float
-    clean_fit_residual: float
-    noise_deltas: tuple[float, ...]
     noise_orders: tuple[int, ...]
-    noise_errors: np.ndarray          # (n_delta, n_seed)
     fitted_exponent: float
-    noise_fit_residual: float
     noise_rule: str
 
     @property
@@ -558,10 +552,7 @@ def convergence_study(side: str, *, analysis_radius: float | None = None,
 
     orders = np.array(list(clean_orders), dtype=int)
     clean_errors = np.array([boundary_error(ring, n) for n in orders])
-    slope, intercept = np.polyfit(orders, np.log(clean_errors), 1)
-    resid_c = float(np.sqrt(np.mean(
-        (np.log(clean_errors) - (slope * orders + intercept)) ** 2)))
-    fitted_ratio = float(np.exp(-slope))
+    fitted_ratio = float(np.exp(-np.polyfit(orders, np.log(clean_errors), 1)[0]))
 
     noise_orders = tuple(rule(d) for d in deltas)
     errors = np.zeros((len(deltas), len(seeds)))
@@ -570,20 +561,12 @@ def convergence_study(side: str, *, analysis_radius: float | None = None,
             noisy = add_noise(ring, NoiseSpec(level=d, seed=s))
             errors[i, j] = boundary_error(noisy, noise_orders[i])
     med = np.median(errors, axis=1)
-    if len(deltas) >= 2:
-        nslope, nintercept = np.polyfit(np.log(deltas), np.log(med), 1)
-        resid_n = float(np.sqrt(np.mean(
-            (np.log(med) - (nslope * np.log(deltas) + nintercept)) ** 2)))
-    else:
-        nslope, resid_n = math.nan, math.nan
+    nslope = np.polyfit(np.log(deltas), np.log(med), 1)[0] if len(deltas) >= 2 else math.nan
 
     return RateReport(side=side, obstacle_radius=a, measurement_radius=meas,
                       analysis_radius=anchor, gap=gap, rates=(r1, r2, r3),
-                      predicted_exponent=exponent, clean_orders=orders,
-                      clean_errors=clean_errors, fitted_ratio=fitted_ratio,
-                      clean_fit_residual=resid_c, noise_deltas=tuple(deltas),
-                      noise_orders=noise_orders, noise_errors=errors,
-                      fitted_exponent=float(nslope), noise_fit_residual=resid_n,
+                      predicted_exponent=exponent, fitted_ratio=fitted_ratio,
+                      noise_orders=noise_orders, fitted_exponent=float(nslope),
                       noise_rule=noise_rule)
 
 

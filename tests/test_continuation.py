@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,9 +124,10 @@ class TestEvalField:
         ring = oracle_ring_single_source
         u1 = ring.samples[0]
         u2 = np.exp(3j * ring.angles) * 0.7
-        both = ct.compute_coefficients(ring.with_samples((u1 + u2)[None, :], 0.0), 6)
-        a = ct.compute_coefficients(ring.with_samples(u1[None, :], 0.0), 6)
-        b = ct.compute_coefficients(ring.with_samples(u2[None, :], 0.0), 6)
+        both = ct.compute_coefficients(
+            replace(ring, samples=(u1 + u2)[None, :], noise_level=0.0), 6)
+        a = ct.compute_coefficients(replace(ring, samples=u1[None, :], noise_level=0.0), 6)
+        b = ct.compute_coefficients(replace(ring, samples=u2[None, :], noise_level=0.0), 6)
         r, th = 1.7, 0.9
         got = _at(ct.eval_field, both, r, th)[0]
         want = _at(ct.eval_field, a, r, th)[0] + _at(ct.eval_field, b, r, th)[0]

@@ -11,6 +11,34 @@ KITE_TRIG = ShapeSpec(kind="trig", x_cos=(-0.3, 1.0, 0.6), y_sin=(0.0, 1.3),
                       n_nodes=64)
 
 
+def circle_reference(t, a, cx, cy):
+    """Circle c + a (cos t, sin t): points, x' and x'' by the closed form."""
+    c, s = np.cos(t), np.sin(t)
+    return (np.column_stack([cx + a * c, cy + a * s]),
+            np.column_stack([-a * s, a * c]),
+            np.column_stack([-a * c, -a * s]))
+
+
+def kite_reference(t):
+    """Kite (cos t + 0.6 cos 2t - 0.3, 1.3 sin t) by the closed form."""
+    return (np.column_stack([np.cos(t) + 0.6 * np.cos(2 * t) - 0.3, 1.3 * np.sin(t)]),
+            np.column_stack([-np.sin(t) - 1.2 * np.sin(2 * t), 1.3 * np.cos(t)]),
+            np.column_stack([-np.cos(t) - 2.4 * np.cos(2 * t), -1.3 * np.sin(t)]))
+
+
+def starfish_reference(t):
+    """Starfish r(t) (cos t, sin t), r = 1 + 0.2 cos 5t, by the product rule."""
+    r, rp, rpp = 1.0 + 0.2 * np.cos(5 * t), -np.sin(5 * t), -5.0 * np.cos(5 * t)
+    c, s = np.cos(t), np.sin(t)
+    return (np.column_stack([r * c, r * s]),
+            np.column_stack([rp * c - r * s, rp * s + r * c]),
+            np.column_stack([rpp * c - 2 * rp * s - r * c, rpp * s + 2 * rp * c - r * s]))
+
+
+def node_arrays(curve):
+    return curve.points, curve.tangents, curve.seconds
+
+
 def polygon_area(curve) -> float:
     """Signed shoelace area of the node polygon (positive = counterclockwise)."""
     x, y = curve.points[:, 0], curve.points[:, 1]
@@ -39,8 +67,29 @@ class TestShapes:
     def test_trig_series_matches_kite(self):
         kite = make_curve(ShapeSpec(kind="kite", n_nodes=64))
         trig = make_curve(KITE_TRIG)
-        assert np.allclose(trig.points, kite.points, atol=1e-14)
-        assert np.allclose(trig.seconds, kite.seconds, atol=1e-13)
+        for got, want in zip(node_arrays(trig), node_arrays(kite)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_nodes", [64, 512])
+    @pytest.mark.parametrize("radius,center", [(1.0, (0.0, 0.0)), (0.7, (0.3, -0.2))])
+    def test_circle_matches_closed_form(self, n_nodes, radius, center):
+        # bit for bit; array_equal lets zeros differ in sign
+        c = make_curve(ShapeSpec(kind="circle", radius=radius, center=center,
+                                 n_nodes=n_nodes))
+        for got, want in zip(node_arrays(c), circle_reference(c.t, radius, *center)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_nodes", [64, 512])
+    def test_kite_matches_closed_form(self, n_nodes):
+        c = make_curve(ShapeSpec(kind="kite", n_nodes=n_nodes))
+        for got, want in zip(node_arrays(c), kite_reference(c.t)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_nodes", [64, 512])
+    def test_starfish_matches_product_form(self, n_nodes):
+        c = make_curve(ShapeSpec(kind="starfish", n_nodes=n_nodes))
+        for got, want in zip(node_arrays(c), starfish_reference(c.t)):
+            assert np.abs(got - want).max() <= 1e-13
 
     def test_analytic_derivatives_match_finite_differences(self):
         for kind in ("circle", "kite", "starfish"):

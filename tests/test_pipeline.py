@@ -58,13 +58,13 @@ class TestConfig:
     def test_clean_data_needs_truncation(self):
         cfg = ScenarioConfig(delta=0.0)
         with pytest.raises(ValueError):
-            cfg.truncation_for(3.0)
-        assert ScenarioConfig(delta=0.0, truncation=9).truncation_for(3.0) == 9
+            cfg.truncation_order()
+        assert ScenarioConfig(delta=0.0, truncation=9).truncation_order() == 9
 
     def test_nyquist_guard(self):
         cfg = ScenarioConfig(delta=0.05, truncation=20, receiver_count=32)
         with pytest.raises(ValueError):
-            cfg.truncation_for(3.0)
+            cfg.truncation_order()
         with pytest.raises(ConfigError, match="41 receivers"):
             cfg.resolved()
 
@@ -245,7 +245,7 @@ class TestReconstruct:
         result = run_scenario(SMALL, tmp_path)
         ring, _ = formats.read_ring_csv(result.files["ring_k3.csv"])
         cfg = SMALL.resolved()
-        coeffs, image = reconstruct(ring, cfg.bc, cfg.grid(), cfg.truncation_for(3.0))
+        coeffs, image = reconstruct(ring, cfg.bc, cfg.grid(), cfg.truncation_order())
         assert coeffs.truncation == result.truncation_by_k[3.0]
         assert image.state == "raw" and image.kind == "soft"
         np.testing.assert_array_equal(image.values, result.images[3.0].values)
