@@ -9,8 +9,8 @@ boundary-integral forward solver and an analytic circle oracle for data
 synthesis and verification.
 """
 
-from .continuation import (ModeCoefficients, compute_coefficients, eval_field,
-                           guard_interior_modes, truncation_order)
+from .continuation import (ModeCoefficients, compute_coefficients, eval_field, radial_tables,
+                           truncation_order)
 from .forward import RingMeasurement, SourceSet, analytic_circle, simulate_ring
 from .geometry import BoundaryCurve, ImagingGrid, ShapeSpec, imaging_grid, make_curve
 from .indicator import (IndicatorImage, indicator_hard, indicator_soft, normalize,
@@ -25,8 +25,8 @@ __all__ = [
     "BoundaryCurve", "ImagingGrid", "IndicatorImage", "ModeCoefficients", "NoiseSpec",
     "RateReport", "RayReport", "RingMeasurement", "ScenarioConfig", "ShapeSpec",
     "SourceSet", "add_noise", "analytic_circle", "compute_coefficients",
-    "convergence_study", "eval_field", "guard_interior_modes", "imaging_grid",
-    "indicator_hard", "indicator_soft", "make_curve", "normalize",
-    "radial_boundary_error", "reciprocal", "reconstruct", "render_pgm", "run_scenario",
+    "convergence_study", "eval_field", "imaging_grid", "indicator_hard",
+    "indicator_soft", "make_curve", "normalize", "radial_boundary_error",
+    "radial_tables", "reciprocal", "reconstruct", "render_pgm", "run_scenario",
     "simulate_ring", "superpose_multifrequency", "truncation_order",
 ]

@@ -16,19 +16,20 @@ the C_{-n}/C_{-n} ratios never see the (-1)^n factors.  The radial factor
 depends on |x| alone, so the cylinder functions are evaluated once per
 distinct radius (a fraction of the points on a Cartesian grid) and
 gathered to the points; the values are those of a per-point evaluation,
-bit for bit.  ``radial_tables`` builds them once for a whole evaluation,
-and ``eval_field`` and ``eval_gradient`` take them to serve one block of
-its points at a time.  Both take the points as (P,) arrays of r and theta
-and return (n_src, P) values or (n_src, 2, P) gradients.
+bit for bit.  ``radial_tables`` builds them once for a whole evaluation
+and is the one check of the radius floor; ``eval_field`` and
+``eval_gradient`` require them and serve one block of their points at a
+time, given as a (P,) array of theta (and of r for the gradient), and
+return (n_src, P) values or (n_src, 2, P) gradients.
 
 The interior ratio J_n(k r)/J_n(k R) blows up whenever k R sits near a
-zero of J_n; ``guard_interior_modes`` zeroes and flags such modes.
+zero of J_n; ``compute_coefficients`` zeroes and flags such modes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +38,7 @@ from . import cylfun
 from .forward import RingMeasurement
 
 DEFAULT_MODE_GUARD = 1e-8
-_MIN_RADIUS = 1e-12
+MIN_RADIUS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,14 +82,15 @@ def truncation_order(delta: float, side: str) -> int:
     return int(math.floor(scale * abs(math.log(delta)))) + 1
 
 
-def compute_coefficients(ring: RingMeasurement, truncation: int) -> ModeCoefficients:
+def compute_coefficients(ring: RingMeasurement, truncation: int,
+                         mode_guard: float = DEFAULT_MODE_GUARD) -> ModeCoefficients:
     """Discrete Fourier coefficients of the ring samples for n = -N..N.
 
     Plain DFT sums (trapezoid rule on the equispaced receivers); requires
-    scattered-field samples and 2N+1 <= number of receivers.
+    2N+1 <= number of receivers.  On the interior side, modes whose anchor
+    denominator |J_n(kR)| < mode_guard are zeroed and flagged; the exterior
+    side excludes none.
     """
-    if ring.field_kind != "scattered":
-        raise ValueError("ring must hold the scattered field, not total")
     m_rec = ring.n_receivers
     if 2 * truncation + 1 > m_rec:
         raise ValueError(
@@ -100,21 +102,13 @@ def compute_coefficients(ring: RingMeasurement, truncation: int) -> ModeCoeffici
     orders = np.arange(-truncation, truncation + 1)
     basis = np.exp(-1j * np.outer(orders, ring.angles))      # (2N+1, M)
     values = ring.samples @ basis.T / m_rec
+    excluded = np.zeros(2 * truncation + 1, dtype=bool)
+    if ring.side == "interior":
+        denom = cylfun.bessel_j_all(truncation, ring.k * ring.radius)
+        excluded = np.abs(denom[np.abs(orders)]) < mode_guard
+        values = np.where(excluded[None, :], 0.0, values)
     return ModeCoefficients(values=values, anchor_radius=ring.radius, k=ring.k,
-                            side=ring.side, truncation=truncation,
-                            excluded=np.zeros(2 * truncation + 1, dtype=bool))
-
-
-def guard_interior_modes(coeffs: ModeCoefficients,
-                         threshold: float = DEFAULT_MODE_GUARD) -> ModeCoefficients:
-    """Zero and flag interior modes whose anchor denominator |J_n(kR)| < threshold."""
-    if coeffs.side != "interior":
-        raise ValueError("mode guard applies to the interior side only")
-    n_abs = np.abs(coeffs.orders)
-    denom = cylfun.bessel_j_all(coeffs.truncation, coeffs.k * coeffs.anchor_radius)
-    excluded = np.abs(denom[n_abs]) < threshold
-    values = np.where(excluded[None, :], 0.0, coeffs.values)
-    return replace(coeffs, values=values, excluded=excluded)
+                            side=ring.side, truncation=truncation, excluded=excluded)
 
 
 def outside_validity_strip(coeffs: ModeCoefficients, r) -> np.ndarray:
@@ -152,11 +146,14 @@ def radial_tables(coeffs: ModeCoefficients, r, with_deriv: bool) -> RadialTables
     an evaluation and serve blocks from them: the Miller recurrence picks
     its start order from the largest argument of the call, so tables built
     per block could differ in the last bits.  Excluded modes are zeroed here
-    so every evaluation path honors the guard.
+    so every evaluation path honors the guard.  ValueError for a radius
+    below MIN_RADIUS.
     """
     n_top = coeffs.truncation
     k = coeffs.k
     radii, inverse = np.unique(r, return_inverse=True)
+    if np.any(radii < MIN_RADIUS):
+        raise ValueError("radius below 1e-12")
     kr = k * radii
     ka = k * coeffs.anchor_radius
     if coeffs.side == "exterior":
@@ -180,34 +177,23 @@ def radial_tables(coeffs: ModeCoefficients, r, with_deriv: bool) -> RadialTables
     return RadialTables(ratio, deriv, inverse)
 
 
-def _point_tables(coeffs: ModeCoefficients, r: np.ndarray,
-                  tables: RadialTables | None, with_deriv: bool):
-    """``tables`` (built here from ``r`` when None) gathered to the points:
-    ratio and deriv, each (2N+1, P) or None."""
-    if np.any(r < _MIN_RADIUS):
-        raise ValueError("radius below 1e-12")
-    if tables is None:
-        tables = radial_tables(coeffs, r, with_deriv)
-    ratio, deriv, inverse = tables
-    return ratio[:, inverse], None if deriv is None else deriv[:, inverse]
-
-
-def eval_field(coeffs: ModeCoefficients, r: np.ndarray, theta: np.ndarray,
-               tables: RadialTables | None = None) -> np.ndarray:
-    """Continued field u_N at the polar points given by the (P,) arrays
-    ``r`` and ``theta``; (n_src, P).
+def eval_field(coeffs: ModeCoefficients, theta: np.ndarray,
+               tables: RadialTables) -> np.ndarray:
+    """Continued field u_N at the (P,) polar angles ``theta`` of the points
+    whose radii ``tables`` (from ``radial_tables``, ``inverse`` covering
+    these points) were built on; (n_src, P).
 
     At r = anchor this is exactly the order-N Fourier partial sum of the
-    ring data.  ``tables`` are ``radial_tables`` whose ``inverse`` covers
-    these points; without them they are built from ``r``.
+    ring data.
     """
-    modes, _ = _point_tables(coeffs, r, tables, with_deriv=False)
+    ratio, _, inverse = tables
+    modes = ratio[:, inverse]
     modes *= np.exp(1j * np.outer(coeffs.orders, theta))     # (2N+1, P)
     return coeffs.values @ modes
 
 
 def eval_gradient(coeffs: ModeCoefficients, r: np.ndarray, theta: np.ndarray,
-                  tables: RadialTables | None = None) -> np.ndarray:
+                  tables: RadialTables) -> np.ndarray:
     """Cartesian gradient of the continued field at (P,) polar points;
     (n_src, 2, P).
 
@@ -217,7 +203,8 @@ def eval_gradient(coeffs: ModeCoefficients, r: np.ndarray, theta: np.ndarray,
     formed, and both components are written into one output array.
     ``tables`` are as in ``eval_field``, built with ``with_deriv=True``.
     """
-    ratio, dratio = _point_tables(coeffs, r, tables, with_deriv=True)
+    ratio, dratio, inverse = tables
+    ratio, dratio = ratio[:, inverse], dratio[:, inverse]
     # not exp(..., out=...): in place, the malloc heap layout it leaves raised
     # the peak resident memory of the 300^2 cavity benchmark by 16 MB
     phases = np.exp(1j * np.outer(coeffs.orders, theta))

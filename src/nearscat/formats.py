@@ -14,8 +14,9 @@ naming the row, for a repeated grid point or (source, receiver) pair, a
 point outside the grid or an index out of range, a row at a masked grid
 point, a non-integer index or flag, and ring rows of one receiver that
 disagree on its theta; missing rows are rejected too, and so is a header
-without a key the reader needs (named in the error).  A PGM must hold
-exactly nx*ny pixels, each in 0..maxval.
+without a key the reader needs or with a value that does not parse (the
+key named in the error), and a ring file whose field is not `scattered`.
+A PGM must hold exactly nx*ny pixels, each in 0..maxval.
 """
 
 from __future__ import annotations
@@ -80,6 +81,19 @@ def _read_table(path, fmt: str, dtype: np.dtype, required) -> tuple[dict, np.nda
     return meta, rows
 
 
+def _header_value(path, meta: dict, key: str, convert=float, count: int | None = 1):
+    """Header value ``key`` as ``count`` space-separated ``convert`` values:
+    the value itself for 1, a tuple otherwise, of any length for None.
+    ValueError naming the file and the key when it does not parse."""
+    try:
+        values = tuple(convert(v) for v in meta[key].split())
+    except ValueError:
+        values = None
+    if values is None or count is not None and len(values) != count:
+        raise ValueError(f"{path}: cannot parse header value {key}={meta[key]!r}")
+    return values[0] if count == 1 else values
+
+
 def _reject(path, rows: np.ndarray, bad: np.ndarray, why: str) -> None:
     """Raise ValueError naming the first data row where `bad` holds."""
     if bad.any():
@@ -112,7 +126,7 @@ def write_ring_csv(path, ring: RingMeasurement, extra: dict | None = None) -> No
         "format": "nearscat-ring-1",
         "k": repr(ring.k),
         "side": ring.side,
-        "field": ring.field_kind,
+        "field": "scattered",
         "ring_radius": repr(ring.radius),
         "n_receivers": ring.n_receivers,
         "n_sources": ring.sources.count,
@@ -134,10 +148,12 @@ def write_ring_csv(path, ring: RingMeasurement, extra: dict | None = None) -> No
 
 def read_ring_csv(path) -> tuple[RingMeasurement, dict]:
     meta, rows = _read_table(path, "nearscat-ring-1", _RING_ROW, _RING_KEYS)
-    n_src = int(meta["n_sources"])
-    n_rec = int(meta["n_receivers"])
-    cx, cy = (float(v) for v in meta["source_center"].split())
-    sources = SourceSet(center=(cx, cy), radius=float(meta["source_radius"]),
+    if meta["field"] != "scattered":
+        raise ValueError(f"{path}: field={meta['field']}, expected the scattered field")
+    n_src = _header_value(path, meta, "n_sources", int)
+    n_rec = _header_value(path, meta, "n_receivers", int)
+    sources = SourceSet(center=_header_value(path, meta, "source_center", count=2),
+                        radius=_header_value(path, meta, "source_radius"),
                         count=n_src, side=meta["side"])
     if rows.size != n_src * n_rec:
         raise ValueError(f"{path}: expected {n_src * n_rec} rows, found {rows.size}")
@@ -153,9 +169,9 @@ def read_ring_csv(path) -> tuple[RingMeasurement, dict]:
     samples = np.zeros((n_src, n_rec), dtype=complex)
     samples.real[j, m] = rows["re"]
     samples.imag[j, m] = rows["im"]
-    ring = RingMeasurement(radius=float(meta["ring_radius"]), angles=angles,
-                           k=float(meta["k"]), samples=samples,
-                           field_kind=meta["field"], noise_level=float(meta["delta"]),
+    ring = RingMeasurement(radius=_header_value(path, meta, "ring_radius"), angles=angles,
+                           k=_header_value(path, meta, "k"), samples=samples,
+                           noise_level=_header_value(path, meta, "delta"),
                            side=meta["side"], sources=sources)
     return ring, meta
 
@@ -207,11 +223,11 @@ def read_grid_csv(path) -> IndicatorImage:
     meta, rows = _read_table(path, "nearscat-grid-1", _GRID_ROW, _GRID_KEYS)
     exclusion = None
     if "exclusion" in meta:
-        cx, cy, rad = (float(v) for v in meta["exclusion"].split())
+        cx, cy, rad = _header_value(path, meta, "exclusion", count=3)
         exclusion = ((cx, cy), rad)
-    grid = imaging_grid(float(meta["xmin"]), float(meta["xmax"]),
-                        float(meta["ymin"]), float(meta["ymax"]),
-                        int(meta["nx"]), int(meta["ny"]), exclusion=exclusion)
+    bounds = [_header_value(path, meta, key) for key in ("xmin", "xmax", "ymin", "ymax")]
+    grid = imaging_grid(*bounds, _header_value(path, meta, "nx", int),
+                        _header_value(path, meta, "ny", int), exclusion=exclusion)
     # Nearest node, rounding half to even as in ImagingGrid.index_of.
     ix = np.rint((rows["x"] - grid.xmin) / grid.spacing_x)
     iy = np.rint((grid.ymax - rows["y"]) / grid.spacing_y)
@@ -230,7 +246,7 @@ def read_grid_csv(path) -> IndicatorImage:
     flags[idx] = flag
     if np.any(np.isnan(values[~grid.mask])):
         raise ValueError(f"{path}: missing rows or NaN values for unmasked grid points")
-    ks = tuple(float(v) for v in meta["wavenumbers"].split())
+    ks = _header_value(path, meta, "wavenumbers", count=None)
     return IndicatorImage(grid=grid, values=values, kind=meta["kind"],
                           wavenumbers=ks, state=meta["state"], flags=flags)
 

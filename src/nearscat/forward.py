@@ -133,8 +133,7 @@ class RingMeasurement:
     radius: float
     angles: np.ndarray           # (n_rec,)
     k: float
-    samples: np.ndarray          # (n_src, n_rec) complex
-    field_kind: str              # "scattered" | "total"
+    samples: np.ndarray          # (n_src, n_rec) complex, the scattered field
     noise_level: float
     side: str
     sources: SourceSet
@@ -350,8 +349,6 @@ class DensitySolution:
     representation: str
     condition_estimate: float
     system_residual: float
-    bc: str
-    side: str
     k: float
 
 
@@ -410,8 +407,7 @@ def solve_densities(curve: BoundaryCurve, bc: str, side: str, k: float,
     phi = sla.lu_solve(lu_piv, rhs.T).T
     res = np.linalg.norm(phi @ a.T - rhs, axis=1) / np.linalg.norm(rhs, axis=1)
     return DensitySolution(density=phi, representation=representation,
-                           condition_estimate=cond, system_residual=float(res.max()),
-                           bc=bc, side=side, k=k)
+                           condition_estimate=cond, system_residual=float(res.max()), k=k)
 
 
 def evaluate_scattered(curve: BoundaryCurve, sol: DensitySolution, points) -> np.ndarray:
@@ -450,7 +446,7 @@ def simulate_ring(curve: BoundaryCurve, bc: str, side: str, k: float,
     if not np.all(np.isfinite(samples)):
         raise RuntimeError("forward solve produced non-finite ring samples")
     return RingMeasurement(radius=float(ring_radius), angles=angles, k=float(k),
-                           samples=samples, field_kind="scattered", noise_level=0.0,
+                           samples=samples, noise_level=0.0,
                            side=side, sources=sources)
 
 

@@ -34,14 +34,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuation import (ModeCoefficients, RadialTables, eval_field, eval_gradient,
-                           radial_tables)
+from .continuation import (MIN_RADIUS, ModeCoefficients, RadialTables, eval_field,
+                           eval_gradient, radial_tables)
 from .forward import SourceSet, _diff_to_source, incident_field, incident_gradient
 from .geometry import ImagingGrid
 
 RECIPROCAL_FLOOR = 1e-12
 DEGENERATE_GRADIENT = 1e-14
-_MIN_RADIUS = 1e-12
 # Points per evaluation block.  A multiple of 64, so that each block's matrix
 # products round like the same columns of one product over every point (a
 # 97-point block changed the last bit of some values).
@@ -85,7 +84,7 @@ def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
     if coeffs.n_sources != sources.count:
         raise ValueError("coefficient rows do not match the source count")
     r, theta = _polar(points)
-    ok = r >= _MIN_RADIUS
+    ok = r >= MIN_RADIUS
     for p in points[~ok]:      # the origin is in no block and gets no incident term
         _diff_to_source(sources.positions, p)
     values = np.zeros(points.shape[0])
@@ -106,7 +105,7 @@ def _block_values(coeffs: ModeCoefficients, sources: SourceSet, points: np.ndarr
     ``eval_field``.  Everything formed here is freed before the next block."""
     weight = 2.0 * np.pi * sources.radius / sources.count
     if kind == "soft":
-        total = eval_field(coeffs, *_polar(points), tables)     # (n_src, B)
+        total = eval_field(coeffs, _polar(points)[1], tables)   # (n_src, B)
         for j, z in enumerate(sources.positions):
             total[j] += incident_field(points, z, coeffs.k)
         return weight * np.abs(total).sum(axis=0), FLAG_OK
@@ -126,7 +125,7 @@ def _block_values(coeffs: ModeCoefficients, sources: SourceSet, points: np.ndarr
 
 
 def _reference_gradients(coeffs: ModeCoefficients, sources: SourceSet,
-                         points: np.ndarray, tables: RadialTables | None = None):
+                         points: np.ndarray, tables: RadialTables):
     """Continued total-field gradients at (P, 2) points, their norms and the
     reference source per point (argmax norm, lowest index on ties);
     shapes (n_src, 2, P), (n_src, P), (P,).  ``tables`` as in ``eval_gradient``."""

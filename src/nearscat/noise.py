@@ -33,6 +33,8 @@ class NoiseSpec:
     def validate(self) -> None:
         if not 0.0 <= self.level < 1.0:
             raise ValueError(f"noise level {self.level} outside [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be >= 0, got {self.seed}")
 
 
 def _source_rng(seed: int, source_index: int) -> np.random.Generator:
@@ -43,8 +45,6 @@ def _source_rng(seed: int, source_index: int) -> np.random.Generator:
 def add_noise(ring: RingMeasurement, spec: NoiseSpec) -> RingMeasurement:
     """Apply the multiplicative perturbation; delta = 0 is a bit-identical copy."""
     spec.validate()
-    if ring.field_kind != "scattered":
-        raise ValueError("noise applies to scattered-field rings")
     if spec.level == 0.0:
         return replace(ring, samples=ring.samples.copy(), noise_level=0.0)
     noisy = np.empty_like(ring.samples)

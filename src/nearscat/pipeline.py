@@ -223,9 +223,14 @@ def _value_type(key: str) -> type:
 
 def _parse_value(key: str, value: str):
     convert = _value_type(key)
-    if typing.get_origin(_FIELD_TYPES[key]) is tuple:
-        return tuple(convert(v) for v in value.split(",")) if value else ()
-    return convert(value)
+    many = typing.get_origin(_FIELD_TYPES[key]) is tuple
+    try:
+        if many:
+            return tuple(convert(v) for v in value.split(",")) if value else ()
+        return convert(value)
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: cannot parse {value!r} as "
+                          f"{'comma-separated ' if many else ''}{convert.__name__}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +256,6 @@ def _k_tag(k: float) -> str:
     return tag if float(tag) == k else repr(k)
 
 
-def _coefficients(ring: RingMeasurement, truncation: int,
-                  mode_guard: float = ct.DEFAULT_MODE_GUARD) -> ct.ModeCoefficients:
-    """Ring Fourier coefficients up to order N, mode-guarded on the interior side."""
-    coeffs = ct.compute_coefficients(ring, truncation)
-    if ring.side == "interior":
-        coeffs = ct.guard_interior_modes(coeffs, mode_guard)
-    return coeffs
-
-
 def reconstruct(ring: RingMeasurement, bc: str, grid: ImagingGrid, truncation: int,
                 mode_guard: float = ct.DEFAULT_MODE_GUARD):
     """One wavenumber's imaging step on ``ring``: the Fourier coefficients up
@@ -267,7 +263,7 @@ def reconstruct(ring: RingMeasurement, bc: str, grid: ImagingGrid, truncation: i
     dropped) and the raw ``bc`` indicator image on ``grid``."""
     if bc not in ("soft", "hard"):
         raise ValueError(f"unknown boundary condition {bc!r}")
-    coeffs = _coefficients(ring, truncation, mode_guard)
+    coeffs = ct.compute_coefficients(ring, truncation, mode_guard)
     indicator = ind.indicator_soft if bc == "soft" else ind.indicator_hard
     return coeffs, indicator(coeffs, ring.sources, grid)
 
@@ -543,11 +539,13 @@ def convergence_study(side: str, *, analysis_radius: float | None = None,
         return np.array([analytic_circle(a, "soft", side, k, z, pts) for z in sources.positions])
 
     ring = RingMeasurement(radius=meas, angles=th, k=k, samples=oracle(meas),
-                           field_kind="scattered", noise_level=0.0, side=side, sources=sources)
+                           noise_level=0.0, side=side, sources=sources)
     u_true = oracle(a)
 
-    def boundary_error(r, n: int) -> float:
-        u_n = ct.eval_field(_coefficients(r, n), np.full(STUDY_POINTS, a), th)
+    def boundary_error(data: RingMeasurement, n: int) -> float:
+        coeffs = ct.compute_coefficients(data, n)
+        tables = ct.radial_tables(coeffs, np.full(STUDY_POINTS, a), with_deriv=False)
+        u_n = ct.eval_field(coeffs, th, tables)
         return float(np.sqrt(np.mean(np.abs(u_n - u_true) ** 2)))
 
     orders = np.array(list(clean_orders), dtype=int)

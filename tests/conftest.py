@@ -53,5 +53,5 @@ def oracle_ring_single_source():
     us = fw.analytic_circle(1.0, "soft", "exterior", k, z, pts)
     sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1, side="exterior")
     return fw.RingMeasurement(radius=2.2, angles=angles, k=k, samples=us[None, :],
-                              field_kind="scattered", noise_level=0.0,
+                              noise_level=0.0,
                               side="exterior", sources=sources)

@@ -127,6 +127,19 @@ def test_bad_wavenumber_exits_2(argv, named, capsys):
     assert "max rel err" not in captured.out
 
 
+def test_noise_rejects_negative_seed(tmp_path, capsys):
+    sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1, side="exterior")
+    ring = fw.RingMeasurement(radius=2.2, angles=2 * np.pi * np.arange(8) / 8, k=3.0,
+                              samples=np.ones((1, 8), complex), noise_level=0.0,
+                              side="exterior", sources=sources)
+    clean, noisy = tmp_path / "ring.csv", tmp_path / "noisy.csv"
+    formats.write_ring_csv(clean, ring)
+    assert main(["noise", "-i", str(clean), "-o", str(noisy), "--delta", "0.05",
+                 "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "nearscat: error: noise seed must be >= 0, got -1\n"
+    assert not noisy.exists()
+
+
 @pytest.mark.parametrize("clip", ["0", "150"])
 def test_render_rejects_clip_outside_range(tmp_path, small_config, capsys, clip):
     out = tmp_path / "run"

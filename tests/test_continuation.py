@@ -17,12 +17,22 @@ def _ring(samples, radius=2.2, k=3.0, side="exterior", n_src=1):
     samples = np.atleast_2d(samples)
     sources = fw.SourceSet(center=(0.0, 0.0), radius=radius, count=n_src, side=side)
     return fw.RingMeasurement(radius=radius, angles=2 * np.pi * np.arange(m) / m,
-                              k=k, samples=samples, field_kind="scattered",
+                              k=k, samples=samples,
                               noise_level=0.0, side=side, sources=sources)
 
 
+def _field(co, r, theta):
+    """``eval_field`` at the (P,) polar points (r, theta), on tables built from r."""
+    return ct.eval_field(co, theta, ct.radial_tables(co, r, with_deriv=False))
+
+
+def _gradient(co, r, theta):
+    """``eval_gradient`` at the (P,) polar points (r, theta), on tables built from r."""
+    return ct.eval_gradient(co, r, theta, ct.radial_tables(co, r, with_deriv=True))
+
+
 def _at(fn, co, r, theta):
-    """``fn`` (eval_field or eval_gradient) at the one polar point (r, theta)."""
+    """``fn`` (_field or _gradient) at the one polar point (r, theta)."""
     return fn(co, np.array([r]), np.array([theta]))[..., 0]
 
 
@@ -71,7 +81,7 @@ class TestComputeCoefficients:
         prev = np.inf
         for n in (2, 4, 6, 8):
             co = ct.compute_coefficients(ring, n)
-            recon = ct.eval_field(co, np.full(128, ring.radius), ring.angles)[0]
+            recon = _field(co, np.full(128, ring.radius), ring.angles)[0]
             err = np.sqrt(np.mean(np.abs(recon - ring.samples[0]) ** 2)) / norm
             assert err < prev
             prev = err
@@ -81,22 +91,12 @@ class TestComputeCoefficients:
         with pytest.raises(ValueError):
             ct.compute_coefficients(_ring(np.ones(16, complex)), 8)
 
-    def test_total_field_rejected(self):
-        ring = _ring(np.ones(32, complex))
-        ring = fw.RingMeasurement(radius=ring.radius, angles=ring.angles, k=ring.k,
-                                  samples=ring.samples, field_kind="total",
-                                  noise_level=0.0, side="exterior",
-                                  sources=ring.sources)
-        with pytest.raises(ValueError):
-            ct.compute_coefficients(ring, 3)
-
     def test_non_equispaced_rejected(self):
         ring = _ring(np.ones(32, complex))
         angles = ring.angles.copy()
         angles[3] += 1e-3
         ring = fw.RingMeasurement(radius=ring.radius, angles=angles, k=ring.k,
-                                  samples=ring.samples, field_kind="scattered",
-                                  noise_level=0.0, side="exterior",
+                                  samples=ring.samples, noise_level=0.0, side="exterior",
                                   sources=ring.sources)
         with pytest.raises(ValueError):
             ct.compute_coefficients(ring, 3)
@@ -107,7 +107,7 @@ class TestEvalField:
         ring = oracle_ring_single_source
         co = ct.compute_coefficients(ring, 5)
         theta = ring.angles[11]
-        got = _at(ct.eval_field, co, ring.radius, theta)[0]
+        got = _at(_field, co, ring.radius, theta)[0]
         partial = sum(co.values[0, co.truncation + n] * np.exp(1j * n * theta)
                       for n in range(-5, 6))
         assert got == pytest.approx(partial, abs=1e-12)
@@ -115,7 +115,7 @@ class TestEvalField:
     def test_continued_value_matches_oracle(self, oracle_ring_single_source):
         ring = oracle_ring_single_source
         co = ct.compute_coefficients(ring, 10)
-        got = _at(ct.eval_field, co, 1.4, 0.0)[0]
+        got = _at(_field, co, 1.4, 0.0)[0]
         ref = fw.analytic_circle(1.0, "soft", "exterior", 3.0, np.array([2.2, 0.0]),
                                  np.array([[1.4, 0.0]]))[0]
         assert abs(got - ref) / abs(ref) < 1e-3
@@ -129,14 +129,14 @@ class TestEvalField:
         a = ct.compute_coefficients(replace(ring, samples=u1[None, :], noise_level=0.0), 6)
         b = ct.compute_coefficients(replace(ring, samples=u2[None, :], noise_level=0.0), 6)
         r, th = 1.7, 0.9
-        got = _at(ct.eval_field, both, r, th)[0]
-        want = _at(ct.eval_field, a, r, th)[0] + _at(ct.eval_field, b, r, th)[0]
+        got = _at(_field, both, r, th)[0]
+        want = _at(_field, a, r, th)[0] + _at(_field, b, r, th)[0]
         assert got == pytest.approx(want, abs=1e-13)
 
     def test_radius_floor(self, oracle_ring_single_source):
         co = ct.compute_coefficients(oracle_ring_single_source, 3)
         with pytest.raises(ValueError):
-            _at(ct.eval_field, co, 1e-13, 0.0)
+            ct.radial_tables(co, np.array([1e-13]), with_deriv=False)
 
     def test_validity_strip_flags(self, oracle_ring_single_source):
         co = ct.compute_coefficients(oracle_ring_single_source, 3)
@@ -152,9 +152,9 @@ class TestEvalGradient:
         h = 1e-6
 
         def field(x, y):
-            return _at(ct.eval_field, co, np.hypot(x, y), np.arctan2(y, x))[0]
+            return _at(_field, co, np.hypot(x, y), np.arctan2(y, x))[0]
 
-        g = _at(ct.eval_gradient, co, r0, t0)[0]
+        g = _at(_gradient, co, r0, t0)[0]
         fx = (field(x0 + h, y0) - field(x0 - h, y0)) / (2 * h)
         fy = (field(x0, y0 + h) - field(x0, y0 - h)) / (2 * h)
         scale = np.hypot(abs(fx), abs(fy))
@@ -165,7 +165,7 @@ class TestEvalGradient:
         ring = _ring(np.full(32, 1.7 - 0.4j))       # only n = 0 survives
         co = ct.compute_coefficients(ring, 0)
         for theta in (0.0, 1.1, 4.0):
-            g = _at(ct.eval_gradient, co, 1.5, theta)[0]
+            g = _at(_gradient, co, 1.5, theta)[0]
             tangential = -g[0] * np.sin(theta) + g[1] * np.cos(theta)
             assert abs(tangential) < 1e-13 * max(abs(g[0]), abs(g[1]))
 
@@ -178,7 +178,7 @@ class TestEvalGradient:
         co = ct.compute_coefficients(ring, 12)
         th = 2 * np.pi * np.arange(64) / 64
         pts = np.column_stack([np.cos(th), np.sin(th)])
-        g = ct.eval_gradient(co, np.ones(64), th)[0]
+        g = _gradient(co, np.ones(64), th)[0]
         g[0] += fw.incident_gradient(pts, sources.positions[0], 3.0)[:, 0]
         g[1] += fw.incident_gradient(pts, sources.positions[0], 3.0)[:, 1]
         normal_part = np.abs(g[0] * np.cos(th) + g[1] * np.sin(th))
@@ -194,36 +194,35 @@ class TestInteriorGuard:
         m = 64
         sources = fw.SourceSet(center=(0.0, 0.0), radius=0.5, count=1, side="interior")
         return fw.RingMeasurement(radius=0.5, angles=2 * np.pi * np.arange(m) / m,
-                                  k=k, samples=np.ones((1, m), complex),
-                                  field_kind="scattered", noise_level=0.0,
+                                  k=k, samples=np.ones((1, m), complex), noise_level=0.0,
                                   side="interior", sources=sources)
 
     def test_first_j0_zero_excludes_mode_zero(self):
         k = FIRST_J0_ZERO / 0.5
-        co = ct.guard_interior_modes(ct.compute_coefficients(self._interior_ring(k), 4))
+        co = ct.compute_coefficients(self._interior_ring(k), 4)
         assert co.excluded_orders == [0]
         assert co.values[0, co.truncation] == 0.0
 
     def test_kr_1p5_no_exclusions(self):
-        co = ct.guard_interior_modes(ct.compute_coefficients(self._interior_ring(3.0), 6))
+        co = ct.compute_coefficients(self._interior_ring(3.0), 6)
         assert co.excluded_orders == []
 
     def test_zero_threshold_never_excludes(self):
         k = FIRST_J0_ZERO / 0.5
-        co = ct.guard_interior_modes(
-            ct.compute_coefficients(self._interior_ring(k), 6), threshold=0.0)
+        co = ct.compute_coefficients(self._interior_ring(k), 6, mode_guard=0.0)
         assert co.excluded_orders == []
 
-    def test_exterior_rejected(self, oracle_ring_single_source):
-        co = ct.compute_coefficients(oracle_ring_single_source, 3)
-        with pytest.raises(ValueError):
-            ct.guard_interior_modes(co)
+    def test_exterior_excludes_nothing(self, oracle_ring_single_source):
+        plain = ct.compute_coefficients(oracle_ring_single_source, 3, mode_guard=0.0)
+        for mode_guard in (ct.DEFAULT_MODE_GUARD, 1.0, np.inf):
+            co = ct.compute_coefficients(oracle_ring_single_source, 3, mode_guard=mode_guard)
+            assert co.excluded_orders == []
+            assert np.array_equal(co.values, plain.values)
 
     def test_excluded_modes_contribute_zero(self):
         k = FIRST_J0_ZERO / 0.5
-        guarded = ct.guard_interior_modes(
-            ct.compute_coefficients(self._interior_ring(k), 2))
-        val = _at(ct.eval_field, guarded, 0.9, 0.3)[0]
+        guarded = ct.compute_coefficients(self._interior_ring(k), 2)
+        val = _at(_field, guarded, 0.9, 0.3)[0]
         # the n = 0 column is zeroed, so only |n| in {1, 2} can contribute
         assert guarded.values[0, guarded.truncation] == 0.0
         assert np.isfinite(val)
@@ -239,7 +238,7 @@ class TestCleanDecay:
         orders = range(2, 11)
         for n in orders:
             co = ct.compute_coefficients(ring, n)
-            u_n = ct.eval_field(co, np.ones(64), th)[0]
+            u_n = _field(co, np.ones(64), th)[0]
             errs.append(np.sqrt(np.mean(np.abs(u_n - ref) ** 2)))
         errs = np.asarray(errs)
         assert np.all(np.diff(np.log(errs)) < 0.0)        # monotone decay
@@ -321,16 +320,16 @@ class TestDistinctRadii:
     def test_grid_points(self, grid_polar, side, truncation, excluded_order):
         co = _random_coeffs(side, truncation, excluded_order=excluded_order)
         r, th = grid_polar
-        assert _same_bits(ct.eval_field(co, r, th), _per_point_field(co, r, th))
-        assert _same_bits(ct.eval_gradient(co, r, th), _per_point_gradient(co, r, th))
+        assert _same_bits(_field(co, r, th), _per_point_field(co, r, th))
+        assert _same_bits(_gradient(co, r, th), _per_point_gradient(co, r, th))
 
     @pytest.mark.parametrize("side,truncation,excluded_order", CASES)
     def test_one_radius(self, side, truncation, excluded_order):
         # the convergence study evaluates on np.full(n, a)
         co = _random_coeffs(side, truncation, excluded_order=excluded_order)
         r, th = np.full(256, 1.0), 2 * np.pi * np.arange(256) / 256
-        assert _same_bits(ct.eval_field(co, r, th), _per_point_field(co, r, th))
-        assert _same_bits(ct.eval_gradient(co, r, th), _per_point_gradient(co, r, th))
+        assert _same_bits(_field(co, r, th), _per_point_field(co, r, th))
+        assert _same_bits(_gradient(co, r, th), _per_point_gradient(co, r, th))
 
 
 @pytest.mark.parametrize("truncation", [3, 5])
@@ -339,10 +338,10 @@ def test_gradient_peak_memory(truncation):
     # written into the output, so the peak stays near the output's own size
     co = _random_coeffs("interior", truncation, n_src=12)
     r, th = _grid_polar(150)
-    ct.eval_gradient(co, r[:100], th[:100])
+    _gradient(co, r[:100], th[:100])
     tracemalloc.start()
     try:
-        out = ct.eval_gradient(co, r, th)
+        out = _gradient(co, r, th)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

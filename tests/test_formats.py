@@ -15,7 +15,7 @@ def _ring():
     sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=n_src, side="exterior")
     samples = rng.normal(size=(n_src, m)) + 1j * rng.normal(size=(n_src, m))
     return fw.RingMeasurement(radius=2.2, angles=2 * np.pi * np.arange(m) / m,
-                              k=3.0, samples=samples, field_kind="scattered",
+                              k=3.0, samples=samples,
                               noise_level=0.05, side="exterior", sources=sources)
 
 
@@ -148,6 +148,26 @@ class TestRingCsv:
         with pytest.raises(ValueError, match="ring.csv: header has no 'n_sources'"):
             formats.read_ring_csv(path)
 
+    @pytest.mark.parametrize("line,bad", [("# k=3.0\n", "# k=abc\n"),
+                                          ("# n_sources=2\n", "# n_sources=x\n"),
+                                          ("# source_center=0.0 0.0\n",
+                                           "# source_center=0.0\n")])
+    def test_rejects_unparsable_header_value(self, tmp_path, line, bad):
+        path = tmp_path / "ring.csv"
+        formats.write_ring_csv(path, _ring())
+        path.write_text(path.read_text().replace(line, bad))
+        key = bad[2:bad.index("=")]
+        with pytest.raises(ValueError, match=f"ring.csv: cannot parse header value {key}="):
+            formats.read_ring_csv(path)
+
+    def test_rejects_total_field(self, tmp_path):
+        path = tmp_path / "ring.csv"
+        formats.write_ring_csv(path, _ring())
+        assert "# field=scattered\n" in path.read_text()
+        path.write_text(path.read_text().replace("# field=scattered\n", "# field=total\n"))
+        with pytest.raises(ValueError, match="ring.csv: field=total"):
+            formats.read_ring_csv(path)
+
     @_FILE_SETTINGS
     @given(n_src=st.integers(1, 5), n_rec=st.integers(1, 40),
            seed=st.integers(0, 2**32 - 1), special=st.lists(_EXTREME, max_size=8))
@@ -159,7 +179,7 @@ class TestRingCsv:
         samples.real, samples.imag = parts.reshape(2, n_src, n_rec)
         sources = fw.SourceSet(center=(0.25, -0.5), radius=2.2, count=n_src, side="exterior")
         ring = fw.RingMeasurement(radius=2.5, angles=2 * np.pi * np.arange(n_rec) / n_rec,
-                                  k=3.0, samples=samples, field_kind="scattered",
+                                  k=3.0, samples=samples,
                                   noise_level=0.05, side="exterior", sources=sources)
         path = tmp_path / "ring.csv"
         formats.write_ring_csv(path, ring)
@@ -195,6 +215,13 @@ class TestGridCsv:
         path = tmp_path / "bad.csv"
         path.write_text("# format=nearscat-grid-1\n# xmin=0\n")
         with pytest.raises(ValueError, match="bad.csv: header has no 'xmax'"):
+            formats.read_grid_csv(path)
+
+    def test_rejects_unparsable_header_value(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        formats.write_grid_csv(path, _image())
+        path.write_text(path.read_text().replace("# nx=5\n", "# nx=abc\n"))
+        with pytest.raises(ValueError, match="grid.csv: cannot parse header value nx="):
             formats.read_grid_csv(path)
 
     def test_rejects_duplicated_row(self, tmp_path):

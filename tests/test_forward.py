@@ -87,7 +87,7 @@ def _trig_interp(values, t_star):
     return np.exp(1j * np.outer(t_star, modes)) @ c
 
 
-def boundary_residual(curve, sol, sources, t_checkpoints):
+def boundary_residual(curve, sol, bc, side, sources, t_checkpoints):
     """Max relative residual of B(u_i + u_s) at off-node boundary parameters.
 
     The trace of the layer potential is the split-kernel quadrature of the
@@ -100,7 +100,7 @@ def boundary_residual(curve, sol, sources, t_checkpoints):
     gap = np.abs((t_star[:, None] - curve.t[None, :] + np.pi) % (2 * np.pi) - np.pi)
     if gap.min() < 1e-10:
         raise ValueError("checkpoints must be off-node")
-    _, ops, jump = fw._FORMULATIONS[(sol.side, sol.bc)]
+    _, ops, jump = fw._FORMULATIONS[(side, bc)]
     pos, tan = curve.position(t_star), curve.derivative(t_star)
     blocks = _blocks_reference(curve, sol.k, t_star, pos, tan, False, ops)
     main = blocks[ops[-1]]
@@ -108,7 +108,7 @@ def boundary_residual(curve, sol, sources, t_checkpoints):
         main = main - 1j * sol.k * blocks["S"]
     phi_star = np.array([_trig_interp(p, t_star) for p in sol.density])
     normals = np.column_stack([tan[:, 1], -tan[:, 0]]) / np.hypot(tan[:, 0], tan[:, 1])[:, None]
-    data = fw._boundary_data(sol.bc, sol.k, sources, pos, normals)
+    data = fw._boundary_data(bc, sol.k, sources, pos, normals)
     trace = sol.density @ main.T + jump * phi_star
     return float((np.abs(data + trace).max(axis=1) / np.abs(data).max(axis=1)).max())
 
@@ -246,7 +246,7 @@ class TestNystrom:
         sources = fw.SourceSet(center=(0.0, 0.0), radius=radius, count=3, side=side)
         sol = fw.solve_densities(kite_512, bc, side, 3.0, sources)
         assert sol.system_residual < 1e-10
-        assert boundary_residual(kite_512, sol, sources, _T_OFF) < 1e-6
+        assert boundary_residual(kite_512, sol, bc, side, sources, _T_OFF) < 1e-6
 
     def test_self_convergence(self, kite_512):
         kite_256 = make_curve(ShapeSpec(kind="kite", n_nodes=256))

@@ -13,7 +13,7 @@ def _ring(samples):
     sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2,
                            count=samples.shape[0], side="exterior")
     return fw.RingMeasurement(radius=2.2, angles=2 * np.pi * np.arange(m) / m,
-                              k=3.0, samples=samples, field_kind="scattered",
+                              k=3.0, samples=samples,
                               noise_level=0.0, side="exterior", sources=sources)
 
 
@@ -76,6 +76,10 @@ class TestAddNoise:
             nz.add_noise(ring, nz.NoiseSpec(level=1.0, seed=0))
         with pytest.raises(ValueError):
             nz.add_noise(ring, nz.NoiseSpec(level=-0.1, seed=0))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            nz.add_noise(_ring(np.ones((1, 8), complex)), nz.NoiseSpec(level=0.1, seed=-1))
 
     def test_generator_sanity(self):
         draws = nz._source_rng(123, 0).uniform(-1.0, 1.0, size=100000)

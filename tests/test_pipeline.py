@@ -44,6 +44,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScenarioConfig.from_text("sidee = exterior\n")
 
+    @pytest.mark.parametrize("line,key", [("grid_nx = abc", "grid_nx"),
+                                          ("wavenumbers = 3,x", "wavenumbers"),
+                                          ("seed = 1.5", "seed")])
+    def test_unparsable_value_names_key(self, line, key):
+        with pytest.raises(ConfigError, match=f"config key '{key}': cannot parse"):
+            ScenarioConfig.from_text(f"side = exterior\n{line}\n")
+
     def test_side_defaults(self):
         ext = ScenarioConfig(side="exterior").resolved()
         assert ext.source_radius == 2.2 and ext.receiver_radius == 2.2
@@ -98,7 +105,7 @@ _VALID_CONFIGS = st.builds(
     exclusion_radius=st.none() | st.floats(min_value=0.0, max_value=10.0),
     truncation=st.none() | st.integers(0, 21),
     mode_guard=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.integers(-2**40, 2**40), forward_nodes=st.integers(8, 2048).map(lambda m: 2 * m))
+    seed=st.integers(0, 2**40), forward_nodes=st.integers(8, 2048).map(lambda m: 2 * m))
 
 
 class TestConfigValidation:
@@ -154,6 +161,7 @@ class TestConfigValidation:
         pytest.param(dict(truncation=3, delta=1.0), "noise level", id="delta-one"),
         pytest.param(dict(truncation=3, delta=-0.1), "noise level", id="negative-delta"),
         pytest.param(dict(truncation=-1), "truncation must be >= 0", id="negative-truncation"),
+        pytest.param(dict(seed=-1), "seed must be >= 0", id="negative-seed"),
         pytest.param(dict(side="interior", mode_guard=math.nan), "mode_guard", id="nan-guard"),
         pytest.param(dict(side="interior", exclusion_radius=math.nan), "exclusion_radius",
                      id="nan-exclusion"),
@@ -436,3 +444,8 @@ class TestRenderPgm:
             right = xs[75 + np.argmax(line[75:])]
             assert abs(left + 1.0) <= 2 * cell
             assert abs(right - 1.0) <= 2 * cell
+
+
+def test_every_public_name_resolves():
+    import nearscat
+    assert [name for name in nearscat.__all__ if not hasattr(nearscat, name)] == []
