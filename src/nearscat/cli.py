@@ -28,8 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .forward import NystromGeometry, SourceSet, analytic_circle, simulate_ring
-from .geometry import ShapeSpec, make_curve
+from .forward import analytic_circle
 from .noise import NoiseSpec, add_noise
 from .pipeline import (ScenarioConfig, _k_tag, _value_type, _write_ring, convergence_study,
                        render_pgm, run_scenario, simulate_rings, write_images)
@@ -157,22 +156,20 @@ def _cmd_oracle_check(args) -> int:
     if not all(0.0 < k < math.inf for k in args.k):
         raise ValueError(f"--k must be finite and positive, got {args.k}")
     worst = 0.0
-    for side, ring_r in (("exterior", 2.2), ("interior", 0.5)):
-        curve = make_curve(ShapeSpec(kind="circle", radius=1.0, n_nodes=args.nodes))
-        sources = SourceSet(center=(0.0, 0.0), radius=ring_r, count=3, side=side)
+    for side in ("exterior", "interior"):
         for bc in ("soft", "hard"):
-            geometry = NystromGeometry(curve, bc, side)
-            for k in args.k:
-                ring = simulate_ring(curve, bc, side, k, sources, ring_r, 64,
-                                     geometry=geometry)
+            # the unit circle, 3 sources and 64 receivers at the side's default radius
+            cfg = ScenarioConfig(side=side, bc=bc, wavenumbers=tuple(args.k), source_count=3,
+                                 receiver_count=64, forward_nodes=args.nodes).resolved()
+            for ring in simulate_rings(cfg):
                 err = 0.0
-                for j, z in enumerate(sources.positions):
-                    ref = analytic_circle(1.0, bc, side, k, z, ring.receiver_points)
+                for j, z in enumerate(ring.sources.positions):
+                    ref = analytic_circle(1.0, bc, side, ring.k, z, ring.receiver_points)
                     err = max(err, float(np.abs(ring.samples[j] - ref).max()
                                          / np.abs(ref).max()))
                 worst = max(worst, err)
                 status = "ok" if err <= args.tol else "FAIL"
-                print(f"{side:8s} {bc:4s} k={k:g}: max rel err {err:.3e} [{status}]")
+                print(f"{side:8s} {bc:4s} k={ring.k:g}: max rel err {err:.3e} [{status}]")
     print(f"worst: {worst:.3e} (tolerance {args.tol:g})")
     return 0 if worst <= args.tol else 1
 

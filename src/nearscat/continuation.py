@@ -53,8 +53,11 @@ class ModeCoefficients:
     anchor_radius: float
     k: float
     side: str                    # "exterior" | "interior"
-    truncation: int
     excluded: np.ndarray         # (2N+1,) bool
+
+    @property
+    def truncation(self) -> int:
+        return self.values.shape[1] // 2
 
     @property
     def orders(self) -> np.ndarray:
@@ -96,9 +99,6 @@ def compute_coefficients(ring: RingMeasurement, truncation: int,
         raise ValueError(
             f"truncation {truncation} violates Nyquist (needs >= {2 * truncation + 1} "
             f"receivers, have {m_rec})")
-    expected = 2.0 * np.pi * np.arange(m_rec) / m_rec
-    if not np.allclose(ring.angles, expected, atol=1e-12, rtol=0.0):
-        raise ValueError("receivers must be equispaced starting at angle 0")
     orders = np.arange(-truncation, truncation + 1)
     basis = np.exp(-1j * np.outer(orders, ring.angles))      # (2N+1, M)
     values = ring.samples @ basis.T / m_rec
@@ -108,7 +108,7 @@ def compute_coefficients(ring: RingMeasurement, truncation: int,
         excluded = np.abs(denom[np.abs(orders)]) < mode_guard
         values = np.where(excluded[None, :], 0.0, values)
     return ModeCoefficients(values=values, anchor_radius=ring.radius, k=ring.k,
-                            side=ring.side, truncation=truncation, excluded=excluded)
+                            side=ring.side, excluded=excluded)
 
 
 def outside_validity_strip(coeffs: ModeCoefficients, r) -> np.ndarray:

@@ -12,10 +12,12 @@ once, and emit the bytes of formatting every row with `%.17g`.  Readers
 parse all data rows with one `np.loadtxt` call and raise ValueError,
 naming the row, for a repeated grid point or (source, receiver) pair, a
 point outside the grid or an index out of range, a row at a masked grid
-point, a non-integer index or flag, and ring rows of one receiver that
-disagree on its theta; missing rows are rejected too, and so is a header
+point, a non-integer index or flag, and a ring row whose theta lies more
+than 1e-12 from 2 pi m / M for its receiver m of M (the equispaced layout
+the expansion assumes); missing rows are rejected too, and so is a header
 without a key the reader needs or with a value that does not parse (the
-key named in the error), and a ring file whose field is not `scattered`.
+key named in the error), and a ring file whose field is not `scattered`
+or whose side is not `exterior` or `interior`.
 A PGM must hold exactly nx*ny pixels, each in 0..maxval.
 """
 
@@ -150,11 +152,12 @@ def read_ring_csv(path) -> tuple[RingMeasurement, dict]:
     meta, rows = _read_table(path, "nearscat-ring-1", _RING_ROW, _RING_KEYS)
     if meta["field"] != "scattered":
         raise ValueError(f"{path}: field={meta['field']}, expected the scattered field")
+    if meta["side"] not in ("exterior", "interior"):
+        raise ValueError(f"{path}: side={meta['side']}, expected exterior or interior")
     n_src = _header_value(path, meta, "n_sources", int)
     n_rec = _header_value(path, meta, "n_receivers", int)
     sources = SourceSet(center=_header_value(path, meta, "source_center", count=2),
-                        radius=_header_value(path, meta, "source_radius"),
-                        count=n_src, side=meta["side"])
+                        radius=_header_value(path, meta, "source_radius"), count=n_src)
     if rows.size != n_src * n_rec:
         raise ValueError(f"{path}: expected {n_src * n_rec} rows, found {rows.size}")
     j, m = rows["source"], rows["receiver"]
@@ -162,14 +165,12 @@ def read_ring_csv(path) -> tuple[RingMeasurement, dict]:
             "has a source or receiver index out of range")
     _reject(path, rows, _repeats(j * n_rec + m, n_src * n_rec),
             "repeats the (source, receiver) pair of an earlier row")
-    # every (source, receiver) pair occurs once: receiver m's first row sets its angle
-    angles = rows["theta"][np.unique(m, return_index=True)[1]]
-    _reject(path, rows, rows["theta"] != angles[m],
-            "disagrees with an earlier row on the receiver's theta")
+    _reject(path, rows, np.abs(rows["theta"] - 2.0 * np.pi * m / n_rec) > 1e-12,
+            "has a theta more than 1e-12 from 2 pi m / M for its receiver m")
     samples = np.zeros((n_src, n_rec), dtype=complex)
     samples.real[j, m] = rows["re"]
     samples.imag[j, m] = rows["im"]
-    ring = RingMeasurement(radius=_header_value(path, meta, "ring_radius"), angles=angles,
+    ring = RingMeasurement(radius=_header_value(path, meta, "ring_radius"),
                            k=_header_value(path, meta, "k"), samples=samples,
                            noise_level=_header_value(path, meta, "delta"),
                            side=meta["side"], sources=sources)
@@ -228,12 +229,8 @@ def read_grid_csv(path) -> IndicatorImage:
     bounds = [_header_value(path, meta, key) for key in ("xmin", "xmax", "ymin", "ymax")]
     grid = imaging_grid(*bounds, _header_value(path, meta, "nx", int),
                         _header_value(path, meta, "ny", int), exclusion=exclusion)
-    # Nearest node, rounding half to even as in ImagingGrid.index_of.
-    ix = np.rint((rows["x"] - grid.xmin) / grid.spacing_x)
-    iy = np.rint((grid.ymax - rows["y"]) / grid.spacing_y)
-    inside = (0 <= ix) & (ix < grid.nx) & (0 <= iy) & (iy < grid.ny)
-    _reject(path, rows, ~inside, "lies outside the grid")
-    idx = (iy * grid.nx + ix).astype(np.int64)
+    idx = grid.index_of(rows["x"], rows["y"])
+    _reject(path, rows, idx < 0, "lies outside the grid")
     _reject(path, rows, grid.mask[idx], "lies at a masked grid point")
     _reject(path, rows, _repeats(idx, grid.n_points),
             "repeats the grid point of an earlier row")

@@ -105,15 +105,12 @@ class SourceSet:
     center: tuple[float, float]
     radius: float
     count: int
-    side: str                    # "exterior" | "interior"
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("need at least one source")
         if self.radius <= 0.0:
             raise ValueError("source circle radius must be positive")
-        if self.side not in ("exterior", "interior"):
-            raise ValueError(f"unknown side {self.side!r}")
 
     @property
     def angles(self) -> np.ndarray:
@@ -128,24 +125,35 @@ class SourceSet:
 
 @dataclass(frozen=True)
 class RingMeasurement:
-    """Complex field samples on a measurement circle, one row per source."""
+    """Complex field samples on a measurement circle, one row per source.
+
+    Receiver m sits at angle 2 pi m / M, M = ``samples.shape[1]``.
+    """
 
     radius: float
-    angles: np.ndarray           # (n_rec,)
     k: float
     samples: np.ndarray          # (n_src, n_rec) complex, the scattered field
     noise_level: float
-    side: str
+    side: str                    # "exterior" | "interior"
     sources: SourceSet
+
+    def __post_init__(self):
+        if self.side not in ("exterior", "interior"):
+            raise ValueError(f"unknown side {self.side!r}")
 
     @property
     def n_receivers(self) -> int:
-        return self.angles.size
+        return self.samples.shape[1]
+
+    @property
+    def angles(self) -> np.ndarray:
+        m = self.n_receivers
+        return 2.0 * np.pi * np.arange(m) / m
 
     @property
     def receiver_points(self) -> np.ndarray:
-        return np.column_stack([self.radius * np.cos(self.angles),
-                                self.radius * np.sin(self.angles)])
+        a = self.angles
+        return np.column_stack([self.radius * np.cos(a), self.radius * np.sin(a)])
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +453,8 @@ def simulate_ring(curve: BoundaryCurve, bc: str, side: str, k: float,
     samples = evaluate_scattered(curve, sol, pts)
     if not np.all(np.isfinite(samples)):
         raise RuntimeError("forward solve produced non-finite ring samples")
-    return RingMeasurement(radius=float(ring_radius), angles=angles, k=float(k),
-                           samples=samples, noise_level=0.0,
-                           side=side, sources=sources)
+    return RingMeasurement(radius=float(ring_radius), k=float(k), samples=samples,
+                           noise_level=0.0, side=side, sources=sources)
 
 
 # ---------------------------------------------------------------------------

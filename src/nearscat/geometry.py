@@ -190,13 +190,15 @@ class ImagingGrid:
     def n_points(self) -> int:
         return self.nx * self.ny
 
-    def index_of(self, x: float, y: float) -> int:
-        """Row-major index of the grid node nearest to (x, y); -1 if outside."""
-        ix = round((x - self.xmin) / self.spacing_x)
-        iy = round((self.ymax - y) / self.spacing_y)
-        if not (0 <= ix < self.nx and 0 <= iy < self.ny):
-            return -1
-        return int(iy * self.nx + ix)
+    def index_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Row-major indices of the grid nodes nearest to the (P,) points
+        (x, y), rounding half to even; -1 where a point lies outside."""
+        ix = np.rint((x - self.xmin) / self.spacing_x)
+        iy = np.rint((self.ymax - y) / self.spacing_y)
+        inside = (0 <= ix) & (ix < self.nx) & (0 <= iy) & (iy < self.ny)
+        idx = np.full(ix.shape, -1, dtype=np.int64)
+        idx[inside] = iy[inside] * self.nx + ix[inside]
+        return idx
 
     def as_image(self, values: np.ndarray) -> np.ndarray:
         """Reshape a flat per-point array into (ny, nx) with top row = max y."""

@@ -33,6 +33,8 @@ class NoiseSpec:
     def validate(self) -> None:
         if not 0.0 <= self.level < 1.0:
             raise ValueError(f"noise level {self.level} outside [0, 1)")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"noise seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"noise seed must be >= 0, got {self.seed}")
 

@@ -156,7 +156,7 @@ class ScenarioConfig:
     def sources(self) -> SourceSet:
         cfg = self.resolved()
         return SourceSet(center=(0.0, 0.0), radius=cfg.source_radius,
-                         count=cfg.source_count, side=cfg.side)
+                         count=cfg.source_count)
 
     def grid(self) -> ImagingGrid:
         cfg = self.resolved()
@@ -239,7 +239,6 @@ def _parse_value(key: str, value: str):
 
 @dataclass
 class RunResult:
-    outdir: Path
     files: dict[str, Path]
     truncation_by_k: dict[float, int]
     excluded_by_k: dict[float, list[int]]
@@ -373,7 +372,7 @@ def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
             f.write(f"# sha256 {name} = {digest}\n")
     files["manifest.txt"] = manifest
 
-    return RunResult(outdir=out, files=files, truncation_by_k=truncation_by_k,
+    return RunResult(files=files, truncation_by_k=truncation_by_k,
                      excluded_by_k=excluded_by_k, checksums=checksums,
                      images=images, superposed=superposed, warnings=warnings)
 
@@ -386,10 +385,8 @@ def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
 class RayReport:
     """Per-ray distance between the indicator's radial minimum and the truth."""
 
-    angles: np.ndarray
     distances: np.ndarray        # NaN on non-informative rays
     median: float
-    q90: float
     informative: bool
 
 
@@ -409,28 +406,19 @@ def radial_boundary_error(image: IndicatorImage, truth: BoundaryCurve) -> RayRep
     dists = np.full(N_RAYS, np.nan)
     for i, (theta, r_t) in enumerate(zip(angles, r_truth)):
         radii = np.arange(0.6 * r_t, 1.4 * r_t, step)
-        vals, rad = [], []
-        for r in radii:
-            idx = grid.index_of(r * math.cos(theta), r * math.sin(theta))
-            if idx < 0 or grid.mask[idx] or np.isnan(image.values[idx]):
-                continue
-            vals.append(image.values[idx])
-            rad.append(r)
-        if not vals:
+        idx = grid.index_of(radii * math.cos(theta), radii * math.sin(theta))
+        vals = np.where((idx >= 0) & ~grid.mask[idx], image.values[idx], np.nan)
+        live = ~np.isnan(vals)
+        vals, radii = vals[live], radii[live]
+        if not vals.size:
             raise ValueError(f"ray at {theta:.3f} rad has no unmasked annulus samples")
-        varr = np.asarray(vals)
-        spread = varr.max() - varr.min()
-        if spread <= 1e-12 * max(abs(varr.max()), 1e-300):
+        spread = vals.max() - vals.min()
+        if spread <= 1e-12 * max(abs(vals.max()), 1e-300):
             continue                      # constant along the ray: minimum not unique
-        dists[i] = abs(rad[int(np.argmin(varr))] - r_t)
+        dists[i] = abs(radii[int(np.argmin(vals))] - r_t)
     good = ~np.isnan(dists)
-    if np.any(good):
-        median = float(np.median(dists[good]))
-        q90 = float(np.quantile(dists[good], 0.9))
-    else:
-        median = q90 = math.nan
-    return RayReport(angles=angles, distances=dists, median=median, q90=q90,
-                     informative=bool(np.any(good)))
+    median = float(np.median(dists[good])) if np.any(good) else math.nan
+    return RayReport(distances=dists, median=median, informative=bool(np.any(good)))
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +520,14 @@ def convergence_study(side: str, *, analysis_radius: float | None = None,
     exponent = math.log(r2) / math.log(r1)
 
     th = 2.0 * np.pi * np.arange(STUDY_POINTS) / STUDY_POINTS
-    sources = SourceSet(center=(0.0, 0.0), radius=meas, count=STUDY_SOURCES, side=side)
+    sources = SourceSet(center=(0.0, 0.0), radius=meas, count=STUDY_SOURCES)
 
     def oracle(r: float) -> np.ndarray:
         pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
         return np.array([analytic_circle(a, "soft", side, k, z, pts) for z in sources.positions])
 
-    ring = RingMeasurement(radius=meas, angles=th, k=k, samples=oracle(meas),
-                           noise_level=0.0, side=side, sources=sources)
+    ring = RingMeasurement(radius=meas, k=k, samples=oracle(meas), noise_level=0.0,
+                           side=side, sources=sources)
     u_true = oracle(a)
 
     def boundary_error(data: RingMeasurement, n: int) -> float:

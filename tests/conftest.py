@@ -20,7 +20,7 @@ def kite_512():
 
 @pytest.fixture(scope="session")
 def exterior_sources():
-    return fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=12, side="exterior")
+    return fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=12)
 
 
 @pytest.fixture(scope="session")
@@ -51,7 +51,6 @@ def oracle_ring_single_source():
     angles = 2.0 * np.pi * np.arange(128) / 128
     pts = np.column_stack([2.2 * np.cos(angles), 2.2 * np.sin(angles)])
     us = fw.analytic_circle(1.0, "soft", "exterior", k, z, pts)
-    sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1, side="exterior")
-    return fw.RingMeasurement(radius=2.2, angles=angles, k=k, samples=us[None, :],
-                              noise_level=0.0,
+    sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1)
+    return fw.RingMeasurement(radius=2.2, k=k, samples=us[None, :], noise_level=0.0,
                               side="exterior", sources=sources)

@@ -37,7 +37,7 @@ def _median_cells(shape: str, bc: str, side: str, k: float, delta: float,
     """Full-pipeline boundary-localization medians, in grid cells."""
     curve = make_curve(ShapeSpec(kind=shape, n_nodes=512))
     ring_r = 2.2 if side == "exterior" else 0.5
-    sources = fw.SourceSet(center=(0.0, 0.0), radius=ring_r, count=12, side=side)
+    sources = fw.SourceSet(center=(0.0, 0.0), radius=ring_r, count=12)
     excl = ((0.0, 0.0), ring_r) if side == "interior" else None
     grid = imaging_grid(-1.5, 1.5, -1.5, 1.5, 150, 150, exclusion=excl)
     ks = wavenumbers or (k,)
@@ -89,7 +89,7 @@ def test_a2_forward_vs_oracle():
     worst = 0.0
     circle = make_curve(ShapeSpec(kind="circle", radius=1.0, n_nodes=512))
     for side, ring_r in (("exterior", 2.2), ("interior", 0.5)):
-        sources = fw.SourceSet(center=(0.0, 0.0), radius=ring_r, count=12, side=side)
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=ring_r, count=12)
         for bc in ("soft", "hard"):
             for k in (3.0, 4.0, 5.0, 6.0):
                 ring = fw.simulate_ring(circle, bc, side, k, sources, ring_r, 128)

@@ -105,6 +105,28 @@ def test_reconstruct_rejects_mixed_rings(tmp_path, small_config, change, capsys)
     assert not recon.exists()
 
 
+def test_reconstruct_rejects_off_layout_ring_before_output(tmp_path, small_config, capsys):
+    # receiver 5 of the second ring sits 1e-6 off 2 pi m / M in every row;
+    # the first ring's images must not be written before that is found
+    data, recon = tmp_path / "data", tmp_path / "recon"
+    assert main(["simulate", "-c", str(small_config), "-o", str(data),
+                 "--forward-nodes", "128", "--k", "3", "4"]) == 0
+    first, second = data / "ring_k3.csv", data / "ring_k4.csv"
+    lines = second.read_text().splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        fields = line.split(",")
+        if not line.startswith("#") and fields[1] == "5":
+            fields[2] = repr(float(fields[2]) + 1e-6)
+            lines[i] = ",".join(fields)
+    second.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["reconstruct", "-r", str(first), "-r", str(second), "-o", str(recon),
+                 "--truncation", "3", "--nx", "20", "--ny", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"nearscat: error: {second}: data row 6 ") and "theta" in err
+    assert not recon.exists()
+
+
 def test_simulate_rejects_source_inside_before_output(tmp_path, small_config, capsys):
     out = tmp_path / "data"
     assert main(["simulate", "-c", str(small_config), "-o", str(out),
@@ -128,10 +150,9 @@ def test_bad_wavenumber_exits_2(argv, named, capsys):
 
 
 def test_noise_rejects_negative_seed(tmp_path, capsys):
-    sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1, side="exterior")
-    ring = fw.RingMeasurement(radius=2.2, angles=2 * np.pi * np.arange(8) / 8, k=3.0,
-                              samples=np.ones((1, 8), complex), noise_level=0.0,
-                              side="exterior", sources=sources)
+    sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1)
+    ring = fw.RingMeasurement(radius=2.2, k=3.0, samples=np.ones((1, 8), complex),
+                              noise_level=0.0, side="exterior", sources=sources)
     clean, noisy = tmp_path / "ring.csv", tmp_path / "noisy.csv"
     formats.write_ring_csv(clean, ring)
     assert main(["noise", "-i", str(clean), "-o", str(noisy), "--delta", "0.05",

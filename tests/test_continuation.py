@@ -13,11 +13,9 @@ from oracle_series import FIRST_J0_ZERO
 
 
 def _ring(samples, radius=2.2, k=3.0, side="exterior", n_src=1):
-    m = samples.shape[-1]
     samples = np.atleast_2d(samples)
-    sources = fw.SourceSet(center=(0.0, 0.0), radius=radius, count=n_src, side=side)
-    return fw.RingMeasurement(radius=radius, angles=2 * np.pi * np.arange(m) / m,
-                              k=k, samples=samples,
+    sources = fw.SourceSet(center=(0.0, 0.0), radius=radius, count=n_src)
+    return fw.RingMeasurement(radius=radius, k=k, samples=samples,
                               noise_level=0.0, side=side, sources=sources)
 
 
@@ -91,16 +89,6 @@ class TestComputeCoefficients:
         with pytest.raises(ValueError):
             ct.compute_coefficients(_ring(np.ones(16, complex)), 8)
 
-    def test_non_equispaced_rejected(self):
-        ring = _ring(np.ones(32, complex))
-        angles = ring.angles.copy()
-        angles[3] += 1e-3
-        ring = fw.RingMeasurement(radius=ring.radius, angles=angles, k=ring.k,
-                                  samples=ring.samples, noise_level=0.0, side="exterior",
-                                  sources=ring.sources)
-        with pytest.raises(ValueError):
-            ct.compute_coefficients(ring, 3)
-
 
 class TestEvalField:
     def test_anchor_identity(self, oracle_ring_single_source):
@@ -172,7 +160,7 @@ class TestEvalGradient:
     def test_hard_circle_neumann_trace(self, unit_circle_512):
         # clean hard-exterior data: grad(u_N + u_i) . nu should be small on
         # the boundary (relative to the gradient size) at N = 12
-        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1, side="exterior")
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1)
         ring = fw.simulate_ring(unit_circle_512, "hard", "exterior", 3.0, sources,
                                 2.2, 128)
         co = ct.compute_coefficients(ring, 12)
@@ -192,10 +180,9 @@ class TestEvalGradient:
 class TestInteriorGuard:
     def _interior_ring(self, k):
         m = 64
-        sources = fw.SourceSet(center=(0.0, 0.0), radius=0.5, count=1, side="interior")
-        return fw.RingMeasurement(radius=0.5, angles=2 * np.pi * np.arange(m) / m,
-                                  k=k, samples=np.ones((1, m), complex), noise_level=0.0,
-                                  side="interior", sources=sources)
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=0.5, count=1)
+        return fw.RingMeasurement(radius=0.5, k=k, samples=np.ones((1, m), complex),
+                                  noise_level=0.0, side="interior", sources=sources)
 
     def test_first_j0_zero_excludes_mode_zero(self):
         k = FIRST_J0_ZERO / 0.5
@@ -293,7 +280,7 @@ def _random_coeffs(side, truncation, n_src=12, excluded_order=None, seed=0):
     # excluded columns keep their values: the guard in the tables must zero them
     excluded = np.abs(orders) == excluded_order
     return ct.ModeCoefficients(values=values, anchor_radius=2.2 if side == "exterior" else 0.5,
-                               k=3.0, side=side, truncation=truncation, excluded=excluded)
+                               k=3.0, side=side, excluded=excluded)
 
 
 def _grid_polar(n):

@@ -12,10 +12,9 @@ from nearscat.geometry import imaging_grid
 def _ring():
     rng = np.random.default_rng(3)
     m, n_src = 16, 2
-    sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=n_src, side="exterior")
+    sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=n_src)
     samples = rng.normal(size=(n_src, m)) + 1j * rng.normal(size=(n_src, m))
-    return fw.RingMeasurement(radius=2.2, angles=2 * np.pi * np.arange(m) / m,
-                              k=3.0, samples=samples,
+    return fw.RingMeasurement(radius=2.2, k=3.0, samples=samples,
                               noise_level=0.05, side="exterior", sources=sources)
 
 
@@ -133,12 +132,19 @@ class TestRingCsv:
     @pytest.mark.parametrize("edited", [1, 17])
     def test_rejects_disagreeing_theta(self, tmp_path, edited):
         # rows 2 and 18 both carry receiver 1; its angle used to come from
-        # whichever was read last
+        # whichever was read last.  The edited row is off the 2 pi m / M layout.
         path = tmp_path / "ring.csv"
         formats.write_ring_csv(path, _ring())
         _edit_data_row(path, edited, lambda line: ",".join(
             line.split(",")[:2] + ["2.5"] + line.split(",")[3:]))
-        with pytest.raises(ValueError, match="data row 18 .*theta"):
+        with pytest.raises(ValueError, match=f"data row {edited + 1} .*theta"):
+            formats.read_ring_csv(path)
+
+    def test_rejects_unknown_side(self, tmp_path):
+        path = tmp_path / "ring.csv"
+        formats.write_ring_csv(path, _ring())
+        path.write_text(path.read_text().replace("# side=exterior\n", "# side=sideways\n"))
+        with pytest.raises(ValueError, match="ring.csv: side=sideways"):
             formats.read_ring_csv(path)
 
     def test_rejects_missing_header_key(self, tmp_path):
@@ -177,9 +183,8 @@ class TestRingCsv:
         parts = _spread(rng, n, special) * rng.choice([-1.0, 1.0], n)
         samples = np.empty((n_src, n_rec), dtype=complex)
         samples.real, samples.imag = parts.reshape(2, n_src, n_rec)
-        sources = fw.SourceSet(center=(0.25, -0.5), radius=2.2, count=n_src, side="exterior")
-        ring = fw.RingMeasurement(radius=2.5, angles=2 * np.pi * np.arange(n_rec) / n_rec,
-                                  k=3.0, samples=samples,
+        sources = fw.SourceSet(center=(0.25, -0.5), radius=2.2, count=n_src)
+        ring = fw.RingMeasurement(radius=2.5, k=3.0, samples=samples,
                                   noise_level=0.05, side="exterior", sources=sources)
         path = tmp_path / "ring.csv"
         formats.write_ring_csv(path, ring)

@@ -113,6 +113,22 @@ def boundary_residual(curve, sol, bc, side, sources, t_checkpoints):
     return float((np.abs(data + trace).max(axis=1) / np.abs(data).max(axis=1)).max())
 
 
+class TestRingMeasurement:
+    def _ring(self, side):
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1)
+        return fw.RingMeasurement(radius=2.2, k=3.0, samples=np.ones((1, 8), complex),
+                                  noise_level=0.0, side=side, sources=sources)
+
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError, match="unknown side 'sideways'"):
+            self._ring("sideways")
+
+    def test_receivers_equispaced_from_zero(self):
+        ring = self._ring("interior")
+        assert ring.n_receivers == 8
+        assert ring.angles.tobytes() == (2.0 * np.pi * np.arange(8) / 8).tobytes()
+
+
 class TestIncidentField:
     def test_value_against_series_oracle(self):
         # k = 1, |x - z| = 1:  (i/4) H_0^(1)(1)
@@ -222,7 +238,7 @@ class TestAnalyticCircle:
 
 class TestNystrom:
     def test_exterior_soft_matches_oracle(self, unit_circle_512):
-        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1, side="exterior")
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1)
         ring = fw.simulate_ring(unit_circle_512, "soft", "exterior", 3.0, sources,
                                 2.2, 128)
         ref = fw.analytic_circle(1.0, "soft", "exterior", 3.0,
@@ -231,7 +247,7 @@ class TestNystrom:
         assert err < 1e-6
 
     def test_interior_hard_matches_oracle(self, unit_circle_512):
-        sources = fw.SourceSet(center=(0.0, 0.0), radius=0.5, count=1, side="interior")
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=0.5, count=1)
         ring = fw.simulate_ring(unit_circle_512, "hard", "interior", 4.0, sources,
                                 0.5, 64)
         ref = fw.analytic_circle(1.0, "hard", "interior", 4.0,
@@ -243,14 +259,14 @@ class TestNystrom:
                                          ("soft", "interior"), ("hard", "interior")])
     def test_boundary_residual_kite(self, kite_512, bc, side):
         radius = 2.2 if side == "exterior" else 0.5
-        sources = fw.SourceSet(center=(0.0, 0.0), radius=radius, count=3, side=side)
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=radius, count=3)
         sol = fw.solve_densities(kite_512, bc, side, 3.0, sources)
         assert sol.system_residual < 1e-10
         assert boundary_residual(kite_512, sol, bc, side, sources, _T_OFF) < 1e-6
 
     def test_self_convergence(self, kite_512):
         kite_256 = make_curve(ShapeSpec(kind="kite", n_nodes=256))
-        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2, side="exterior")
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2)
         a = fw.simulate_ring(kite_256, "soft", "exterior", 3.0, sources, 2.2, 64)
         b = fw.simulate_ring(kite_512, "soft", "exterior", 3.0, sources, 2.2, 64)
         assert np.abs(a.samples - b.samples).max() < 1e-8
@@ -258,7 +274,7 @@ class TestNystrom:
     def test_reciprocity_kite(self, kite_512):
         # u_s(x; z) = u_s(z; x): both points on one circle so a single
         # equispaced source set contains them
-        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.5, count=8, side="exterior")
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.5, count=8)
         pos = sources.positions
         sol = fw.solve_densities(kite_512, "soft", "exterior", 3.0, sources)
         samples = fw.evaluate_scattered(kite_512, sol, np.array([pos[3], pos[0]]))
@@ -271,7 +287,7 @@ class TestNystrom:
         # samples[j, m] = u_s(x_m; z_j) = u_s(z_j; x_m) = samples[m, j]
         curve = make_curve(ShapeSpec(kind=shape, n_nodes=512))
         radius = 2.5 if side == "exterior" else 0.5
-        sources = fw.SourceSet(center=(0.0, 0.0), radius=radius, count=12, side=side)
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=radius, count=12)
         s = fw.simulate_ring(curve, bc, side, 3.0, sources, radius, 12).samples
         assert np.abs(s - s.T).max() <= 1e-8 * np.abs(s).max()
 
@@ -279,7 +295,7 @@ class TestNystrom:
         # the exterior Neumann single-layer representation breaks down at an
         # interior Dirichlet eigenvalue (k a = first J_0 zero)
         circ = make_curve(ShapeSpec(kind="circle", radius=1.0, n_nodes=256))
-        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1, side="exterior")
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1)
         with pytest.raises(fw.ResonanceError):
             fw.solve_densities(circ, "hard", "exterior", FIRST_J0_ZERO, sources)
 
@@ -361,7 +377,7 @@ class TestNystrom:
             gc.enable()
 
     def test_geometry_mismatch_rejected(self, unit_circle_512, kite_512):
-        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2, side="exterior")
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2)
         circle_256 = make_curve(ShapeSpec(kind="circle", n_nodes=256))
         cases = [(fw.NystromGeometry(kite_512, "hard", "exterior"), "another curve"),
                  (fw.NystromGeometry(circle_256, "hard", "exterior"), "256 nodes"),
@@ -381,7 +397,7 @@ class TestNystrom:
             assert np.array_equal(got.samples, want.samples)
 
     def test_solve_leaves_global_rng_alone(self, kite_512):
-        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2, side="exterior")
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2)
         before = np.random.get_state()
         fw.solve_densities(kite_512, "hard", "exterior", 3.0, sources)
         after = np.random.get_state()
@@ -389,15 +405,15 @@ class TestNystrom:
         assert before[2:] == after[2:]
 
     def test_source_side_checks(self, unit_circle_512):
-        inside = fw.SourceSet(center=(0.0, 0.0), radius=0.5, count=2, side="exterior")
+        inside = fw.SourceSet(center=(0.0, 0.0), radius=0.5, count=2)
         with pytest.raises(fw.GeometryError):
             fw.solve_densities(unit_circle_512, "soft", "exterior", 3.0, inside)
-        outside = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2, side="interior")
+        outside = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2)
         with pytest.raises(fw.GeometryError):
             fw.solve_densities(unit_circle_512, "soft", "interior", 3.0, outside)
 
     def test_representations(self, unit_circle_512):
-        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1, side="exterior")
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1)
         sol = fw.solve_densities(unit_circle_512, "soft", "exterior", 3.0, sources)
         assert sol.representation == "combined-layer"
         sol = fw.solve_densities(unit_circle_512, "hard", "exterior", 3.0, sources)

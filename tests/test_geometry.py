@@ -184,10 +184,10 @@ class TestImagingGrid:
 
     def test_index_of_roundtrip(self):
         g = imaging_grid(-1.5, 1.5, -1.5, 1.5, 150, 150)
-        for i in (0, 77, 149 * 150, 22499):
-            x, y = g.points[i]
-            assert g.index_of(x, y) == i
-        assert g.index_of(5.0, 0.0) == -1
+        ids = np.array([0, 77, 149 * 150, 22499])
+        x, y = g.points[ids].T
+        assert g.index_of(x, y).tolist() == ids.tolist()
+        assert g.index_of(np.array([5.0, 0.0]), np.array([0.0, -1.6])).tolist() == [-1, -1]
 
     def test_degenerate_bounds(self):
         with pytest.raises(ValueError):

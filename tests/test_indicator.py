@@ -13,11 +13,9 @@ from nearscat.geometry import ShapeSpec, imaging_grid, make_curve
 from nearscat.pipeline import FIRST_J0_ZERO, reconstruct
 
 
-def _coeffs(values, radius=2.2, k=3.0, side="exterior", n_trunc=None):
+def _coeffs(values, radius=2.2, k=3.0, side="exterior"):
     values = np.atleast_2d(np.asarray(values, complex))
-    n = (values.shape[1] - 1) // 2 if n_trunc is None else n_trunc
     return ct.ModeCoefficients(values=values, anchor_radius=radius, k=k, side=side,
-                               truncation=n,
                                excluded=np.zeros(values.shape[1], dtype=bool))
 
 
@@ -43,7 +41,7 @@ class TestSoftIndicator:
     def test_exact_cancellation_single_source(self):
         # one source; a single n = 0 mode tuned so u_N = -u_i at a target on
         # the anchor ring (mode ratio is exactly 1 there)
-        src = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1, side="exterior")
+        src = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1)
         target = 2.2 * np.array([np.cos(2.0), np.sin(2.0)])
         ui = fw.incident_field(target[None, :], src.positions[0], 3.0)[0]
         co = _coeffs([-ui], radius=2.2)
@@ -83,7 +81,7 @@ class TestSoftIndicator:
                 assert w * scaled == pytest.approx(c * base[i], rel=1e-12)
 
     def test_grid_point_on_source_rejected(self):
-        src = fw.SourceSet(center=(0.0, 0.0), radius=1.0, count=1, side="exterior")
+        src = fw.SourceSet(center=(0.0, 0.0), radius=1.0, count=1)
         co = _coeffs([0.1, 0.2, 0.1], radius=2.2)
         with pytest.raises(ValueError):
             ind.indicator_values(co, src, np.array([[1.0, 0.0]]), "soft")
@@ -91,7 +89,7 @@ class TestSoftIndicator:
     @pytest.mark.parametrize("points", [[[0.0, 0.0]], [[0.0, 0.0], [0.3, 0.4]]])
     def test_unknown_kind_rejected(self, points):
         # also when every point sits at the origin and no indicator is formed
-        src = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1, side="exterior")
+        src = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1)
         co = _coeffs([0.1, 0.2, 0.1], radius=2.2)
         with pytest.raises(ValueError, match="unknown indicator kind"):
             ind.indicator_values(co, src, np.array(points), "bogus")
@@ -99,7 +97,7 @@ class TestSoftIndicator:
 
 class TestHardIndicator:
     def test_single_source_image_vanishes(self, unit_circle_512):
-        src = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1, side="exterior")
+        src = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1)
         ring = fw.simulate_ring(unit_circle_512, "hard", "exterior", 3.0, src, 2.2, 64)
         co = ct.compute_coefficients(ring, 4)
         grid = imaging_grid(-1.2, 1.2, -1.2, 1.2, 9, 9)
@@ -167,7 +165,7 @@ def _random_scenario(side, n_trunc=4, n_src=12, seed=0):
     radius = 2.2 if side == "exterior" else 0.5
     co = _coeffs(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
                  radius=radius, side=side)
-    return co, fw.SourceSet(center=(0.0, 0.0), radius=radius, count=n_src, side=side)
+    return co, fw.SourceSet(center=(0.0, 0.0), radius=radius, count=n_src)
 
 
 class TestBlockedEvaluation:
@@ -210,7 +208,7 @@ class TestBlockedEvaluation:
     def test_source_at_live_origin_rejected(self, kind):
         # the origin is in no block and gets no incident term, yet still raises
         co, _ = _random_scenario("exterior")
-        src = fw.SourceSet(center=(-2.2, 0.0), radius=2.2, count=12, side="exterior")
+        src = fw.SourceSet(center=(-2.2, 0.0), radius=2.2, count=12)
         assert np.array_equal(src.positions[0], [0.0, 0.0])
         pts = np.array([[0.3, 0.4], [0.0, 0.0]])
         with pytest.raises(fw.SingularityError, match="coincides with a source"):
@@ -299,7 +297,7 @@ class TestBoundaryDip:
 
     def _dip_ratio(self, curve, bc, side, k, n, offset_radius, delta=0.0, seed=7):
         ring_r = 2.2 if side == "exterior" else 0.5
-        srcs = fw.SourceSet(center=(0.0, 0.0), radius=ring_r, count=12, side=side)
+        srcs = fw.SourceSet(center=(0.0, 0.0), radius=ring_r, count=12)
         ring = fw.simulate_ring(curve, bc, side, k, srcs, ring_r, 128)
         if delta > 0:
             ring = nz.add_noise(ring, nz.NoiseSpec(level=delta, seed=seed))
@@ -337,7 +335,7 @@ class TestCircleSymmetry:
     indicator image is unchanged by either, up to rounding."""
 
     CURVE = make_curve(ShapeSpec(kind="circle", radius=1.0, n_nodes=128))
-    SOURCES = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=12, side="exterior")
+    SOURCES = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=12)
 
     @settings(max_examples=20, deadline=None)
     @given(bc=st.sampled_from(["soft", "hard"]), k=st.floats(1.0, 6.0),

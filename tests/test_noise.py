@@ -9,11 +9,8 @@ from nearscat import noise as nz
 
 def _ring(samples):
     samples = np.atleast_2d(samples)
-    m = samples.shape[1]
-    sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2,
-                           count=samples.shape[0], side="exterior")
-    return fw.RingMeasurement(radius=2.2, angles=2 * np.pi * np.arange(m) / m,
-                              k=3.0, samples=samples,
+    sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=samples.shape[0])
+    return fw.RingMeasurement(radius=2.2, k=3.0, samples=samples,
                               noise_level=0.0, side="exterior", sources=sources)
 
 

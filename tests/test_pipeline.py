@@ -162,6 +162,7 @@ class TestConfigValidation:
         pytest.param(dict(truncation=3, delta=-0.1), "noise level", id="negative-delta"),
         pytest.param(dict(truncation=-1), "truncation must be >= 0", id="negative-truncation"),
         pytest.param(dict(seed=-1), "seed must be >= 0", id="negative-seed"),
+        pytest.param(dict(seed=1.5), "seed must be an integer", id="fractional-seed"),
         pytest.param(dict(side="interior", mode_guard=math.nan), "mode_guard", id="nan-guard"),
         pytest.param(dict(side="interior", exclusion_radius=math.nan), "exclusion_radius",
                      id="nan-exclusion"),
@@ -333,9 +334,7 @@ class TestRadialBoundaryError:
         curve = make_curve(ShapeSpec(kind="circle", radius=1.0, n_nodes=256))
         grid = imaging_grid(-1.5, 1.5, -1.5, 1.5, 150, 150)
         values = np.ones(grid.n_points)
-        for p in curve.points:
-            idx = grid.index_of(p[0], p[1])
-            values[idx] = 0.0
+        values[grid.index_of(curve.points[:, 0], curve.points[:, 1])] = 0.0
         img = ind.IndicatorImage(grid=grid, values=values, kind="soft",
                                  wavenumbers=(3.0,), state="raw",
                                  flags=np.zeros(grid.n_points, dtype=np.uint8))
