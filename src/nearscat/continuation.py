@@ -24,6 +24,10 @@ return (n_src, P) values or (n_src, 2, P) gradients.
 
 The interior ratio J_n(k r)/J_n(k R) blows up whenever k R sits near a
 zero of J_n; ``compute_coefficients`` zeroes and flags such modes.
+
+The DFT and the mode sums run on scipy's BLAS through ``forward._gemm``:
+a ``@`` would wake numpy's own OpenBLAS pool beside scipy's, and its idle
+workers would spin on the cores the rest of the pipeline needs.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import cylfun
-from .forward import RingMeasurement
+from .forward import RingMeasurement, _gemm
 
 DEFAULT_MODE_GUARD = 1e-8
 MIN_RADIUS = 1e-12
@@ -101,7 +105,7 @@ def compute_coefficients(ring: RingMeasurement, truncation: int,
             f"receivers, have {m_rec})")
     orders = np.arange(-truncation, truncation + 1)
     basis = np.exp(-1j * np.outer(orders, ring.angles))      # (2N+1, M)
-    values = ring.samples @ basis.T / m_rec
+    values = _gemm(ring.samples, basis.T) / m_rec
     excluded = np.zeros(2 * truncation + 1, dtype=bool)
     if ring.side == "interior":
         denom = cylfun.bessel_j_all(truncation, ring.k * ring.radius)
@@ -189,7 +193,7 @@ def eval_field(coeffs: ModeCoefficients, theta: np.ndarray,
     ratio, _, inverse = tables
     modes = ratio[:, inverse]
     modes *= np.exp(1j * np.outer(coeffs.orders, theta))     # (2N+1, P)
-    return coeffs.values @ modes
+    return _gemm(coeffs.values, modes)
 
 
 def eval_gradient(coeffs: ModeCoefficients, r: np.ndarray, theta: np.ndarray,
@@ -209,14 +213,14 @@ def eval_gradient(coeffs: ModeCoefficients, r: np.ndarray, theta: np.ndarray,
     # the peak resident memory of the 300^2 cavity benchmark by 16 MB
     phases = np.exp(1j * np.outer(coeffs.orders, theta))
     dratio *= phases
-    g_rad = coeffs.values @ dratio                           # (n_src, P)
+    g_rad = _gemm(coeffs.values, dratio)                     # (n_src, P)
     del dratio
     ang = 1j * coeffs.orders[:, None] / r[None, :]
     ang *= ratio
     del ratio
     ang *= phases
     del phases
-    g_ang = coeffs.values @ ang
+    g_ang = _gemm(coeffs.values, ang)
     del ang
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     out = np.empty((coeffs.n_sources, 2, r.size), dtype=complex)

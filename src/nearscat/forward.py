@@ -48,6 +48,13 @@ a representation uses are assembled.
 ``_FORMULATIONS`` holds the four rows above (representation, operators,
 jump); the geometry, the system matrix and the layer-potential evaluation
 all take them from there.
+
+Every dense product of the package goes through ``_gemm`` on scipy's
+BLAS, never through ``@``.  The numpy and scipy wheels each bundle an
+OpenBLAS with its own thread pool, whose workers busy-wait for a while
+after each threaded call.  The LU already wakes scipy's pool; a ``@``
+would wake numpy's too, and its spinning workers would take CPU from the
+single-threaded numpy code between the products.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from scipy.special import y0 as _sp_y0
 from scipy.special import y1 as _sp_y1
 
 from . import cylfun
-from .geometry import BoundaryCurve
+from .geometry import BoundaryCurve, equispaced_angles
 
 EULER_GAMMA = cylfun.EULER_GAMMA
 CONDITION_LIMIT = 1e12
@@ -114,7 +121,7 @@ class SourceSet:
 
     @property
     def angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.count) / self.count
+        return equispaced_angles(self.count)
 
     @property
     def positions(self) -> np.ndarray:
@@ -147,8 +154,7 @@ class RingMeasurement:
 
     @property
     def angles(self) -> np.ndarray:
-        m = self.n_receivers
-        return 2.0 * np.pi * np.arange(m) / m
+        return equispaced_angles(self.n_receivers)
 
     @property
     def receiver_points(self) -> np.ndarray:
@@ -170,6 +176,18 @@ def _hankel1(order: int, x: np.ndarray, j: np.ndarray | None = None) -> np.ndarr
     h.real = j_fn(x) if j is None else j
     h.imag = y_fn(x)
     return h
+
+
+def _gemm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for complex matrices, on scipy's BLAS (see the module docstring).
+
+    Row-major x y is column-major y^T x^T.  Each operand goes in as an
+    F-contiguous view (its transpose, or itself with BLAS transposing it),
+    so that f2py copies neither: the residual's M x M ``a.T`` stays a view.
+    """
+    a, trans_a = (y, 1) if y.flags.f_contiguous else (y.T, 0)
+    b, trans_b = (x, 1) if x.flags.f_contiguous else (x.T, 0)
+    return sla.blas.zgemm(1.0, a, b, trans_a=trans_a, trans_b=trans_b).T
 
 
 def _diff_to_source(x: np.ndarray, z: np.ndarray):
@@ -203,7 +221,7 @@ def _log_weight_circulant(m_nodes: int, out: np.ndarray | None = None) -> np.nda
     R(d) = -(2 pi/n) sum_{m=1}^{n-1} cos(m d)/m - (pi/n^2) cos(n d).
     """
     n = m_nodes // 2
-    d = 2.0 * np.pi * np.arange(m_nodes) / m_nodes
+    d = equispaced_angles(m_nodes)
     m = np.arange(1, n)
     acc = np.cos(d[:, None] * m) / m             # (M, n-1)
     row = -(2.0 * np.pi / n) * acc.sum(axis=-1) - (np.pi / n**2) * np.cos(n * d)
@@ -413,7 +431,7 @@ def solve_densities(curve: BoundaryCurve, bc: str, side: str, k: float,
             f"(k={k}, side={side}, bc={bc}); likely an irregular frequency")
     rhs = -_boundary_data(bc, k, sources, curve.points, curve.normals)
     phi = sla.lu_solve(lu_piv, rhs.T).T
-    res = np.linalg.norm(phi @ a.T - rhs, axis=1) / np.linalg.norm(rhs, axis=1)
+    res = np.linalg.norm(_gemm(phi, a.T) - rhs, axis=1) / np.linalg.norm(rhs, axis=1)
     return DensitySolution(density=phi, representation=representation,
                            condition_estimate=cond, system_residual=float(res.max()), k=k)
 
@@ -435,7 +453,7 @@ def evaluate_scattered(curve: BoundaryCurve, sol: DensitySolution, points) -> np
             * (d[..., 0] * nj[None, :, 0] + d[..., 1] * nj[None, :, 1]) / r
         g = d_ker if sol.representation == "double-layer" else d_ker - 1j * sol.k * s_ker
     h = 2.0 * np.pi / curve.n_nodes
-    return h * (sol.density @ g.T)
+    return h * _gemm(sol.density, g.T)
 
 
 def simulate_ring(curve: BoundaryCurve, bc: str, side: str, k: float,
@@ -446,7 +464,7 @@ def simulate_ring(curve: BoundaryCurve, bc: str, side: str, k: float,
     Pass the curve's ``NystromGeometry(curve, bc, side)`` as ``geometry`` to
     reuse it across wavenumbers.
     """
-    angles = 2.0 * np.pi * np.arange(n_receivers) / n_receivers
+    angles = equispaced_angles(n_receivers)
     pts = np.column_stack([ring_radius * np.cos(angles), ring_radius * np.sin(angles)])
     _check_side(curve, side, pts, "receiver")
     sol = solve_densities(curve, bc, side, k, sources, geometry=geometry)

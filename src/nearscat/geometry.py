@@ -24,6 +24,12 @@ import numpy as np
 N_DENSE = 4096           # curve samples behind BoundaryCurve.radial_profile
 
 
+def equispaced_angles(count: int) -> np.ndarray:
+    """2 pi j / count for j = 0..count-1: the layout of curve nodes,
+    sources, receivers and rays."""
+    return 2.0 * np.pi * np.arange(count) / count
+
+
 @dataclass(frozen=True)
 class ShapeSpec:
     """Description of a closed boundary shape plus its node count.
@@ -95,7 +101,7 @@ class BoundaryCurve:
         spec.validate()
         self.spec = spec
         self.n_nodes = spec.n_nodes
-        self.t = 2.0 * np.pi * np.arange(self.n_nodes) / self.n_nodes
+        self.t = equispaced_angles(self.n_nodes)
         self.points = self.position(self.t)           # (M, 2)
         self.tangents = self.derivative(self.t)       # x'
         self.seconds = self.second_derivative(self.t)  # x''
@@ -129,7 +135,7 @@ class BoundaryCurve:
         star-shaped with respect to the origin.
         """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        td = 2.0 * np.pi * np.arange(N_DENSE) / N_DENSE
+        td = equispaced_angles(N_DENSE)
         p = self.position(td)
         ang = np.mod(np.arctan2(p[:, 1], p[:, 0]), 2.0 * np.pi)
         rad = np.hypot(p[:, 0], p[:, 1])

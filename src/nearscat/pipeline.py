@@ -26,7 +26,8 @@ from . import formats
 from . import indicator as ind
 from .forward import (GeometryError, NystromGeometry, RingMeasurement, SourceSet,
                       analytic_circle, simulate_ring)
-from .geometry import BoundaryCurve, ImagingGrid, ShapeSpec, imaging_grid, make_curve
+from .geometry import (BoundaryCurve, ImagingGrid, ShapeSpec, equispaced_angles, imaging_grid,
+                       make_curve)
 from .indicator import IndicatorImage
 from .noise import NoiseSpec, add_noise
 
@@ -401,7 +402,7 @@ def radial_boundary_error(image: IndicatorImage, truth: BoundaryCurve) -> RayRep
     """
     grid = image.grid
     step = 0.5 * min(grid.spacing_x, grid.spacing_y)
-    angles = 2.0 * np.pi * np.arange(N_RAYS) / N_RAYS
+    angles = equispaced_angles(N_RAYS)
     r_truth = truth.radial_profile(angles)
     dists = np.full(N_RAYS, np.nan)
     for i, (theta, r_t) in enumerate(zip(angles, r_truth)):
@@ -519,7 +520,7 @@ def convergence_study(side: str, *, analysis_radius: float | None = None,
         raise ValueError("analysis circle must be separated from the boundary")
     exponent = math.log(r2) / math.log(r1)
 
-    th = 2.0 * np.pi * np.arange(STUDY_POINTS) / STUDY_POINTS
+    th = equispaced_angles(STUDY_POINTS)
     sources = SourceSet(center=(0.0, 0.0), radius=meas, count=STUDY_SOURCES)
 
     def oracle(r: float) -> np.ndarray:

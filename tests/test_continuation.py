@@ -7,6 +7,7 @@ import pytest
 from nearscat import continuation as ct
 from nearscat import cylfun as cf
 from nearscat import forward as fw
+from nearscat.forward import _gemm
 from nearscat.geometry import imaging_grid
 
 from oracle_series import FIRST_J0_ZERO
@@ -258,14 +259,14 @@ def _per_point_tables(co, r):
 def _per_point_field(co, r, theta):
     ratio, _ = _per_point_tables(co, r)
     phases = np.exp(1j * np.outer(co.orders, theta))
-    return co.values @ (ratio * phases)
+    return _gemm(co.values, ratio * phases)
 
 
 def _per_point_gradient(co, r, theta):
     ratio, dratio = _per_point_tables(co, r)
     phases = np.exp(1j * np.outer(co.orders, theta))
-    g_rad = co.values @ (dratio * phases)
-    g_ang = co.values @ ((1j * co.orders[:, None] / r[None, :]) * ratio * phases)
+    g_rad = _gemm(co.values, dratio * phases)
+    g_ang = _gemm(co.values, (1j * co.orders[:, None] / r[None, :]) * ratio * phases)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     gx = g_rad * cos_t[None, :] - g_ang * sin_t[None, :]
     gy = g_rad * sin_t[None, :] + g_ang * cos_t[None, :]
