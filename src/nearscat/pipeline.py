@@ -131,6 +131,9 @@ class ScenarioConfig:
         if min(self.grid_nx, self.grid_ny) < 2:
             raise ConfigError(f"grid_nx and grid_ny must be >= 2, "
                               f"got {self.grid_nx} and {self.grid_ny}")
+        for key in ("grid_xmin", "grid_xmax", "grid_ymin", "grid_ymax"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if not (self.grid_xmax > self.grid_xmin and self.grid_ymax > self.grid_ymin):
             raise ConfigError(f"grid bounds must increase: x [{self.grid_xmin}, "
                               f"{self.grid_xmax}], y [{self.grid_ymin}, {self.grid_ymax}]")

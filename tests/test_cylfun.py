@@ -110,6 +110,15 @@ class TestBesselY:
         rel = np.abs(vals - ref)[strong] / np.abs(ref)[strong]
         assert rel.max() < 1e-9
 
+    def test_y0_y1_geometric_grid_against_scipy(self):
+        # up to kr ~ 170, which k = 80 reaches on the default grid; sqrt(t)
+        # scales out the 1/sqrt(t) decay
+        import scipy.special as sp
+        t = np.geomspace(1e-3, 200.0, 2001)
+        y = cf.bessel_y_all(1, t)
+        assert np.max(np.sqrt(t) * np.abs(y[0] - sp.y0(t))) <= 1e-13
+        assert np.max(np.sqrt(t) * np.abs(y[1] - sp.y1(t))) <= 1e-13
+
     def test_saturation_flag(self):
         y, saturated = cf.bessel_y_all(80, 1e-3, return_saturated=True)
         assert saturated[80]
@@ -118,6 +127,35 @@ class TestBesselY:
     def test_domain_error(self):
         with pytest.raises(cf.DomainError):
             cf.bessel_y_all(0, 0.0)
+
+
+class TestTinyArguments:
+    """The Miller pass alone at t down to 1e-12, where trial values rescale often."""
+
+    @staticmethod
+    def _check(t, j, y):
+        import scipy.special as sp
+        ref = np.array([sp.jv(n, t) for n in range(61)])
+        ok = np.abs(ref) > 1e-290
+        assert np.max(np.abs(j - ref)[ok] / np.abs(ref)[ok]) <= 1e-12
+        for got, want in ((y[0], sp.y0(t)), (y[1], sp.y1(t))):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+    def test_tiny_against_scipy(self):
+        t = np.geomspace(1e-12, 1e-6, 121)
+        self._check(t, cf.bessel_j_all(60, t), cf.bessel_y_all(1, t))
+
+    def test_tiny_mixed_with_large(self):
+        # t = 30 deepens the start order for the whole call
+        t = np.concatenate([np.geomspace(1e-12, 1e-6, 25), [30.0]])
+        self._check(t, cf.bessel_j_all(60, t), cf.bessel_y_all(1, t))
+
+    def test_argument_floor(self):
+        assert jn(1, 1e-40) == pytest.approx(5e-41, rel=1e-12)
+        with pytest.raises(cf.DomainError, match="1e-40"):
+            cf.bessel_j_all(3, [0.0, 1e-41])
+        with pytest.raises(cf.DomainError, match="1e-40"):
+            cf.bessel_y_all(3, 1e-300)
 
 
 class TestHankel:

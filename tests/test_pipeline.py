@@ -142,6 +142,15 @@ class TestConfigValidation:
             run_scenario(replace(SMALL, **{key: radius}), tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("key", ["grid_xmin", "grid_xmax", "grid_ymin", "grid_ymax"])
+    @pytest.mark.parametrize("bound", [-math.inf, math.inf, math.nan])
+    def test_nonfinite_grid_bound(self, tmp_path, key, bound):
+        # an infinite bound still "increases", so only the finiteness check
+        # stops it before any output is written
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            run_scenario(replace(SMALL, **{key: bound}), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_shape_center_needs_two_entries(self, tmp_path):
         with pytest.raises(ConfigError, match="shape_center"):
             run_scenario(replace(SMALL, shape_center=(0.1,)), tmp_path / "run")
