@@ -16,8 +16,11 @@ at every argument:
 * Y_n for n >= 2 by upward recurrence, stable because |Y_n| grows with
   the order.
 
-Arguments are t = 0 (J only, the exact limits) or t >= 1e-40, where one
-recurrence step 2m/t cannot overflow the rescaled trial values.  Tables
+Arguments are t = 0 (J only, the exact limits) or 1e-40 <= t <= MAX_ARG.
+Below 1e-40 one recurrence step 2m/t could overflow the rescaled trial
+values.  Above MAX_ARG = 1e4 the Miller pass, whose start order grows
+like t + 9 sqrt(t), would cost more than a tenth of a second per call
+and ten times that per decade of t.  Tables
 cover the orders 0..n_max; callers reduce negative orders through
 J_{-n} = (-1)^n J_n, Y_{-n} = (-1)^n Y_n.  |Y_n| saturates at
 ``SATURATION`` instead of overflowing to inf; callers can detect the
@@ -35,6 +38,7 @@ import numpy as np
 EULER_GAMMA = 0.57721566490153286061
 SATURATION = 1e280          # |Y_n| clamp; beyond this only the sign is meaningful
 MAX_ORDER = 200             # supported |n|
+MAX_ARG = 1e4               # largest t (see the module docstring)
 
 _MIN_ARG = 1e-40            # smallest positive t (see the module docstring)
 _MILLER_PAD = 10
@@ -64,6 +68,8 @@ def _as_flat(t, positive: bool) -> tuple[np.ndarray, tuple]:
         raise DomainError("argument must be nonnegative")
     if np.any((arr > 0.0) & (arr < _MIN_ARG)):
         raise DomainError(f"positive argument must be >= {_MIN_ARG:g}")
+    if np.any(arr > MAX_ARG):
+        raise DomainError(f"argument must be <= {MAX_ARG:g}")
     return np.atleast_1d(arr).ravel(), arr.shape
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import continuation as ct
-from . import formats
+from . import cylfun, formats
 from . import indicator as ind
 from .forward import (GeometryError, NystromGeometry, RingMeasurement, SourceSet,
                       analytic_circle, simulate_ring)
@@ -137,6 +137,18 @@ class ScenarioConfig:
         if not (self.grid_xmax > self.grid_xmin and self.grid_ymax > self.grid_ymin):
             raise ConfigError(f"grid bounds must increase: x [{self.grid_xmin}, "
                               f"{self.grid_xmax}], y [{self.grid_ymin}, {self.grid_ymax}]")
+        # the continuation evaluates cylinder functions at k r out to the
+        # farther grid corner and at the receiver radius
+        corner = math.hypot(max(abs(self.grid_xmin), abs(self.grid_xmax)),
+                            max(abs(self.grid_ymin), abs(self.grid_ymax)))
+        receiver = _RING_RADIUS[self.side] if self.receiver_radius is None \
+            else self.receiver_radius
+        radius = max(corner, receiver)
+        if max(self.wavenumbers) * radius > cylfun.MAX_ARG:
+            raise ConfigError(
+                f"wavenumbers {self.wavenumbers} reach k r = {max(self.wavenumbers) * radius:g} "
+                f"at radius {radius:g} (farther grid corner or receiver_radius), above the "
+                f"cylinder-function ceiling {cylfun.MAX_ARG:g}")
         if n < 0:
             raise ConfigError(f"truncation must be >= 0, got {n}")
         if 2 * n + 1 > self.receiver_count:

@@ -157,6 +157,14 @@ class TestTinyArguments:
         with pytest.raises(cf.DomainError, match="1e-40"):
             cf.bessel_y_all(3, 1e-300)
 
+    def test_argument_ceiling(self):
+        # the Miller start order grows like t + 9 sqrt(t), so a call at t = 1e6
+        # would take minutes: refused before any recurrence
+        t = [1.0, 100.0 * cf.MAX_ARG]
+        for fn in (cf.bessel_j_all, cf.bessel_y_all, cf.hankel1_all):
+            with pytest.raises(cf.DomainError, match="<= 10000"):
+                fn(2, t)
+
 
 class TestHankel:
     def test_h0_at_1_series_oracle(self):

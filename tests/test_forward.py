@@ -351,13 +351,46 @@ class TestNystrom:
                 ("interior", "hard"): lambda: ops["K'"] + half_eye}[(side, bc)]()
         assert np.array_equal(fw._system_matrix(kite_512, bc, side, k), want)
 
+    @pytest.mark.parametrize("shape", ["circle", "kite", "starfish"])
+    def test_distances_stored_as_distinct_values(self, shape):
+        # radii[inverse] is |x_i - x_j| bit for bit off the diagonal (1 on it)
+        curve = make_curve(ShapeSpec(kind=shape, n_nodes=128))
+        mm = curve.n_nodes
+        geometry = fw.NystromGeometry(curve, "soft", "exterior")
+        radii, inverse = geometry.radii, geometry.inverse
+        assert np.all(np.diff(radii) > 0.0)
+        assert radii.size <= mm * (mm + 1) // 2
+        assert inverse.dtype == np.intp and inverse.shape == (mm, mm)
+        d = curve.points[:, None, :] - curve.points[None, :, :]
+        r = np.hypot(d[..., 0], d[..., 1])
+        off = ~np.eye(mm, dtype=bool)
+        assert np.array_equal(radii[inverse][off], r[off])
+        assert np.all(radii[inverse.diagonal()] == 1.0)
+
+    @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
+    def test_bessel_calls_on_distinct_distances(self, monkeypatch, side, bc):
+        # blocks(k) calls each Cephes routine on the distinct distances only
+        curve = make_curve(ShapeSpec(kind="kite", n_nodes=128))
+        geometry = fw.NystromGeometry(curve, bc, side)
+        assert geometry.radii.size < curve.n_nodes ** 2 // 2
+        sizes = {}
+        for name in ("_sp_j0", "_sp_j1", "_sp_y0", "_sp_y1"):
+            def counting(x, fn=getattr(fw, name), name=name):
+                sizes.setdefault(name, []).append(np.size(x))
+                return fn(x)
+            monkeypatch.setattr(fw, name, counting)
+        geometry.blocks(3.0)
+        want = {"_sp_j1", "_sp_y1"} | ({"_sp_j0", "_sp_y0"} if "S" in geometry.ops else set())
+        assert set(sizes) == want
+        assert all(calls == [geometry.radii.size] for calls in sizes.values())
+
     @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
     def test_geometry_in_one_mapping_released_with_it(self, kite_512, side, bc):
         # the four k-free M x M arrays sit in one anonymous mapping, off the
         # malloc heap, and the mapping is gone with the geometry (no cycle
         # collector needed)
         geometry = fw.NystromGeometry(kite_512, bc, side)
-        arrays = [geometry.r, geometry.lg, geometry.rw, geometry.normal]
+        arrays = [geometry.inverse, geometry.lg, geometry.rw, geometry.normal]
         owner = arrays[0]
         while isinstance(owner, np.ndarray):
             owner = owner.base

@@ -79,7 +79,7 @@ class TestConfig:
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
 _HARMONICS = st.lists(_FINITE, max_size=4).map(tuple)
-_BOUNDS = st.lists(_FINITE, min_size=2, max_size=2, unique=True).map(sorted)
+_BOUNDS = st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2, unique=True).map(sorted)
 
 
 def _config_on_bounds(grid_x, grid_y, **kwargs) -> ScenarioConfig:
@@ -88,7 +88,8 @@ def _config_on_bounds(grid_x, grid_y, **kwargs) -> ScenarioConfig:
 
 
 # every config these draw passes validate(): 2N+1 <= 43 <= receiver_count,
-# increasing grid bounds, and a trig shape always has a coefficient
+# increasing grid bounds, k r <= 500 hypot(10, 10) below cylfun.MAX_ARG, and
+# a trig shape always has a coefficient
 _VALID_CONFIGS = st.builds(
     _config_on_bounds,
     side=st.sampled_from(["exterior", "interior"]), bc=st.sampled_from(["soft", "hard"]),
@@ -96,10 +97,11 @@ _VALID_CONFIGS = st.builds(
     shape_radius=_POSITIVE, shape_center=st.tuples(_FINITE, _FINITE),
     shape_x_cos=st.lists(_FINITE, min_size=1, max_size=4).map(tuple),
     shape_x_sin=_HARMONICS, shape_y_cos=_HARMONICS, shape_y_sin=_HARMONICS,
-    wavenumbers=st.lists(_POSITIVE, min_size=1, max_size=4, unique=True).map(tuple),
+    wavenumbers=st.lists(st.floats(1e-3, 500.0), min_size=1, max_size=4,
+                         unique=True).map(tuple),
     delta=st.floats(min_value=1e-6, max_value=0.99),
     source_radius=st.none() | _POSITIVE, source_count=st.integers(1, 64),
-    receiver_radius=st.none() | _POSITIVE, receiver_count=st.integers(43, 512),
+    receiver_radius=st.none() | st.floats(1e-3, 10.0), receiver_count=st.integers(43, 512),
     grid_x=_BOUNDS, grid_y=_BOUNDS,
     grid_nx=st.integers(2, 400), grid_ny=st.integers(2, 400),
     exclusion_radius=st.none() | st.floats(min_value=0.0, max_value=10.0),
@@ -134,6 +136,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="repeated wavenumbers"):
             run_scenario(replace(SMALL, wavenumbers=(3.0, 4.0, 3.0)), tmp_path / "run")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("changes", [
+        {"wavenumbers": (3.0, 4600.0)},                  # 4600 x receiver radius 2.2
+        {"wavenumbers": (3.0, 1000.0), "grid_xmin": -8.0, "grid_ymax": 8.0},  # corner
+        {"wavenumbers": (1e6,)}])
+    def test_wavenumber_beyond_cylfun_ceiling(self, tmp_path, changes):
+        # the continuation's Miller pass would take minutes at k = 1e6; the
+        # config check refuses before any solve, without calling cylfun
+        cfg = replace(SMALL, **changes)
+        with pytest.raises(ConfigError, match="wavenumbers .* above the cylinder-function"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="wavenumbers"):
+            run_scenario(cfg, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_wavenumber_at_cylfun_ceiling(self):
+        # k = 4500 reaches k r = 9900 at the receivers (2.2) and 9546 at the
+        # grid corner (1.5, 1.5): inside the ceiling
+        replace(SMALL, wavenumbers=(4500.0,)).validate()
+        replace(SMALL, wavenumbers=(1000.0,), grid_xmax=7.0, grid_ymax=7.0).validate()
 
     @pytest.mark.parametrize("key", ["source_radius", "receiver_radius"])
     @pytest.mark.parametrize("radius", [-2.2, 0.0, math.inf, math.nan])
