@@ -284,7 +284,8 @@ def pixels_from_image(image: IndicatorImage, scale: str = "percentile",
 def write_pgm(path, pixels: np.ndarray) -> None:
     ny, nx = pixels.shape
     lines = ["P2", f"{nx} {ny}", str(PGM_MAXVAL)]
-    lines += [" ".join(map(str, row.tolist())) for row in pixels.astype(np.int64)]
+    row_format = " ".join(["%d"] * nx)
+    lines += [row_format % tuple(row.tolist()) for row in pixels.astype(np.int64)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

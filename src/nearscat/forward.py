@@ -24,22 +24,22 @@ return garbage near a representation breakdown.
 Discretization: global trigonometric Nystrom on M equispaced nodes with
 the standard splitting  kernel = A1(t, tau) ln(4 sin^2((t - tau)/2)) + A2
 and the spectrally accurate log-quadrature weights R_j; spectral accuracy
-on analytic curves.
+on analytic curves.  With h = 2 pi / M, R_{|i-j|} A1 + h A2 = A1 W + h kernel
+off the diagonal, for one k-free circulant weight
+W_ij = R_{|i-j|} - h ln(4 sin^2(pi (i - j)/M)); on it, W_ii = R_0 and the
+entries take the limits h A2_ii + R_0 A1_ii.
 
 Assembly comes in two parts.  A ``NystromGeometry`` holds everything that
-does not depend on k (distances, the log factor, the weights R_j, the
-normal product of the system's K or K') and is built once per curve and
-boundary system, on the nodes; ``run_scenario`` shares one across its
-wavenumbers.  It stores the node distances as their sorted distinct
-values plus each entry's index among them: |x_i - x_j| is symmetric, and
-a symmetric or rotation-invariant curve repeats most distances (6835
-distinct among the 1024^2 of a 1024-node circle).  Its M x M arrays share
-one anonymous memory mapping, off the malloc heap.  Its per-k pass
-``blocks(k)`` makes the Bessel calls and applies every per-distance factor
-on the distinct values only, gathers them to M x M and forms each
-operator in place, freeing every M x M temporary as soon as it is used.
-Each entry goes through the arithmetic of a one-shot assembly in the
-same order, so the blocks are bit for bit the same.
+does not depend on k (distances, W, the normal product of the system's K
+or K') and is built once per curve and boundary system, on the nodes;
+``run_scenario`` shares one across its wavenumbers.  It stores the node
+distances as their sorted distinct values plus each entry's index among
+them: |x_i - x_j| is symmetric, and a symmetric or rotation-invariant
+curve repeats most distances (6835 distinct among the 1024^2 of a
+1024-node circle).  Its M x M arrays share one anonymous memory mapping,
+off the malloc heap.  Its per-k pass ``blocks(k)`` makes the Bessel calls
+and applies every per-distance factor on the distinct values only, then
+forms each operator in one gather-multiply-add, factor (A1 W + h kernel).
 
 All kernel assembly here is vectorized through scipy.special; the series
 oracle below runs on the in-house cylinder-function module instead, so
@@ -220,18 +220,23 @@ def incident_gradient(x: np.ndarray, z: np.ndarray, k: float) -> np.ndarray:
 # Nystrom discretization
 # ---------------------------------------------------------------------------
 
-def _log_weight_circulant(m_nodes: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Kress weights R_{|i-j|} for the ln(4 sin^2((t_i - t_j)/2)) factor as a
-    full (M, M) circulant (into ``out`` when given).  With M = 2n nodes:
-    R(d) = -(2 pi/n) sum_{m=1}^{n-1} cos(m d)/m - (pi/n^2) cos(n d).
-    """
+def _weight_circulant(m_nodes: int, out: np.ndarray | None = None) -> np.ndarray:
+    """W of the module docstring as a full (M, M) array (into ``out`` when
+    given).  With M = 2n, R_d = -(2 pi/n) sum_{m<n} cos(2 pi m d/M)/m
+    - (pi/n^2) (-1)^d: one real FFT of 1/m for d = 0..n, mirrored to
+    w_{M-d} = w_d, so row i is row 0 rolled by i, copied from a sliding
+    window over two periods of row 0."""
     n = m_nodes // 2
-    d = equispaced_angles(m_nodes)
-    m = np.arange(1, n)
-    acc = np.cos(d[:, None] * m) / m             # (M, n-1)
-    row = -(2.0 * np.pi / n) * acc.sum(axis=-1) - (np.pi / n**2) * np.cos(n * d)
-    idx = (np.arange(m_nodes)[:, None] - np.arange(m_nodes)[None, :]) % m_nodes
-    return np.take(row, idx, out=out)
+    inv_m = np.zeros(m_nodes)
+    inv_m[1:n] = 1.0 / np.arange(1, n)
+    d = np.arange(n + 1)
+    half = -(2.0 * np.pi / n) * np.fft.rfft(inv_m).real - (np.pi / n**2) * (1 - 2 * (d % 2))
+    half[1:] -= (2.0 * np.pi / m_nodes) * np.log(4.0 * np.sin(np.pi * d[1:] / m_nodes) ** 2)
+    row = np.concatenate((half, half[n - 1:0:-1]))
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((row[1:], row)), m_nodes)
+    out = np.empty((m_nodes, m_nodes)) if out is None else out
+    np.copyto(out, windows[::-1])
+    return out
 
 
 def _mapped_empty(shape: tuple[int, ...]) -> np.ndarray:
@@ -284,12 +289,12 @@ class NystromGeometry:
     """The k-free part of the (side, bc) boundary system's Nystrom blocks on
     the curve nodes: the distances |x(t) - x(tau)| (1 on the diagonal) as
     their sorted distinct values ``radii`` and each entry's index among them
-    ``inverse``, the log factor, the weights R_j, the double-layer diagonal
-    limits and the normal product of its K or K'.  ``inverse``, the log
-    factor, the weights and the normal product are the four M x M rows of
-    one ``_mapped_empty`` block.  ``blocks(k)`` adds one wavenumber's Bessel
-    part, evaluated on ``radii``.  It keeps the curve's spec, not the
-    curve, so a curve may hold it without forming a cycle."""
+    ``inverse``, the circulant weight W (``weight``, see the module
+    docstring), the double-layer diagonal limits and the normal product of
+    its K or K'.  ``inverse``, W and the normal product are the three
+    M x M rows of one ``_mapped_empty`` block.  ``blocks(k)`` adds one
+    wavenumber's Bessel part, evaluated on ``radii``.  It keeps the curve's
+    spec, not the curve, so a curve may hold it without forming a cycle."""
 
     def __init__(self, curve: BoundaryCurve, bc: str, side: str):
         mm = curve.n_nodes
@@ -299,29 +304,27 @@ class NystromGeometry:
         self.n_nodes = mm
         self.speed = curve.speed
         y = curve.points
-        r, self.lg, self.rw, self.normal = _mapped_empty((4, mm, mm))
-        dt = curve.t[:, None] - curve.t[None, :]
+        r, self.weight, self.normal = _mapped_empty((3, mm, mm))
         dx = y[:, None, 0] - y[None, :, 0]                # x(t) - x(tau)
         dy = y[:, None, 1] - y[None, :, 1]
         np.hypot(dx, dy, out=r)
-        np.log(np.maximum(4.0 * np.sin(0.5 * dt) ** 2, 1e-300), out=self.lg)
-        del dt
         np.fill_diagonal(r, 1.0)
-        np.fill_diagonal(self.lg, 0.0)
-        _log_weight_circulant(mm, out=self.rw)
         tg, sc = curve.tangents, curve.seconds
         w = tg[:, 0] * sc[:, 1] - tg[:, 1] * sc[:, 0]
         self.dl_diag = (0.0, -w / (4.0 * np.pi * self.speed**2))
         n = np.column_stack([tg[:, 1], -tg[:, 0]])       # nu |x'|
+        # K: nu(tau) . (x(tau) - x(t)) = -(n_tau . dx);  K': nu(t) . (x(t) - x(tau)) = n_t . dx
+        n = n[None, :] if self.ops[-1] == "K" else n[:, None]
+        np.multiply(dx, n[..., 0], out=self.normal)
+        dy *= n[..., 1]
+        self.normal += dy
         if self.ops[-1] == "K":
-            # double layer: nu(tau) . (x(tau) - x(t)) = -(n_tau . dx)
-            np.negative(dx * n[None, :, 0] + dy * n[None, :, 1], out=self.normal)
+            np.negative(self.normal, out=self.normal)
         else:
-            # adjoint double layer: nu(t) . (x(t) - x(tau)) = n_t . dx
-            np.add(dx * n[:, None, 0], dy * n[:, None, 1], out=self.normal)
-            self.normal *= self.speed[None, :] / self.speed[:, None]
+            self.normal *= np.divide(self.speed[None, :], self.speed[:, None], out=dx)
         del dx, dy
         self.radii, self.inverse = _distinct_distances(r)
+        _weight_circulant(mm, out=self.weight)
 
     def check(self, curve: BoundaryCurve, bc: str, side: str) -> None:
         """Raise ValueError unless this is the geometry of the (side, bc)
@@ -333,31 +336,24 @@ class NystromGeometry:
             raise ValueError(f"Nystrom geometry built for the {self.side} {self.bc} "
                              f"system (operators {self.ops}), not the {side} {bc} one")
 
-    def _split(self, a1_table: np.ndarray, factor: np.ndarray, full: np.ndarray,
-               diag) -> np.ndarray:
-        """R_j A1 + h A2 with A2 = full - A1 ln(4 sin^2((t - tau)/2)), formed in
-        ``full``, where A1 = a1_table[inverse] * factor.  A1 is gathered
-        twice, once for its product with the log factor and once for R_j,
-        so no third M x M array is needed.  ``diag`` holds the diagonal
-        limits (A1, A2)."""
+    def _operator(self, a1_table: np.ndarray, h_full_table: np.ndarray, factor: np.ndarray,
+                  diag) -> np.ndarray:
+        """factor (A1 W + h full), A1 and h full gathered from their tables on
+        ``radii``, with the diagonal limits ``diag`` = (A1_ii, A2_ii)."""
+        out = h_full_table.take(self.inverse)
         a1 = a1_table.take(self.inverse)
-        a1 *= factor
-        a1 *= self.lg
-        full -= a1
-        a1_table.take(self.inverse, out=a1)
-        a1 *= factor
-        np.fill_diagonal(a1, diag[0])
-        np.fill_diagonal(full, diag[1])
-        full *= 2.0 * np.pi / self.n_nodes
-        a1 *= self.rw
-        full += a1
-        return full
+        a1 *= self.weight
+        out.real += a1
+        out *= factor
+        np.fill_diagonal(out, 2.0 * np.pi / self.n_nodes * diag[1]
+                         + self.weight[0, 0] * diag[0])
+        return out
 
     def blocks(self, k: float) -> dict[str, np.ndarray]:
         """The blocks named in ``ops`` at wavenumber k, mapping node densities
-        to node values.  Every per-distance factor is applied on the distinct
-        distances ``radii`` before the gather, in the order of a one-shot
-        assembly."""
+        to node values.  Every per-distance factor, h included, is applied
+        on the distinct distances ``radii`` before the gather."""
+        h = 2.0 * np.pi / self.n_nodes
         spj = self.speed
         kr = k * self.radii
         blocks = {}
@@ -366,11 +362,10 @@ class NystromGeometry:
             s_full = _hankel1(0, kr, s1)
             np.multiply(-(0.25 / np.pi), s1, out=s1)
             np.multiply(0.25j, s_full, out=s_full)
-            s_full = s_full.take(self.inverse)
-            s_full *= spj[None, :]
+            s_full *= h
             s_diag = (-(0.25 / np.pi) * spj,                 # J_0(0) = 1
                       (0.25j - (np.log(0.5 * k * spj) + EULER_GAMMA) / (2.0 * np.pi)) * spj)
-            blocks["S"] = self._split(s1, spj[None, :], s_full, s_diag)
+            blocks["S"] = self._operator(s1, s_full, spj[None, :], s_diag)
             del s1, s_full
         c1 = _sp_j1(kr)                                  # J_1, then A1's table
         c_full = _hankel1(1, kr, c1)
@@ -379,9 +374,8 @@ class NystromGeometry:
         c1 /= self.radii
         np.multiply(-0.25j * k, c_full, out=c_full)
         c_full /= self.radii
-        c_full = c_full.take(self.inverse)
-        c_full *= self.normal
-        blocks[self.ops[-1]] = self._split(c1, self.normal, c_full, self.dl_diag)
+        c_full *= h
+        blocks[self.ops[-1]] = self._operator(c1, c_full, self.normal, self.dl_diag)
         return blocks
 
 

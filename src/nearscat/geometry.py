@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 N_DENSE = 4096           # curve samples behind BoundaryCurve.radial_profile
+CONTAINS_BLOCK = 1 << 16  # point-edge pairs per block of BoundaryCurve.contains
 
 
 def equispaced_angles(count: int) -> np.ndarray:
@@ -152,16 +153,19 @@ class BoundaryCurve:
         return np.where(d_lo <= d_hi, rad[lo], rad[hi])
 
     def contains(self, points) -> np.ndarray:
-        """Even-odd (crossing number) point-in-curve test on the node polygon."""
+        """Even-odd (crossing number) point-in-curve test on the node polygon,
+        in blocks of at most CONTAINS_BLOCK point-edge pairs; the crossing
+        abscissa is formed on the straddling edges only, as per point."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         x0, y0 = self.points[:, 0], self.points[:, 1]
         x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-        inside = np.zeros(pts.shape[0], dtype=bool)
-        for i, (px, py) in enumerate(pts):
-            cond = (y0 > py) != (y1 > py)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xi = x0 + (py - y0) * (x1 - x0) / (y1 - y0)
-            inside[i] = np.count_nonzero(cond & (px < xi)) % 2 == 1
+        inside = np.empty(pts.shape[0], dtype=bool)
+        step = max(1, CONTAINS_BLOCK // self.n_nodes)
+        for lo in range(0, pts.shape[0], step):
+            px, py = pts[lo:lo + step, 0], pts[lo:lo + step, 1]
+            p, e = np.nonzero((y0 > py[:, None]) != (y1 > py[:, None]))
+            xi = x0[e] + (py[p] - y0[e]) * (x1[e] - x0[e]) / (y1[e] - y0[e])
+            inside[lo:lo + step] = np.bincount(p[px[p] < xi], minlength=px.size) % 2 == 1
         return inside
 
 

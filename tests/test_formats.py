@@ -372,6 +372,14 @@ class TestPgm:
         assert path.read_text() == _pgm_by_loop(pixels)
         assert np.array_equal(formats.read_pgm(path), pixels)
 
+    def test_full_size_bytes_with_extremes(self, tmp_path):
+        # a 300^2 image holding 0 and 65535, byte for byte the per-row join
+        pixels = np.random.default_rng(11).integers(0, formats.PGM_MAXVAL + 1, (300, 300))
+        pixels[0, 0], pixels[-1, -1], pixels[150, :7] = 0, formats.PGM_MAXVAL, formats.PGM_MAXVAL
+        path = tmp_path / "img.pgm"
+        formats.write_pgm(path, pixels)
+        assert path.read_bytes() == _pgm_by_loop(pixels).encode("ascii")
+
     def test_masked_points_render_zero(self):
         img = _image()
         pix = formats.pixels_from_image(img, scale="linear")

@@ -26,30 +26,28 @@ def _log_weights_from_diff(dt, m_nodes):
 
 def _blocks_reference(curve, k, t_targets, pos_t, tan_t, diagonal, ops):
     """The Nystrom blocks as one function of k, with out-of-place arithmetic:
-    the reference that the geometry plus per-k pass must match bit for bit."""
+    the reference that the geometry plus per-k pass must match bit for bit.
+    Each operator is factor (A1 (R_j - h ln 4 sin^2) + h full), with the
+    weight on the nodes taken from the geometry's own weight function."""
     mm, h, spj = curve.n_nodes, 2.0 * np.pi / curve.n_nodes, curve.speed
     dt = t_targets[:, None] - curve.t[None, :]
     dx = pos_t[:, None, :] - curve.points[None, :, :]
     r = np.hypot(dx[..., 0], dx[..., 1])
-    lg = np.log(np.maximum(4.0 * np.sin(0.5 * dt) ** 2, 1e-300))
     if diagonal:
         np.fill_diagonal(r, 1.0)
-        np.fill_diagonal(lg, 0.0)
-        rw = fw._log_weight_circulant(mm)
+        w = fw._weight_circulant(mm)
         tg, sc = curve.tangents, curve.seconds
         dl_diag = (0.0, -(tg[:, 0] * sc[:, 1] - tg[:, 1] * sc[:, 0]) / (4.0 * np.pi * spj**2))
     else:
-        rw, dl_diag = _log_weights_from_diff(dt, mm), None
+        w = _log_weights_from_diff(dt, mm) - h * np.log(4.0 * np.sin(0.5 * dt) ** 2)
+        dl_diag = None
     kr = k * r
 
-    def split(a1, full, diag):
-        a2 = full - a1 * lg
+    def split(a1, full, factor, diag):
+        block = (a1 * w + h * full) * factor
         if diag is not None:
-            np.fill_diagonal(a1, diag[0])
-            np.fill_diagonal(a2, diag[1])
-        a2 *= h
-        a2 += rw * a1
-        return a2
+            np.fill_diagonal(block, h * diag[1] + w[0, 0] * diag[0])
+        return block
 
     blocks = {}
     if "S" in ops:
@@ -58,20 +56,20 @@ def _blocks_reference(curve, k, t_targets, pos_t, tan_t, diagonal, ops):
         if diagonal:
             s_diag = (-(0.25 / np.pi) * spj,
                       (0.25j - (np.log(0.5 * k * spj) + fw.EULER_GAMMA) / (2.0 * np.pi)) * spj)
-        blocks["S"] = split(-(0.25 / np.pi) * j0 * spj[None, :],
-                            0.25j * fw._hankel1(0, kr, j0) * spj[None, :], s_diag)
+        blocks["S"] = split(-(0.25 / np.pi) * j0, 0.25j * fw._hankel1(0, kr, j0),
+                            spj[None, :], s_diag)
     j1 = fw._sp_j1(kr)
     c1 = (0.25 * k / np.pi) * j1 / r
     c_full = -0.25j * k * fw._hankel1(1, kr, j1) / r
     if "K" in ops:
         nj = np.column_stack([curve.tangents[:, 1], -curve.tangents[:, 0]])
         b_k = -(dx[..., 0] * nj[None, :, 0] + dx[..., 1] * nj[None, :, 1])
-        blocks["K"] = split(c1 * b_k, c_full * b_k, dl_diag)
+        blocks["K"] = split(c1, c_full, b_k, dl_diag)
     if "K'" in ops:
         nt = np.column_stack([tan_t[:, 1], -tan_t[:, 0]])
         b_kp = dx[..., 0] * nt[:, None, 0] + dx[..., 1] * nt[:, None, 1]
         b_kp *= spj[None, :] / np.hypot(tan_t[:, 0], tan_t[:, 1])[:, None]
-        blocks["K'"] = split(c1 * b_kp, c_full * b_kp, dl_diag)
+        blocks["K'"] = split(c1, c_full, b_kp, dl_diag)
     return blocks
 
 
@@ -367,6 +365,22 @@ class TestNystrom:
         assert np.array_equal(radii[inverse][off], r[off])
         assert np.all(radii[inverse.diagonal()] == 1.0)
 
+    @pytest.mark.parametrize("mm", [16, 64, 512, 1024])
+    def test_weight_matches_its_definition(self, mm):
+        # W_ij = R_j(t_i - t_j) - h ln(4 sin^2((t_i - t_j)/2)) off the diagonal
+        # and R_0 on it, evaluated on the distinct differences t_i - t_j
+        h = 2.0 * np.pi / mm
+        t = 2.0 * np.pi * np.arange(mm) / mm
+        diffs, idx = np.unique(t[:, None] - t[None, :], return_inverse=True)
+        with np.errstate(divide="ignore"):
+            table = (_log_weights_from_diff(diffs, mm)
+                     - h * np.log(4.0 * np.sin(0.5 * diffs) ** 2))
+        want = table[idx.reshape(mm, mm)]
+        np.fill_diagonal(want, _log_weights_from_diff(np.zeros(1), mm)[0])
+        got = fw._weight_circulant(mm)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert all(np.array_equal(got[i + 1], np.roll(got[i], 1)) for i in range(mm - 1))
+
     @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
     def test_bessel_calls_on_distinct_distances(self, monkeypatch, side, bc):
         # blocks(k) calls each Cephes routine on the distinct distances only
@@ -386,17 +400,17 @@ class TestNystrom:
 
     @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
     def test_geometry_in_one_mapping_released_with_it(self, kite_512, side, bc):
-        # the four k-free M x M arrays sit in one anonymous mapping, off the
+        # the three k-free M x M arrays sit in one anonymous mapping, off the
         # malloc heap, and the mapping is gone with the geometry (no cycle
         # collector needed)
         geometry = fw.NystromGeometry(kite_512, bc, side)
-        arrays = [geometry.inverse, geometry.lg, geometry.rw, geometry.normal]
+        arrays = [geometry.inverse, geometry.weight, geometry.normal]
         owner = arrays[0]
         while isinstance(owner, np.ndarray):
             owner = owner.base
         owner = owner.obj if isinstance(owner, memoryview) else owner
         assert isinstance(owner, mmap.mmap)
-        assert len(owner) == 4 * kite_512.n_nodes ** 2 * 8
+        assert len(owner) == 3 * kite_512.n_nodes ** 2 * 8
         whole = np.frombuffer(owner)
         assert all(np.shares_memory(a, whole) for a in arrays)
         mapping = weakref.ref(owner)

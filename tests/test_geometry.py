@@ -35,6 +35,20 @@ def starfish_reference(t):
             np.column_stack([rpp * c - 2 * rp * s - r * c, rpp * s + 2 * rp * c - r * s]))
 
 
+def contains_by_loop(curve, points):
+    """Per-point even-odd crossing test on the node polygon: the reference
+    for the blocked ``BoundaryCurve.contains``."""
+    x0, y0 = curve.points[:, 0], curve.points[:, 1]
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    inside = np.zeros(points.shape[0], dtype=bool)
+    for i, (px, py) in enumerate(points):
+        cond = (y0 > py) != (y1 > py)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = x0 + (py - y0) * (x1 - x0) / (y1 - y0)
+        inside[i] = np.count_nonzero(cond & (px < xi)) % 2 == 1
+    return inside
+
+
 def node_arrays(curve):
     return curve.points, curve.tangents, curve.seconds
 
@@ -141,6 +155,21 @@ class TestCurveInvariants:
         c = make_curve(ShapeSpec(kind="kite", n_nodes=256))
         inside = c.contains(np.array([[0.0, 0.0], [2.0, 0.0], [-0.6, 0.1]]))
         assert inside.tolist() == [True, False, True]
+
+    @pytest.mark.parametrize("kind", ["circle", "kite", "starfish"])
+    def test_contains_matches_per_point_loop(self, kind):
+        # random points, points at node heights and the nodes themselves,
+        # over many blocks of the 1024-node polygon
+        c = make_curve(ShapeSpec(kind=kind, n_nodes=1024))
+        rng = np.random.default_rng(5)
+        heights = c.points[rng.integers(0, 1024, 300), 1]
+        pts = np.concatenate([rng.uniform(-2.0, 2.0, (700, 2)),
+                              np.column_stack([rng.uniform(-2.0, 2.0, 300), heights]),
+                              c.points[::8]])
+        got = c.contains(pts)
+        assert got.dtype == bool and got.shape == (pts.shape[0],)
+        assert np.array_equal(got, contains_by_loop(c, pts))
+        assert 0 < got.sum() < got.size
 
     def test_radial_profile_circle(self):
         c = make_curve(ShapeSpec(kind="circle", radius=1.3, n_nodes=128))
