@@ -24,8 +24,7 @@ import numpy as np
 from . import continuation as ct
 from . import cylfun, formats
 from . import indicator as ind
-from .forward import (GeometryError, NystromGeometry, RingMeasurement, SourceSet,
-                      analytic_circle, simulate_ring)
+from .forward import GeometryError, RingMeasurement, SourceSet, analytic_circle, simulate_ring
 from .geometry import (BoundaryCurve, ImagingGrid, ShapeSpec, equispaced_angles, imaging_grid,
                        make_curve)
 from .indicator import IndicatorImage
@@ -285,17 +284,17 @@ def reconstruct(ring: RingMeasurement, bc: str, grid: ImagingGrid, truncation: i
 
 def simulate_rings(cfg: ScenarioConfig) -> list[RingMeasurement]:
     """Clean rings of a resolved config, one per wavenumber in order, all on
-    one Nystrom geometry, which is unreachable once this returns.
+    one curve and so on its one Nystrom geometry, which goes with the curve
+    when this returns.
 
     ConfigError when a source or receiver lies on the shape or on the wrong
     side of it; the first wavenumber's solve checks that before any work.
     """
     curve = cfg.curve()
     sources = cfg.sources()
-    geometry = NystromGeometry(curve, cfg.bc, cfg.side)
     try:
         return [simulate_ring(curve, cfg.bc, cfg.side, k, sources, cfg.receiver_radius,
-                              cfg.receiver_count, geometry=geometry)
+                              cfg.receiver_count)
                 for k in cfg.wavenumbers]
     except GeometryError as exc:
         raise ConfigError(str(exc)) from None

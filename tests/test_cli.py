@@ -4,7 +4,7 @@ import pytest
 from nearscat import formats
 from nearscat import forward as fw
 from nearscat.cli import main
-from nearscat.pipeline import ScenarioConfig
+from nearscat.pipeline import FIRST_J0_ZERO, ScenarioConfig
 
 
 @pytest.fixture()
@@ -147,6 +147,33 @@ def test_bad_wavenumber_exits_2(argv, named, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("nearscat: error: ") and named in captured.err
     assert "max rel err" not in captured.out
+
+
+def test_simulate_rejects_receiver_on_shape_before_output(tmp_path, capsys):
+    # receiver 0 sits on node 0 of the 128-node circle
+    out = tmp_path / "data"
+    assert main(["simulate", "-o", str(out), "--shape", "circle", "--bc", "soft",
+                 "--forward-nodes", "128", "--receiver-radius", "1.0",
+                 "--receiver-count", "127"]) == 2
+    assert capsys.readouterr().err == "nearscat: error: a receiver lies on the boundary\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["pipeline", "--shape", "circle", "--bc", "hard"], "condition estimate"),
+    (["oracle-check", "--nodes", "64"], "condition estimate"),
+    (["rates", "--side", "interior"], "mode n=0 denominator"),
+], ids=["pipeline-resonance", "oracle-check-resonance", "rates-mode-degeneracy"])
+def test_wavenumber_errors_exit_2(tmp_path, argv, named, capsys):
+    # k a at the first J_0 zero, a wavenumber the user chose: one error
+    # line, no traceback, no output directory
+    out = tmp_path / "run"
+    if argv[0] == "pipeline":
+        argv = argv + ["-o", str(out)]
+    assert main(argv + ["--k", repr(FIRST_J0_ZERO)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nearscat: error: ") and named in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_noise_rejects_negative_seed(tmp_path, capsys):

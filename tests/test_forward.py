@@ -423,25 +423,41 @@ class TestNystrom:
         finally:
             gc.enable()
 
-    def test_geometry_mismatch_rejected(self, unit_circle_512, kite_512):
-        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2)
-        circle_256 = make_curve(ShapeSpec(kind="circle", n_nodes=256))
-        cases = [(fw.NystromGeometry(kite_512, "hard", "exterior"), "another curve"),
-                 (fw.NystromGeometry(circle_256, "hard", "exterior"), "256 nodes"),
-                 (fw.NystromGeometry(unit_circle_512, "soft", "exterior"), "operators"),
-                 (fw.NystromGeometry(unit_circle_512, "hard", "interior"), "operators")]
-        for geometry, why in cases:
-            with pytest.raises(ValueError, match=why):
-                fw.solve_densities(unit_circle_512, "hard", "exterior", 3.0, sources,
-                                   geometry=geometry)
+    def test_curve_keeps_one_geometry(self, kite_512):
+        # the curve holds the geometry of the last system solved on it: every
+        # k shares it, another system replaces it, and rings and densities are
+        # bit for bit those of a fresh curve
         with pytest.raises(ValueError, match="unknown problem variant"):
             fw.NystromGeometry(kite_512, "hard", "outside")
-        shared = fw.NystromGeometry(unit_circle_512, "hard", "exterior")
+        spec = ShapeSpec(kind="kite", n_nodes=128)
+        curve = make_curve(spec)
+        assert curve.nystrom is None
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2)
+        shared = []
         for k in (3.0, 4.0):
-            want = fw.simulate_ring(unit_circle_512, "hard", "exterior", k, sources, 2.2, 16)
-            got = fw.simulate_ring(unit_circle_512, "hard", "exterior", k, sources, 2.2, 16,
-                                   geometry=shared)
+            want = fw.simulate_ring(make_curve(spec), "hard", "exterior", k, sources, 2.2, 16)
+            got = fw.simulate_ring(curve, "hard", "exterior", k, sources, 2.2, 16)
+            shared.append(curve.nystrom)
             assert np.array_equal(got.samples, want.samples)
+        assert shared[0] is shared[1] is not None
+        for bc in ("soft", "hard", "soft"):
+            want = fw.solve_densities(make_curve(spec), bc, "exterior", 3.0, sources)
+            got = fw.solve_densities(curve, bc, "exterior", 3.0, sources)
+            assert curve.nystrom.ops == fw._FORMULATIONS[("exterior", bc)][1]
+            assert np.array_equal(got.density, want.density)
+
+    @pytest.mark.parametrize("count", [127, 128])
+    def test_placement_on_boundary_rejected(self, count):
+        # a receiver or source on a curve node (index 0 of either layout) is
+        # refused before any solver work, ahead of the side check
+        curve = make_curve(ShapeSpec(kind="circle", n_nodes=128))
+        off = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2)
+        on = fw.SourceSet(center=(0.0, 0.0), radius=1.0, count=count)
+        with pytest.raises(fw.GeometryError, match="a receiver lies on the boundary"):
+            fw.simulate_ring(curve, "soft", "exterior", 3.0, off, 1.0, count)
+        with pytest.raises(fw.GeometryError, match="a source lies on the boundary"):
+            fw.simulate_ring(curve, "soft", "exterior", 3.0, on, 2.2, 16)
+        assert curve.nystrom is None
 
     def test_solve_leaves_global_rng_alone(self, kite_512):
         sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2)

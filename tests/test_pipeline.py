@@ -332,15 +332,28 @@ class TestBenchmarkHooks:
         run_scenario(cfg, tmp_path)
         assert calls == [3.0, 4.0]
 
+    def test_reference_ring_hook(self):
+        # perfbench/make_refs.py records reference rings with this call, on a
+        # curve of twice the config's nodes
+        cfg = replace(SMALL, shape="kite", wavenumbers=(3.0, 4.0), forward_nodes=32).resolved()
+        fine = pipeline.make_curve(cfg.shape_spec(n_nodes=2 * cfg.forward_nodes))
+        for k in cfg.wavenumbers:
+            ring = pipeline.simulate_ring(fine, cfg.bc, cfg.side, k, cfg.sources(),
+                                          cfg.receiver_radius, cfg.receiver_count)
+            assert ring.k == k and ring.radius == cfg.receiver_radius
+            assert ring.samples.shape == (cfg.source_count, cfg.receiver_count)
+
     def test_geometry_shared_and_released_before_imaging(self, tmp_path, monkeypatch):
-        # one Nystrom geometry serves every k and is freed by reference
-        # counting alone (no cycle) before the first image is formed
+        # the curve's one Nystrom geometry serves every k and is freed with
+        # the curve by reference counting alone (no cycle) before the first
+        # image is formed
         refs, alive_at_imaging = [], []
         real_simulate, real_reconstruct = pipeline.simulate_ring, pipeline.reconstruct
 
-        def simulate(*args, geometry=None, **kwargs):
-            refs.append(weakref.ref(geometry))
-            return real_simulate(*args, geometry=geometry, **kwargs)
+        def simulate(curve, *args, **kwargs):
+            ring = real_simulate(curve, *args, **kwargs)
+            refs.append(weakref.ref(curve.nystrom))
+            return ring
 
         def imaging(*args, **kwargs):
             alive_at_imaging.append(refs[0]() is not None)
