@@ -30,18 +30,20 @@ W_ij = R_{|i-j|} - h ln(4 sin^2(pi (i - j)/M)); on it, W_ii = R_0 and the
 entries take the limits h A2_ii + R_0 A1_ii.
 
 Assembly comes in two parts.  A ``NystromGeometry`` holds everything that
-does not depend on k (distances, W, the normal product of the system's K
+does not depend on k (distances, W, the node vectors of the system's K
 or K') and is built on the nodes when a boundary system is first solved
 on a curve.  The curve keeps it (``BoundaryCurve.nystrom``) until a system
 with other operators is solved on it, so every wavenumber solved on one
 curve shares it.  It stores the node distances as their sorted distinct
 values plus each entry's index among them: |x_i - x_j| is symmetric, and
 a symmetric or rotation-invariant curve repeats most distances (6835
-distinct among the 1024^2 of a 1024-node circle).  Its M x M arrays share
-one anonymous memory mapping, off the malloc heap.  Its per-k pass
+distinct among the 1024^2 of a 1024-node circle).  That index, in a
+memory mapping of its own, is its one M x M array.  Its per-k pass
 ``blocks(k)`` makes the Bessel calls and applies every per-distance factor
-on the distinct values only, then forms each operator in one
-gather-multiply-add, factor (A1 W + h kernel).
+on the distinct values only, then forms each operator F-ordered, block by
+block of rows, in one gather-multiply-add, factor (A1 W + h kernel).  A
+single-operator solve so holds 40 bytes per node pair at its peak: the
+index, the system matrix and the LU's copy of it.
 
 All kernel assembly here is vectorized through scipy.special; the series
 oracle below runs on the in-house cylinder-function module instead, so
@@ -83,6 +85,7 @@ from .geometry import BoundaryCurve, equispaced_angles
 EULER_GAMMA = cylfun.EULER_GAMMA
 CONDITION_LIMIT = 1e12
 SOURCE_ON_BOUNDARY_TOL = 1e-9
+ASSEMBLY_BLOCK = 1 << 16   # operator entries per block of NystromGeometry._operator
 _ORACLE_REL_TOL = 1e-14
 _ORACLE_RUN = 8          # consecutive negligible terms required
 _ORACLE_MAX_ORDER = 180
@@ -222,12 +225,12 @@ def incident_gradient(x: np.ndarray, z: np.ndarray, k: float) -> np.ndarray:
 # Nystrom discretization
 # ---------------------------------------------------------------------------
 
-def _weight_circulant(m_nodes: int, out: np.ndarray | None = None) -> np.ndarray:
-    """W of the module docstring as a full (M, M) array (into ``out`` when
-    given).  With M = 2n, R_d = -(2 pi/n) sum_{m<n} cos(2 pi m d/M)/m
+def _weight_circulant(m_nodes: int) -> np.ndarray:
+    """W of the module docstring as a read-only (M, M) view of 2M - 1
+    values.  With M = 2n, R_d = -(2 pi/n) sum_{m<n} cos(2 pi m d/M)/m
     - (pi/n^2) (-1)^d: one real FFT of 1/m for d = 0..n, mirrored to
-    w_{M-d} = w_d, so row i is row 0 rolled by i, copied from a sliding
-    window over two periods of row 0."""
+    w_{M-d} = w_d, so row i is row 0 rolled by i, a sliding window over
+    two periods of row 0."""
     n = m_nodes // 2
     inv_m = np.zeros(m_nodes)
     inv_m[1:n] = 1.0 / np.arange(1, n)
@@ -236,20 +239,19 @@ def _weight_circulant(m_nodes: int, out: np.ndarray | None = None) -> np.ndarray
     half[1:] -= (2.0 * np.pi / m_nodes) * np.log(4.0 * np.sin(np.pi * d[1:] / m_nodes) ** 2)
     row = np.concatenate((half, half[n - 1:0:-1]))
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((row[1:], row)), m_nodes)
-    out = np.empty((m_nodes, m_nodes)) if out is None else out
-    np.copyto(out, windows[::-1])
-    return out
+    return windows[::-1]
 
 
 def _mapped_empty(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialised float array in an anonymous memory mapping of its
     own, unmapped when the array and its views are gone.
 
-    The Nystrom geometry lives in one of these rather than on the malloc
-    heap.  Its arrays outlive every per-k temporary of the same size; on
-    the heap, whether the blocks freed around them were reused or stayed
-    resident beside new ones depended on where small objects happened to
-    sit, and peak memory moved by one M x M complex block from run to run.
+    The Nystrom geometry's M x M index lives in one of these rather than
+    on the malloc heap.  It outlives every per-k temporary of the same
+    size; on the heap, whether the blocks freed around it were reused or
+    stayed resident beside new ones depended on where small objects
+    happened to sit, and peak memory moved by one M x M complex block
+    from run to run.
     """
     count = math.prod(shape)
     buf = mmap.mmap(-1, max(count, 1) * np.dtype(float).itemsize)
@@ -291,10 +293,10 @@ class NystromGeometry:
     """The k-free part of the (side, bc) boundary system's Nystrom blocks on
     the curve nodes: the distances |x(t) - x(tau)| (1 on the diagonal) as
     their sorted distinct values ``radii`` and each entry's index among them
-    ``inverse``, the circulant weight W (``weight``, see the module
-    docstring), the double-layer diagonal limits and the normal product of
-    its K or K'.  ``inverse``, W and the normal product are the three
-    M x M rows of one ``_mapped_empty`` block.  ``blocks(k)`` adds one
+    ``inverse`` (a ``_mapped_empty`` block), the circulant weight W
+    (``weight``, a read-only view, see the module docstring), the
+    double-layer diagonal limits, and the (2, M) node points and normals
+    nu |x'| of the normal product of its K or K'.  ``blocks(k)`` adds one
     wavenumber's Bessel part, evaluated on ``radii``.  It depends on the
     system only through its operators ``ops`` and holds no reference to the
     curve, so the curve holds it without forming a cycle."""
@@ -304,41 +306,52 @@ class NystromGeometry:
         self.ops = _formulation(bc, side)[1]
         self.n_nodes = mm
         self.speed = curve.speed
-        y = curve.points
-        r, self.weight, self.normal = _mapped_empty((3, mm, mm))
-        dx = y[:, None, 0] - y[None, :, 0]                # x(t) - x(tau)
-        dy = y[:, None, 1] - y[None, :, 1]
-        np.hypot(dx, dy, out=r)
-        np.fill_diagonal(r, 1.0)
         tg, sc = curve.tangents, curve.seconds
         w = tg[:, 0] * sc[:, 1] - tg[:, 1] * sc[:, 0]
         self.dl_diag = (0.0, -w / (4.0 * np.pi * self.speed**2))
-        n = np.column_stack([tg[:, 1], -tg[:, 0]])       # nu |x'|
-        # K: nu(tau) . (x(tau) - x(t)) = -(n_tau . dx);  K': nu(t) . (x(t) - x(tau)) = n_t . dx
-        n = n[None, :] if self.ops[-1] == "K" else n[:, None]
-        np.multiply(dx, n[..., 0], out=self.normal)
-        dy *= n[..., 1]
-        self.normal += dy
-        if self.ops[-1] == "K":
-            np.negative(self.normal, out=self.normal)
-        else:
-            self.normal *= np.divide(self.speed[None, :], self.speed[:, None], out=dx)
-        del dx, dy
+        self.points = np.ascontiguousarray(curve.points.T)
+        self.scaled_normals = np.stack([tg[:, 1], -tg[:, 0]])
+        (x0, x1), r = self.points, _mapped_empty((mm, mm))
+        np.hypot(x0[:, None] - x0, x1[:, None] - x1, out=r)
+        np.fill_diagonal(r, 1.0)
         self.radii, self.inverse = _distinct_distances(r)
-        _weight_circulant(mm, out=self.weight)
+        self.weight = _weight_circulant(mm)
 
-    def _operator(self, a1_table: np.ndarray, h_full_table: np.ndarray, factor: np.ndarray,
+    def _operator(self, name: str, a1_table: np.ndarray, h_full_table: np.ndarray,
                   diag) -> np.ndarray:
-        """factor (A1 W + h full), A1 and h full gathered from their tables on
-        ``radii``, with the diagonal limits ``diag`` = (A1_ii, A2_ii)."""
-        out = h_full_table.take(self.inverse)
-        a1 = a1_table.take(self.inverse)
-        a1 *= self.weight
-        out.real += a1
-        out *= factor
-        np.fill_diagonal(out, 2.0 * np.pi / self.n_nodes * diag[1]
-                         + self.weight[0, 0] * diag[0])
-        return out
+        """Operator ``name``, factor (A1 W + h full), A1 and h full gathered
+        from their tables on ``radii``, with the diagonal limits ``diag`` =
+        (A1_ii, A2_ii), F-ordered.  A1 W + h full is exactly symmetric, so its
+        transpose is built in C-ordered blocks of ASSEMBLY_BLOCK entries,
+        times the transposed factor, and returned as ``.T``.  ``take`` with
+        ``mode="clip"`` (``inverse`` is in range) does not buffer ``out``."""
+        mm, (x0, x1), nu = self.n_nodes, self.points, self.scaled_normals
+        out = np.empty((mm, mm), dtype=complex)
+        step = max(1, ASSEMBLY_BLOCK // mm)
+        scratch = np.empty((2, min(step, mm), mm))
+        for lo in range(0, mm, step):
+            rows = slice(lo, lo + step)
+            block, index = out[rows], self.inverse[rows]
+            fx, fy = scratch[:, :block.shape[0]]
+            h_full_table.take(index, out=block, mode="clip")
+            a1_table.take(index, out=fx, mode="clip")
+            fx *= self.weight[rows]
+            block.real += fx
+            if name == "S":
+                block *= self.speed[rows, None]
+                continue
+            # entry (i, j) here sits at (t, tau) = (t_j, t_i).  K: nu(tau) .
+            # (x(tau) - x(t)) = -(n_tau . dx);  K': nu(t) . dx |x'(tau)|/|x'(t)|
+            np.subtract(x0, x0[rows, None], out=fx)          # dx = x(t) - x(tau)
+            np.subtract(x1, x1[rows, None], out=fy)
+            n = nu[:, rows, None] if name == "K" else nu
+            fx *= n[0]
+            fy *= n[1]
+            fx += fy
+            fx *= -1.0 if name == "K" else np.divide(self.speed[rows, None], self.speed, out=fy)
+            block *= fx
+        np.fill_diagonal(out, 2.0 * np.pi / mm * diag[1] + self.weight[0, 0] * diag[0])
+        return out.T
 
     def blocks(self, k: float) -> dict[str, np.ndarray]:
         """The blocks named in ``ops`` at wavenumber k, mapping node densities
@@ -356,7 +369,7 @@ class NystromGeometry:
             s_full *= h
             s_diag = (-(0.25 / np.pi) * spj,                 # J_0(0) = 1
                       (0.25j - (np.log(0.5 * k * spj) + EULER_GAMMA) / (2.0 * np.pi)) * spj)
-            blocks["S"] = self._operator(s1, s_full, spj[None, :], s_diag)
+            blocks["S"] = self._operator("S", s1, s_full, s_diag)
             del s1, s_full
         c1 = _sp_j1(kr)                                  # J_1, then A1's table
         c_full = _hankel1(1, kr, c1)
@@ -366,7 +379,7 @@ class NystromGeometry:
         np.multiply(-0.25j * k, c_full, out=c_full)
         c_full /= self.radii
         c_full *= h
-        blocks[self.ops[-1]] = self._operator(c1, c_full, self.normal, self.dl_diag)
+        blocks[self.ops[-1]] = self._operator(self.ops[-1], c1, c_full, self.dl_diag)
         return blocks
 
 
@@ -424,8 +437,12 @@ def _boundary_data(bc: str, k: float, sources: SourceSet, points: np.ndarray,
 
 
 def _condition_estimate(a: np.ndarray, lu_piv) -> float:
-    """LAPACK's 1-norm condition estimate from the LU factors; inf if singular."""
-    anorm = float(np.abs(a).sum(axis=0).max())
+    """LAPACK's 1-norm condition estimate from the LU factors; inf if singular.
+    The norm is taken over blocks of the F-ordered columns of ``a``, so no
+    M x M |a| is formed."""
+    step = max(1, ASSEMBLY_BLOCK // a.shape[0])
+    anorm = max(float(np.abs(a[:, lo:lo + step]).sum(axis=0).max())
+                for lo in range(0, a.shape[1], step))
     rcond, info = sla.lapack.zgecon(lu_piv[0], anorm, norm="1")
     if info != 0:
         raise RuntimeError(f"zgecon failed with info={info}")

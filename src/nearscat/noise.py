@@ -45,8 +45,12 @@ def _source_rng(seed: int, source_index: int) -> np.random.Generator:
 
 
 def add_noise(ring: RingMeasurement, spec: NoiseSpec) -> RingMeasurement:
-    """Apply the multiplicative perturbation; delta = 0 is a bit-identical copy."""
+    """Apply the multiplicative perturbation to a clean ring (the result
+    states ``spec.level`` as its noise); delta = 0 is a bit-identical copy."""
     spec.validate()
+    if ring.noise_level > 0.0:
+        raise ValueError(f"ring data already carry noise (delta={ring.noise_level!r}); "
+                         f"perturb the clean ring instead")
     if spec.level == 0.0:
         return replace(ring, samples=ring.samples.copy(), noise_level=0.0)
     noisy = np.empty_like(ring.samples)

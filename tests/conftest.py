@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,22 @@ from nearscat import forward as fw
 from nearscat import indicator as ind
 from nearscat import noise as nz
 from nearscat.geometry import ShapeSpec, imaging_grid, make_curve
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory tracemalloc traced during the
+    call, in bytes (numpy's buffers included, anonymous mappings not)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    return _traced_peak
 
 
 @pytest.fixture(scope="session")

@@ -188,6 +188,24 @@ def test_noise_rejects_negative_seed(tmp_path, capsys):
     assert not noisy.exists()
 
 
+@pytest.mark.parametrize("delta", ["0.001", "0"])
+def test_noise_refuses_noisy_ring(tmp_path, capsys, delta):
+    # re-noising would write a header delta the data do not carry
+    sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2)
+    ring = fw.RingMeasurement(radius=2.2, k=3.0, samples=np.ones((2, 8), complex),
+                              noise_level=0.0, side="exterior", sources=sources)
+    clean, once, twice = tmp_path / "ring.csv", tmp_path / "n1.csv", tmp_path / "n2.csv"
+    formats.write_ring_csv(clean, ring)
+    assert main(["noise", "-i", str(clean), "-o", str(once), "--delta", "0.05",
+                 "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert main(["noise", "-i", str(once), "-o", str(twice), "--delta", delta,
+                 "--seed", "8"]) == 2
+    assert capsys.readouterr().err == ("nearscat: error: ring data already carry noise "
+                                       "(delta=0.05); perturb the clean ring instead\n")
+    assert not twice.exists()
+
+
 @pytest.mark.parametrize("clip", ["0", "150"])
 def test_render_rejects_clip_outside_range(tmp_path, small_config, capsys, clip):
     out = tmp_path / "run"

@@ -400,21 +400,28 @@ class TestNystrom:
 
     @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
     def test_geometry_in_one_mapping_released_with_it(self, kite_512, side, bc):
-        # the three k-free M x M arrays sit in one anonymous mapping, off the
-        # malloc heap, and the mapping is gone with the geometry (no cycle
-        # collector needed)
+        # the geometry's one M x M array, the distance index, sits in an
+        # anonymous mapping of its own, off the malloc heap, and the mapping
+        # is gone with the geometry (no cycle collector needed); W is a
+        # read-only view of 2M - 1 values
+        mm = kite_512.n_nodes
         geometry = fw.NystromGeometry(kite_512, bc, side)
-        arrays = [geometry.inverse, geometry.weight, geometry.normal]
-        owner = arrays[0]
+        square = [name for name, value in vars(geometry).items()
+                  if isinstance(value, np.ndarray) and value.size == mm * mm]
+        assert sorted(square) == ["inverse", "weight"]
+        assert not geometry.weight.flags.writeable
+        assert np.array_equal(geometry.weight, fw._weight_circulant(mm))
+        low, high = np.lib.array_utils.byte_bounds(geometry.weight)
+        assert high - low == (2 * mm - 1) * 8
+        owner = geometry.inverse
         while isinstance(owner, np.ndarray):
             owner = owner.base
         owner = owner.obj if isinstance(owner, memoryview) else owner
         assert isinstance(owner, mmap.mmap)
-        assert len(owner) == 3 * kite_512.n_nodes ** 2 * 8
-        whole = np.frombuffer(owner)
-        assert all(np.shares_memory(a, whole) for a in arrays)
+        assert len(owner) == mm ** 2 * 8
+        assert np.shares_memory(geometry.inverse, np.frombuffer(owner))
         mapping = weakref.ref(owner)
-        del owner, arrays, whole
+        del owner
         gc.disable()
         try:
             geometry.blocks(3.0)
@@ -422,6 +429,41 @@ class TestNystrom:
             assert mapping() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
+    def test_operators_reach_lapack_f_ordered(self, monkeypatch, side, bc):
+        # every block and every system matrix is F-contiguous, so lu_factor
+        # copies it without transposing; the values are checked bit for bit
+        # against _blocks_reference above
+        curve = make_curve(ShapeSpec(kind="kite", n_nodes=128))
+        geometry = fw.NystromGeometry(curve, bc, side)
+        assert all(block.flags.f_contiguous for block in geometry.blocks(3.0).values())
+        assert fw._system_matrix(curve, bc, side, 3.0).flags.f_contiguous
+        layouts = []
+        lu_factor = fw.sla.lu_factor
+
+        def recording(a, *args, **kwargs):
+            layouts.append(a.flags.f_contiguous)
+            return lu_factor(a, *args, **kwargs)
+        monkeypatch.setattr(fw.sla, "lu_factor", recording)
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2 if side == "exterior" else 0.3,
+                               count=2)
+        fw.solve_densities(curve, bc, side, 4.0, sources)
+        assert layouts == [True]
+
+    @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
+    def test_solve_footprint(self, kite_512, traced_peak, side, bc):
+        # with the geometry built, a solve holds the system matrix, LAPACK's
+        # copy of it and blocks of ASSEMBLY_BLOCK entries: 34.0 M^2 bytes
+        # traced for the single-operator systems (40.0 with the C-ordered
+        # matrix and an M x M |a|); exterior soft adds S beside K and the
+        # distinct-distance tables, 46.9 M^2 (50.9 before)
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2 if side == "exterior" else 0.3,
+                               count=12)
+        fw.solve_densities(kite_512, bc, side, 3.0, sources)
+        _, peak = traced_peak(fw.solve_densities, kite_512, bc, side, 4.0, sources)
+        bound = 48.0 if (side, bc) == ("exterior", "soft") else 36.0
+        assert peak < bound * kite_512.n_nodes ** 2
 
     def test_curve_keeps_one_geometry(self, kite_512):
         # the curve holds the geometry of the last system solved on it: every

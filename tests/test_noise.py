@@ -78,6 +78,13 @@ class TestAddNoise:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             nz.add_noise(_ring(np.ones((1, 8), complex)), nz.NoiseSpec(level=0.1, seed=-1))
 
+    @pytest.mark.parametrize("level", [0.0, 0.001, 0.05])
+    def test_noisy_ring_rejected(self, level):
+        # the result would state `level` as the noise of data that carry 5 %
+        noisy = nz.add_noise(_ring(_random_samples(2, 16, 8)), nz.NoiseSpec(level=0.05, seed=7))
+        with pytest.raises(ValueError, match=r"already carry noise \(delta=0\.05\)"):
+            nz.add_noise(noisy, nz.NoiseSpec(level=level, seed=8))
+
     def test_generator_sanity(self):
         draws = nz._source_rng(123, 0).uniform(-1.0, 1.0, size=100000)
         assert abs(draws.mean()) < 0.02
