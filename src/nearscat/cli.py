@@ -70,7 +70,9 @@ def _config_from_args(args) -> ScenarioConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _config_from_args(args).resolved()
-    rings = simulate_rings(cfg)
+    rings, _, warnings = simulate_rings(cfg)
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for ring in rings:
@@ -161,7 +163,9 @@ def _cmd_oracle_check(args) -> int:
             # the unit circle, 3 sources and 64 receivers at the side's default radius
             cfg = ScenarioConfig(side=side, bc=bc, wavenumbers=tuple(args.k), source_count=3,
                                  receiver_count=64, forward_nodes=args.nodes).resolved()
-            for ring in simulate_rings(cfg):
+            rings, nodes, _ = simulate_rings(cfg)
+            print(f"{side:8s} {bc:4s} solved on {nodes} nodes (at most {args.nodes})")
+            for ring in rings:
                 err = 0.0
                 for j, z in enumerate(ring.sources.positions):
                     ref = analytic_circle(1.0, bc, side, ring.k, z, ring.receiver_points)
@@ -221,7 +225,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("oracle-check", help="Nystrom vs analytic circle oracle")
     p.add_argument("--k", type=float, nargs="+", default=[3.0, 4.0, 5.0, 6.0])
-    p.add_argument("--nodes", type=int, default=512)
+    p.add_argument("--nodes", type=int, default=512,
+                   help="largest Nystrom node count; runs use the coarsest that passes "
+                        "the accuracy checks")
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=_cmd_oracle_check)
 

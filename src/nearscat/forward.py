@@ -153,6 +153,7 @@ class RingMeasurement:
     noise_level: float
     side: str                    # "exterior" | "interior"
     sources: SourceSet
+    reciprocity: float = math.nan    # the forward solve's reciprocity_error; nan if unknown
 
     def __post_init__(self):
         if self.side not in ("exterior", "interior"):
@@ -168,8 +169,14 @@ class RingMeasurement:
 
     @property
     def receiver_points(self) -> np.ndarray:
-        a = self.angles
-        return np.column_stack([self.radius * np.cos(a), self.radius * np.sin(a)])
+        return ring_points(self.radius, self.n_receivers)
+
+
+def ring_points(radius: float, count: int) -> np.ndarray:
+    """(count, 2) equispaced receivers on the circle of ``radius`` about the
+    origin, the first at angle 0."""
+    a = equispaced_angles(count)
+    return np.column_stack([radius * np.cos(a), radius * np.sin(a)])
 
 
 # ---------------------------------------------------------------------------
@@ -505,18 +512,43 @@ def evaluate_scattered(curve: BoundaryCurve, sol: DensitySolution, points) -> np
     return h * _gemm(sol.density, g.T)
 
 
+def reciprocity_error(curve: BoundaryCurve, sol: DensitySolution, sources: SourceSet) -> float:
+    """Oracle-free estimate of the forward error from reciprocity,
+    u_s(x; z) = u_s(z; x) (Colton & Kress): max |U - U^T| / max |U| for the
+    S x S fields U of every source at every source position; nan for one
+    source, which has no pair.  It under-reads where symmetry makes U
+    symmetric whatever the error (a circle with equispaced sources), which
+    ``density_tail`` catches."""
+    if sources.count < 2:
+        return math.nan
+    u = evaluate_scattered(curve, sol, sources.positions)
+    return float(np.abs(u - u.T).max() / np.abs(u).max())
+
+
+def density_tail(sol: DensitySolution) -> float:
+    """Largest ratio, over sources, of the density's largest Fourier mode
+    with |n| >= M/4 to its largest mode: near 1 when the M nodes do not
+    resolve the density, exponentially small on an analytic curve when
+    they do."""
+    mags = np.abs(np.fft.fft(sol.density, axis=1))
+    m = mags.shape[1]
+    q = (m + 3) // 4
+    return float((mags[:, q:m - q + 1].max(axis=1) / mags.max(axis=1)).max())
+
+
 def simulate_ring(curve: BoundaryCurve, bc: str, side: str, k: float,
                   sources: SourceSet, ring_radius: float, n_receivers: int) -> RingMeasurement:
-    """Clean scattered-field samples on an equispaced receiver circle about the origin."""
-    angles = equispaced_angles(n_receivers)
-    pts = np.column_stack([ring_radius * np.cos(angles), ring_radius * np.sin(angles)])
+    """Clean scattered-field samples on an equispaced receiver circle about
+    the origin, with the solve's ``reciprocity_error``."""
+    pts = ring_points(ring_radius, n_receivers)
     _check_placement(curve, side, pts, "receiver")
     sol = solve_densities(curve, bc, side, k, sources)
     samples = evaluate_scattered(curve, sol, pts)
     if not np.all(np.isfinite(samples)):
         raise RuntimeError("forward solve produced non-finite ring samples")
     return RingMeasurement(radius=float(ring_radius), k=float(k), samples=samples,
-                           noise_level=0.0, side=side, sources=sources)
+                           noise_level=0.0, side=side, sources=sources,
+                           reciprocity=reciprocity_error(curve, sol, sources))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ ring CSV, the normalized indicator grid CSV and a reciprocal-image PGM,
 plus a superposed image when several wavenumbers are given, a
 round-trippable ``config.txt`` and a ``manifest.txt`` with sha-256
 checksums of every artifact.  Identical config + seed reproduces
-identical checksums.
+identical checksums at a fixed BLAS thread count (``OPENBLAS_NUM_THREADS``):
+OpenBLAS's threaded products round the entries at a thread split
+differently, so the ring and indicator CSVs of 1 and 2 threads differ in
+last bits.
 """
 
 from __future__ import annotations
@@ -22,15 +25,24 @@ from pathlib import Path
 import numpy as np
 
 from . import continuation as ct
-from . import cylfun, formats
+from . import cylfun, formats, forward
 from . import indicator as ind
-from .forward import GeometryError, RingMeasurement, SourceSet, analytic_circle, simulate_ring
+from .forward import (GeometryError, RingMeasurement, SourceSet, analytic_circle, ring_points,
+                      simulate_ring)
 from .geometry import (BoundaryCurve, ImagingGrid, ShapeSpec, equispaced_angles, imaging_grid,
                        make_curve)
 from .indicator import IndicatorImage
 from .noise import NoiseSpec, add_noise
 
 FIRST_J0_ZERO = 2.404825557695773
+LADDER_START = 64        # forward_curve's coarsest node count,
+NODES_PER_WAVELENGTH = 6  # and its fewest nodes per wavelength along the boundary
+# forward_curve's acceptance of a node count, set by the study in CHANGES.md:
+# every accepted count read a reciprocity error <= 5.7e-15 and a tail <= 5.6e-3;
+# the refused count nearest the tolerance read 1.1e-14, at a ring error of 1.1e-13
+RECIPROCITY_TOL = 1e-14
+DENSITY_TAIL_TOL = 1e-2
+FORWARD_WARN = 1e-6      # a ring's reciprocity error above this warns (the A2 gate)
 N_RAYS = 64              # rays of radial_boundary_error
 STUDY_SOURCES = 12       # sources of convergence_study, on the measurement circle
 STUDY_POINTS = 256       # its receivers, and its points on the boundary
@@ -81,7 +93,7 @@ class ScenarioConfig:
     truncation: int | None = None
     mode_guard: float = ct.DEFAULT_MODE_GUARD
     seed: int = 1
-    forward_nodes: int = 512
+    forward_nodes: int = 512     # largest Nystrom node count; see forward_curve
 
     def resolved(self) -> "ScenarioConfig":
         self.validate()
@@ -282,22 +294,86 @@ def reconstruct(ring: RingMeasurement, bc: str, grid: ImagingGrid, truncation: i
     return coeffs, indicator(coeffs, ring.sources, grid)
 
 
-def simulate_rings(cfg: ScenarioConfig) -> list[RingMeasurement]:
+def _node_ladder(least: float, ceiling: int):
+    """LADDER_START, twice that, ... from ``least`` up to below ``ceiling``, then ``ceiling``."""
+    m = LADDER_START
+    while m < ceiling:
+        if m >= least:
+            yield m
+        m *= 2
+    yield ceiling
+
+
+def forward_curve(cfg: ScenarioConfig) -> tuple[BoundaryCurve, list[str]]:
+    """The curve the rings of a resolved config are solved on, carrying the
+    Nystrom geometry of its trial solve, and its warnings (README, Forward
+    resolution).
+
+    The largest k is solved on 64, 128, ... nodes, from NODES_PER_WAVELENGTH
+    per boundary wavelength (a kernel sampled more coarsely fools both
+    checks) up to forward_nodes, until ``reciprocity_error`` <=
+    RECIPROCITY_TOL and ``density_tail`` <= DENSITY_TAIL_TOL; a ceiling
+    below the wavelength floor never passes.  The checks see the field at
+    the sources only, so a receiver circle of another radius gets as many
+    sources of its own.  If no count passes: forward_nodes and a warning;
+    with one source, which has no reciprocity pair: forward_nodes, untried.
+
+    GeometryError, before any solve, when a source or receiver lies on the
+    forward_nodes curve or on the wrong side of it.
+    """
+    ceiling, sources = cfg.curve(), cfg.sources()
+    receivers = ring_points(cfg.receiver_radius, cfg.receiver_count)
+    forward._check_placement(ceiling, cfg.side, sources.positions, "source")
+    forward._check_placement(ceiling, cfg.side, receivers, "receiver")
+    if sources.count < 2:
+        return ceiling, []
+    probes = [sources]
+    if cfg.receiver_radius != cfg.source_radius:
+        probes.append(replace(sources, radius=cfg.receiver_radius))
+    k = max(cfg.wavenumbers)
+    wavelengths = k * ceiling.speed.mean()        # k L / 2 pi, as the mean speed is L / 2 pi
+    least = NODES_PER_WAVELENGTH * wavelengths
+    recip = tail = math.nan
+    for m in _node_ladder(least, cfg.forward_nodes):
+        curve = ceiling if m == cfg.forward_nodes else make_curve(cfg.shape_spec(m))
+        try:            # a coarse node polygon can cut off a point the ceiling's keeps
+            forward._check_placement(curve, cfg.side, receivers, "receiver")
+            sols = [forward.solve_densities(curve, cfg.bc, cfg.side, k, p) for p in probes]
+        except GeometryError:
+            continue
+        recip = max(forward.reciprocity_error(curve, sol, p) for sol, p in zip(sols, probes))
+        tail = max(forward.density_tail(sol) for sol in sols)
+        if m >= least and recip <= RECIPROCITY_TOL and tail <= DENSITY_TAIL_TOL:
+            return curve, []
+    return ceiling, [f"forward_nodes = {cfg.forward_nodes} does not pass the accuracy checks "
+                     f"at k = {_k_tag(k)}: {cfg.forward_nodes / wavelengths:.1f} nodes per "
+                     f"wavelength (at least {NODES_PER_WAVELENGTH}), reciprocity error "
+                     f"{recip:.1e} (at most {RECIPROCITY_TOL:g}), density tail {tail:.1e} "
+                     f"(at most {DENSITY_TAIL_TOL:g})"]
+
+
+def simulate_rings(cfg: ScenarioConfig) -> tuple[list[RingMeasurement], int, list[str]]:
     """Clean rings of a resolved config, one per wavenumber in order, all on
-    one curve and so on its one Nystrom geometry, which goes with the curve
-    when this returns.
+    ``forward_curve``'s curve and so on its one Nystrom geometry, which goes
+    with the curve when this returns; with that curve's node count and the
+    forward warnings, among them one per ring whose reciprocity error is
+    above FORWARD_WARN.
 
     ConfigError when a source or receiver lies on the shape or on the wrong
-    side of it; the first wavenumber's solve checks that before any work.
+    side of it, before any solve.
     """
-    curve = cfg.curve()
     sources = cfg.sources()
     try:
-        return [simulate_ring(curve, cfg.bc, cfg.side, k, sources, cfg.receiver_radius,
-                              cfg.receiver_count)
-                for k in cfg.wavenumbers]
+        curve, warnings = forward_curve(cfg)
+        rings = [simulate_ring(curve, cfg.bc, cfg.side, k, sources, cfg.receiver_radius,
+                               cfg.receiver_count)
+                 for k in cfg.wavenumbers]
     except GeometryError as exc:
         raise ConfigError(str(exc)) from None
+    warnings += [f"k = {_k_tag(ring.k)}: reciprocity error {ring.reciprocity:.1e} above "
+                 f"{FORWARD_WARN:g}, the A2 gate; raise forward_nodes"
+                 for ring in rings if ring.reciprocity > FORWARD_WARN]
+    return rings, curve.n_nodes, warnings
 
 
 def _write_ring(out: Path, ring: RingMeasurement, cfg: ScenarioConfig) -> Path:
@@ -346,10 +422,10 @@ def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
     grid = cfg.grid()
     # All rings first: a config error surfaces before the output directory
     # exists, and their Nystrom geometry is released before imaging.
-    rings = simulate_rings(cfg)
+    rings, nodes, warnings = simulate_rings(cfg)
+    reciprocity = {ring.k: ring.reciprocity for ring in rings}
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    warnings: list[str] = []
     if cfg.side == "interior":
         limit = FIRST_J0_ZERO / max(cfg.wavenumbers)
         if cfg.receiver_radius >= limit:
@@ -377,10 +453,12 @@ def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
     with open(manifest, "w", encoding="ascii") as f:
         f.write("# nearscat run manifest\n")
         f.write(cfg.to_text())
+        f.write(f"# forward_nodes_used = {nodes}\n")
         for k in cfg.wavenumbers:
             f.write(f"# N_k{_k_tag(k)} = {truncation_by_k[k]}\n")
             f.write(f"# excluded_k{_k_tag(k)} = "
                     f"{' '.join(str(n) for n in excluded_by_k[k])}\n")
+            f.write(f"# reciprocity_k{_k_tag(k)} = {reciprocity[k]:.1e}\n")
         for w in warnings:
             f.write(f"# warning: {w}\n")
         for name, digest in checksums.items():

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nearscat import formats
 from nearscat import forward as fw
 from nearscat.cli import main
-from nearscat.pipeline import FIRST_J0_ZERO, ScenarioConfig
+from nearscat.pipeline import FIRST_J0_ZERO, ScenarioConfig, forward_curve
 
 
 @pytest.fixture()
@@ -229,10 +231,12 @@ def test_unexpected_errors_keep_their_traceback(tmp_path, small_config, monkeypa
 
 
 def test_simulate_shares_one_geometry(tmp_path, small_config, monkeypatch):
-    # one Nystrom geometry for all wavenumbers, and the same bytes as a
-    # fresh geometry per wavenumber
-    cfg = ScenarioConfig.from_file(small_config).resolved()
-    curve, sources = cfg.curve(), cfg.sources()
+    # one Nystrom geometry for all wavenumbers, that of the curve the node
+    # ladder resolves for the largest k, and the same bytes as simulating
+    # every k on that curve
+    cfg = replace(ScenarioConfig.from_file(small_config).resolved(), wavenumbers=(3.0, 4.0, 5.0))
+    (curve, _), sources = forward_curve(cfg), cfg.sources()
+    assert curve.n_nodes < cfg.forward_nodes
     expected = {}
     for k in (3.0, 4.0, 5.0):
         ring = fw.simulate_ring(curve, cfg.bc, cfg.side, k, sources,
@@ -304,4 +308,16 @@ def test_rates_command(tmp_path, capsys):
 
 def test_oracle_check_command(capsys):
     assert main(["oracle-check", "--k", "3", "--nodes", "256"]) == 0
-    assert "worst" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert "worst" in out[-1]
+    # the node count each (side, bc) was solved on, before its rings
+    assert out[::2][:4] == [f"{side:8s} {bc:4s} solved on 64 nodes (at most 256)"
+                            for side in ("exterior", "interior") for bc in ("soft", "hard")]
+
+
+def test_simulate_prints_forward_warnings(tmp_path, small_config, capsys):
+    assert main(["simulate", "-c", str(small_config), "-o", str(tmp_path), "--side",
+                 "interior", "--shape", "kite", "--forward-nodes", "64"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("warning: forward_nodes = 64 does not pass the accuracy checks")
+    assert err[1].startswith("warning: k = 3: reciprocity error 1.9e-04 above 1e-06")

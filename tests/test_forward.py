@@ -523,3 +523,40 @@ class TestNystrom:
         assert sol.representation == "combined-layer"
         sol = fw.solve_densities(unit_circle_512, "hard", "exterior", 3.0, sources)
         assert sol.representation == "single-layer"
+
+
+class TestAccuracyEstimates:
+    FLOOR = 2e-15           # roundoff of the ring error and of the estimate
+
+    @pytest.mark.parametrize("m", [32, 64, 512])
+    @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
+    def test_reciprocity_tracks_circle_error(self, side, bc, m):
+        # within 5x of the ring error against the oracle, down to a roundoff
+        # floor: 32 nodes leave errors of 1e-10 to 1e-9 at k = 3, 64 and 512 none
+        curve = make_curve(ShapeSpec(kind="circle", n_nodes=m))
+        radius = 2.2 if side == "exterior" else 0.5
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=radius, count=12)
+        ring = fw.simulate_ring(curve, bc, side, 3.0, sources, radius, 32)
+        ref = np.array([fw.analytic_circle(1.0, bc, side, 3.0, z, ring.receiver_points)
+                        for z in sources.positions])
+        err = (np.abs(ring.samples - ref).max(axis=1) / np.abs(ref).max(axis=1)).max()
+        assert (m == 32) == (err > 1e-12)
+        assert 0.2 <= max(ring.reciprocity, self.FLOOR) / max(err, self.FLOOR) <= 5
+
+    def test_density_tail_sees_what_reciprocity_misses(self):
+        # on the circle the discrete solution is nearly reciprocal whatever
+        # its error: at k = 20 the 64-node ring is off by 1e-2, its
+        # reciprocity error reads 7e-9 and its density tail 0.77
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=12)
+        tails = []
+        for m in (64, 128):
+            curve = make_curve(ShapeSpec(kind="circle", n_nodes=m))
+            sol = fw.solve_densities(curve, "soft", "exterior", 20.0, sources)
+            tails.append(fw.density_tail(sol))
+            assert fw.reciprocity_error(curve, sol, sources) < 1e-8
+        assert tails[0] > 0.5 and tails[1] < 1e-3
+
+    def test_one_source_has_no_pair(self, unit_circle_512):
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1)
+        ring = fw.simulate_ring(unit_circle_512, "soft", "exterior", 3.0, sources, 2.2, 16)
+        assert np.isnan(ring.reciprocity)

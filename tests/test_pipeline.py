@@ -315,8 +315,9 @@ class TestBenchmarkHooks:
         assert {s.name for s in tracer.op_spans(0)} == set(spans.TIME_METRICS)
         counts = tracer.exact_counts(0)
         assert counts["indicator.points"] == 2 * 20 * 20
-        # boundary data and indicator, per source and wavenumber
-        assert counts["forward.incident.points"] == 2 * 12 * (128 + 20 * 20)
+        # boundary data of the node ladder's one trial solve (k = 4 passes on
+        # 64 nodes), then boundary data and indicator per source and wavenumber
+        assert counts["forward.incident.points"] == 12 * 64 + 2 * 12 * (64 + 20 * 20)
 
     def test_simulate_ring_looked_up_per_k(self, tmp_path, monkeypatch):
         calls = []
@@ -492,3 +493,93 @@ class TestRenderPgm:
 def test_every_public_name_resolves():
     import nearscat
     assert [name for name in nearscat.__all__ if not hasattr(nearscat, name)] == []
+
+
+class TestNodeLadder:
+    """forward_nodes is the ceiling: rings are solved on the coarsest curve
+    whose largest-k solve passes the reciprocity and density-tail checks."""
+
+    @pytest.mark.parametrize("name,nodes", [("ext_hard_circle_dense", 64),
+                                            ("ext_soft_kite", 128),
+                                            ("int_hard_kite_fine", 256)])
+    def test_benchmark_workloads(self, monkeypatch, name, nodes):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+        rings, used, warnings = pipeline.simulate_rings(workloads.scenario(name, 7).resolved())
+        assert used == nodes and not warnings
+        assert all(ring.reciprocity <= pipeline.RECIPROCITY_TOL for ring in rings)
+
+    def test_one_source_uses_the_ceiling(self, monkeypatch):
+        solves = []
+        real = pipeline.forward.solve_densities
+        monkeypatch.setattr(pipeline.forward, "solve_densities",
+                            lambda curve, *a: solves.append(curve.n_nodes) or real(curve, *a))
+        cfg = replace(SMALL, source_count=1, forward_nodes=128).resolved()
+        rings, used, warnings = pipeline.simulate_rings(cfg)
+        assert used == 128 and solves == [128] and not warnings
+        assert math.isnan(rings[0].reciprocity)
+
+    def test_ceiling_warning(self):
+        # 512 nodes resolve nothing at k = 80 on the kite: ring error 1.9e-2
+        cfg = replace(SMALL, shape="kite", wavenumbers=(80.0,), forward_nodes=512).resolved()
+        rings, used, warnings = pipeline.simulate_rings(cfg)
+        assert used == 512 and len(warnings) == 2
+        assert warnings[0] == ("forward_nodes = 512 does not pass the accuracy checks at "
+                               "k = 80: 4.7 nodes per wavelength (at least 6), reciprocity "
+                               "error 2.7e-03 (at most 1e-14), density tail 6.2e-01 (at most "
+                               "0.01)")
+        assert warnings[1].startswith("k = 80: reciprocity error 2.7e-03 above 1e-06")
+
+    def test_manifest_records_nodes_estimates_and_warnings(self, tmp_path):
+        cfg = replace(SMALL, side="interior", shape="kite", forward_nodes=64, grid_nx=20,
+                      grid_ny=20)
+        result = run_scenario(cfg, tmp_path)
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "# forward_nodes_used = 64" in manifest
+        assert "# reciprocity_k3 = 1.9e-04" in manifest
+        assert f"# warning: {result.warnings[0]}" in manifest
+        assert [w.split(":")[0] for w in result.warnings] == [
+            "forward_nodes = 64 does not pass the accuracy checks at k = 3", "k = 3"]
+
+    def test_wavelength_floor(self):
+        # 64 nodes would pass both checks on the interior circle at k = 20.2
+        # with a ring error of 2e-3: the kernel is sampled too coarsely
+        cfg = replace(SMALL, side="interior", bc="hard", wavenumbers=(20.2,),
+                      forward_nodes=512, receiver_count=16).resolved()
+        (ring,), used, _ = pipeline.simulate_rings(cfg)
+        ref = np.array([pipeline.analytic_circle(1.0, "hard", "interior", 20.2, z,
+                                                 ring.receiver_points)
+                        for z in cfg.sources().positions])
+        assert used == 128
+        assert np.abs(ring.samples - ref).max() <= 1e-12 * np.abs(ref).max()
+        # a ceiling below the floor is used, with a warning, whatever it reads
+        _, used, warnings = pipeline.simulate_rings(replace(cfg, forward_nodes=64))
+        assert used == 64
+        assert warnings[0].startswith("forward_nodes = 64 does not pass the accuracy checks at "
+                                      "k = 20.2: 3.2 nodes per wavelength (at least 6)")
+
+    def test_receivers_nearer_the_boundary_than_the_sources(self):
+        # a layer potential needs more nodes near the boundary: on 64 nodes
+        # the ring at radius 1.2 is off by 1e-5 while the sources at 2.2
+        # read roundoff, so the checks also run on sources at radius 1.2
+        cfg = replace(SMALL, receiver_radius=1.2, receiver_count=16, forward_nodes=512).resolved()
+        (ring,), used, warnings = pipeline.simulate_rings(cfg)
+        ref = np.array([pipeline.analytic_circle(1.0, "soft", "exterior", 3.0, z,
+                                                 ring.receiver_points)
+                        for z in cfg.sources().positions])
+        assert used == 256 and not warnings
+        assert np.abs(ring.samples - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_coarse_polygon_cannot_refuse_a_point(self):
+        # receivers 1e-4 inside the unit circle, halfway along the chords of
+        # the 64-node polygon, lie outside it: the ladder skips that curve
+        # instead of refusing the config, and no coarser curve than the
+        # ceiling resolves a ring that near the boundary
+        cfg = replace(SMALL, side="interior", receiver_radius=0.9999).resolved()
+        coarse = pipeline.make_curve(cfg.shape_spec(64))
+        with pytest.raises(pipeline.GeometryError, match="outside the cavity"):
+            pipeline.forward._check_placement(coarse, "interior",
+                                              pipeline.ring_points(0.9999, 128), "receiver")
+        _, used, warnings = pipeline.simulate_rings(cfg)
+        assert used == cfg.forward_nodes
+        assert warnings[0].startswith("forward_nodes = 256 does not pass the accuracy checks")
