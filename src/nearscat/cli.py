@@ -149,7 +149,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    render_pgm(args.input, args.output, scale=args.scale, clip_percent=args.clip)
+    render_pgm(args.input, args.output, clip_percent=args.clip)
     print(f"wrote {args.output}")
     return 0
 
@@ -157,6 +157,8 @@ def _cmd_render(args) -> int:
 def _cmd_oracle_check(args) -> int:
     if not all(0.0 < k < math.inf for k in args.k):
         raise ValueError(f"--k must be finite and positive, got {args.k}")
+    if not 0.0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     worst = 0.0
     for side in ("exterior", "interior"):
         for bc in ("soft", "hard"):
@@ -219,8 +221,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("render", help="grid CSV -> ASCII PGM")
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--output", "-o", required=True)
-    p.add_argument("--scale", choices=("linear", "percentile"), default="percentile")
-    p.add_argument("--clip", type=float, default=99.0)
+    p.add_argument("--clip", type=float, default=99.0,
+                   help="percentile that maps to white; 100 is the linear map")
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("oracle-check", help="Nystrom vs analytic circle oracle")

@@ -115,19 +115,6 @@ def compute_coefficients(ring: RingMeasurement, truncation: int,
                             side=ring.side, excluded=excluded)
 
 
-def outside_validity_strip(coeffs: ModeCoefficients, r) -> np.ndarray:
-    """True where continued evaluation leaves the side covered by the anchor.
-
-    Exterior data continue inward (r <= anchor); interior data continue
-    outward (r >= anchor).  Evaluation beyond is allowed but flagged: the
-    truncation-error estimates no longer apply there.
-    """
-    r = np.asarray(r, dtype=float)
-    if coeffs.side == "exterior":
-        return r > coeffs.anchor_radius * (1.0 + 1e-12)
-    return r < coeffs.anchor_radius * (1.0 - 1e-12)
-
-
 class RadialTables(NamedTuple):
     """Radial factors per signed order n on the distinct radii, and the index
     of each point's radius among them.
@@ -175,8 +162,7 @@ def radial_tables(coeffs: ModeCoefficients, r, with_deriv: bool) -> RadialTables
     ratio = (vals[:-1] / anchor[:, None])[n_abs] * keep
     deriv = None
     if with_deriv:
-        kind = "H" if coeffs.side == "exterior" else "J"
-        deriv = k * cylfun.derivative_all(vals, kr, kind) / anchor[:, None]
+        deriv = k * cylfun.derivative_all(vals, kr) / anchor[:, None]
         deriv = deriv[n_abs] * keep
     return RadialTables(ratio, deriv, inverse)
 

@@ -23,10 +23,10 @@ like t + 9 sqrt(t), would cost more than a tenth of a second per call
 and ten times that per decade of t.  Tables
 cover the orders 0..n_max; callers reduce negative orders through
 J_{-n} = (-1)^n J_n, Y_{-n} = (-1)^n Y_n.  |Y_n| saturates at
-``SATURATION`` instead of overflowing to inf; callers can detect the
-clamp via the ``return_saturated`` flag of :func:`bessel_y_all`.
-:func:`derivative_all` turns a J or H table into derivatives by the
-standard recurrences.
+``SATURATION`` instead of overflowing to inf; ``np.abs(y) >= SATURATION``
+marks the clamped entries.  :func:`derivative_all` turns a J or H table
+into derivatives by the one recurrence C_n' = (n/t) C_n - C_{n+1}
+(DLMF 10.6.2), which every cylinder function obeys.
 """
 
 from __future__ import annotations
@@ -153,12 +153,8 @@ def _bessel_j_miller(n_max: int, t: np.ndarray, neumann: bool = False):
 # Y_n
 # ---------------------------------------------------------------------------
 
-def bessel_y_all(n_max: int, t, return_saturated: bool = False):
-    """Y_0 .. Y_{n_max} at t > 0, clamped at +-SATURATION.
-
-    With ``return_saturated=True`` also returns a boolean array marking
-    entries that hit the clamp (their true magnitude exceeds SATURATION).
-    """
+def bessel_y_all(n_max: int, t) -> np.ndarray:
+    """Y_0 .. Y_{n_max} at t > 0, clamped at +-SATURATION."""
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     _check_order(n_max)
@@ -174,11 +170,7 @@ def bessel_y_all(n_max: int, t, return_saturated: bool = False):
         nxt = (2.0 * n / flat) * out[n] - out[n - 1]
         out[n + 1] = np.clip(nxt, -SATURATION, SATURATION)
     out = np.clip(out, -SATURATION, SATURATION)
-    saturated = np.abs(out) >= SATURATION
-    out = out.reshape((n_max + 1,) + shape)
-    if return_saturated:
-        return out, saturated.reshape((n_max + 1,) + shape)
-    return out
+    return out.reshape((n_max + 1,) + shape)
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +184,10 @@ def hankel1_all(n_max: int, t) -> np.ndarray:
     return j + 1j * y
 
 
-def derivative_all(table: np.ndarray, t, kind: str) -> np.ndarray:
-    """C_0' .. C_N' at t from the table C_0 .. C_{N+1} (orders along axis 0).
-
-    kind "J": J_n' = J_{n-1} - n J_n / t with J_0' = -J_1; kind "H":
-    H_n^(1)' = -H_{n+1}^(1) + n H_n^(1) / t.  t > 0 broadcasts against
-    ``table[0]``.
+def derivative_all(table: np.ndarray, t) -> np.ndarray:
+    """C_0' .. C_N' at t from the table C_0 .. C_{N+1} (orders along axis 0),
+    C_n' = -C_{n+1} + n C_n / t for J and H^(1) alike.  t > 0 broadcasts
+    against ``table[0]``.
     """
     orders = np.arange(table.shape[0] - 1).reshape((-1,) + (1,) * (table.ndim - 1))
-    if kind == "H":
-        return -table[1:] + orders * table[:-1] / t
-    if kind != "J":
-        raise ValueError(f"unknown cylinder-function kind {kind!r}")
-    out = np.empty_like(table[:-1])
-    out[0] = -table[1]
-    out[1:] = table[:-2] - orders[1:] * table[1:-1] / t
-    return out
+    return -table[1:] + orders * table[:-1] / t

@@ -252,13 +252,12 @@ def read_grid_csv(path) -> IndicatorImage:
 # PGM rendering
 # ---------------------------------------------------------------------------
 
-def pixels_from_image(image: IndicatorImage, scale: str = "percentile",
-                      clip_percent: float = 99.0) -> np.ndarray:
+def pixels_from_image(image: IndicatorImage, clip_percent: float = 99.0) -> np.ndarray:
     """Map indicator values to a (ny, nx) uint array; masked points become 0.
 
-    linear: pixel = round(65535 * v / max); percentile: the clip_percent
-    quantile of the unmasked values maps to 65535, larger values saturate;
-    ValueError unless 0 < clip_percent <= 100.
+    The clip_percent quantile of the unmasked values maps to 65535, larger
+    values saturate; clip_percent = 100 is the linear map
+    round(65535 * v / max).  ValueError unless 0 < clip_percent <= 100.
     """
     if not 0.0 < clip_percent <= 100.0:
         raise ValueError(f"clip percent must lie in (0, 100], got {clip_percent}")
@@ -268,12 +267,7 @@ def pixels_from_image(image: IndicatorImage, scale: str = "percentile",
     if not np.any(live):
         raise ValueError("nothing to render: all grid points masked")
     v = vals[live]
-    if scale == "linear":
-        top = float(v.max())
-    elif scale == "percentile":
-        top = float(np.percentile(v, clip_percent))
-    else:
-        raise ValueError(f"unknown scale {scale!r}")
+    top = float(np.percentile(v, clip_percent))
     if top <= 0.0:
         top = 1.0
     pix = np.zeros(g.n_points, dtype=np.int64)

@@ -561,8 +561,8 @@ def _oracle_arrays(n_hi: int, bc: str, side: str, k: float, a: float):
     if bc == "soft":
         num_a, den_a = cylfun.bessel_j_all(n_hi, ka), cylfun.hankel1_all(n_hi, ka)
     else:
-        num_a = cylfun.derivative_all(cylfun.bessel_j_all(n_hi + 1, ka), ka, "J")
-        den_a = cylfun.derivative_all(cylfun.hankel1_all(n_hi + 1, ka), ka, "H")
+        num_a = cylfun.derivative_all(cylfun.bessel_j_all(n_hi + 1, ka), ka)
+        den_a = cylfun.derivative_all(cylfun.hankel1_all(n_hi + 1, ka), ka)
     if side == "interior":
         num_a, den_a = den_a, num_a
     return num_a, den_a
@@ -628,8 +628,7 @@ def _circle_series_attempt(n_hi, a, bc, side, k, rz, th_z, rx, th_x, radial_deri
         radial = cylfun.bessel_j_all(n_hi + 1, k * rx).astype(complex)
         src = cylfun.bessel_j_all(n_hi, k * rz).astype(complex)
     if radial_derivative:
-        kind = "H" if side == "exterior" else "J"
-        rad = k * cylfun.derivative_all(radial, k * rx, kind)
+        rad = k * cylfun.derivative_all(radial, k * rx)
     else:
         rad = radial[:-1]
 

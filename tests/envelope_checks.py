@@ -73,8 +73,8 @@ def check_hankel_bounds(t: float, n_max: int) -> BoundCheckReport:
         return BoundCheckReport(t, n_start, n_max, orders, np.empty(0), 0.5, math.exp(t))
 
     jv = cf.bessel_j_all(n_max, t)
-    yv, sat = cf.bessel_y_all(n_max, t, return_saturated=True)
-    if np.any(sat[orders]):
+    yv = cf.bessel_y_all(n_max, t)
+    if np.any(np.abs(yv[orders]) >= cf.SATURATION):
         raise OverflowGuardError("|Y_n| saturated inside the checked order range")
     log_ratio = np.empty(orders.size)
     for i, n in enumerate(orders):

@@ -141,10 +141,14 @@ def test_simulate_rejects_source_inside_before_output(tmp_path, small_config, ca
     (["rates", "--side", "exterior", "--k", "-1"], "k must be finite and positive"),
     (["oracle-check", "--k", "3", "0", "--nodes", "64"], "--k must be finite and positive"),
     (["oracle-check", "--k", "nan", "--nodes", "64"], "--k must be finite and positive"),
-], ids=["rates-k-negative", "oracle-check-k-zero", "oracle-check-k-nan"])
+    (["oracle-check", "--tol", "nan", "--nodes", "64"], "--tol must be finite and positive"),
+    (["oracle-check", "--tol", "-1", "--nodes", "64"], "--tol must be finite and positive"),
+], ids=["rates-k-negative", "oracle-check-k-zero", "oracle-check-k-nan", "oracle-check-tol-nan",
+        "oracle-check-tol-negative"])
 def test_bad_wavenumber_exits_2(argv, named, capsys):
     # refused before any solve, with k named, instead of failing deep in
-    # the special functions or in LAPACK
+    # the special functions or in LAPACK; likewise a tolerance no error can
+    # pass, which ran all eight solves and printed [FAIL] on every line
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("nearscat: error: ") and named in captured.err
@@ -296,7 +300,7 @@ def test_render_command(tmp_path, small_config):
     main(["pipeline", "-c", str(small_config), "-o", str(out)])
     pgm = tmp_path / "img.pgm"
     assert main(["render", "-i", str(out / "indicator_k3.csv"), "-o", str(pgm),
-                 "--scale", "linear"]) == 0
+                 "--clip", "100"]) == 0
     assert formats.read_pgm(pgm).shape == (30, 30)
 
 

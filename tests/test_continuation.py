@@ -127,11 +127,6 @@ class TestEvalField:
         with pytest.raises(ValueError):
             ct.radial_tables(co, np.array([1e-13]), with_deriv=False)
 
-    def test_validity_strip_flags(self, oracle_ring_single_source):
-        co = ct.compute_coefficients(oracle_ring_single_source, 3)
-        flags = ct.outside_validity_strip(co, np.array([1.0, 2.2, 2.3]))
-        assert flags.tolist() == [False, False, True]
-
 
 class TestEvalGradient:
     def test_finite_difference(self, oracle_ring_single_source):
@@ -249,8 +244,7 @@ def _per_point_tables(co, r):
         anchor = cf.bessel_j_all(co.truncation, float(ka)).astype(complex)
     anchor = np.where(np.abs(anchor) < 1e-300, 1.0, anchor)
     ratio = vals[:-1] / anchor[:, None]
-    kind = "H" if co.side == "exterior" else "J"
-    deriv = co.k * cf.derivative_all(vals, kr, kind) / anchor[:, None]
+    deriv = co.k * cf.derivative_all(vals, kr) / anchor[:, None]
     n_abs = np.abs(co.orders)
     keep = ~co.excluded
     return ratio[n_abs] * keep[:, None], deriv[n_abs] * keep[:, None]

@@ -327,7 +327,7 @@ class TestPgm:
         img = ind.IndicatorImage(grid=grid, values=np.full(9, 0.7), kind="soft",
                                  wavenumbers=(3.0,), state="raw",
                                  flags=np.zeros(9, dtype=np.uint8))
-        pix = formats.pixels_from_image(img, scale="linear")
+        pix = formats.pixels_from_image(img, clip_percent=100.0)
         assert np.all(pix == formats.PGM_MAXVAL)
 
     def test_two_by_two_linear(self, tmp_path):
@@ -335,7 +335,7 @@ class TestPgm:
         img = ind.IndicatorImage(grid=grid, values=np.array([0.0, 1.0, 1.0, 0.0]),
                                  kind="soft", wavenumbers=(3.0,), state="raw",
                                  flags=np.zeros(4, dtype=np.uint8))
-        pix = formats.pixels_from_image(img, scale="linear")
+        pix = formats.pixels_from_image(img, clip_percent=100.0)
         assert pix.tolist() == [[0, 65535], [65535, 0]]
 
     def test_round_trip_and_orientation(self, tmp_path):
@@ -344,7 +344,7 @@ class TestPgm:
                                  kind="soft", wavenumbers=(3.0,), state="raw",
                                  flags=np.zeros(4, dtype=np.uint8))
         path = tmp_path / "img.pgm"
-        formats.write_pgm(path, formats.pixels_from_image(img, scale="linear"))
+        formats.write_pgm(path, formats.pixels_from_image(img, clip_percent=100.0))
         pix = formats.read_pgm(path)
         assert pix.shape == (2, 2)
         assert pix[0, 1] == 65535            # top row = max y
@@ -382,7 +382,7 @@ class TestPgm:
 
     def test_masked_points_render_zero(self):
         img = _image()
-        pix = formats.pixels_from_image(img, scale="linear")
+        pix = formats.pixels_from_image(img, clip_percent=100.0)
         mask_img = img.grid.as_image(img.grid.mask)
         assert np.all(pix[mask_img] == 0)
 
@@ -392,7 +392,7 @@ class TestPgm:
         img = ind.IndicatorImage(grid=grid, values=values, kind="soft",
                                  wavenumbers=(3.0,), state="raw",
                                  flags=np.zeros(100, dtype=np.uint8))
-        pix = formats.pixels_from_image(img, scale="percentile", clip_percent=50.0)
+        pix = formats.pixels_from_image(img, clip_percent=50.0)
         flat = pix.flatten()
         top = np.percentile(values, 50.0)
         assert np.all(flat[values > top] == 65535)       # clipped to maxval
@@ -405,9 +405,14 @@ class TestPgm:
             formats.pixels_from_image(_image(), clip_percent=clip)
 
     def test_clip_of_100_maps_the_maximum(self):
+        # clip 100 is the linear map round(65535 v / max)
         img = _image()
+        live = ~img.grid.mask
+        v = img.values[live]
+        want = np.zeros(img.grid.n_points, dtype=np.int64)
+        want[live] = np.rint(formats.PGM_MAXVAL * v / v.max())
         assert np.array_equal(formats.pixels_from_image(img, clip_percent=100.0),
-                              formats.pixels_from_image(img, scale="linear"))
+                              img.grid.as_image(want))
 
 
 def test_sha256(tmp_path):
