@@ -11,16 +11,18 @@ feed the truncated expansion continued off the ring,
 
 with C = H^(1) on the radiating (exterior) side and C = J on the regular
 (interior) side.  The expansion and its gradient run entirely on the
-in-house cylinder-function module; negative orders reduce by symmetry so
-the C_{-n}/C_{-n} ratios never see the (-1)^n factors.  The radial factor
-depends on |x| alone, so the cylinder functions are evaluated once per
-distinct radius (a fraction of the points on a Cartesian grid) and
+in-house cylinder-function module, on one table of C_m(k r) for the signed
+orders m = -N-1..N+1 (negative orders by the exact C_{-m} = (-1)^m C_m):
+the field takes its rows -N..N, and the gradient its rows shifted one
+order up and one down, by the ladder identity (DLMF 10.6.2).  The radial
+factor depends on |x| alone, so the cylinder functions are evaluated once
+per distinct radius (a fraction of the points on a Cartesian grid) and
 gathered to the points; the values are those of a per-point evaluation,
-bit for bit.  ``radial_tables`` builds them once for a whole evaluation
-and is the one check of the radius floor; ``eval_field`` and
-``eval_gradient`` require them and serve one block of their points at a
-time, given as a (P,) array of theta (and of r for the gradient), and
-return (n_src, P) values or (n_src, 2, P) gradients.
+bit for bit.  ``radial_tables`` builds the table once for a whole
+evaluation and is the one check of the radius floor; ``eval_field`` and
+``eval_gradient`` require it and serve one block of its points at a time,
+given as a (P,) array of theta, and return (n_src, P) values or
+(n_src, 2, P) gradients.
 
 The interior ratio J_n(k r)/J_n(k R) blows up whenever k R sits near a
 zero of J_n; ``compute_coefficients`` zeroes and flags such modes.
@@ -116,55 +118,44 @@ def compute_coefficients(ring: RingMeasurement, truncation: int,
 
 
 class RadialTables(NamedTuple):
-    """Radial factors per signed order n on the distinct radii, and the index
-    of each point's radius among them.
+    """Cylinder functions per signed order on the distinct radii, the
+    coefficients they multiply, and the index of each point's radius.
 
-    ``ratio`` is C_n(kr)/C_n(k r_anchor) and ``deriv`` its r-derivative
-    (None when not asked for), both (2N+1, U) with excluded modes zeroed;
-    ``inverse`` is (P,).  ``tables._replace(inverse=tables.inverse[block])``
+    ``table`` is C_m(kr) for m = -N-1..N+1, (2N+3, U); ``scaled`` is
+    c_n / C_n(k r_anchor) for n = -N..N, (n_src, 2N+1), zero on excluded
+    modes; ``inverse`` is (P,).  ``tables._replace(inverse=tables.inverse[block])``
     serves a block of the points.
     """
 
-    ratio: np.ndarray
-    deriv: np.ndarray | None
+    table: np.ndarray
+    scaled: np.ndarray
     inverse: np.ndarray
 
 
-def radial_tables(coeffs: ModeCoefficients, r, with_deriv: bool) -> RadialTables:
-    """The cylinder-function tables of ``coeffs`` at the radii ``r``.
+def radial_tables(coeffs: ModeCoefficients, r) -> RadialTables:
+    """The cylinder-function table of ``coeffs`` at the radii ``r``.
 
-    Evaluated once per distinct radius.  Build them once for all points of
-    an evaluation and serve blocks from them: the Miller recurrence picks
+    Evaluated once per distinct radius.  Build it once for all points of
+    an evaluation and serve blocks from it: the Miller recurrence picks
     its start order from the largest argument of the call, so tables built
-    per block could differ in the last bits.  Excluded modes are zeroed here
-    so every evaluation path honors the guard.  ValueError for a radius
-    below MIN_RADIUS.
+    per block could differ in the last bits.  Excluded modes are zeroed in
+    ``scaled`` so every evaluation path honors the guard.  ValueError for
+    a radius below MIN_RADIUS.
     """
     n_top = coeffs.truncation
-    k = coeffs.k
     radii, inverse = np.unique(r, return_inverse=True)
     if np.any(radii < MIN_RADIUS):
         raise ValueError("radius below 1e-12")
-    kr = k * radii
-    ka = k * coeffs.anchor_radius
-    if coeffs.side == "exterior":
-        vals = cylfun.hankel1_all(n_top + 1, kr)
-        anchor = cylfun.hankel1_all(n_top, float(ka))
-    else:
-        vals = cylfun.bessel_j_all(n_top + 1, kr).astype(complex)
-        anchor = cylfun.bessel_j_all(n_top, float(ka)).astype(complex)
-    tiny = np.abs(anchor) < 1e-300
-    anchor = np.where(tiny, 1.0, anchor)
-
-    n_abs = np.abs(coeffs.orders)
-    keep = ~coeffs.excluded[:, None]
-    # per signed order n: ratio_n = ratio_{|n|} (symmetric), masked by the guard
-    ratio = (vals[:-1] / anchor[:, None])[n_abs] * keep
-    deriv = None
-    if with_deriv:
-        deriv = k * cylfun.derivative_all(vals, kr) / anchor[:, None]
-        deriv = deriv[n_abs] * keep
-    return RadialTables(ratio, deriv, inverse)
+    cyl = cylfun.hankel1_all if coeffs.side == "exterior" else cylfun.bessel_j_all
+    vals = cyl(n_top + 1, coeffs.k * radii)
+    anchor = cyl(n_top, float(coeffs.k * coeffs.anchor_radius))
+    anchor = np.where(np.abs(anchor) < 1e-300, 1.0, anchor)
+    # C_{-m} = (-1)^m C_m: the signs are exact and cancel in c_n C_n(kr) / C_n(kR)
+    orders = np.arange(-n_top - 1, n_top + 2)
+    sign = (-1.0) ** np.minimum(orders, 0)
+    table = vals[np.abs(orders)] * sign[:, None]
+    scaled = coeffs.values / (anchor[np.abs(coeffs.orders)] * sign[1:-1])
+    return RadialTables(table, np.where(coeffs.excluded, 0.0, scaled), inverse)
 
 
 def eval_field(coeffs: ModeCoefficients, theta: np.ndarray,
@@ -173,46 +164,35 @@ def eval_field(coeffs: ModeCoefficients, theta: np.ndarray,
     whose radii ``tables`` (from ``radial_tables``, ``inverse`` covering
     these points) were built on; (n_src, P).
 
-    At r = anchor this is exactly the order-N Fourier partial sum of the
-    ring data.
+    At r = anchor this is the order-N Fourier partial sum of the ring data.
     """
-    ratio, _, inverse = tables
-    modes = ratio[:, inverse]
-    modes *= np.exp(1j * np.outer(coeffs.orders, theta))     # (2N+1, P)
-    return _gemm(coeffs.values, modes)
+    table, scaled, inverse = tables
+    modes = np.exp(1j * np.outer(coeffs.orders, theta))
+    modes *= table[1:-1, inverse]                            # (2N+1, P)
+    return _gemm(scaled, modes)
 
 
-def eval_gradient(coeffs: ModeCoefficients, r: np.ndarray, theta: np.ndarray,
+def eval_gradient(coeffs: ModeCoefficients, theta: np.ndarray,
                   tables: RadialTables) -> np.ndarray:
-    """Cartesian gradient of the continued field at (P,) polar points;
-    (n_src, 2, P).
+    """Cartesian gradient of the continued field at the (P,) polar angles
+    ``theta``; (n_src, 2, P).  ``tables`` as in ``eval_field``.
 
-    Radial part k C_n'(kr)/C_n(k r_anchor), angular part (i n / r) times the
-    mode ratio, rotated with (cos th, sin th) and (-sin th, cos th).  Each
-    (2N+1, P) table is freed once its product with the coefficients is
-    formed, and both components are written into one output array.
-    ``tables`` are as in ``eval_field``, built with ``with_deriv=True``.
+    By the ladder identity (d_x +- i d_y)[C_n(kr) e^{in theta}]
+    = -+k C_{n+-1}(kr) e^{i(n+-1) theta} (DLMF 10.6.2), the sums
+    A = (d_x + i d_y) u_N and B = (d_x - i d_y) u_N shift the mode table by
+    one order either way, and grad u_N = ((A + B)/2, (A - B)/(2i)).
     """
-    ratio, dratio, inverse = tables
-    ratio, dratio = ratio[:, inverse], dratio[:, inverse]
+    table, scaled, inverse = tables
+    n_top = coeffs.truncation + 1
     # not exp(..., out=...): in place, the malloc heap layout it leaves raised
     # the peak resident memory of the 300^2 cavity benchmark by 16 MB
-    phases = np.exp(1j * np.outer(coeffs.orders, theta))
-    dratio *= phases
-    g_rad = _gemm(coeffs.values, dratio)                     # (n_src, P)
-    del dratio
-    ang = 1j * coeffs.orders[:, None] / r[None, :]
-    ang *= ratio
-    del ratio
-    ang *= phases
-    del phases
-    g_ang = _gemm(coeffs.values, ang)
-    del ang
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    out = np.empty((coeffs.n_sources, 2, r.size), dtype=complex)
-    np.multiply(g_rad, cos_t, out=out[:, 0])
-    np.multiply(g_rad, sin_t, out=out[:, 1])
-    out[:, 0] -= np.multiply(g_ang, sin_t, out=g_rad)
-    g_ang *= cos_t
-    out[:, 1] += g_ang
+    modes = np.exp(1j * np.outer(np.arange(-n_top, n_top + 1), theta))
+    modes *= table[:, inverse]                               # (2N+3, P)
+    a = _gemm(-coeffs.k * scaled, modes[2:])                 # (d_x + i d_y) u_N
+    b = _gemm(coeffs.k * scaled, modes[:-2])                 # (d_x - i d_y) u_N
+    out = np.empty((coeffs.n_sources, 2, theta.size), dtype=complex)
+    np.add(a, b, out=out[:, 0])
+    np.subtract(a, b, out=out[:, 1])
+    out[:, 0] /= 2
+    out[:, 1] /= 2j
     return out

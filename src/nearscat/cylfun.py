@@ -95,10 +95,8 @@ def bessel_j_all(n_max: int, t) -> np.ndarray:
 
 
 def _neumann_weight(order: int) -> float:
-    # coefficient of J_order in s0 (even orders) or s1 (odd orders)
+    # coefficient of J_order, order >= 2, in s0 (even orders) or s1 (odd orders)
     k = order // 2
-    if k == 0:
-        return 0.0
     sign = -1.0 if k % 2 else 1.0
     return sign / k if order % 2 == 0 else sign * (2 * k + 1) / (k * (k + 1))
 

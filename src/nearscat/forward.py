@@ -568,12 +568,11 @@ def _oracle_arrays(n_hi: int, bc: str, side: str, k: float, a: float):
     return num_a, den_a
 
 
-def analytic_circle(radius: float, bc: str, side: str, k: float, z, eval_points,
-                    radial_derivative: bool = False) -> np.ndarray:
+def analytic_circle(radius: float, bc: str, side: str, k: float, z,
+                    eval_points) -> np.ndarray:
     """Scattered field of a sound-soft/hard circle about the origin for one point source.
 
-    Returns u_s at each eval point (``radial_derivative=True`` gives
-    du_s/dr instead).  Exterior soft:
+    Returns u_s at each eval point.  Exterior soft:
 
         u_s = -(i/4) sum_n [J_n(ka)/H_n(ka)] H_n(k r_x) H_n(k r_z) e^{i n (th_x - th_z)}
 
@@ -602,8 +601,7 @@ def analytic_circle(radius: float, bc: str, side: str, k: float, z, eval_points,
 
     n_hi = min(_ORACLE_MAX_ORDER, max(40, int(k * max(rx.max(), rz, a)) + 30))
     while True:
-        result = _circle_series_attempt(n_hi, a, bc, side, k, rz, th_z, rx, th_x,
-                                        radial_derivative)
+        result = _circle_series_attempt(n_hi, a, bc, side, k, rz, th_z, rx, th_x)
         if result is not None:
             return result
         if n_hi >= _ORACLE_MAX_ORDER:
@@ -612,7 +610,7 @@ def analytic_circle(radius: float, bc: str, side: str, k: float, z, eval_points,
         n_hi = min(_ORACLE_MAX_ORDER, 2 * n_hi)
 
 
-def _circle_series_attempt(n_hi, a, bc, side, k, rz, th_z, rx, th_x, radial_derivative):
+def _circle_series_attempt(n_hi, a, bc, side, k, rz, th_z, rx, th_x):
     num_a, den_a = _oracle_arrays(n_hi, bc, side, k, a)
     # A tiny denominator marks an eigenvalue collision only for n <= ka
     # (the first zero of J_n / J_n' lies above n).  Beyond that both the
@@ -622,22 +620,18 @@ def _circle_series_attempt(n_hi, a, bc, side, k, rz, th_z, rx, th_x, radial_deri
     safe_den = np.where(den_a == 0.0, 1e-300, den_a)
 
     if side == "exterior":
-        radial = cylfun.hankel1_all(n_hi + 1, k * rx)
+        radial = cylfun.hankel1_all(n_hi, k * rx)
         src = cylfun.hankel1_all(n_hi, k * rz)
     else:
-        radial = cylfun.bessel_j_all(n_hi + 1, k * rx).astype(complex)
+        radial = cylfun.bessel_j_all(n_hi, k * rx).astype(complex)
         src = cylfun.bessel_j_all(n_hi, k * rz).astype(complex)
-    if radial_derivative:
-        rad = k * cylfun.derivative_all(radial, k * rx)
-    else:
-        rad = radial[:-1]
 
     d_th = th_x[None, :] - th_z
     ang = np.cos(np.arange(n_hi + 1)[:, None] * d_th) * 2.0
     ang[0] = 1.0
 
     # grouping (num_a * radial) * (src / den_a) keeps intermediates bounded
-    terms = (num_a[:, None] * rad) * (src / safe_den)[:, None] * ang
+    terms = (num_a[:, None] * radial) * (src / safe_den)[:, None] * ang
     terms[degenerate] = 0.0          # poisoned anyway; reported below if needed
     mags = np.abs(terms).max(axis=1)
     partial = np.cumsum(terms, axis=0)

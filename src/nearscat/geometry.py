@@ -56,8 +56,17 @@ class ShapeSpec:
             raise ValueError("n_nodes must be even and >= 16")
         if self.kind == "circle" and self.radius <= 0.0:
             raise ValueError("circle radius must be positive")
-        if self.kind == "trig" and not (self.x_cos or self.x_sin or self.y_cos or self.y_sin):
-            raise ValueError("trig shape needs at least one coefficient")
+        # x = sum a_j cos(jt) + b_j sin(jt), y = sum c_j cos(jt) + d_j sin(jt)
+        # encloses the signed area pi sum_j j (a_j d_j - b_j c_j); the normals
+        # and the boundary integral equations assume it is positive, which
+        # also refuses a trig series without harmonics
+        series = self.harmonics()
+        n = max(map(len, series))
+        a, b, c, d = (np.pad(np.asarray(h, dtype=float), (0, n - len(h)))[1:] for h in series)
+        area = np.pi * np.sum(np.arange(1, n) * (a * d - b * c))
+        if not area > 0.0:
+            raise ValueError(f"shape must run counter-clockwise: its signed area "
+                             f"{area:.3g} is not positive")
 
     def harmonics(self) -> tuple[tuple[float, ...], ...]:
         """(x_cos, x_sin, y_cos, y_sin) of the shape's trigonometric series."""

@@ -23,10 +23,11 @@ Each point's value needs only its own continued field or gradient and its
 own incident terms, so the points are evaluated in blocks of
 BLOCK_POINTS: only one block's fields, gradients, incident terms and
 reductions exist at a time, and the values go straight into the output.
-The radial tables are built once for all points (``radial_tables``) and
-gathered per block, and blocks start at multiples of 64 points, so with
-one BLAS thread the values equal those of one evaluation over every point
-bit for bit.  With several, OpenBLAS's threaded ``zgemm`` rounds the
+The cylinder-function table (``radial_tables``), which serves the field
+and its gradient alike, and the polar angles are formed once for all
+points and gathered per block.  Blocks start at multiples of 64 points, so
+with one BLAS thread the values equal those of one evaluation over every
+point bit for bit.  With several, OpenBLAS's threaded ``zgemm`` rounds the
 columns at its thread split differently, and that split moves with the
 block size: 1-3 values per image differ, by <= 3.5e-16 relative.
 """
@@ -69,51 +70,48 @@ class IndicatorImage:
         return ~self.grid.mask
 
 
-def _polar(points: np.ndarray):
-    r = np.hypot(points[:, 0], points[:, 1])
-    theta = np.arctan2(points[:, 1], points[:, 0])
-    return r, theta
-
-
 def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
                      points: np.ndarray, kind: str):
     """Raw indicator values and flags at (P, 2) points; (P,), (P,) uint8.
 
-    Evaluated in blocks of BLOCK_POINTS points with r > 0, on radial tables
-    built once for all of them.
+    Evaluated in blocks of BLOCK_POINTS points with r > 0, on one
+    cylinder-function table and polar angles formed once for all of them.
     """
     if kind not in ("soft", "hard"):
         raise ValueError(f"unknown indicator kind {kind!r}")
     if coeffs.n_sources != sources.count:
         raise ValueError("coefficient rows do not match the source count")
-    r, theta = _polar(points)
+    r = np.hypot(points[:, 0], points[:, 1])
+    theta = np.arctan2(points[:, 1], points[:, 0])
     ok = r >= MIN_RADIUS
     for p in points[~ok]:      # the origin is in no block and gets no incident term
         _diff_to_source(sources.positions, p)
     values = np.zeros(points.shape[0])
     flags = np.full(points.shape[0], FLAG_DEGENERATE, dtype=np.uint8)
     live = np.flatnonzero(ok)
-    tables = radial_tables(coeffs, r[live], with_deriv=kind == "hard") if live.size else None
+    tables = radial_tables(coeffs, r[live]) if live.size else None
     for start in range(0, live.size, BLOCK_POINTS):
         blk = slice(start, start + BLOCK_POINTS)
         idx = live[blk]
         values[idx], flags[idx] = _block_values(
-            coeffs, sources, points[idx], tables._replace(inverse=tables.inverse[blk]), kind)
+            coeffs, sources, points[idx], theta[idx],
+            tables._replace(inverse=tables.inverse[blk]), kind)
     return values, flags
 
 
 def _block_values(coeffs: ModeCoefficients, sources: SourceSet, points: np.ndarray,
-                  tables: RadialTables, kind: str):
-    """Indicator values and flags at (B, 2) points with r > 0; ``tables`` as in
-    ``eval_field``.  Everything formed here is freed before the next block."""
+                  theta: np.ndarray, tables: RadialTables, kind: str):
+    """Indicator values and flags at (B, 2) points with r > 0 and polar angles
+    ``theta``; ``tables`` as in ``eval_field``.  Everything formed here is
+    freed before the next block."""
     weight = 2.0 * np.pi * sources.radius / sources.count
     if kind == "soft":
-        total = eval_field(coeffs, _polar(points)[1], tables)   # (n_src, B)
+        total = eval_field(coeffs, theta, tables)               # (n_src, B)
         for j, z in enumerate(sources.positions):
             total[j] += incident_field(points, z, coeffs.k)
         return weight * np.abs(total).sum(axis=0), FLAG_OK
 
-    grad, norms, ref = _reference_gradients(coeffs, sources, points, tables)
+    grad, norms, ref = _reference_gradients(coeffs, sources, points, theta, tables)
     cols = np.arange(points.shape[0])
     xi = grad[ref, :, cols].T                                    # (2, B)
     xi_norm = norms[ref, cols]
@@ -128,11 +126,12 @@ def _block_values(coeffs: ModeCoefficients, sources: SourceSet, points: np.ndarr
 
 
 def _reference_gradients(coeffs: ModeCoefficients, sources: SourceSet,
-                         points: np.ndarray, tables: RadialTables):
-    """Continued total-field gradients at (P, 2) points, their norms and the
-    reference source per point (argmax norm, lowest index on ties);
-    shapes (n_src, 2, P), (n_src, P), (P,).  ``tables`` as in ``eval_gradient``."""
-    grad = eval_gradient(coeffs, *_polar(points), tables)
+                         points: np.ndarray, theta: np.ndarray, tables: RadialTables):
+    """Continued total-field gradients at (P, 2) points with polar angles
+    ``theta``, their norms and the reference source per point (argmax norm,
+    lowest index on ties); shapes (n_src, 2, P), (n_src, P), (P,).
+    ``tables`` as in ``eval_gradient``."""
+    grad = eval_gradient(coeffs, theta, tables)
     for j, z in enumerate(sources.positions):
         grad[j] += incident_gradient(points, z, coeffs.k).T
     norms = np.sqrt(np.abs(grad[:, 0, :]) ** 2 + np.abs(grad[:, 1, :]) ** 2)

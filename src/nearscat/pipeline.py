@@ -127,6 +127,11 @@ class ScenarioConfig:
             raise ConfigError(f"repeated wavenumbers: {self.wavenumbers}")
         if len(self.shape_center) != 2:
             raise ConfigError(f"shape_center needs 2 entries, got {self.shape_center}")
+        for key in ("shape_radius", "shape_center", "shape_x_cos", "shape_x_sin",
+                    "shape_y_cos", "shape_y_sin", "grid_xmin", "grid_xmax", "grid_ymin",
+                    "grid_ymax"):
+            if not np.all(np.isfinite(getattr(self, key))):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         try:
             self.shape_spec().validate()
             NoiseSpec(level=self.delta, seed=self.seed).validate()
@@ -147,9 +152,6 @@ class ScenarioConfig:
         if min(self.grid_nx, self.grid_ny) < 2:
             raise ConfigError(f"grid_nx and grid_ny must be >= 2, "
                               f"got {self.grid_nx} and {self.grid_ny}")
-        for key in ("grid_xmin", "grid_xmax", "grid_ymin", "grid_ymax"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if not (self.grid_xmax > self.grid_xmin and self.grid_ymax > self.grid_ymin):
             raise ConfigError(f"grid bounds must increase: x [{self.grid_xmin}, "
                               f"{self.grid_xmax}], y [{self.grid_ymin}, {self.grid_ymax}]")
@@ -630,7 +632,7 @@ def convergence_study(side: str, *, k: float = 3.0,
 
     def boundary_error(data: RingMeasurement, n: int) -> float:
         coeffs = ct.compute_coefficients(data, n)
-        tables = ct.radial_tables(coeffs, np.full(STUDY_POINTS, a), with_deriv=False)
+        tables = ct.radial_tables(coeffs, np.full(STUDY_POINTS, a))
         u_n = ct.eval_field(coeffs, th, tables)
         return float(np.sqrt(np.mean(np.abs(u_n - u_true) ** 2)))
 

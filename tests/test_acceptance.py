@@ -264,8 +264,9 @@ def test_a9_indicator_algebra(example1_ring, exterior_sources, paper_grid,
     ring = nz.add_noise(ring, nz.NoiseSpec(level=0.02, seed=7))
     coeffs = ct.compute_coefficients(ring, 4)
     pts = paper_grid.points
-    tables = ct.radial_tables(coeffs, np.hypot(pts[:, 0], pts[:, 1]), with_deriv=True)
-    grad, norms, ref = ind._reference_gradients(coeffs, exterior_sources, pts, tables)
+    tables = ct.radial_tables(coeffs, np.hypot(pts[:, 0], pts[:, 1]))
+    grad, norms, ref = ind._reference_gradients(coeffs, exterior_sources, pts,
+                                                np.arctan2(pts[:, 1], pts[:, 0]), tables)
     cols = np.arange(pts.shape[0])
     xi = grad[ref, :, cols].T
     xi_norm = norms[ref, cols]

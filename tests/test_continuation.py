@@ -22,12 +22,12 @@ def _ring(samples, radius=2.2, k=3.0, side="exterior", n_src=1):
 
 def _field(co, r, theta):
     """``eval_field`` at the (P,) polar points (r, theta), on tables built from r."""
-    return ct.eval_field(co, theta, ct.radial_tables(co, r, with_deriv=False))
+    return ct.eval_field(co, theta, ct.radial_tables(co, r))
 
 
 def _gradient(co, r, theta):
     """``eval_gradient`` at the (P,) polar points (r, theta), on tables built from r."""
-    return ct.eval_gradient(co, r, theta, ct.radial_tables(co, r, with_deriv=True))
+    return ct.eval_gradient(co, theta, ct.radial_tables(co, r))
 
 
 def _at(fn, co, r, theta):
@@ -125,7 +125,7 @@ class TestEvalField:
     def test_radius_floor(self, oracle_ring_single_source):
         co = ct.compute_coefficients(oracle_ring_single_source, 3)
         with pytest.raises(ValueError):
-            ct.radial_tables(co, np.array([1e-13]), with_deriv=False)
+            ct.radial_tables(co, np.array([1e-13]))
 
 
 class TestEvalGradient:
@@ -232,8 +232,40 @@ class TestCleanDecay:
 
 
 def _per_point_tables(co, r):
-    """Radial tables evaluated at every point, as before the distinct-radius
-    gather: C_n(kr)/C_n(kR) and k C_n'(kr)/C_n(kR) per signed order."""
+    """The signed-order table C_m(kr), m = -N-1..N+1, evaluated at every point
+    as before the distinct-radius gather, and the scaled coefficients
+    c_n / C_n(kR) with excluded modes zeroed."""
+    cyl = cf.hankel1_all if co.side == "exterior" else cf.bessel_j_all
+    vals = cyl(co.truncation + 1, co.k * r)
+    anchor = cyl(co.truncation, float(co.k * co.anchor_radius))
+    anchor = np.where(np.abs(anchor) < 1e-300, 1.0, anchor)
+    orders = np.arange(-co.truncation - 1, co.truncation + 2)
+    sign = np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0)
+    table = vals[np.abs(orders)] * sign[:, None]
+    scaled = co.values / (anchor[np.abs(co.orders)] * sign[1:-1])
+    return table, np.where(co.excluded, 0.0, scaled)
+
+
+def _per_point_field(co, r, theta):
+    table, scaled = _per_point_tables(co, r)
+    phases = np.exp(1j * np.outer(co.orders, theta))
+    return _gemm(scaled, phases * table[1:-1])
+
+
+def _per_point_gradient(co, r, theta):
+    """The ladder form: A = (d_x + i d_y) u and B = (d_x - i d_y) u."""
+    table, scaled = _per_point_tables(co, r)
+    n = co.truncation + 1
+    modes = np.exp(1j * np.outer(np.arange(-n, n + 1), theta)) * table
+    a = _gemm(-co.k * scaled, modes[2:])
+    b = _gemm(co.k * scaled, modes[:-2])
+    return np.stack([(a + b) / 2, (a - b) / 2j], axis=1)
+
+
+def _polar_tables(co, r):
+    """C_n(kr)/C_n(kR) and k C_n'(kr)/C_n(kR) per signed order at every point,
+    negative orders by symmetry of the ratios: the radial/angular route that
+    the ladder identity replaced, kept as an independent reference."""
     kr = co.k * r
     ka = co.k * co.anchor_radius
     if co.side == "exterior":
@@ -250,14 +282,16 @@ def _per_point_tables(co, r):
     return ratio[n_abs] * keep[:, None], deriv[n_abs] * keep[:, None]
 
 
-def _per_point_field(co, r, theta):
-    ratio, _ = _per_point_tables(co, r)
+def _polar_field(co, r, theta):
+    ratio, _ = _polar_tables(co, r)
     phases = np.exp(1j * np.outer(co.orders, theta))
     return _gemm(co.values, ratio * phases)
 
 
-def _per_point_gradient(co, r, theta):
-    ratio, dratio = _per_point_tables(co, r)
+def _polar_gradient(co, r, theta):
+    """Radial part k C_n'/C_n(kR), angular part (i n / r) C_n/C_n(kR), rotated
+    with (cos th, sin th) and (-sin th, cos th)."""
+    ratio, dratio = _polar_tables(co, r)
     phases = np.exp(1j * np.outer(co.orders, theta))
     g_rad = _gemm(co.values, dratio * phases)
     g_ang = _gemm(co.values, (1j * co.orders[:, None] / r[None, :]) * ratio * phases)
@@ -314,10 +348,33 @@ class TestDistinctRadii:
         assert _same_bits(_gradient(co, r, th), _per_point_gradient(co, r, th))
 
 
+class TestLadderAgainstPolar:
+    """The one signed-order table and the ladder identity give the field and
+    gradient of the ratio tables, the radial derivative k C_n' and the
+    angular term i n / r (the polar route they replaced) to rounding."""
+
+    @pytest.fixture(scope="class")
+    def grid_polar(self):
+        return _grid_polar(150)
+
+    @pytest.mark.parametrize("side", ["exterior", "interior"])
+    @pytest.mark.parametrize("truncation,excluded_order",
+                             [(0, None), (1, None), (3, 1), (5, 2), (8, None), (12, 0),
+                              (12, 7)])
+    def test_grid_points(self, grid_polar, side, truncation, excluded_order):
+        co = _random_coeffs(side, truncation, excluded_order=excluded_order)
+        r, th = grid_polar
+        for ladder, polar in ((_field(co, r, th), _polar_field(co, r, th)),
+                              (_gradient(co, r, th), _polar_gradient(co, r, th))):
+            assert ladder.shape == polar.shape
+            assert np.abs(ladder - polar).max() <= 1e-14 * np.abs(polar).max()
+
+
 @pytest.mark.parametrize("truncation", [3, 5])
 def test_gradient_peak_memory(truncation):
-    # the tables are freed after their products and both components are
-    # written into the output, so the peak stays near the output's own size
+    # one (2N+3, P) mode table and the two shifted products live beside the
+    # output, and both components are written into it, so the peak stays
+    # near the output's own size
     co = _random_coeffs("interior", truncation, n_src=12)
     r, th = _grid_polar(150)
     _gradient(co, r[:100], th[:100])

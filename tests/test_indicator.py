@@ -22,8 +22,9 @@ def _coeffs(values, radius=2.2, k=3.0, side="exterior"):
 def _reference(co, sources, x):
     """Reference source index and its total-field gradient at one point."""
     x = np.asarray(x, float)
-    tables = ct.radial_tables(co, np.hypot(x[:1], x[1:]), with_deriv=True)
-    grad, _, ref = ind._reference_gradients(co, sources, x.reshape(1, 2), tables)
+    tables = ct.radial_tables(co, np.hypot(x[:1], x[1:]))
+    grad, _, ref = ind._reference_gradients(co, sources, x.reshape(1, 2),
+                                            np.arctan2(x[1:], x[:1]), tables)
     return int(ref[0]), grad[ref[0], :, 0]
 
 
@@ -59,7 +60,7 @@ class TestSoftIndicator:
             r, th = np.hypot(p[:1], p[1:]), np.arctan2(p[1:], p[:1])
             total = 0.0
             for j, z in enumerate(exterior_sources.positions):
-                u_n = ct.eval_field(co, th, ct.radial_tables(co, r, False))[j, 0]
+                u_n = ct.eval_field(co, th, ct.radial_tables(co, r))[j, 0]
                 total += abs(u_n + fw.incident_field(p[None, :], z, co.k)[0])
             assert got[i] == pytest.approx(w * total, rel=1e-12)
             assert flags[i] == ind.FLAG_OK
@@ -74,7 +75,7 @@ class TestSoftIndicator:
         for c in (2.0, 0.5):
             for i, p in enumerate(pts):
                 r, th = np.hypot(p[:1], p[1:]), np.arctan2(p[1:], p[:1])
-                u_n = ct.eval_field(co, th, ct.radial_tables(co, r, False))
+                u_n = ct.eval_field(co, th, ct.radial_tables(co, r))
                 scaled = sum(abs(c * u_n[j, 0]
                                  + c * fw.incident_field(p[None, :], z, co.k)[0])
                              for j, z in enumerate(exterior_sources.positions))
@@ -113,7 +114,7 @@ class TestHardIndicator:
         # brute-force argmax over per-source gradient norms
         norms = []
         r, th = np.hypot(x[:1], x[1:]), np.arctan2(x[1:], x[:1])
-        g = ct.eval_gradient(co, r, th, ct.radial_tables(co, r, True))
+        g = ct.eval_gradient(co, th, ct.radial_tables(co, r))
         for j, z in enumerate(exterior_sources.positions):
             gj = g[j, :, 0] + fw.incident_gradient(x[None, :], z, co.k)[0]
             norms.append(np.sqrt(abs(gj[0]) ** 2 + abs(gj[1]) ** 2))
@@ -148,7 +149,7 @@ class TestHardIndicator:
             r, th = np.hypot(p[:1], p[1:]), np.arctan2(p[1:], p[:1])
             grads = []
             for j, z in enumerate(exterior_sources.positions):
-                gj = (ct.eval_gradient(co, r, th, ct.radial_tables(co, r, True))[j, :, 0]
+                gj = (ct.eval_gradient(co, th, ct.radial_tables(co, r))[j, :, 0]
                       + fw.incident_gradient(p[None, :], z, co.k)[0])
                 grads.append(gj)
             norms = [np.sqrt(abs(g[0]) ** 2 + abs(g[1]) ** 2) for g in grads]

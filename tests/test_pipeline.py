@@ -79,7 +79,16 @@ class TestConfig:
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
-_HARMONICS = st.lists(_FINITE, max_size=4).map(tuple)
+_SMALL = st.floats(-0.1, 0.1)
+
+
+def _harmonics(first):
+    """A constant term (any finite value: it does not enter the signed area),
+    a first harmonic drawn from ``first`` and up to two small higher ones."""
+    return st.builds(lambda c, f, rest: (c, f, *rest), _FINITE, first,
+                     st.lists(_SMALL, max_size=2))
+
+
 _BOUNDS = st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2, unique=True).map(sorted)
 
 
@@ -90,14 +99,15 @@ def _config_on_bounds(grid_x, grid_y, **kwargs) -> ScenarioConfig:
 
 # every config these draw passes validate(): 2N+1 <= 43 <= receiver_count,
 # increasing grid bounds, k r <= 500 hypot(10, 10) below cylfun.MAX_ARG, and
-# a trig shape always has a coefficient
+# a trig shape runs counter-clockwise: a_1 d_1 >= 1 outweighs the at most
+# 0.01 + 2 (0.02) + 3 (0.02) that the other harmonics take off the signed area
 _VALID_CONFIGS = st.builds(
     _config_on_bounds,
     side=st.sampled_from(["exterior", "interior"]), bc=st.sampled_from(["soft", "hard"]),
     shape=st.sampled_from(["circle", "kite", "starfish", "trig"]),
     shape_radius=_POSITIVE, shape_center=st.tuples(_FINITE, _FINITE),
-    shape_x_cos=st.lists(_FINITE, min_size=1, max_size=4).map(tuple),
-    shape_x_sin=_HARMONICS, shape_y_cos=_HARMONICS, shape_y_sin=_HARMONICS,
+    shape_x_cos=_harmonics(st.floats(1.0, 1e3)), shape_y_sin=_harmonics(st.floats(1.0, 1e3)),
+    shape_x_sin=st.just(()) | _harmonics(_SMALL), shape_y_cos=st.just(()) | _harmonics(_SMALL),
     wavenumbers=st.lists(st.floats(1e-3, 500.0), min_size=1, max_size=4,
                          unique=True).map(tuple),
     delta=st.floats(min_value=1e-6, max_value=0.99),
@@ -184,6 +194,23 @@ class TestConfigValidation:
         pytest.param(dict(source_count=0), "source_count", id="no-sources"),
         pytest.param(dict(shape="blob"), "unknown shape kind", id="unknown-shape"),
         pytest.param(dict(shape_radius=0.0), "circle radius", id="zero-radius"),
+        pytest.param(dict(shape="trig", shape_x_cos=(0.0, 1.0), shape_y_sin=(0.0, -1.0)),
+                     "counter-clockwise", id="clockwise-trig"),
+        pytest.param(dict(shape="trig", shape_x_cos=(0.0, 1.0)), "counter-clockwise",
+                     id="degenerate-trig"),
+        pytest.param(dict(shape="trig"), "counter-clockwise", id="empty-trig"),
+        pytest.param(dict(shape_radius=math.nan), "shape_radius must be finite",
+                     id="nan-shape-radius"),
+        pytest.param(dict(shape_radius=math.inf), "shape_radius must be finite",
+                     id="infinite-shape-radius"),
+        pytest.param(dict(shape_center=(0.0, math.nan)), "shape_center must be finite",
+                     id="nan-shape-center"),
+        pytest.param(dict(shape_center=(-math.inf, 0.0)), "shape_center must be finite",
+                     id="infinite-shape-center"),
+        pytest.param(dict(shape="trig", shape_x_cos=(0.0, 1.0), shape_y_sin=(0.0, math.nan)),
+                     "shape_y_sin must be finite", id="nan-trig-harmonic"),
+        pytest.param(dict(shape="trig", shape_x_sin=(0.0, math.inf), shape_y_cos=(0.0, 1.0)),
+                     "shape_x_sin must be finite", id="infinite-trig-harmonic"),
         pytest.param(dict(forward_nodes=255), "n_nodes", id="odd-nodes"),
         pytest.param(dict(forward_nodes=14), "n_nodes", id="too-few-nodes"),
         pytest.param(dict(grid_nx=1), "grid_nx and grid_ny", id="one-column"),
