@@ -54,6 +54,7 @@ def _flag_values(args, flags: dict[str, str]) -> dict:
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", "-c", type=Path, help="flat key = value config file")
+    p.add_argument("--outdir", "-o", required=True)
     for key in _OVERRIDE_KEYS:
         p.add_argument(f"--{key.replace('_', '-')}", type=_value_type(key), default=None)
     p.add_argument("--k", type=float, nargs="+", default=None,
@@ -187,7 +188,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("simulate", help="forward-solve clean ring data")
     _add_config_args(p)
-    p.add_argument("--outdir", "-o", required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("noise", help="perturb a ring CSV")
@@ -208,7 +208,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("pipeline", help="full scenario run")
     _add_config_args(p)
-    p.add_argument("--outdir", "-o", required=True)
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("rates", help="concentric-circle convergence study")

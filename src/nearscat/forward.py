@@ -80,7 +80,7 @@ from scipy.special import y0 as _sp_y0
 from scipy.special import y1 as _sp_y1
 
 from . import cylfun
-from .geometry import BoundaryCurve, equispaced_angles
+from .geometry import BoundaryCurve, _cross, equispaced_angles
 
 EULER_GAMMA = cylfun.EULER_GAMMA
 CONDITION_LIMIT = 1e12
@@ -314,7 +314,7 @@ class NystromGeometry:
         self.n_nodes = mm
         self.speed = curve.speed
         tg, sc = curve.tangents, curve.seconds
-        w = tg[:, 0] * sc[:, 1] - tg[:, 1] * sc[:, 0]
+        w = _cross(tg, sc)
         self.dl_diag = (0.0, -w / (4.0 * np.pi * self.speed**2))
         self.points = np.ascontiguousarray(curve.points.T)
         self.scaled_normals = np.stack([tg[:, 1], -tg[:, 0]])
@@ -496,7 +496,6 @@ def evaluate_scattered(curve: BoundaryCurve, sol: DensitySolution, points) -> np
     """Layer-potential evaluation of u_s at points off the boundary; (n_src, P)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     y = curve.points
-    nj = np.column_stack([curve.tangents[:, 1], -curve.tangents[:, 0]])
     d = pts[:, None, :] - y[None, :, :]
     r = np.hypot(d[..., 0], d[..., 1])
     kr = sol.k * r
@@ -505,8 +504,7 @@ def evaluate_scattered(curve: BoundaryCurve, sol: DensitySolution, points) -> np
     if sol.representation == "single-layer":
         g = s_ker
     else:
-        d_ker = 0.25j * sol.k * _hankel1(1, kr) \
-            * (d[..., 0] * nj[None, :, 0] + d[..., 1] * nj[None, :, 1]) / r
+        d_ker = 0.25j * sol.k * _hankel1(1, kr) * _cross(d, curve.tangents) / r   # d . nu |x'|
         g = d_ker if sol.representation == "double-layer" else d_ker - 1j * sol.k * s_ker
     h = 2.0 * np.pi / curve.n_nodes
     return h * _gemm(sol.density, g.T)
@@ -556,16 +554,15 @@ def simulate_ring(curve: BoundaryCurve, bc: str, side: str, k: float,
 # ---------------------------------------------------------------------------
 
 def _oracle_arrays(n_hi: int, bc: str, side: str, k: float, a: float):
-    """Per-order boundary coefficients: numerator and denominator factors."""
+    """Per-order boundary factors (numerator, denominator) from one Miller
+    pass: (J_n(ka), H_n(ka)) exterior soft, their derivatives exterior hard,
+    and the reverse pairs interior."""
     ka = k * a
-    if bc == "soft":
-        num_a, den_a = cylfun.bessel_j_all(n_hi, ka), cylfun.hankel1_all(n_hi, ka)
-    else:
-        num_a = cylfun.derivative_all(cylfun.bessel_j_all(n_hi + 1, ka), ka)
-        den_a = cylfun.derivative_all(cylfun.hankel1_all(n_hi + 1, ka), ka)
-    if side == "interior":
-        num_a, den_a = den_a, num_a
-    return num_a, den_a
+    j, y = cylfun.bessel_j_all(n_hi + (bc == "hard"), ka, with_y=True)
+    factors = (j, j + 1j * y)
+    if bc == "hard":
+        factors = tuple(cylfun.derivative_all(f, ka) for f in factors)
+    return factors if side == "exterior" else factors[::-1]
 
 
 def analytic_circle(radius: float, bc: str, side: str, k: float, z,
@@ -619,12 +616,8 @@ def _circle_series_attempt(n_hi, a, bc, side, k, rz, th_z, rx, th_x):
     degenerate = (np.abs(den_a) < 1e-12) & (np.arange(n_hi + 1) <= k * a)
     safe_den = np.where(den_a == 0.0, 1e-300, den_a)
 
-    if side == "exterior":
-        radial = cylfun.hankel1_all(n_hi, k * rx)
-        src = cylfun.hankel1_all(n_hi, k * rz)
-    else:
-        radial = cylfun.bessel_j_all(n_hi, k * rx).astype(complex)
-        src = cylfun.bessel_j_all(n_hi, k * rz).astype(complex)
+    cyl = cylfun.hankel1_all if side == "exterior" else cylfun.bessel_j_all
+    radial, src = cyl(n_hi, k * rx), cyl(n_hi, k * rz)
 
     d_th = th_x[None, :] - th_z
     ang = np.cos(np.arange(n_hi + 1)[:, None] * d_th) * 2.0

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 N_DENSE = 4096           # curve samples behind BoundaryCurve.radial_profile
-CONTAINS_BLOCK = 1 << 16  # point-edge pairs per block of BoundaryCurve.contains
+CONTAINS_BLOCK = 1 << 16  # point-edge or edge-edge pairs per block of contains, crossing
 
 
 def equispaced_angles(count: int) -> np.ndarray:
@@ -182,6 +182,28 @@ class BoundaryCurve:
             xi = x0[e] + (py[p] - y0[e]) * (x1[e] - x0[e]) / (y1[e] - y0[e])
             inside[lo:lo + step] = np.bincount(p[px[p] < xi], minlength=px.size) % 2 == 1
         return inside
+
+    def crossing(self) -> tuple[int, int] | None:
+        """The first pair i < j of non-adjacent node-polygon edges (edge i joins
+        nodes i and i + 1) whose ends lie strictly on both sides of each
+        other's line, or None; in blocks of at most CONTAINS_BLOCK pairs."""
+        m, a = self.n_nodes, self.points
+        e = np.roll(a, -1, axis=0) - a
+        step = max(1, CONTAINS_BLOCK // m)
+        for lo in range(0, m, step):
+            i, k = np.arange(lo, min(lo + step, m))[:, None], np.arange(lo, m)   # k >= i
+            d = a[k] - a[i]                               # node k from node i
+            hit = ((_cross(e[i], d) * _cross(e[i], d + e[k]) < 0.0)
+                   & (_cross(e[k], d) * _cross(e[k], d - e[i]) < 0.0)
+                   & (k > i + 1) & (k - i < m - 1))
+            if hit.any():
+                row, col = np.argwhere(hit)[0]
+                return lo + int(row), lo + int(col)
+        return None
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def make_curve(spec: ShapeSpec) -> BoundaryCurve:

@@ -327,9 +327,13 @@ def forward_curve(cfg: ScenarioConfig) -> tuple[BoundaryCurve, list[str]]:
     with one source, which has no reciprocity pair: forward_nodes, untried.
 
     GeometryError, before any solve, when a source or receiver lies on the
-    forward_nodes curve or on the wrong side of it.
+    forward_nodes curve or on the wrong side of it, or when that curve is a
+    trig shape whose node polygon crosses itself.
     """
     ceiling, sources = cfg.curve(), cfg.sources()
+    if cfg.shape == "trig" and (pair := ceiling.crossing()) is not None:
+        raise GeometryError(f"trig shape crosses itself: edges {pair[0]} and {pair[1]} of "
+                            f"its {cfg.forward_nodes}-node polygon intersect")
     receivers = ring_points(cfg.receiver_radius, cfg.receiver_count)
     forward._check_placement(ceiling, cfg.side, sources.positions, "source")
     forward._check_placement(ceiling, cfg.side, receivers, "receiver")

@@ -66,7 +66,8 @@ def check_hankel_bounds(t: float, n_max: int) -> BoundCheckReport:
     t = float(t)
     if t <= 0.0:
         raise cf.DomainError("argument must be positive")
-    cf._check_order(n_max)
+    if not 0 <= n_max <= cf.MAX_ORDER:
+        raise cf.DomainError(f"n_max = {n_max} outside 0..{cf.MAX_ORDER}")
     n_start = hankel_bound_start(t)
     orders = np.arange(n_start, n_max + 1)
     if orders.size == 0:
@@ -92,7 +93,8 @@ def check_bessel_bounds(t: float, n_max: int) -> BoundCheckReport:
     t = float(t)
     if t <= 0.0:
         raise cf.DomainError("argument must be positive")
-    cf._check_order(n_max)
+    if not 0 <= n_max <= cf.MAX_ORDER:
+        raise cf.DomainError(f"n_max = {n_max} outside 0..{cf.MAX_ORDER}")
     n_start = bessel_bound_start(t)
     orders = np.arange(n_start, n_max + 1)
     if orders.size == 0:

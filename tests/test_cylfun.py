@@ -192,6 +192,49 @@ class TestHankel:
             assert np.all(np.diff(h) <= 1e-12 * h[:-1])
 
 
+class TestOnePass:
+    """J and Y of a Hankel table come from one Miller pass."""
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        calls = []
+        miller = cf._bessel_j_miller
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return miller(*args, **kwargs)
+        monkeypatch.setattr(cf, "_bessel_j_miller", counting)
+        return calls
+
+    def test_one_pass_per_hankel_table(self, monkeypatch):
+        calls = self._count_passes(monkeypatch)
+        cf.hankel1_all(12, np.linspace(0.5, 20.0, 40))
+        cf.hankel1_all(0, 3.0)
+        assert calls == [12, 0]
+
+    def test_one_pass_per_oracle_boundary_factors(self, monkeypatch):
+        from nearscat import forward as fw
+        calls = self._count_passes(monkeypatch)
+        for bc in ("soft", "hard"):
+            for side in ("exterior", "interior"):
+                fw._oracle_arrays(40, bc, side, 3.0, 1.0)
+        assert calls == [40, 40, 41, 41]
+
+    def test_order_zero_against_scipy(self):
+        # Y_1 needs J_1, which an order-0 pass does not tabulate
+        import scipy.special as sp
+        t = np.geomspace(1e-12, 1e3, 3001)
+        h = cf.hankel1_all(0, t)
+        ref = sp.hankel1(0, t)
+        assert h.shape == (1, t.size)
+        assert np.max(np.abs(h[0] - ref) / np.abs(ref)) <= 1e-13
+
+    def test_real_part_is_the_j_table(self):
+        t = np.geomspace(1e-6, 150.0, 400)
+        for n in (1, 2, 7, 40, 120):
+            assert np.array_equal(cf.hankel1_all(n, t).real, cf.bessel_j_all(n, t))
+
+
 class TestDerivatives:
     def test_h0_prime_is_minus_h1(self):
         assert h_deriv(0, 1.0) == -hn(1, 1.0)

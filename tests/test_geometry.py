@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nearscat import geometry
 from nearscat.geometry import ShapeSpec, imaging_grid, make_curve
 
 from oracle_series import central_diff
@@ -47,6 +48,29 @@ def contains_by_loop(curve, points):
             xi = x0 + (py - y0) * (x1 - x0) / (y1 - y0)
         inside[i] = np.count_nonzero(cond & (px < xi)) % 2 == 1
     return inside
+
+
+def crossing_by_loop(curve):
+    """First pair i < j of non-adjacent node-polygon edges whose ends lie
+    strictly on both sides of each other's line, pair by pair: the reference
+    for the blocked ``BoundaryCurve.crossing``."""
+    p, m = curve.points, curve.n_nodes
+
+    def side(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    for i in range(m):
+        for j in range(i + 2, m - 1 if i == 0 else m):
+            a, b, c, d = p[i], p[(i + 1) % m], p[j], p[(j + 1) % m]
+            if side(a, b, c) * side(a, b, d) < 0 and side(c, d, a) * side(c, d, b) < 0:
+                return i, j
+    return None
+
+
+# x = sin t + 0.1 cos t, y = sin 2t + 0.1 sin t: signed area 0.01 pi
+FIGURE_EIGHT = dict(kind="trig", x_cos=(0.0, 0.1), x_sin=(0.0, 1.0), y_sin=(0.0, 0.1, 1.0))
+# the limacon r = 0.5 + cos t, whose inner loop crosses the outer one at the origin
+LIMACON = dict(kind="trig", x_cos=(0.5, 0.5, 0.5), y_sin=(0.0, 0.5, 0.5))
 
 
 def node_arrays(curve):
@@ -170,6 +194,22 @@ class TestCurveInvariants:
         assert got.dtype == bool and got.shape == (pts.shape[0],)
         assert np.array_equal(got, contains_by_loop(c, pts))
         assert 0 < got.sum() < got.size
+
+    @pytest.mark.parametrize("shape", [dict(kind="circle"), dict(kind="kite"),
+                                       dict(kind="starfish"), FIGURE_EIGHT, LIMACON],
+                             ids=["circle", "kite", "starfish", "figure-eight", "limacon"])
+    @pytest.mark.parametrize("n_nodes", [16, 64, 128])
+    def test_crossing_matches_per_pair_loop(self, monkeypatch, shape, n_nodes):
+        # 256 edge pairs per block: 16-edge polygons in one block, 128-edge in 64
+        monkeypatch.setattr(geometry, "CONTAINS_BLOCK", 256)
+        c = make_curve(ShapeSpec(n_nodes=n_nodes, **shape))
+        want = crossing_by_loop(c)
+        assert c.crossing() == want
+        assert (want is None) == (shape["kind"] != "trig")
+
+    @pytest.mark.parametrize("kind", ["circle", "kite", "starfish"])
+    def test_builtin_shapes_are_simple_at_the_ceiling(self, kind):
+        assert make_curve(ShapeSpec(kind=kind, n_nodes=1024)).crossing() is None
 
     def test_radial_profile_circle(self):
         c = make_curve(ShapeSpec(kind="circle", radius=1.3, n_nodes=128))

@@ -199,6 +199,9 @@ class TestConfigValidation:
         pytest.param(dict(shape="trig", shape_x_cos=(0.0, 1.0)), "counter-clockwise",
                      id="degenerate-trig"),
         pytest.param(dict(shape="trig"), "counter-clockwise", id="empty-trig"),
+        pytest.param(dict(shape="trig", shape_x_cos=(0.0, 0.1), shape_x_sin=(0.0, 1.0),
+                          shape_y_sin=(0.0, 0.1, 1.0)), "crosses itself",
+                     id="self-intersecting-trig"),
         pytest.param(dict(shape_radius=math.nan), "shape_radius must be finite",
                      id="nan-shape-radius"),
         pytest.param(dict(shape_radius=math.inf), "shape_radius must be finite",
