@@ -7,26 +7,32 @@ Fourier-Bessel expansions, and the boundary shows up as the zero set of a
 boundary-condition indicator evaluated on an imaging grid.  Ships its own
 boundary-integral forward solver and an analytic circle oracle for data
 synthesis and verification.
+
+Each export loads its module on first access (PEP 562): ``import nearscat``
+loads no scipy.
 """
 
-from .continuation import (ModeCoefficients, compute_coefficients, eval_field, radial_tables,
-                           truncation_order)
-from .forward import RingMeasurement, SourceSet, analytic_circle, simulate_ring
-from .geometry import BoundaryCurve, ImagingGrid, ShapeSpec, imaging_grid, make_curve
-from .indicator import (IndicatorImage, indicator_hard, indicator_soft, normalize,
-                        reciprocal, superpose_multifrequency)
-from .noise import NoiseSpec, add_noise
-from .pipeline import (RateReport, RayReport, ScenarioConfig, convergence_study,
-                       radial_boundary_error, reconstruct, render_pgm, run_scenario)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundaryCurve", "ImagingGrid", "IndicatorImage", "ModeCoefficients", "NoiseSpec",
-    "RateReport", "RayReport", "RingMeasurement", "ScenarioConfig", "ShapeSpec",
-    "SourceSet", "add_noise", "analytic_circle", "compute_coefficients",
-    "convergence_study", "eval_field", "imaging_grid", "indicator_hard",
-    "indicator_soft", "make_curve", "normalize", "radial_boundary_error",
-    "radial_tables", "reciprocal", "reconstruct", "render_pgm", "run_scenario",
-    "simulate_ring", "superpose_multifrequency", "truncation_order",
-]
+_EXPORTS = {  # module -> the names it exports
+    "continuation": "ModeCoefficients compute_coefficients eval_field radial_tables "
+                    "truncation_order",
+    "formats": "render_pgm",
+    "forward": "analytic_circle simulate_ring",
+    "geometry": "BoundaryCurve ImagingGrid IndicatorImage RingMeasurement ShapeSpec SourceSet "
+                "imaging_grid make_curve",
+    "indicator": "indicator_hard indicator_soft normalize reciprocal superpose_multifrequency",
+    "noise": "NoiseSpec add_noise",
+    "pipeline": "RateReport RayReport ScenarioConfig convergence_study radial_boundary_error "
+                "reconstruct run_scenario",
+}
+_MODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_MODULE)
+
+
+def __getattr__(name):
+    if name not in _MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE[name]}", __name__), name)

@@ -13,7 +13,8 @@ Subcommands mirror the pipeline stages so every experiment is scriptable:
 Config files are flat ``key = value`` text (keys = ScenarioConfig fields);
 command-line flags override config-file keys.  ``reconstruct`` takes its
 grid, truncation and mode-guard defaults from the same config keys.
-A ValueError (every error the package names is one) or an OSError prints
+Flags that set config keys parse like config-file values.  A ValueError
+(every error the package names is one) or an OSError prints
 ``nearscat: error: <message>`` to stderr and exits with status 2.
 """
 
@@ -28,10 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .forward import analytic_circle
 from .noise import NoiseSpec, add_noise
-from .pipeline import (ScenarioConfig, _k_tag, _value_type, _write_ring, convergence_study,
-                       render_pgm, run_scenario, simulate_rings, write_images)
 
 # config keys settable as --key-name flags on simulate and pipeline
 _OVERRIDE_KEYS = ("side", "bc", "shape", "shape_radius", "delta", "seed", "truncation",
@@ -47,8 +45,9 @@ _IMAGE_KEYS = ("side", "bc", "grid_xmin", "grid_xmax", "grid_ymin", "grid_ymax",
 
 
 def _flag_values(args, flags: dict[str, str]) -> dict:
-    """Config overrides from the flags that were given; flags maps dest -> key."""
-    return {key: getattr(args, dest) for dest, key in flags.items()
+    """Config overrides from the flags given, parsed as config values; flags maps dest -> key."""
+    from .pipeline import _parse_value
+    return {key: _parse_value(key, getattr(args, dest)) for dest, key in flags.items()
             if getattr(args, dest) is not None}
 
 
@@ -56,12 +55,13 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", "-c", type=Path, help="flat key = value config file")
     p.add_argument("--outdir", "-o", required=True)
     for key in _OVERRIDE_KEYS:
-        p.add_argument(f"--{key.replace('_', '-')}", type=_value_type(key), default=None)
+        p.add_argument(f"--{key.replace('_', '-')}", default=None)
     p.add_argument("--k", type=float, nargs="+", default=None,
                    help="wavenumber list (overrides config)")
 
 
-def _config_from_args(args) -> ScenarioConfig:
+def _config_from_args(args):
+    from .pipeline import ScenarioConfig
     cfg = ScenarioConfig.from_file(args.config) if args.config else ScenarioConfig()
     overrides = _flag_values(args, {key: key for key in _OVERRIDE_KEYS})
     if args.k is not None:
@@ -70,6 +70,7 @@ def _config_from_args(args) -> ScenarioConfig:
 
 
 def _cmd_simulate(args) -> int:
+    from .pipeline import _write_ring, simulate_rings
     cfg = _config_from_args(args).resolved()
     rings, _, warnings = simulate_rings(cfg)
     for warning in warnings:
@@ -92,6 +93,7 @@ def _cmd_noise(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    from .pipeline import ScenarioConfig, _k_tag, write_images
     overrides = _flag_values(args, _RECONSTRUCT_FLAGS)
     jobs = []
     for path in args.ring:
@@ -128,6 +130,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    from .pipeline import _k_tag, run_scenario
     cfg = _config_from_args(args)
     result = run_scenario(cfg, args.outdir)
     for warning in result.warnings:
@@ -141,6 +144,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    from .pipeline import convergence_study
     report = convergence_study(args.side, k=args.k, seeds=tuple(args.seeds))
     print(report.summary())
     if args.output:
@@ -150,12 +154,14 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    render_pgm(args.input, args.output, clip_percent=args.clip)
+    formats.render_pgm(args.input, args.output, clip_percent=args.clip)
     print(f"wrote {args.output}")
     return 0
 
 
 def _cmd_oracle_check(args) -> int:
+    from .forward import analytic_circle
+    from .pipeline import ScenarioConfig, simulate_rings
     if not all(0.0 < k < math.inf for k in args.k):
         raise ValueError(f"--k must be finite and positive, got {args.k}")
     if not 0.0 < args.tol < math.inf:
@@ -202,8 +208,7 @@ def main(argv=None) -> int:
                    help="ring CSV path (repeat per wavenumber)")
     p.add_argument("--outdir", "-o", required=True)
     for dest, key in _RECONSTRUCT_FLAGS.items():
-        p.add_argument(f"--{dest}", type=_value_type(key), default=None,
-                       help=f"default: config key {key}")
+        p.add_argument(f"--{dest}", default=None, help=f"default: config key {key}")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("pipeline", help="full scenario run")

@@ -41,7 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import cylfun
-from .forward import RingMeasurement, _gemm
+from .forward import _gemm
+from .geometry import RingMeasurement
 
 DEFAULT_MODE_GUARD = 1e-8
 MIN_RADIUS = 1e-12

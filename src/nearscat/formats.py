@@ -12,12 +12,13 @@ once, and emit the bytes of formatting every row with `%.17g`.  Readers
 parse all data rows with one `np.loadtxt` call and raise ValueError,
 naming the row, for a repeated grid point or (source, receiver) pair, a
 point outside the grid or an index out of range, a row at a masked grid
-point, a non-integer index or flag, and a ring row whose theta lies more
-than 1e-12 from 2 pi m / M for its receiver m of M (the equispaced layout
-the expansion assumes); missing rows are rejected too, and so is a header
-without a key the reader needs or with a value that does not parse (the
-key named in the error), and a ring file whose field is not `scattered`
-or whose side is not `exterior` or `interior`.
+point, a non-integer index or flag, a non-finite theta, re, im or grid
+value, and a ring row whose theta lies more than 1e-12 from 2 pi m / M
+for its receiver m of M (the equispaced layout the expansion assumes);
+missing rows are rejected too, and so is a header without a key the
+reader needs or with a value that does not parse (the key named in the
+error), and a ring file whose field is not `scattered` or whose side is
+not `exterior` or `interior`.
 A PGM must hold exactly nx*ny pixels, each in 0..maxval.
 """
 
@@ -29,9 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import RingMeasurement, SourceSet
-from .geometry import imaging_grid
-from .indicator import IndicatorImage
+from .geometry import IndicatorImage, RingMeasurement, SourceSet, imaging_grid
 
 PGM_MAXVAL = 65535
 
@@ -138,14 +137,15 @@ def write_ring_csv(path, ring: RingMeasurement, extra: dict | None = None) -> No
     }
     if extra:
         meta.update(extra)
-    thetas = [f"{t:.17g}," for t in ring.angles.tolist()]
-    re, im = ring.samples.real.tolist(), ring.samples.imag.tolist()
+    # One template per receiver, its angle formatted once; a source's rows
+    # are one `%` over the templates joined by its index, on its (re, im) pairs.
+    templates = [f"{m},{t:.17g},%.17g,%.17g\n" for m, t in enumerate(ring.angles.tolist())]
+    pairs = np.stack([ring.samples.real, ring.samples.imag], axis=-1)
     with open(path, "w", encoding="ascii") as f:
         _write_header(f, meta)
         f.write("# columns=source_index,receiver_index,theta,re,im\n")
-        for j in range(ring.sources.count):
-            f.write("".join([f"{j},{m},{t}{a:.17g},{b:.17g}\n"
-                             for m, (t, a, b) in enumerate(zip(thetas, re[j], im[j]))]))
+        for j, fill in enumerate(pairs.reshape(ring.sources.count, -1).tolist()):
+            f.write((f"{j}," + f"{j},".join(templates)) % tuple(fill))
 
 
 def read_ring_csv(path) -> tuple[RingMeasurement, dict]:
@@ -165,6 +165,8 @@ def read_ring_csv(path) -> tuple[RingMeasurement, dict]:
             "has a source or receiver index out of range")
     _reject(path, rows, _repeats(j * n_rec + m, n_src * n_rec),
             "repeats the (source, receiver) pair of an earlier row")
+    _reject(path, rows, ~(np.isfinite(rows["theta"]) & np.isfinite(rows["re"])
+                          & np.isfinite(rows["im"])), "has a non-finite theta, re or im")
     _reject(path, rows, np.abs(rows["theta"] - 2.0 * np.pi * m / n_rec) > 1e-12,
             "has a theta more than 1e-12 from 2 pi m / M for its receiver m")
     samples = np.zeros((n_src, n_rec), dtype=complex)
@@ -234,6 +236,7 @@ def read_grid_csv(path) -> IndicatorImage:
     _reject(path, rows, grid.mask[idx], "lies at a masked grid point")
     _reject(path, rows, _repeats(idx, grid.n_points),
             "repeats the grid point of an earlier row")
+    _reject(path, rows, ~np.isfinite(rows["value"]), "has a non-finite value")
     flag = rows["flag"]
     _reject(path, rows, (flag < 0) | (flag > np.iinfo(np.uint8).max),
             "has a flag outside 0..255")
@@ -242,7 +245,7 @@ def read_grid_csv(path) -> IndicatorImage:
     values[idx] = rows["value"]
     flags[idx] = flag
     if np.any(np.isnan(values[~grid.mask])):
-        raise ValueError(f"{path}: missing rows or NaN values for unmasked grid points")
+        raise ValueError(f"{path}: missing rows for unmasked grid points")
     ks = _header_value(path, meta, "wavenumbers", count=None)
     return IndicatorImage(grid=grid, values=values, kind=meta["kind"],
                           wavenumbers=ks, state=meta["state"], flags=flags)
@@ -273,6 +276,12 @@ def pixels_from_image(image: IndicatorImage, clip_percent: float = 99.0) -> np.n
     pix = np.zeros(g.n_points, dtype=np.int64)
     pix[live] = np.rint(PGM_MAXVAL * np.minimum(vals[live], top) / top).astype(np.int64)
     return g.as_image(pix)
+
+
+def render_pgm(csv_path, out_path, clip_percent: float = 99.0) -> None:
+    """Render an indicator grid CSV to an ASCII PGM."""
+    image = read_grid_csv(csv_path)
+    write_pgm(out_path, pixels_from_image(image, clip_percent))
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:

@@ -80,7 +80,7 @@ from scipy.special import y0 as _sp_y0
 from scipy.special import y1 as _sp_y1
 
 from . import cylfun
-from .geometry import BoundaryCurve, _cross, equispaced_angles
+from .geometry import BoundaryCurve, RingMeasurement, SourceSet, _cross, ring_points
 
 EULER_GAMMA = cylfun.EULER_GAMMA
 CONDITION_LIMIT = 1e12
@@ -109,74 +109,6 @@ class ModeDegeneracyError(ValueError):
 
 class SeriesConvergenceError(ValueError):
     """Circle oracle series failed to converge within the order cap."""
-
-
-# ---------------------------------------------------------------------------
-# Sources, measurements
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SourceSet:
-    """Point sources equally spaced on a circle, starting at angle 0."""
-
-    center: tuple[float, float]
-    radius: float
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("need at least one source")
-        if self.radius <= 0.0:
-            raise ValueError("source circle radius must be positive")
-
-    @property
-    def angles(self) -> np.ndarray:
-        return equispaced_angles(self.count)
-
-    @property
-    def positions(self) -> np.ndarray:
-        a = self.angles
-        return np.column_stack([self.center[0] + self.radius * np.cos(a),
-                                self.center[1] + self.radius * np.sin(a)])
-
-
-@dataclass(frozen=True)
-class RingMeasurement:
-    """Complex field samples on a measurement circle, one row per source.
-
-    Receiver m sits at angle 2 pi m / M, M = ``samples.shape[1]``.
-    """
-
-    radius: float
-    k: float
-    samples: np.ndarray          # (n_src, n_rec) complex, the scattered field
-    noise_level: float
-    side: str                    # "exterior" | "interior"
-    sources: SourceSet
-    reciprocity: float = math.nan    # the forward solve's reciprocity_error; nan if unknown
-
-    def __post_init__(self):
-        if self.side not in ("exterior", "interior"):
-            raise ValueError(f"unknown side {self.side!r}")
-
-    @property
-    def n_receivers(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def angles(self) -> np.ndarray:
-        return equispaced_angles(self.n_receivers)
-
-    @property
-    def receiver_points(self) -> np.ndarray:
-        return ring_points(self.radius, self.n_receivers)
-
-
-def ring_points(radius: float, count: int) -> np.ndarray:
-    """(count, 2) equispaced receivers on the circle of ``radius`` about the
-    origin, the first at angle 0."""
-    a = equispaced_angles(count)
-    return np.column_stack([radius * np.cos(a), radius * np.sin(a)])
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +466,16 @@ def density_tail(sol: DensitySolution) -> float:
     return float((mags[:, q:m - q + 1].max(axis=1) / mags.max(axis=1)).max())
 
 
-def simulate_ring(curve: BoundaryCurve, bc: str, side: str, k: float,
-                  sources: SourceSet, ring_radius: float, n_receivers: int) -> RingMeasurement:
+def simulate_ring(curve: BoundaryCurve, bc: str, side: str, k: float, sources: SourceSet,
+                  ring_radius: float, n_receivers: int,
+                  sol: DensitySolution | None = None) -> RingMeasurement:
     """Clean scattered-field samples on an equispaced receiver circle about
-    the origin, with the solve's ``reciprocity_error``."""
+    the origin, with the solve's ``reciprocity_error``.  ``sol``, when given,
+    is that (curve, bc, side, k, sources) solve, already made."""
     pts = ring_points(ring_radius, n_receivers)
     _check_placement(curve, side, pts, "receiver")
-    sol = solve_densities(curve, bc, side, k, sources)
+    if sol is None:
+        sol = solve_densities(curve, bc, side, k, sources)
     samples = evaluate_scattered(curve, sol, pts)
     if not np.all(np.isfinite(samples)):
         raise RuntimeError("forward solve produced non-finite ring samples")

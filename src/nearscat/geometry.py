@@ -1,4 +1,7 @@
-"""Parametric closed boundary curves and the rectangular imaging grid.
+"""Parametric closed boundary curves, the rectangular imaging grid, and the
+data records that live on them: source and receiver circles, ring
+measurements and indicator images.  The module imports numpy only, so the
+file formats and the noise model load no solver.
 
 All curves are counterclockwise, 2*pi-periodic, and each component is a
 finite trigonometric series sum_j a_j cos(jt) + b_j sin(jt), so the first
@@ -17,6 +20,7 @@ Outward unit normal for a counterclockwise curve: nu = (x2', -x1')/|x'|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,3 +285,77 @@ def imaging_grid(xmin: float, xmax: float, ymin: float, ymax: float,
     return ImagingGrid(xmin=float(xmin), xmax=float(xmax), ymin=float(ymin),
                        ymax=float(ymax), nx=int(nx), ny=int(ny),
                        points=points, mask=mask, exclusion=excl)
+
+
+# ---------------------------------------------------------------------------
+# Records: sources, ring measurements, indicator images
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SourceSet:
+    """Point sources equally spaced on a circle, starting at angle 0."""
+
+    center: tuple[float, float]
+    radius: float
+    count: int
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError("need at least one source")
+        if self.radius <= 0.0:
+            raise ValueError("source circle radius must be positive")
+
+    @property
+    def positions(self) -> np.ndarray:
+        return ring_points(self.radius, self.count) + self.center
+
+
+@dataclass(frozen=True)
+class RingMeasurement:
+    """Complex field samples on a measurement circle, one row per source.
+
+    Receiver m sits at angle 2 pi m / M, M = ``samples.shape[1]``.
+    """
+
+    radius: float
+    k: float
+    samples: np.ndarray          # (n_src, n_rec) complex, the scattered field
+    noise_level: float
+    side: str                    # "exterior" | "interior"
+    sources: SourceSet
+    reciprocity: float = math.nan    # the forward solve's reciprocity_error; nan if unknown
+
+    def __post_init__(self):
+        if self.side not in ("exterior", "interior"):
+            raise ValueError(f"unknown side {self.side!r}")
+
+    @property
+    def n_receivers(self) -> int:
+        return self.samples.shape[1]
+
+    @property
+    def angles(self) -> np.ndarray:
+        return equispaced_angles(self.n_receivers)
+
+    @property
+    def receiver_points(self) -> np.ndarray:
+        return ring_points(self.radius, self.n_receivers)
+
+
+def ring_points(radius: float, count: int) -> np.ndarray:
+    """(count, 2) equispaced receivers on the circle of ``radius`` about the
+    origin, the first at angle 0."""
+    a = equispaced_angles(count)
+    return np.column_stack([radius * np.cos(a), radius * np.sin(a)])
+
+
+@dataclass(frozen=True)
+class IndicatorImage:
+    """Indicator values on an imaging grid; masked points hold NaN."""
+
+    grid: ImagingGrid
+    values: np.ndarray           # (n_points,) float, NaN where masked
+    kind: str                    # "soft" | "hard"
+    wavenumbers: tuple[float, ...]
+    state: str                   # "raw" | "normalized" | "reciprocal"
+    flags: np.ndarray            # (n_points,) uint8

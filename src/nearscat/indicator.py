@@ -34,14 +34,14 @@ block size: 1-3 values per image differ, by <= 3.5e-16 relative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .continuation import (MIN_RADIUS, ModeCoefficients, RadialTables, eval_field,
                            eval_gradient, radial_tables)
-from .forward import SourceSet, _diff_to_source, incident_field, incident_gradient
-from .geometry import ImagingGrid
+from .forward import _diff_to_source, incident_field, incident_gradient
+from .geometry import ImagingGrid, IndicatorImage, SourceSet
 
 RECIPROCAL_FLOOR = 1e-12
 DEGENERATE_GRADIENT = 1e-14
@@ -52,22 +52,6 @@ BLOCK_POINTS = 8192
 
 FLAG_OK = 0
 FLAG_DEGENERATE = 1
-
-
-@dataclass(frozen=True)
-class IndicatorImage:
-    """Indicator values on an imaging grid; masked points hold NaN."""
-
-    grid: ImagingGrid
-    values: np.ndarray           # (n_points,) float, NaN where masked
-    kind: str                    # "soft" | "hard"
-    wavenumbers: tuple[float, ...]
-    state: str                   # "raw" | "normalized" | "reciprocal"
-    flags: np.ndarray            # (n_points,) uint8
-
-    @property
-    def unmasked(self) -> np.ndarray:
-        return ~self.grid.mask
 
 
 def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
@@ -164,7 +148,7 @@ def indicator_hard(coeffs: ModeCoefficients, sources: SourceSet,
 
 def normalize(image: IndicatorImage) -> IndicatorImage:
     """Scale so the maximum over unmasked points is 1; idempotent."""
-    live = image.unmasked
+    live = ~image.grid.mask
     peak = np.nanmax(image.values[live]) if np.any(live) else 0.0
     if not peak > 0.0:
         raise ValueError("cannot normalize an all-zero indicator image")

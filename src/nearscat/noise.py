@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .forward import RingMeasurement
+from .geometry import RingMeasurement
 
 GENERATOR_ID = "pcg64-v1"       # the determinism contract above
 

@@ -27,11 +27,10 @@ import numpy as np
 from . import continuation as ct
 from . import cylfun, formats, forward
 from . import indicator as ind
-from .forward import (GeometryError, RingMeasurement, SourceSet, analytic_circle, ring_points,
-                      simulate_ring)
-from .geometry import (BoundaryCurve, ImagingGrid, ShapeSpec, equispaced_angles, imaging_grid,
-                       make_curve)
-from .indicator import IndicatorImage
+from .formats import render_pgm  # perfbench's render step calls pipeline.render_pgm
+from .forward import DensitySolution, GeometryError, analytic_circle, simulate_ring
+from .geometry import (BoundaryCurve, ImagingGrid, IndicatorImage, RingMeasurement, ShapeSpec,
+                       SourceSet, equispaced_angles, imaging_grid, make_curve, ring_points)
 from .noise import NoiseSpec, add_noise
 
 FIRST_J0_ZERO = 2.404825557695773
@@ -125,6 +124,10 @@ class ScenarioConfig:
             raise ConfigError(f"wavenumbers must be finite and positive: {self.wavenumbers}")
         if len(set(self.wavenumbers)) != len(self.wavenumbers):
             raise ConfigError(f"repeated wavenumbers: {self.wavenumbers}")
+        for key in _INT_KEYS:
+            value = getattr(self, key)
+            if value is not None and not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if len(self.shape_center) != 2:
             raise ConfigError(f"shape_center needs 2 entries, got {self.shape_center}")
         for key in ("shape_radius", "shape_center", "shape_x_cos", "shape_x_sin",
@@ -234,6 +237,8 @@ class ScenarioConfig:
             key, value = key.strip(), value.strip()
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
+            if key in kwargs:
+                raise ConfigError(f"config key {key!r} given twice")
             kwargs[key] = _parse_value(key, value)
         return cls(**kwargs)
 
@@ -253,6 +258,9 @@ def _value_type(key: str) -> type:
     items of ``tuple[X, ...]``."""
     hint = _FIELD_TYPES[key]
     return next((a for a in typing.get_args(hint) if a not in (type(None), Ellipsis)), hint)
+
+
+_INT_KEYS = [key for key in _FIELD_TYPES if _value_type(key) is int]
 
 
 def _parse_value(key: str, value: str):
@@ -311,10 +319,12 @@ def _node_ladder(least: float, ceiling: int):
     yield ceiling
 
 
-def forward_curve(cfg: ScenarioConfig) -> tuple[BoundaryCurve, list[str]]:
-    """The curve the rings of a resolved config are solved on, carrying the
-    Nystrom geometry of its trial solve, and its warnings (README, Forward
-    resolution).
+def forward_curve(cfg: ScenarioConfig, sources: SourceSet
+                  ) -> tuple[BoundaryCurve, DensitySolution | None, list[str]]:
+    """The curve the rings of a resolved config and its ``sources`` are
+    solved on, carrying the Nystrom geometry of its trial solve; that
+    accepted solve of the largest k for ``sources`` (None when no count was
+    accepted); and the warnings (README, Forward resolution).
 
     The largest k is solved on 64, 128, ... nodes, from NODES_PER_WAVELENGTH
     per boundary wavelength (a kernel sampled more coarsely fools both
@@ -330,7 +340,7 @@ def forward_curve(cfg: ScenarioConfig) -> tuple[BoundaryCurve, list[str]]:
     forward_nodes curve or on the wrong side of it, or when that curve is a
     trig shape whose node polygon crosses itself.
     """
-    ceiling, sources = cfg.curve(), cfg.sources()
+    ceiling = cfg.curve()
     if cfg.shape == "trig" and (pair := ceiling.crossing()) is not None:
         raise GeometryError(f"trig shape crosses itself: edges {pair[0]} and {pair[1]} of "
                             f"its {cfg.forward_nodes}-node polygon intersect")
@@ -338,7 +348,7 @@ def forward_curve(cfg: ScenarioConfig) -> tuple[BoundaryCurve, list[str]]:
     forward._check_placement(ceiling, cfg.side, sources.positions, "source")
     forward._check_placement(ceiling, cfg.side, receivers, "receiver")
     if sources.count < 2:
-        return ceiling, []
+        return ceiling, None, []
     probes = [sources]
     if cfg.receiver_radius != cfg.source_radius:
         probes.append(replace(sources, radius=cfg.receiver_radius))
@@ -359,29 +369,29 @@ def forward_curve(cfg: ScenarioConfig) -> tuple[BoundaryCurve, list[str]]:
         cond = sols[0].condition_estimate              # every probe solves one system
         recip_tol = max(RECIPROCITY_TOL, RECIPROCITY_COND * np.finfo(float).eps * cond)
         if m >= least and recip <= recip_tol and tail <= DENSITY_TAIL_TOL:
-            return curve, []
-    return ceiling, [f"forward_nodes = {cfg.forward_nodes} does not pass the accuracy checks "
-                     f"at k = {_k_tag(k)}: {cfg.forward_nodes / wavelengths:.1f} nodes per "
-                     f"wavelength (at least {NODES_PER_WAVELENGTH}), reciprocity error "
-                     f"{recip:.1e} (at most {recip_tol:.2g}), density tail {tail:.1e} "
-                     f"(at most {DENSITY_TAIL_TOL:g})"]
+            return curve, sols[0], []
+    return ceiling, None, [
+        f"forward_nodes = {cfg.forward_nodes} does not pass the accuracy checks at k = "
+        f"{_k_tag(k)}: {cfg.forward_nodes / wavelengths:.1f} nodes per wavelength (at least "
+        f"{NODES_PER_WAVELENGTH}), reciprocity error {recip:.1e} (at most {recip_tol:.2g}), "
+        f"density tail {tail:.1e} (at most {DENSITY_TAIL_TOL:g})"]
 
 
 def simulate_rings(cfg: ScenarioConfig) -> tuple[list[RingMeasurement], int, list[str]]:
     """Clean rings of a resolved config, one per wavenumber in order, all on
     ``forward_curve``'s curve and so on its one Nystrom geometry, which goes
-    with the curve when this returns; with that curve's node count and the
-    forward warnings, among them one per ring whose reciprocity error is
-    above FORWARD_WARN.
+    with the curve when this returns; the largest k reuses the node ladder's
+    accepted solve.  With that curve's node count and the forward warnings,
+    among them one per ring whose reciprocity error is above FORWARD_WARN.
 
     ConfigError when a source or receiver lies on the shape or on the wrong
     side of it, before any solve.
     """
-    sources = cfg.sources()
+    sources, k_top = cfg.sources(), max(cfg.wavenumbers)
     try:
-        curve, warnings = forward_curve(cfg)
+        curve, solved, warnings = forward_curve(cfg, sources)
         rings = [simulate_ring(curve, cfg.bc, cfg.side, k, sources, cfg.receiver_radius,
-                               cfg.receiver_count)
+                               cfg.receiver_count, solved if k == k_top else None)
                  for k in cfg.wavenumbers]
     except GeometryError as exc:
         raise ConfigError(str(exc)) from None
@@ -451,9 +461,9 @@ def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
     # Noise is seeded per (seed, source): writing all rings first moves no byte.
     rings = [add_noise(ring, NoiseSpec(level=cfg.delta, seed=cfg.seed)) for ring in rings]
     files = {path.name: path for path in (_write_ring(out, ring, cfg) for ring in rings)}
+    truncation = cfg.truncation_order()
     results, superposed, image_files = write_images(
-        out, [(ring, cfg.truncation_order(), cfg.shape) for ring in rings],
-        cfg.bc, grid, cfg.mode_guard)
+        out, [(ring, truncation, cfg.shape) for ring in rings], cfg.bc, grid, cfg.mode_guard)
     files.update(image_files)
     images = {coeffs.k: raw for coeffs, raw in results}
     truncation_by_k = {coeffs.k: coeffs.truncation for coeffs, _ in results}
@@ -658,9 +668,3 @@ def convergence_study(side: str, *, k: float = 3.0,
                       predicted_exponent=exponent, fitted_ratio=fitted_ratio,
                       noise_orders=noise_orders, fitted_exponent=float(nslope),
                       noise_rule=noise_rule)
-
-
-def render_pgm(csv_path, out_path, clip_percent: float = 99.0) -> None:
-    """Render an indicator grid CSV to an ASCII PGM."""
-    image = formats.read_grid_csv(csv_path)
-    formats.write_pgm(out_path, formats.pixels_from_image(image, clip_percent))

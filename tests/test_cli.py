@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from nearscat import formats
 from nearscat import forward as fw
 from nearscat.cli import main
+from nearscat.geometry import IndicatorImage, imaging_grid
 from nearscat.pipeline import FIRST_J0_ZERO, ScenarioConfig, forward_curve
 
 
@@ -194,6 +199,81 @@ def test_noise_rejects_negative_seed(tmp_path, capsys):
     assert not noisy.exists()
 
 
+def test_non_finite_ring_leaves_no_output(tmp_path, capsys):
+    # noise used to write "nan,-inf" and exit 0, and reconstruct then made its
+    # output directory before failing on an all-zero image
+    sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1)
+    samples = np.ones((1, 8), complex)
+    samples[0, 3] = complex(np.nan, -np.inf)
+    ring = fw.RingMeasurement(radius=2.2, k=3.0, samples=samples, noise_level=0.0,
+                              side="exterior", sources=sources)
+    clean, noisy, recon = tmp_path / "ring.csv", tmp_path / "noisy.csv", tmp_path / "recon"
+    formats.write_ring_csv(clean, ring)
+    assert main(["noise", "-i", str(clean), "-o", str(noisy), "--delta", "0.05"]) == 2
+    assert main(["reconstruct", "-r", str(clean), "-o", str(recon), "--truncation", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("data row 4 " in line and "non-finite" in line for line in err)
+    assert not noisy.exists() and not recon.exists()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["simulate", "--grid-nx", "abc"], "config key 'grid_nx': cannot parse 'abc' as int"),
+    (["pipeline", "--seed", "1.5"], "config key 'seed': cannot parse '1.5' as int"),
+    (["pipeline", "--delta", "x"], "config key 'delta': cannot parse 'x' as float"),
+], ids=["simulate-grid-nx", "pipeline-seed", "pipeline-delta"])
+def test_bad_flag_value_names_key(tmp_path, argv, named, capsys):
+    # flags parse like config-file values: a ConfigError naming the key
+    out = tmp_path / "out"
+    assert main(argv + ["-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"nearscat: error: {named}\n"
+    assert not out.exists()
+
+
+def test_reconstruct_bad_flag_value_names_key(tmp_path, capsys):
+    sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1)
+    ring = fw.RingMeasurement(radius=2.2, k=3.0, samples=np.ones((1, 8), complex),
+                              noise_level=0.0, side="exterior", sources=sources)
+    path, recon = tmp_path / "ring.csv", tmp_path / "recon"
+    formats.write_ring_csv(path, ring)
+    assert main(["reconstruct", "-r", str(path), "-o", str(recon), "--nx", "2.5"]) == 2
+    assert capsys.readouterr().err == ("nearscat: error: config key 'grid_nx': "
+                                       "cannot parse '2.5' as int\n")
+    assert not recon.exists()
+
+
+_SCIPY_LOADED = """
+import sys
+{body}
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("body", [
+    "from nearscat.cli import main; assert main(sys.argv[1:5]) == 0",
+    "from nearscat.cli import main; assert main(sys.argv[5:]) == 0",
+    "import nearscat; nearscat.RingMeasurement, nearscat.IndicatorImage, nearscat.add_noise",
+    "import nearscat.formats, nearscat.noise",
+], ids=["cli-noise", "cli-render", "package", "data-modules"])
+def test_data_commands_load_no_scipy(tmp_path, body):
+    # the data layer imports numpy only; scipy comes with the solver
+    sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2)
+    ring = fw.RingMeasurement(radius=2.2, k=3.0, samples=np.ones((2, 8), complex),
+                              noise_level=0.0, side="exterior", sources=sources)
+    formats.write_ring_csv(tmp_path / "ring.csv", ring)
+    grid = imaging_grid(-1.0, 1.0, -1.0, 1.0, 4, 4)
+    formats.write_grid_csv(tmp_path / "grid.csv", IndicatorImage(
+        grid=grid, values=np.linspace(0.1, 1.0, 16), kind="soft", wavenumbers=(3.0,),
+        state="normalized", flags=np.zeros(16, dtype=np.uint8)))
+    argv = ["noise", f"-i{tmp_path / 'ring.csv'}", f"-o{tmp_path / 'noisy.csv'}", "--delta=0.05",
+            "render", f"-i{tmp_path / 'grid.csv'}", f"-o{tmp_path / 'grid.pgm'}"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_LOADED.format(body=body), *argv],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("delta", ["0.001", "0"])
 def test_noise_refuses_noisy_ring(tmp_path, capsys, delta):
     # re-noising would write a header delta the data do not carry
@@ -229,7 +309,7 @@ def test_unexpected_errors_keep_their_traceback(tmp_path, small_config, monkeypa
     def boom(*args, **kwargs):
         raise RuntimeError("not a usage error")
 
-    monkeypatch.setattr("nearscat.cli.run_scenario", boom)
+    monkeypatch.setattr("nearscat.pipeline.run_scenario", boom)
     with pytest.raises(RuntimeError, match="not a usage error"):
         main(["pipeline", "-c", str(small_config), "-o", str(tmp_path / "run")])
 
@@ -239,7 +319,8 @@ def test_simulate_shares_one_geometry(tmp_path, small_config, monkeypatch):
     # ladder resolves for the largest k, and the same bytes as simulating
     # every k on that curve
     cfg = replace(ScenarioConfig.from_file(small_config).resolved(), wavenumbers=(3.0, 4.0, 5.0))
-    (curve, _), sources = forward_curve(cfg), cfg.sources()
+    sources = cfg.sources()
+    curve, _, _ = forward_curve(cfg, sources)
     assert curve.n_nodes < cfg.forward_nodes
     expected = {}
     for k in (3.0, 4.0, 5.0):

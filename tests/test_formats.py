@@ -140,6 +140,18 @@ class TestRingCsv:
         with pytest.raises(ValueError, match=f"data row {edited + 1} .*theta"):
             formats.read_ring_csv(path)
 
+    @pytest.mark.parametrize("column,value", [(2, "nan"), (3, "inf"), (4, "-nan"),
+                                              (3, "-inf")])
+    def test_rejects_non_finite_number(self, tmp_path, column, value):
+        # a nan theta passed the layout check, which is False for NaN, and a
+        # non-finite sample went on to the noise model and the indicator
+        path = tmp_path / "ring.csv"
+        formats.write_ring_csv(path, _ring())
+        _edit_data_row(path, 5, lambda line: ",".join(
+            value if i == column else part for i, part in enumerate(line.split(","))))
+        with pytest.raises(ValueError, match="data row 6 .*non-finite theta, re or im"):
+            formats.read_ring_csv(path)
+
     def test_rejects_unknown_side(self, tmp_path):
         path = tmp_path / "ring.csv"
         formats.write_ring_csv(path, _ring())
@@ -251,6 +263,15 @@ class TestGridCsv:
         formats.write_grid_csv(path, _image())
         _edit_data_row(path, 0, lambda line: bad)
         with pytest.raises(ValueError):
+            formats.read_grid_csv(path)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_rejects_non_finite_value(self, tmp_path, value):
+        path = tmp_path / "grid.csv"
+        formats.write_grid_csv(path, _image())
+        _edit_data_row(path, 3, lambda line: ",".join(
+            value if i == 2 else part for i, part in enumerate(line.split(","))))
+        with pytest.raises(ValueError, match="grid.csv: data row 4 .*non-finite value"):
             formats.read_grid_csv(path)
 
     @pytest.mark.parametrize("edit", [

@@ -41,6 +41,11 @@ class TestConfig:
         cfg = ScenarioConfig.from_text("# a comment\n\nside = interior\nseed = 3\n")
         assert cfg.side == "interior" and cfg.seed == 3
 
+    def test_repeated_key_rejected(self):
+        # the later line used to win silently
+        with pytest.raises(ConfigError, match="config key 'seed' given twice"):
+            ScenarioConfig.from_text("seed = 1\nside = exterior\nseed = 2\n")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig.from_text("sidee = exterior\n")
@@ -225,6 +230,13 @@ class TestConfigValidation:
         pytest.param(dict(truncation=-1), "truncation must be >= 0", id="negative-truncation"),
         pytest.param(dict(seed=-1), "seed must be >= 0", id="negative-seed"),
         pytest.param(dict(seed=1.5), "seed must be an integer", id="fractional-seed"),
+        pytest.param(dict(grid_nx=150.0), "grid_nx must be an integer", id="float-grid-nx"),
+        pytest.param(dict(receiver_count=64.0), "receiver_count must be an integer",
+                     id="float-receiver-count"),
+        pytest.param(dict(forward_nodes=256.0), "forward_nodes must be an integer",
+                     id="float-forward-nodes"),
+        pytest.param(dict(truncation=3.0), "truncation must be an integer",
+                     id="float-truncation"),
         pytest.param(dict(side="interior", mode_guard=math.nan), "mode_guard", id="nan-guard"),
         pytest.param(dict(side="interior", exclusion_radius=math.nan), "exclusion_radius",
                      id="nan-exclusion"),
@@ -347,8 +359,9 @@ class TestBenchmarkHooks:
         counts = tracer.exact_counts(0)
         assert counts["indicator.points"] == 2 * 20 * 20
         # boundary data of the node ladder's one trial solve (k = 4 passes on
-        # 64 nodes), then boundary data and indicator per source and wavenumber
-        assert counts["forward.incident.points"] == 12 * 64 + 2 * 12 * (64 + 20 * 20)
+        # 64 nodes, and its ring reuses that solve), of k = 3's solve, and the
+        # indicator per source and wavenumber
+        assert counts["forward.incident.points"] == 2 * 12 * (64 + 20 * 20)
 
     def test_simulate_ring_looked_up_per_k(self, tmp_path, monkeypatch):
         calls = []
