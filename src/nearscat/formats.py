@@ -7,24 +7,34 @@ Ring CSV rows:   source_index,receiver_index,theta,re,im
 Grid CSV rows:   x,y,value,flag          (masked grid points are omitted)
 PGM:             P2 (ASCII), maxval 65535, top row = max y.
 
-Writers format whole arrays, each grid coordinate and receiver angle
-once, and emit the bytes of formatting every row with `%.17g`.  Readers
-parse all data rows with one `np.loadtxt` call and raise ValueError,
-naming the row, for a repeated grid point or (source, receiver) pair, a
-point outside the grid or an index out of range, a row at a masked grid
-point, a non-integer index or flag, a non-finite theta, re, im or grid
-value, and a ring row whose theta lies more than 1e-12 from 2 pi m / M
-for its receiver m of M (the equispaced layout the expansion assumes);
-missing rows are rejected too, and so is a header without a key the
-reader needs or with a value that does not parse (the key named in the
-error), and a ring file whose field is not `scattered` or whose side is
-not `exterior` or `interior`.
-A PGM must hold exactly nx*ny pixels, each in 0..maxval.
+Writers emit exactly the bytes of `%.17g` on every float and `%d` on
+every integer, without formatting each number in Python.  `_g17_words` turns a float64 array
+into fixed-width little-endian uint64 words holding the `%.17g` text and
+NUL padding: it rounds m 2^q 10^s to 17 digits exactly in 128-bit
+integer arithmetic and lays the digits out through 4-digit tables, and
+hands the rare numbers outside 1e-11 <= |v| < 1e17 (and zeros, non-finite
+numbers) to `%` itself.  Grid coordinates, receiver angles and indices
+are formatted once per column, row or receiver, flags and pixels come
+from tables, and each block of at most 4096 rows is written as its word
+matrix's bytes with the NULs deleted, so memory stays flat in the file
+size.  Readers parse all data rows with one `np.loadtxt` call and raise
+ValueError, naming the row, for a repeated grid point or (source,
+receiver) pair, a point outside the grid or an index out of range, a row
+at a masked grid point, a non-integer index or flag, a non-finite theta,
+re, im or grid value, and a ring row whose theta lies more than 1e-12
+from 2 pi m / M for its receiver m of M (the equispaced layout the
+expansion assumes); missing rows are rejected too, and so is a header
+without a key the reader needs or with a value that does not parse or
+is not finite (the key named in the error), and a ring file whose field
+is not `scattered` or whose side is not `exterior` or `interior`.
+`write_pgm` refuses pixels outside 0..maxval, and a PGM must hold
+exactly nx*ny pixels, each in 0..maxval.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from pathlib import Path
 
@@ -44,8 +54,7 @@ def sha256_file(path) -> str:
 
 
 def _write_header(f, meta: dict) -> None:
-    for key, value in meta.items():
-        f.write(f"# {key}={value}\n")
+    f.write("".join(f"# {key}={value}\n" for key, value in meta.items()).encode("ascii"))
 
 
 def _read_table(path, fmt: str, dtype: np.dtype, required) -> tuple[dict, np.ndarray]:
@@ -92,6 +101,8 @@ def _header_value(path, meta: dict, key: str, convert=float, count: int | None =
         values = None
     if values is None or count is not None and len(values) != count:
         raise ValueError(f"{path}: cannot parse header value {key}={meta[key]!r}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{path}: header value {key}={meta[key]!r} is not finite")
     return values[0] if count == 1 else values
 
 
@@ -110,6 +121,160 @@ def _repeats(keys: np.ndarray, n_keys: int) -> np.ndarray:
         repeated[:] = True
         repeated[np.unique(keys, return_index=True)[1]] = False
     return repeated
+
+
+# ---------------------------------------------------------------------------
+# Text as words: exact `%.17g` without formatting each number
+# ---------------------------------------------------------------------------
+#
+# A text field is a run of little-endian '<u8' words whose bytes, NULs
+# deleted, are the text; a row is the concatenation of its fields' words.
+# All uint64 arithmetic uses np.uint64 operands: numpy < 2 promotes
+# uint64 with a Python int to float64.
+
+_U = np.uint64
+_BLOCK_ROWS = 4096
+_G17_WORDS = 6                    # a formatted float; its last byte is always NUL
+_LAST_COMMA, _LAST_NEWLINE = _U(0x2C << 56), _U(0x0A << 56)    # for that last byte
+_POW5 = np.array([5 ** s for s in range(28)], dtype="<u8")     # 5^27 < 2^63
+# "%04d" % i as 4 ASCII bytes in the low half of a word, and its trailing zeros
+_I4 = np.arange(10000, dtype="<u8")
+_DIGITS4 = sum(((_I4 // _U(10 ** (3 - k)) % _U(10) + _U(0x30)) << _U(8 * k)
+                for k in range(4)), _U(0))
+_TRAILING_ZEROS4 = sum((_I4 % _U(10 ** k) == _U(0)).astype(np.int64) for k in range(1, 5))
+_KEEP = np.array([(1 << 8 * c) - 1 for c in range(9)], dtype="<u8")  # the first c bytes
+# A '.' at digit c (1..16) of two words of digits 1..16; index 0 is none.
+_POINT1 = np.array([0] + [0x2E << 8 * c for c in range(8)] + [0] * 8, dtype="<u8")
+_POINT2 = np.array([0] * 9 + [0x2E << 8 * c for c in range(8)], dtype="<u8")
+# The lead word by case: no point, a point after the first digit, or
+# "0." and 0-3 zeros for a fixed-notation |v| < 1; the first digit's shift.
+_LEAD = np.array([0, 0x2E << 16] + [int.from_bytes(b"\0" + b"0." + b"0" * z, "little")
+                                    for z in range(4)], dtype="<u8")
+_LEAD_SHIFT = np.array([8, 8, 24, 32, 40, 48], dtype="<u8")
+_EXP_SIGN = np.array([0x2B00, 0x2D00], dtype="<u8")      # "+", "-" after the "e"
+_FLAG_WORDS = np.array([int.from_bytes(b"%d\n" % i, "little") for i in range(256)],
+                       dtype="<u8")
+# A pixel's five digit bytes with the leading zeros masked, by its digit count - 1
+_PIXEL_TENS = np.array([10, 100, 1000, 10000])
+_PIXEL_MASK = np.array([((1 << 40) - 1) ^ ((1 << 8 * (4 - n)) - 1) for n in range(5)],
+                       dtype="<u8")
+
+
+def _text_words(texts: list[str], width: int | None = None) -> np.ndarray:
+    """(len(texts), width) words of ASCII texts, NUL-padded; the width
+    defaults to the fewest words that hold the longest text."""
+    raw = [t.encode("ascii") for t in texts]
+    if width is None:
+        width = (max(map(len, raw), default=0) + 7) // 8
+    return np.frombuffer(b"".join(r.ljust(8 * width, b"\0") for r in raw),
+                         dtype="<u8").reshape(len(raw), width)
+
+
+def _mul_128(m: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) 64-bit halves of m * p for m < 2^53 and p < 2^63, from four
+    32 x 32-bit products (no partial sum reaches 2^64)."""
+    low32 = _U(0xFFFFFFFF)
+    m0, m1 = m & low32, m >> _U(32)
+    p0, p1 = p & low32, p >> _U(32)
+    a = m0 * p0
+    mid = m0 * p1 + m1 * p0 + (a >> _U(32))
+    return m1 * p1 + (mid >> _U(32)), (mid << _U(32)) | (a & low32)
+
+
+def _g17_words(values: np.ndarray) -> np.ndarray:
+    """(n, 6) words of `'%.17g' % v` for each v of a float64 array; the
+    last byte of each row is NUL, free for a separator.
+
+    For 1e-11 <= |v| < 1e17, with v = m 2^q and e10 its decimal exponent,
+    the 17 digits are D = round-half-even(m 5^s 2^(q+s)) for s = 16 - e10:
+    m 5^s is exact in 128 bits and the shift -(q+s) lies in [1, 63], or is
+    a left shift of at most 4 with nothing to round.  e10 starts as
+    floor(log10|v|) and is corrected until the unrounded quotient lies in
+    [1e16, 1e17); a D that rounds up to 1e17 carries to the next exponent.
+    The text is laid out in fields whose unused bytes are NUL: a lead word
+    (sign, "0.000" for a fixed-notation |v| < 1, the first digit, a point
+    after it), digits 1..16 kept up to the point, digits 1..16 kept after
+    it up to the last nonzero one (with the point, when it follows digit
+    1 or a later one), and "e-XX" or "e+XX".  Zeros, subnormals,
+    non-finite values and the rest are formatted by `%`.
+    """
+    v = np.ascontiguousarray(values, dtype="<f8").reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e10 = np.floor(np.log10(np.abs(v)))
+    idx = np.flatnonzero((e10 >= -11) & (e10 <= 16))
+    bits = v.view("<u8").take(idx)
+    e = e10.take(idx).astype(np.int64)
+    m = (bits & _U((1 << 52) - 1)) | _U(1 << 52)
+    q = (bits >> _U(52)).astype(np.int64) % 2048 - 1075
+    while True:
+        s = 16 - e
+        hi, lo = _mul_128(m, _POW5.take(s))
+        r = -(q + s)
+        shift = np.maximum(r, 1).astype("<u8")
+        t = (hi << (_U(64) - shift)) | (lo >> shift)
+        exact = np.flatnonzero(r <= 0)                # |v| >= 2^51: no rounding
+        t[exact] = lo[exact] << (-r[exact]).astype("<u8")
+        if ((t - _U(10 ** 16)) < _U(9 * 10 ** 16)).all():
+            break
+        e += (t >= _U(10 ** 17)).astype(np.int64) - (t < _U(10 ** 16))
+        kept = (e >= -11) & (e <= 16)
+        idx, bits, e, m, q = idx[kept], bits[kept], e[kept], m[kept], q[kept]
+    rem = lo & ((_U(1) << shift) - _U(1))
+    half = _U(1) << (shift - _U(1))
+    d = t + ((rem > half) | (rem == half) & (t & _U(1)).astype(bool))
+    d[exact] = t[exact]
+    carry = d == _U(10 ** 17)
+    d[carry] = _U(10 ** 16)
+    e += carry
+
+    first = d // _U(10 ** 16)
+    rest = (d - first * _U(10 ** 16)).view(np.int64)  # table indices are int64
+    high8 = rest // 10 ** 8
+    groups = []                                       # digits 1-4, 5-8, 9-12, 13-16
+    for g8 in (high8, rest - high8 * 10 ** 8):
+        g4 = g8 // 10000
+        groups += [g4, g8 - g4 * 10000]
+    digits1 = _DIGITS4.take(groups[0]) | _DIGITS4.take(groups[1]) << _U(32)
+    digits2 = _DIGITS4.take(groups[2]) | _DIGITS4.take(groups[3]) << _U(32)
+    last = 16 - _TRAILING_ZEROS4.take(groups[3])      # the last nonzero digit, 0..16
+    for i in (2, 1, 0):
+        zero = np.flatnonzero(last == 4 * i + 4)      # groups after i all zero
+        last[zero] -= _TRAILING_ZEROS4.take(groups[i][zero])
+    fixed = (e >= -4) & (e < 17)
+    point = e * fixed                                 # the point follows this digit
+    before = np.maximum(point, 0)
+    lead = np.maximum(1 - point, 0)
+    lead -= (point == 0) & (last == 0)
+    words = np.empty((idx.size, _G17_WORDS), dtype="<u8")
+    words[:, 0] = (_LEAD.take(lead) | (first + _U(0x30)) << _LEAD_SHIFT.take(lead)
+                   | (bits >> _U(63)) * _U(0x2D))
+    keep1 = _KEEP.take(np.minimum(before, 8))
+    keep2 = _KEEP.take(np.maximum(before - 8, 0))
+    words[:, 1] = digits1 & keep1
+    words[:, 2] = digits2 & keep2
+    dot = before * (last > before)
+    words[:, 3] = digits1 & _KEEP.take(np.minimum(last, 8)) & ~keep1 | _POINT1.take(dot)
+    words[:, 4] = digits2 & _KEEP.take(np.maximum(last - 8, 0)) & ~keep2 | _POINT2.take(dot)
+    words[:, 5] = 0
+    sci = np.flatnonzero(~fixed)
+    if sci.size:
+        x = e[sci]
+        words[sci, 5] = (_U(0x65) | _EXP_SIGN.take((x < 0).view(np.int8))
+                         | _DIGITS4.take(np.abs(x)) & _U(0xFFFF0000))
+    if idx.size == v.size:
+        return words
+    out = np.zeros((v.size, _G17_WORDS), dtype="<u8")
+    out[idx] = words
+    slow = np.ones(v.size, dtype=bool)
+    slow[idx] = False
+    out[slow] = _text_words(["%.17g" % x for x in v[slow].tolist()], _G17_WORDS)
+    return out
+
+
+def _write_words(f, blocks) -> None:
+    """Write each block of words to the binary file f, NULs deleted."""
+    for words in blocks:
+        f.write(words.tobytes().translate(None, b"\0"))
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +302,25 @@ def write_ring_csv(path, ring: RingMeasurement, extra: dict | None = None) -> No
     }
     if extra:
         meta.update(extra)
-    # One template per receiver, its angle formatted once; a source's rows
-    # are one `%` over the templates joined by its index, on its (re, im) pairs.
-    templates = [f"{m},{t:.17g},%.17g,%.17g\n" for m, t in enumerate(ring.angles.tolist())]
-    pairs = np.stack([ring.samples.real, ring.samples.imag], axis=-1)
-    with open(path, "w", encoding="ascii") as f:
+    # A row is "j," and "m,theta," from tables, then re and im as words with
+    # the comma and the newline in their free last bytes.
+    sources = _text_words([f"{j}," for j in range(ring.sources.count)])
+    receivers = _text_words([f"{m},{t:.17g}," for m, t in enumerate(ring.angles.tolist())])
+    samples = ring.samples.reshape(-1)
+
+    def blocks():
+        for start in range(0, samples.size, _BLOCK_ROWS):
+            z = samples[start:start + _BLOCK_ROWS]
+            j, m = np.divmod(np.arange(start, start + z.size), ring.n_receivers)
+            pair = _g17_words(np.stack([z.real, z.imag], axis=-1)).reshape(z.size, -1)
+            pair[:, _G17_WORDS - 1] |= _LAST_COMMA
+            pair[:, -1] |= _LAST_NEWLINE
+            yield np.hstack([sources.take(j, axis=0), receivers.take(m, axis=0), pair])
+
+    with open(path, "wb") as f:
         _write_header(f, meta)
-        f.write("# columns=source_index,receiver_index,theta,re,im\n")
-        for j, fill in enumerate(pairs.reshape(ring.sources.count, -1).tolist()):
-            f.write((f"{j}," + f"{j},".join(templates)) % tuple(fill))
+        f.write(b"# columns=source_index,receiver_index,theta,re,im\n")
+        _write_words(f, blocks())
 
 
 def read_ring_csv(path) -> tuple[RingMeasurement, dict]:
@@ -203,23 +378,24 @@ def write_grid_csv(path, image: IndicatorImage, extra: dict | None = None) -> No
         meta["exclusion"] = f"{g.exclusion[0]!r} {g.exclusion[1]!r} {g.exclusion[2]!r}"
     if extra:
         meta.update(extra)
-    # Each coordinate is formatted once.  A grid row's text is one `%` over
-    # the templates of its live columns, filled with (y, value, flag) triples;
-    # going one grid row at a time keeps memory flat.
-    templates = [f"{x:.17g},%s%.17g,%d\n" for x in g.points[:g.nx, 0].tolist()]
-    ys = [f"{y:.17g}," for y in g.points[::g.nx, 1].tolist()]
-    live = ~g.mask.reshape(g.ny, g.nx)
-    values = image.values.reshape(g.ny, g.nx)
-    flags = image.flags.reshape(g.ny, g.nx)
-    with open(path, "w", encoding="ascii") as f:
+    # A row is "x," and "y," from tables, the value as words with the comma
+    # in its free last byte, and "flag\n" from a table; masked points drop out.
+    xs = _text_words([f"{x:.17g}," for x in g.points[:g.nx, 0].tolist()])
+    ys = _text_words([f"{y:.17g}," for y in g.points[::g.nx, 1].tolist()])
+
+    def blocks():
+        for start in range(0, g.n_points, _BLOCK_ROWS):
+            i = start + np.flatnonzero(~g.mask[start:start + _BLOCK_ROWS])
+            row, col = np.divmod(i, g.nx)
+            value = _g17_words(image.values.take(i))
+            value[:, -1] |= _LAST_COMMA
+            yield np.hstack([xs.take(col, axis=0), ys.take(row, axis=0), value,
+                             _FLAG_WORDS.take(image.flags.take(i))[:, None]])
+
+    with open(path, "wb") as f:
         _write_header(f, meta)
-        f.write("# columns=x,y,value,flag\n")
-        for y, keep, v, flag in zip(ys, live, values, flags):
-            fill = [y] * (3 * int(keep.sum()))
-            fill[1::3] = v[keep].tolist()
-            fill[2::3] = flag[keep].astype(np.int64).tolist()
-            row = "".join(map(templates.__getitem__, np.flatnonzero(keep).tolist()))
-            f.write(row % tuple(fill))
+        f.write(b"# columns=x,y,value,flag\n")
+        _write_words(f, blocks())
 
 
 def read_grid_csv(path) -> IndicatorImage:
@@ -285,11 +461,28 @@ def render_pgm(csv_path, out_path, clip_percent: float = 99.0) -> None:
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
+    """Write a (ny, nx) array of integers in 0..PGM_MAXVAL as an ASCII PGM;
+    ValueError, before anything is written, for a pixel outside that range."""
+    pixels = np.asarray(pixels).astype(np.int64)
     ny, nx = pixels.shape
-    lines = ["P2", f"{nx} {ny}", str(PGM_MAXVAL)]
-    row_format = " ".join(["%d"] * nx)
-    lines += [row_format % tuple(row.tolist()) for row in pixels.astype(np.int64)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    if pixels.size and (pixels.min() < 0 or pixels.max() > PGM_MAXVAL):
+        raise ValueError(f"{path}: pixel value outside 0..{PGM_MAXVAL}")
+    # A pixel is one word: five digits from the tables with the leading
+    # zeros masked, then a space, or a newline at the end of an image row.
+    ends = np.full(nx, _U(0x20 << 40))
+    ends[-1:] = 0x0A << 40
+    rows_per_block = max(1, _BLOCK_ROWS // max(nx, 1))    # about _BLOCK_ROWS pixels
+
+    def blocks():
+        for start in range(0, ny, rows_per_block):
+            p = pixels[start:start + rows_per_block]
+            high = p // 10000
+            words = (high.astype("<u8") + _U(0x30)) | _DIGITS4.take(p - high * 10000) << _U(8)
+            yield words & _PIXEL_MASK.take(np.searchsorted(_PIXEL_TENS, p, side="right")) | ends
+
+    with open(path, "wb") as f:
+        f.write(b"P2\n%d %d\n%d\n" % (nx, ny, PGM_MAXVAL))
+        _write_words(f, blocks())
 
 
 def read_pgm(path) -> np.ndarray:

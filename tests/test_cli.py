@@ -199,6 +199,23 @@ def test_noise_rejects_negative_seed(tmp_path, capsys):
     assert not noisy.exists()
 
 
+def test_noise_refuses_non_finite_header(tmp_path, capsys):
+    # noise used to exit 0 on delta=nan and k=inf and carry k=inf forward
+    sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1)
+    ring = fw.RingMeasurement(radius=2.2, k=3.0, samples=np.ones((1, 8), complex),
+                              noise_level=0.0, side="exterior", sources=sources)
+    clean, noisy = tmp_path / "ring.csv", tmp_path / "noisy.csv"
+    formats.write_ring_csv(clean, ring)
+    text = clean.read_text()
+    assert "# k=3.0\n" in text and "# delta=0.0\n" in text
+    clean.write_text(text.replace("# k=3.0\n", "# k=inf\n").replace("# delta=0.0\n",
+                                                                   "# delta=nan\n"))
+    assert main(["noise", "-i", str(clean), "-o", str(noisy), "--delta", "0.05"]) == 2
+    assert capsys.readouterr().err == (f"nearscat: error: {clean}: header value "
+                                       "k='inf' is not finite\n")
+    assert not noisy.exists()
+
+
 def test_non_finite_ring_leaves_no_output(tmp_path, capsys):
     # noise used to write "nan,-inf" and exit 0, and reconstruct then made its
     # output directory before failing on an all-zero image

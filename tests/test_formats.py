@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -82,6 +84,71 @@ def _edit_data_row(path, i, new):
     data = [n for n, line in enumerate(lines) if not line.startswith("#")]
     lines[data[i]] = new(lines[data[i]])
     path.write_text("\n".join(lines) + "\n")
+
+
+def _g17(values):
+    """The texts of formats._g17_words, one per value."""
+    words = formats._g17_words(np.asarray(values, dtype=np.float64))
+    return [row.tobytes().translate(None, b"\0").decode("ascii") for row in words]
+
+
+def _percent_g17(values):
+    return ["%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def _ulps_around(x, n):
+    """x and the n doubles on either side of it."""
+    out, up, down = [x], x, x
+    for _ in range(n):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [float(up), float(down)]
+    return out
+
+
+# Raw 64-bit patterns, and patterns whose exponent field puts |v| in
+# [2^-40, 2^60), around the integer path's range 1e-11 <= |v| < 1e17.
+_RAW_BITS = st.integers(0, 2**64 - 1)
+_FAST_BITS = st.builds(lambda sign, exponent, fraction: sign << 63 | exponent << 52 | fraction,
+                       st.integers(0, 1), st.integers(1023 - 40, 1023 + 59),
+                       st.integers(0, 2**52 - 1))
+
+
+class TestG17Words:
+    @settings(max_examples=150, deadline=None)
+    @given(bits=st.lists(_RAW_BITS | _FAST_BITS, min_size=1, max_size=64))
+    def test_matches_percent_on_bit_patterns(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        assert _g17(values) == _percent_g17(values)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = [v for p in range(-12, 18) for v in _ulps_around(float(f"1e{p}"), 40)]
+        values = np.array(values + [-v for v in values])
+        assert _g17(values) == _percent_g17(values)
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,     # zeros, subnormal, tiniest normal
+        float(np.nextafter(1.0, 0.0)), 1.0, -1.0, 0.5, 0.1, 123.456,
+        1e-07,                               # "9.9999999999999995e-08": its log10 is -7
+        1000000000000000.25, 1000000000000000.75, -1000000000000000.25,   # exact ties
+        2.0 ** 52, 2.0 ** 53 + 2.0, 2.0 ** 56, 99999999999999984.0,       # left shifts
+        1e-11, 3e-12, 1e-100, -2.5e-200,                                  # below the range
+        1e17, 1.7976931348623157e308, 1e200, -4.2e123,                    # above it
+        1.5e-5, 0.00012345, 0.0001, 0.001, 1e16, 12345678901234567.0,
+        float("inf"), float("-inf"), float("nan")])
+    def test_named_edges(self, value):
+        assert _g17([value]) == _percent_g17([value])
+
+    def test_block_mixing_integer_path_and_fallback(self):
+        # fast rows interleaved with every kind of fallback row, and each
+        # row's last byte left NUL for the writers' separators
+        rng = np.random.default_rng(17)
+        values = rng.normal(size=600) * 10.0 ** rng.uniform(-15.0, 20.0, 600)
+        values[::7] = rng.choice([0.0, -0.0, 5e-324, 1e-300, 3e-12, 1e17, 2e250,
+                                  np.inf, -np.inf, np.nan], values[::7].size)
+        words = formats._g17_words(values)
+        assert not np.any(words[:, -1] >> np.uint64(56))
+        assert _g17(values) == _percent_g17(values)
 
 
 class TestRingCsv:
@@ -176,6 +243,19 @@ class TestRingCsv:
         path.write_text(path.read_text().replace(line, bad))
         key = bad[2:bad.index("=")]
         with pytest.raises(ValueError, match=f"ring.csv: cannot parse header value {key}="):
+            formats.read_ring_csv(path)
+
+    @pytest.mark.parametrize("line,bad", [("# k=3.0\n", "# k=inf\n"),
+                                          ("# delta=0.05\n", "# delta=nan\n"),
+                                          ("# ring_radius=2.2\n", "# ring_radius=-inf\n"),
+                                          ("# source_center=0.0 0.0\n",
+                                           "# source_center=0.0 nan\n")])
+    def test_rejects_non_finite_header_value(self, tmp_path, line, bad):
+        path = tmp_path / "ring.csv"
+        formats.write_ring_csv(path, _ring())
+        path.write_text(path.read_text().replace(line, bad))
+        key = bad[2:bad.index("=")]
+        with pytest.raises(ValueError, match=f"ring.csv: header value {key}=.* is not finite"):
             formats.read_ring_csv(path)
 
     def test_rejects_total_field(self, tmp_path):
@@ -342,6 +422,26 @@ class TestGridCsv:
         assert not np.any(back.flags[grid.mask])
 
 
+    def test_writer_memory_does_not_grow_with_the_image(self, tmp_path):
+        # rows are formatted a block at a time: the peak allocation is the
+        # same for a 300^2 and a 600^2 image and smaller than the 300^2 file
+        peaks = {}
+        for n in (300, 600):
+            grid = imaging_grid(-1.0, 1.0, -1.0, 1.0, n, n)
+            values = np.random.default_rng(n).uniform(0.01, 2.0, grid.n_points)
+            image = ind.IndicatorImage(grid=grid, values=values, kind="soft",
+                                       wavenumbers=(3.0,), state="raw",
+                                       flags=np.zeros(grid.n_points, dtype=np.uint8))
+            tracemalloc.start()
+            try:
+                formats.write_grid_csv(tmp_path / f"grid{n}.csv", image)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[600] - peaks[300]) <= 0.1 * peaks[300], peaks
+        assert peaks[300] < (tmp_path / "grid300.csv").stat().st_size, peaks
+
+
 class TestPgm:
     def test_constant_grid_uniform_pixels(self, tmp_path):
         grid = imaging_grid(0.0, 1.0, 0.0, 1.0, 3, 3)
@@ -383,6 +483,14 @@ class TestPgm:
         path.write_text(path.read_text().replace("2 3\n", f"2 {formats.PGM_MAXVAL + 1}\n"))
         with pytest.raises(ValueError):
             formats.read_pgm(path)
+
+    @pytest.mark.parametrize("pixels", [[[70000, -1]], [[0, formats.PGM_MAXVAL + 1]], [[-1]]])
+    def test_writer_rejects_pixel_outside_range(self, tmp_path, pixels):
+        # the writer used to write what its own reader rejects
+        path = tmp_path / "img.pgm"
+        with pytest.raises(ValueError, match=f"img.pgm: pixel value outside 0..{formats.PGM_MAXVAL}"):
+            formats.write_pgm(path, np.array(pixels))
+        assert not path.exists()
 
     @_FILE_SETTINGS
     @given(nx=st.integers(1, 30), ny=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
