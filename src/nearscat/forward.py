@@ -29,21 +29,12 @@ off the diagonal, for one k-free circulant weight
 W_ij = R_{|i-j|} - h ln(4 sin^2(pi (i - j)/M)); on it, W_ii = R_0 and the
 entries take the limits h A2_ii + R_0 A1_ii.
 
-Assembly comes in two parts.  A ``NystromGeometry`` holds everything that
-does not depend on k (distances, W, the node vectors of the system's K
-or K') and is built on the nodes when a boundary system is first solved
-on a curve.  The curve keeps it (``BoundaryCurve.nystrom``) until a system
-with other operators is solved on it, so every wavenumber solved on one
-curve shares it.  It stores the node distances as their sorted distinct
-values plus each entry's index among them: |x_i - x_j| is symmetric, and
-a symmetric or rotation-invariant curve repeats most distances (6835
-distinct among the 1024^2 of a 1024-node circle).  That index, in a
-memory mapping of its own, is its one M x M array.  Its per-k pass
-``blocks(k)`` makes the Bessel calls and applies every per-distance factor
-on the distinct values only, then forms each operator F-ordered, block by
-block of rows, in one gather-multiply-add, factor (A1 W + h kernel).  A
-single-operator solve so holds 40 bytes per node pair at its peak: the
-index, the system matrix and the LU's copy of it.
+Assembly (``_operators``) goes block by block of rows: each block forms
+its node distances (1 on the diagonal), makes its Bessel calls on them,
+applies the per-distance factors and writes its rows of each operator,
+F-ordered, factor (A1 W + h kernel).  Nothing of it outlives the solve,
+and the curve is not touched.  A single-operator solve so holds 32 bytes
+per node pair at its peak: the system matrix and the LU's copy of it.
 
 All kernel assembly here is vectorized through scipy.special; the series
 oracle below runs on the in-house cylinder-function module instead, so
@@ -55,7 +46,7 @@ and the kernels need J_0 and J_1 on their own anyway.  Only the operators
 a representation uses are assembled.
 
 ``_FORMULATIONS`` holds the four rows above (representation, operators,
-jump); the geometry, the system matrix and the layer-potential evaluation
+jump); the assembly, the system matrix and the layer-potential evaluation
 all take them from there.
 
 Every dense product of the package goes through ``_gemm`` on scipy's
@@ -69,7 +60,6 @@ single-threaded numpy code between the products.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +75,7 @@ from .geometry import BoundaryCurve, RingMeasurement, SourceSet, _cross, ring_po
 EULER_GAMMA = cylfun.EULER_GAMMA
 CONDITION_LIMIT = 1e12
 SOURCE_ON_BOUNDARY_TOL = 1e-9
-ASSEMBLY_BLOCK = 1 << 16   # operator entries per block of NystromGeometry._operator
+ASSEMBLY_BLOCK = 1 << 16   # operator entries per block of _operators
 _ORACLE_REL_TOL = 1e-14
 _ORACLE_RUN = 8          # consecutive negligible terms required
 _ORACLE_MAX_ORDER = 180
@@ -115,14 +105,11 @@ class SeriesConvergenceError(ValueError):
 # Incident field
 # ---------------------------------------------------------------------------
 
-def _hankel1(order: int, x: np.ndarray, j: np.ndarray | None = None) -> np.ndarray:
-    """H_order^(1)(x) = J_order(x) + i Y_order(x) for order 0 or 1.
-
-    Pass ``j`` to reuse J_order(x) already computed.
-    """
+def _hankel1(order: int, x: np.ndarray) -> np.ndarray:
+    """H_order^(1)(x) = J_order(x) + i Y_order(x) for order 0 or 1."""
     j_fn, y_fn = (_sp_j0, _sp_y0) if order == 0 else (_sp_j1, _sp_y1)
     h = np.empty(x.shape, dtype=complex)
-    h.real = j_fn(x) if j is None else j
+    h.real = j_fn(x)
     h.imag = y_fn(x)
     return h
 
@@ -181,145 +168,65 @@ def _weight_circulant(m_nodes: int) -> np.ndarray:
     return windows[::-1]
 
 
-def _mapped_empty(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float array in an anonymous memory mapping of its
-    own, unmapped when the array and its views are gone.
-
-    The Nystrom geometry's M x M index lives in one of these rather than
-    on the malloc heap.  It outlives every per-k temporary of the same
-    size; on the heap, whether the blocks freed around it were reused or
-    stayed resident beside new ones depended on where small objects
-    happened to sit, and peak memory moved by one M x M complex block
-    from run to run.
-    """
-    count = math.prod(shape)
-    buf = mmap.mmap(-1, max(count, 1) * np.dtype(float).itemsize)
-    return np.frombuffer(buf, dtype=float, count=count).reshape(shape)
-
-
-def _distinct_distances(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of the symmetric (M, M) array ``r`` and
-    each entry's index among them, an intp array written over ``r``.
-
-    Only the upper triangle is sorted, which holds every value because
-    |x_i - x_j| is exactly symmetric in IEEE arithmetic.  Beside ``r`` this
-    holds the triangle, its permutation and its sorted copy; the indices
-    go into the sorted copy's memory, then the triangle's, then ``r``'s.
-    (``np.unique(r, return_inverse=True)`` would hold a flat copy, a
-    permutation, the sorted copy, a mask, its cumsum and the inverse.)
-    """
-    upper = ~np.tri(*r.shape, k=-1, dtype=bool)
-    tri = r[upper]
-    order = np.argsort(tri)
-    srt = tri[order]
-    new = np.empty(srt.size, dtype=bool)
-    new[0] = True
-    np.not_equal(srt[1:], srt[:-1], out=new[1:])
-    radii = srt[new]
-    new[0] = False               # a sorted value's index: the new values before it
-    ids = np.cumsum(new, dtype=np.intp, out=srt.view(np.intp))
-    del new
-    tri = tri.view(np.intp)
-    tri[order] = ids
-    del order, ids, srt
-    inverse = r.view(np.intp)
-    inverse[upper] = tri
-    inverse.T[upper] = tri
-    return radii, inverse
-
-
-class NystromGeometry:
-    """The k-free part of the (side, bc) boundary system's Nystrom blocks on
-    the curve nodes: the distances |x(t) - x(tau)| (1 on the diagonal) as
-    their sorted distinct values ``radii`` and each entry's index among them
-    ``inverse`` (a ``_mapped_empty`` block), the circulant weight W
-    (``weight``, a read-only view, see the module docstring), the
-    double-layer diagonal limits, and the (2, M) node points and normals
-    nu |x'| of the normal product of its K or K'.  ``blocks(k)`` adds one
-    wavenumber's Bessel part, evaluated on ``radii``.  It depends on the
-    system only through its operators ``ops`` and holds no reference to the
-    curve, so the curve holds it without forming a cycle."""
-
-    def __init__(self, curve: BoundaryCurve, bc: str, side: str):
-        mm = curve.n_nodes
-        self.ops = _formulation(bc, side)[1]
-        self.n_nodes = mm
-        self.speed = curve.speed
-        tg, sc = curve.tangents, curve.seconds
-        w = _cross(tg, sc)
-        self.dl_diag = (0.0, -w / (4.0 * np.pi * self.speed**2))
-        self.points = np.ascontiguousarray(curve.points.T)
-        self.scaled_normals = np.stack([tg[:, 1], -tg[:, 0]])
-        (x0, x1), r = self.points, _mapped_empty((mm, mm))
-        np.hypot(x0[:, None] - x0, x1[:, None] - x1, out=r)
-        np.fill_diagonal(r, 1.0)
-        self.radii, self.inverse = _distinct_distances(r)
-        self.weight = _weight_circulant(mm)
-
-    def _operator(self, name: str, a1_table: np.ndarray, h_full_table: np.ndarray,
-                  diag) -> np.ndarray:
-        """Operator ``name``, factor (A1 W + h full), A1 and h full gathered
-        from their tables on ``radii``, with the diagonal limits ``diag`` =
-        (A1_ii, A2_ii), F-ordered.  A1 W + h full is exactly symmetric, so its
-        transpose is built in C-ordered blocks of ASSEMBLY_BLOCK entries,
-        times the transposed factor, and returned as ``.T``.  ``take`` with
-        ``mode="clip"`` (``inverse`` is in range) does not buffer ``out``."""
-        mm, (x0, x1), nu = self.n_nodes, self.points, self.scaled_normals
-        out = np.empty((mm, mm), dtype=complex)
-        step = max(1, ASSEMBLY_BLOCK // mm)
-        scratch = np.empty((2, min(step, mm), mm))
-        for lo in range(0, mm, step):
-            rows = slice(lo, lo + step)
-            block, index = out[rows], self.inverse[rows]
-            fx, fy = scratch[:, :block.shape[0]]
-            h_full_table.take(index, out=block, mode="clip")
-            a1_table.take(index, out=fx, mode="clip")
-            fx *= self.weight[rows]
-            block.real += fx
+def _operators(curve: BoundaryCurve, ops: tuple[str, ...], k: float) -> dict[str, np.ndarray]:
+    """The blocks named in ``ops`` (S, K, K') at wavenumber k, mapping node
+    densities to node values, each factor (A1 W + h full) with the diagonal
+    limits on the diagonal, F-ordered.  A1 W + h full is exactly symmetric,
+    so each block's transpose is built in C-ordered blocks of ASSEMBLY_BLOCK
+    entries, straight from that block's node distances (1 on the diagonal),
+    times the transposed factor, and returned as ``.T``."""
+    mm, spj = curve.n_nodes, curve.speed
+    h = 2.0 * np.pi / mm
+    weight = _weight_circulant(mm)
+    x0, x1 = curve.points.T
+    nu = np.stack([curve.tangents[:, 1], -curve.tangents[:, 0]])    # nu |x'|
+    dl_diag = (0.0, -_cross(curve.tangents, curve.seconds) / (4.0 * np.pi * spj**2))
+    diags = {"S": (-(0.25 / np.pi) * spj,                               # J_0(0) = 1
+                   (0.25j - (np.log(0.5 * k * spj) + EULER_GAMMA) / (2.0 * np.pi)) * spj),
+             "K": dl_diag, "K'": dl_diag}
+    out = {name: np.empty((mm, mm), dtype=complex) for name in ops}
+    step = max(1, ASSEMBLY_BLOCK // mm)
+    for lo in range(0, mm, step):
+        rows = slice(lo, lo + step)
+        # entry (i, j) here sits at (t, tau) = (t_j, t_i)
+        dx, dy = x0 - x0[rows, None], x1 - x1[rows, None]          # x(t) - x(tau)
+        r = np.hypot(dx, dy)
+        np.fill_diagonal(r[:, lo:], 1.0)
+        kr = k * r
+        for name in ops:
+            block = out[name][rows]
+            j_fn, y_fn = (_sp_j0, _sp_y0) if name == "S" else (_sp_j1, _sp_y1)
+            a1 = j_fn(kr)                                 # J_n, then A1
+            block.real = a1
+            y_fn(kr, out=block.imag)
             if name == "S":
-                block *= self.speed[rows, None]
+                np.multiply(-(0.25 / np.pi), a1, out=a1)
+                np.multiply(0.25j, block, out=block)
+            else:
+                np.multiply(0.25 * k / np.pi, a1, out=a1)
+                a1 /= r
+                np.multiply(-0.25j * k, block, out=block)
+                block /= r
+            block *= h
+            a1 *= weight[rows]
+            block.real += a1
+            del a1
+            if name == "S":
+                block *= spj[rows, None]
                 continue
-            # entry (i, j) here sits at (t, tau) = (t_j, t_i).  K: nu(tau) .
-            # (x(tau) - x(t)) = -(n_tau . dx);  K': nu(t) . dx |x'(tau)|/|x'(t)|
-            np.subtract(x0, x0[rows, None], out=fx)          # dx = x(t) - x(tau)
-            np.subtract(x1, x1[rows, None], out=fy)
+            # K: nu(tau) . (x(tau) - x(t)) = -(n_tau . dx);  K': nu(t) . dx |x'(tau)|/|x'(t)|.
+            # In place: K or K' is the last operator of ``ops``.
             n = nu[:, rows, None] if name == "K" else nu
-            fx *= n[0]
-            fy *= n[1]
-            fx += fy
-            fx *= -1.0 if name == "K" else np.divide(self.speed[rows, None], self.speed, out=fy)
-            block *= fx
-        np.fill_diagonal(out, 2.0 * np.pi / mm * diag[1] + self.weight[0, 0] * diag[0])
-        return out.T
-
-    def blocks(self, k: float) -> dict[str, np.ndarray]:
-        """The blocks named in ``ops`` at wavenumber k, mapping node densities
-        to node values.  Every per-distance factor, h included, is applied
-        on the distinct distances ``radii`` before the gather."""
-        h = 2.0 * np.pi / self.n_nodes
-        spj = self.speed
-        kr = k * self.radii
-        blocks = {}
-        if "S" in self.ops:
-            s1 = _sp_j0(kr)                              # J_0, then A1's table
-            s_full = _hankel1(0, kr, s1)
-            np.multiply(-(0.25 / np.pi), s1, out=s1)
-            np.multiply(0.25j, s_full, out=s_full)
-            s_full *= h
-            s_diag = (-(0.25 / np.pi) * spj,                 # J_0(0) = 1
-                      (0.25j - (np.log(0.5 * k * spj) + EULER_GAMMA) / (2.0 * np.pi)) * spj)
-            blocks["S"] = self._operator("S", s1, s_full, s_diag)
-            del s1, s_full
-        c1 = _sp_j1(kr)                                  # J_1, then A1's table
-        c_full = _hankel1(1, kr, c1)
-        del kr
-        np.multiply(0.25 * k / np.pi, c1, out=c1)
-        c1 /= self.radii
-        np.multiply(-0.25j * k, c_full, out=c_full)
-        c_full /= self.radii
-        c_full *= h
-        blocks[self.ops[-1]] = self._operator(self.ops[-1], c1, c_full, self.dl_diag)
-        return blocks
+            dx *= n[0]
+            dy *= n[1]
+            dx += dy
+            dx *= -1.0 if name == "K" else np.divide(spj[rows, None], spj, out=dy)
+            block *= dx
+        del dx, dy, r, kr       # before the next block's are formed
+    for name, a in out.items():
+        diag = diags[name]
+        np.fill_diagonal(a, h * diag[1] + weight[0, 0] * diag[0])
+    return {name: a.T for name, a in out.items()}
 
 
 # (side, bc) -> (representation, boundary operators, jump).  The last
@@ -342,9 +249,7 @@ def _formulation(bc: str, side: str) -> tuple[str, tuple[str, ...], float]:
 
 def _system_matrix(curve: BoundaryCurve, bc: str, side: str, k: float) -> np.ndarray:
     _, ops, jump = _formulation(bc, side)
-    if curve.nystrom is None or curve.nystrom.ops != ops:
-        curve.nystrom = NystromGeometry(curve, bc, side)
-    blocks = curve.nystrom.blocks(k)
+    blocks = _operators(curve, ops, k)
     # jump I, then -i k S, in place: the order of the sum (I/2 + K) - i k S
     a = blocks[ops[-1]]
     np.einsum("ii->i", a)[:] += jump

@@ -109,12 +109,8 @@ def _trig_eval(coeffs_cos, coeffs_sin, t, deriv):
 
 
 class BoundaryCurve:
-    """Closed curve sampled at t_j = 2 pi j / M with analytic derivatives.
-
-    ``nystrom`` is the ``forward.NystromGeometry`` of the last boundary
-    system solved on the curve, built there on first use: every wavenumber
-    of that system shares it, and it goes with the curve.
-    """
+    """Closed curve sampled at t_j = 2 pi j / M with analytic derivatives:
+    plain data, which no solve changes."""
 
     def __init__(self, spec: ShapeSpec):
         spec.validate()
@@ -127,7 +123,6 @@ class BoundaryCurve:
         self.speed = np.hypot(self.tangents[:, 0], self.tangents[:, 1])
         self.normals = np.column_stack([self.tangents[:, 1], -self.tangents[:, 0]])
         self.normals /= self.speed[:, None]
-        self.nystrom = None
 
     # -- analytic evaluation at arbitrary parameters -------------------------
 

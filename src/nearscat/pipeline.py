@@ -170,6 +170,14 @@ class ScenarioConfig:
                 f"wavenumbers {self.wavenumbers} reach k r = {max(self.wavenumbers) * radius:g} "
                 f"at radius {radius:g} (farther grid corner or receiver_radius), above the "
                 f"cylinder-function ceiling {cylfun.MAX_ARG:g}")
+        # the disk grid() masks (the receiver circle by default inside a
+        # cavity) holds the whole grid when it holds its four corners
+        if excl is None and self.side == "interior":
+            excl = receiver
+        xs, ys = np.meshgrid((self.grid_xmin, self.grid_xmax), (self.grid_ymin, self.grid_ymax))
+        if excl and np.all(np.hypot(xs, ys) <= excl):
+            raise ConfigError(f"exclusion_radius {excl:g} masks the whole imaging grid: "
+                              f"its four corners lie in the disk")
         if n < 0:
             raise ConfigError(f"truncation must be >= 0, got {n}")
         if 2 * n + 1 > self.receiver_count:
@@ -322,9 +330,9 @@ def _node_ladder(least: float, ceiling: int):
 def forward_curve(cfg: ScenarioConfig, sources: SourceSet
                   ) -> tuple[BoundaryCurve, DensitySolution | None, list[str]]:
     """The curve the rings of a resolved config and its ``sources`` are
-    solved on, carrying the Nystrom geometry of its trial solve; that
-    accepted solve of the largest k for ``sources`` (None when no count was
-    accepted); and the warnings (README, Forward resolution).
+    solved on; its accepted solve of the largest k for ``sources`` (None
+    when no count was accepted); and the warnings (README, Forward
+    resolution).
 
     The largest k is solved on 64, 128, ... nodes, from NODES_PER_WAVELENGTH
     per boundary wavelength (a kernel sampled more coarsely fools both
@@ -379,8 +387,7 @@ def forward_curve(cfg: ScenarioConfig, sources: SourceSet
 
 def simulate_rings(cfg: ScenarioConfig) -> tuple[list[RingMeasurement], int, list[str]]:
     """Clean rings of a resolved config, one per wavenumber in order, all on
-    ``forward_curve``'s curve and so on its one Nystrom geometry, which goes
-    with the curve when this returns; the largest k reuses the node ladder's
+    ``forward_curve``'s curve; the largest k reuses the node ladder's
     accepted solve.  With that curve's node count and the forward warnings,
     among them one per ring whose reciprocity error is above FORWARD_WARN.
 
@@ -446,7 +453,7 @@ def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
     cfg = config.resolved()
     grid = cfg.grid()
     # All rings first: a config error surfaces before the output directory
-    # exists, and their Nystrom geometry is released before imaging.
+    # exists.
     rings, nodes, warnings = simulate_rings(cfg)
     reciprocity = {ring.k: ring.reciprocity for ring in rings}
     out = Path(outdir)

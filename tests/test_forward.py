@@ -1,6 +1,3 @@
-import gc
-import mmap
-import weakref
 
 import numpy as np
 import pytest
@@ -26,9 +23,9 @@ def _log_weights_from_diff(dt, m_nodes):
 
 def _blocks_reference(curve, k, t_targets, pos_t, tan_t, diagonal, ops):
     """The Nystrom blocks as one function of k, with out-of-place arithmetic:
-    the reference that the geometry plus per-k pass must match bit for bit.
-    Each operator is factor (A1 (R_j - h ln 4 sin^2) + h full), with the
-    weight on the nodes taken from the geometry's own weight function."""
+    the reference that ``_operators`` must match bit for bit.  Each operator
+    is factor (A1 (R_j - h ln 4 sin^2) + h full), with the weight on the
+    nodes taken from the solver's own weight function."""
     mm, h, spj = curve.n_nodes, 2.0 * np.pi / curve.n_nodes, curve.speed
     dt = t_targets[:, None] - curve.t[None, :]
     dx = pos_t[:, None, :] - curve.points[None, :, :]
@@ -56,11 +53,11 @@ def _blocks_reference(curve, k, t_targets, pos_t, tan_t, diagonal, ops):
         if diagonal:
             s_diag = (-(0.25 / np.pi) * spj,
                       (0.25j - (np.log(0.5 * k * spj) + fw.EULER_GAMMA) / (2.0 * np.pi)) * spj)
-        blocks["S"] = split(-(0.25 / np.pi) * j0, 0.25j * fw._hankel1(0, kr, j0),
+        blocks["S"] = split(-(0.25 / np.pi) * j0, 0.25j * fw._hankel1(0, kr),
                             spj[None, :], s_diag)
     j1 = fw._sp_j1(kr)
     c1 = (0.25 * k / np.pi) * j1 / r
-    c_full = -0.25j * k * fw._hankel1(1, kr, j1) / r
+    c_full = -0.25j * k * fw._hankel1(1, kr) / r
     if "K" in ops:
         nj = np.column_stack([curve.tangents[:, 1], -curve.tangents[:, 0]])
         b_k = -(dx[..., 0] * nj[None, :, 0] + dx[..., 1] * nj[None, :, 1])
@@ -305,40 +302,46 @@ class TestNystrom:
         # each system builds only its own blocks, bit for bit the blocks an
         # all-operators assembly gives
         k = 3.0
+        ops = fw._FORMULATIONS[(side, bc)][1]
         full = _blocks_reference(kite_512, k, *_nodes(kite_512), _ALL_OPS)
-        pruned = fw.NystromGeometry(kite_512, bc, side).blocks(k)
-        assert set(pruned) == set(fw._FORMULATIONS[(side, bc)][1])
+        pruned = fw._operators(kite_512, ops, k)
+        assert set(pruned) == set(ops)
         for name, block in pruned.items():
             assert np.array_equal(block, full[name])
 
     @pytest.mark.parametrize("shape", ["circle", "kite", "starfish"])
     @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
     def test_geometry_reuse_bit_identical(self, shape, side, bc):
-        # one geometry serves every k, bit for bit as a fresh assembly and as
-        # the out-of-place reference
-        curve = make_curve(ShapeSpec(kind=shape, n_nodes=128))
+        # one curve serves every k, bit for bit as a fresh curve and as the
+        # out-of-place reference
+        spec = ShapeSpec(kind=shape, n_nodes=128)
+        curve = make_curve(spec)
         ops = fw._FORMULATIONS[(side, bc)][1]
-        geometry = fw.NystromGeometry(curve, bc, side)
         for k in _KS:
-            fresh = fw.NystromGeometry(curve, bc, side).blocks(k)
+            fresh = fw._operators(make_curve(spec), ops, k)
             reference = _blocks_reference(curve, k, *_nodes(curve), ops)
-            blocks = geometry.blocks(k)
+            blocks = fw._operators(curve, ops, k)
             assert set(blocks) == set(fresh) == set(ops)
             for name in ops:
                 assert np.array_equal(blocks[name], fresh[name])
                 assert np.array_equal(blocks[name], reference[name])
 
     @pytest.mark.parametrize("shape", ["circle", "kite", "starfish"])
-    def test_all_operator_blocks_match_reference(self, shape):
-        # S, K and K' of the four systems against one all-operators reference
+    def test_all_operator_blocks_match_reference(self, monkeypatch, shape):
+        # S, K and K' of the four systems against one all-operators reference,
+        # in one block, one row per block, and 5-row blocks with a last
+        # block of 4 rows (64 = 12 * 5 + 4): the distances' diagonal of 1
+        # falls at every block edge
         curve = make_curve(ShapeSpec(kind=shape, n_nodes=64))
-        geometries = [fw.NystromGeometry(curve, bc, side) for side, bc in fw._FORMULATIONS]
-        assert {name for g in geometries for name in g.ops} == set(_ALL_OPS)
+        systems = [ops for _, ops, _ in fw._FORMULATIONS.values()]
+        assert {name for ops in systems for name in ops} == set(_ALL_OPS)
         for k in _KS:
             reference = _blocks_reference(curve, k, *_nodes(curve), _ALL_OPS)
-            for geometry in geometries:
-                for name, block in geometry.blocks(k).items():
-                    assert np.array_equal(block, reference[name])
+            for entries in (fw.ASSEMBLY_BLOCK, 1, 5 * 64):
+                monkeypatch.setattr(fw, "ASSEMBLY_BLOCK", entries)
+                for ops in systems:
+                    for name, block in fw._operators(curve, ops, k).items():
+                        assert np.array_equal(block, reference[name])
 
     @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
     def test_system_matrix_in_place(self, kite_512, side, bc):
@@ -351,22 +354,6 @@ class TestNystrom:
                 ("interior", "soft"): lambda: ops["K"] - half_eye,
                 ("interior", "hard"): lambda: ops["K'"] + half_eye}[(side, bc)]()
         assert np.array_equal(fw._system_matrix(kite_512, bc, side, k), want)
-
-    @pytest.mark.parametrize("shape", ["circle", "kite", "starfish"])
-    def test_distances_stored_as_distinct_values(self, shape):
-        # radii[inverse] is |x_i - x_j| bit for bit off the diagonal (1 on it)
-        curve = make_curve(ShapeSpec(kind=shape, n_nodes=128))
-        mm = curve.n_nodes
-        geometry = fw.NystromGeometry(curve, "soft", "exterior")
-        radii, inverse = geometry.radii, geometry.inverse
-        assert np.all(np.diff(radii) > 0.0)
-        assert radii.size <= mm * (mm + 1) // 2
-        assert inverse.dtype == np.intp and inverse.shape == (mm, mm)
-        d = curve.points[:, None, :] - curve.points[None, :, :]
-        r = np.hypot(d[..., 0], d[..., 1])
-        off = ~np.eye(mm, dtype=bool)
-        assert np.array_equal(radii[inverse][off], r[off])
-        assert np.all(radii[inverse.diagonal()] == 1.0)
 
     @pytest.mark.parametrize("mm", [16, 64, 512, 1024])
     def test_weight_matches_its_definition(self, mm):
@@ -385,62 +372,13 @@ class TestNystrom:
         assert all(np.array_equal(got[i + 1], np.roll(got[i], 1)) for i in range(mm - 1))
 
     @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
-    def test_bessel_calls_on_distinct_distances(self, monkeypatch, side, bc):
-        # blocks(k) calls each Cephes routine on the distinct distances only
-        curve = make_curve(ShapeSpec(kind="kite", n_nodes=128))
-        geometry = fw.NystromGeometry(curve, bc, side)
-        assert geometry.radii.size < curve.n_nodes ** 2 // 2
-        sizes = {}
-        for name in ("_sp_j0", "_sp_j1", "_sp_y0", "_sp_y1"):
-            def counting(x, fn=getattr(fw, name), name=name):
-                sizes.setdefault(name, []).append(np.size(x))
-                return fn(x)
-            monkeypatch.setattr(fw, name, counting)
-        geometry.blocks(3.0)
-        want = {"_sp_j1", "_sp_y1"} | ({"_sp_j0", "_sp_y0"} if "S" in geometry.ops else set())
-        assert set(sizes) == want
-        assert all(calls == [geometry.radii.size] for calls in sizes.values())
-
-    @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
-    def test_geometry_in_one_mapping_released_with_it(self, kite_512, side, bc):
-        # the geometry's one M x M array, the distance index, sits in an
-        # anonymous mapping of its own, off the malloc heap, and the mapping
-        # is gone with the geometry (no cycle collector needed); W is a
-        # read-only view of 2M - 1 values
-        mm = kite_512.n_nodes
-        geometry = fw.NystromGeometry(kite_512, bc, side)
-        square = [name for name, value in vars(geometry).items()
-                  if isinstance(value, np.ndarray) and value.size == mm * mm]
-        assert sorted(square) == ["inverse", "weight"]
-        assert not geometry.weight.flags.writeable
-        assert np.array_equal(geometry.weight, fw._weight_circulant(mm))
-        low, high = np.lib.array_utils.byte_bounds(geometry.weight)
-        assert high - low == (2 * mm - 1) * 8
-        owner = geometry.inverse
-        while isinstance(owner, np.ndarray):
-            owner = owner.base
-        owner = owner.obj if isinstance(owner, memoryview) else owner
-        assert isinstance(owner, mmap.mmap)
-        assert len(owner) == mm ** 2 * 8
-        assert np.shares_memory(geometry.inverse, np.frombuffer(owner))
-        mapping = weakref.ref(owner)
-        del owner
-        gc.disable()
-        try:
-            geometry.blocks(3.0)
-            del geometry
-            assert mapping() is None
-        finally:
-            gc.enable()
-
-    @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
     def test_operators_reach_lapack_f_ordered(self, monkeypatch, side, bc):
         # every block and every system matrix is F-contiguous, so lu_factor
         # copies it without transposing; the values are checked bit for bit
         # against _blocks_reference above
         curve = make_curve(ShapeSpec(kind="kite", n_nodes=128))
-        geometry = fw.NystromGeometry(curve, bc, side)
-        assert all(block.flags.f_contiguous for block in geometry.blocks(3.0).values())
+        blocks = fw._operators(curve, fw._FORMULATIONS[(side, bc)][1], 3.0)
+        assert all(block.flags.f_contiguous for block in blocks.values())
         assert fw._system_matrix(curve, bc, side, 3.0).flags.f_contiguous
         layouts = []
         lu_factor = fw.sla.lu_factor
@@ -456,11 +394,10 @@ class TestNystrom:
 
     @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
     def test_solve_footprint(self, kite_512, traced_peak, side, bc):
-        # with the geometry built, a solve holds the system matrix, LAPACK's
-        # copy of it and blocks of ASSEMBLY_BLOCK entries: 34.0 M^2 bytes
-        # traced for the single-operator systems (40.0 with the C-ordered
-        # matrix and an M x M |a|); exterior soft adds S beside K and the
-        # distinct-distance tables, 46.9 M^2 (50.9 before)
+        # a solve holds the system matrix, LAPACK's copy of it and row blocks
+        # of ASSEMBLY_BLOCK entries: 34.0 M^2 bytes traced for the
+        # single-operator systems (40.0 with the C-ordered matrix and an
+        # M x M |a|); exterior soft assembles S beside K, 42.6 M^2
         sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2 if side == "exterior" else 0.3,
                                count=12)
         fw.solve_densities(kite_512, bc, side, 3.0, sources)
@@ -469,32 +406,47 @@ class TestNystrom:
         assert peak < bound * kite_512.n_nodes ** 2
 
     def test_curve_keeps_one_geometry(self, kite_512):
-        # the curve holds the geometry of the last system solved on it: every
-        # k shares it, another system replaces it, and rings and densities are
-        # bit for bit those of a fresh curve
+        # rings and densities of every k and system solved in turn on one
+        # curve are bit for bit those of a fresh curve
         with pytest.raises(ValueError, match="unknown problem variant"):
-            fw.NystromGeometry(kite_512, "hard", "outside")
+            fw._system_matrix(kite_512, "hard", "outside", 3.0)
         spec = ShapeSpec(kind="kite", n_nodes=128)
         curve = make_curve(spec)
-        assert curve.nystrom is None
         sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2)
-        shared = []
         for k in (3.0, 4.0):
             want = fw.simulate_ring(make_curve(spec), "hard", "exterior", k, sources, 2.2, 16)
             got = fw.simulate_ring(curve, "hard", "exterior", k, sources, 2.2, 16)
-            shared.append(curve.nystrom)
             assert np.array_equal(got.samples, want.samples)
-        assert shared[0] is shared[1] is not None
         for bc in ("soft", "hard", "soft"):
             want = fw.solve_densities(make_curve(spec), bc, "exterior", 3.0, sources)
             got = fw.solve_densities(curve, bc, "exterior", 3.0, sources)
-            assert curve.nystrom.ops == fw._FORMULATIONS[("exterior", bc)][1]
             assert np.array_equal(got.density, want.density)
 
+    @pytest.mark.parametrize("side,bc", sorted(fw._FORMULATIONS))
+    def test_solve_leaves_curve_untouched(self, side, bc):
+        # a curve is plain data: a solve and a ring add no attribute to it and
+        # change none of its arrays
+        curve = make_curve(ShapeSpec(kind="kite", n_nodes=64))
+        before = {name: np.copy(value) if isinstance(value, np.ndarray) else value
+                  for name, value in vars(curve).items()}
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2 if side == "exterior" else 0.3,
+                               count=2)
+        fw.solve_densities(curve, bc, side, 3.0, sources)
+        fw.simulate_ring(curve, bc, side, 3.0, sources, sources.radius, 16)
+        assert vars(curve).keys() == before.keys()
+        for name, value in vars(curve).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, before[name]), name
+            else:
+                assert value == before[name], name
+
     @pytest.mark.parametrize("count", [127, 128])
-    def test_placement_on_boundary_rejected(self, count):
+    def test_placement_on_boundary_rejected(self, monkeypatch, count):
         # a receiver or source on a curve node (index 0 of either layout) is
         # refused before any solver work, ahead of the side check
+        def no_assembly(*args):
+            raise AssertionError("operators assembled")
+        monkeypatch.setattr(fw, "_operators", no_assembly)
         curve = make_curve(ShapeSpec(kind="circle", n_nodes=128))
         off = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2)
         on = fw.SourceSet(center=(0.0, 0.0), radius=1.0, count=count)
@@ -502,7 +454,6 @@ class TestNystrom:
             fw.simulate_ring(curve, "soft", "exterior", 3.0, off, 1.0, count)
         with pytest.raises(fw.GeometryError, match="a source lies on the boundary"):
             fw.simulate_ring(curve, "soft", "exterior", 3.0, on, 2.2, 16)
-        assert curve.nystrom is None
 
     def test_solve_leaves_global_rng_alone(self, kite_512):
         sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2)

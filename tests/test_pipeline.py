@@ -102,10 +102,21 @@ def _config_on_bounds(grid_x, grid_y, **kwargs) -> ScenarioConfig:
                           grid_ymin=grid_y[0], grid_ymax=grid_y[1], **kwargs)
 
 
+def _corner_unmasked(cfg: ScenarioConfig) -> bool:
+    """A grid corner lies outside the exclusion disk (by default the
+    receiver circle, 0.5 unless set, inside a cavity)."""
+    excl = cfg.exclusion_radius
+    if excl is None and cfg.side == "interior":
+        excl = 0.5 if cfg.receiver_radius is None else cfg.receiver_radius
+    xs, ys = np.meshgrid((cfg.grid_xmin, cfg.grid_xmax), (cfg.grid_ymin, cfg.grid_ymax))
+    return not excl or not np.all(np.hypot(xs, ys) <= excl)
+
+
 # every config these draw passes validate(): 2N+1 <= 43 <= receiver_count,
-# increasing grid bounds, k r <= 500 hypot(10, 10) below cylfun.MAX_ARG, and
-# a trig shape runs counter-clockwise: a_1 d_1 >= 1 outweighs the at most
-# 0.01 + 2 (0.02) + 3 (0.02) that the other harmonics take off the signed area
+# increasing grid bounds, k r <= 500 hypot(10, 10) below cylfun.MAX_ARG, a
+# trig shape runs counter-clockwise: a_1 d_1 >= 1 outweighs the at most
+# 0.01 + 2 (0.02) + 3 (0.02) that the other harmonics take off the signed
+# area, and the exclusion disk leaves a grid corner unmasked
 _VALID_CONFIGS = st.builds(
     _config_on_bounds,
     side=st.sampled_from(["exterior", "interior"]), bc=st.sampled_from(["soft", "hard"]),
@@ -123,7 +134,8 @@ _VALID_CONFIGS = st.builds(
     exclusion_radius=st.none() | st.floats(min_value=0.0, max_value=10.0),
     truncation=st.none() | st.integers(0, 21),
     mode_guard=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.integers(0, 2**40), forward_nodes=st.integers(8, 2048).map(lambda m: 2 * m))
+    seed=st.integers(0, 2**40), forward_nodes=st.integers(8, 2048).map(lambda m: 2 * m),
+).filter(_corner_unmasked)
 
 
 class TestConfigValidation:
@@ -243,6 +255,10 @@ class TestConfigValidation:
         pytest.param(dict(exclusion_radius=-1.0), "exclusion_radius", id="negative-exclusion"),
         pytest.param(dict(side="interior", exclusion_radius=math.inf), "exclusion_radius",
                      id="infinite-exclusion"),
+        pytest.param(dict(side="interior", shape="kite", grid_xmin=-0.3, grid_xmax=0.3,
+                          grid_ymin=-0.3, grid_ymax=0.3, grid_nx=20, grid_ny=20,
+                          forward_nodes=128), "exclusion_radius 0.5 masks the whole",
+                     id="grid-inside-exclusion"),
         pytest.param(dict(shape="kite", source_radius=0.5),
                      "exterior problem but a source is inside", id="source-inside-kite"),
         pytest.param(dict(receiver_radius=0.5),
@@ -389,15 +405,14 @@ class TestBenchmarkHooks:
             assert ring.samples.shape == (cfg.source_count, cfg.receiver_count)
 
     def test_geometry_shared_and_released_before_imaging(self, tmp_path, monkeypatch):
-        # the curve's one Nystrom geometry serves every k and is freed with
-        # the curve by reference counting alone (no cycle) before the first
-        # image is formed
+        # one curve serves every k and is freed by reference counting alone
+        # (no cycle) before the first image is formed
         refs, alive_at_imaging = [], []
         real_simulate, real_reconstruct = pipeline.simulate_ring, pipeline.reconstruct
 
         def simulate(curve, *args, **kwargs):
             ring = real_simulate(curve, *args, **kwargs)
-            refs.append(weakref.ref(curve.nystrom))
+            refs.append(weakref.ref(curve))
             return ring
 
         def imaging(*args, **kwargs):
