@@ -11,8 +11,10 @@ Subcommands mirror the pipeline stages so every experiment is scriptable:
   oracle-check  Nystrom solver vs the analytic circle oracle
 
 Config files are flat ``key = value`` text (keys = ScenarioConfig fields);
-command-line flags override config-file keys.  ``reconstruct`` takes its
-grid, truncation and mode-guard defaults from the same config keys.
+command-line flags override config-file keys.  ``reconstruct`` takes the
+same config file and flags for its grid, truncation and mode guard; each
+ring file's header supplies the side, k, noise level and source and
+receiver circles, and a config value that contradicts it is an error.
 Flags that set config keys parse like config-file values.  A ValueError
 (every error the package names is one) or an OSError prints
 ``nearscat: error: <message>`` to stderr and exits with status 2.
@@ -31,42 +33,40 @@ import numpy as np
 from . import formats
 from .noise import NoiseSpec, add_noise
 
-# config keys settable as --key-name flags on simulate and pipeline
+# config keys settable as --key-name flags on simulate, pipeline and reconstruct
 _OVERRIDE_KEYS = ("side", "bc", "shape", "shape_radius", "delta", "seed", "truncation",
                   "source_radius", "source_count", "receiver_radius", "receiver_count",
-                  "forward_nodes", "grid_nx", "grid_ny")
-# reconstruct flags and the config keys they set
-_RECONSTRUCT_FLAGS = {"truncation": "truncation", "xmin": "grid_xmin", "xmax": "grid_xmax",
-                      "ymin": "grid_ymin", "ymax": "grid_ymax", "nx": "grid_nx",
-                      "ny": "grid_ny"}
+                  "forward_nodes", "grid_xmin", "grid_xmax", "grid_ymin", "grid_ymax",
+                  "grid_nx", "grid_ny", "exclusion_radius", "mode_guard")
 # resolved config keys that rings must share for their images to be superposed
 _IMAGE_KEYS = ("side", "bc", "grid_xmin", "grid_xmax", "grid_ymin", "grid_ymax", "grid_nx",
                "grid_ny", "exclusion_radius")
 
 
-def _flag_values(args, flags: dict[str, str]) -> dict:
-    """Config overrides from the flags given, parsed as config values; flags maps dest -> key."""
-    from .pipeline import _parse_value
-    return {key: _parse_value(key, getattr(args, dest)) for dest, key in flags.items()
-            if getattr(args, dest) is not None}
-
-
-def _add_config_args(p: argparse.ArgumentParser) -> None:
+def _add_config_args(p: argparse.ArgumentParser, wavenumbers: bool = True) -> None:
     p.add_argument("--config", "-c", type=Path, help="flat key = value config file")
     p.add_argument("--outdir", "-o", required=True)
     for key in _OVERRIDE_KEYS:
         p.add_argument(f"--{key.replace('_', '-')}", default=None)
-    p.add_argument("--k", type=float, nargs="+", default=None,
-                   help="wavenumber list (overrides config)")
+    if wavenumbers:
+        p.add_argument("--k", type=float, nargs="+", default=None,
+                       help="wavenumber list (overrides config)")
+
+
+def _flag_items(args) -> dict:
+    """The config keys the flags given set, parsed as config values."""
+    from .pipeline import _parse_value
+    items = {key: _parse_value(key, getattr(args, key)) for key in _OVERRIDE_KEYS
+             if getattr(args, key) is not None}
+    if getattr(args, "k", None) is not None:
+        items["wavenumbers"] = tuple(args.k)
+    return items
 
 
 def _config_from_args(args):
     from .pipeline import ScenarioConfig
     cfg = ScenarioConfig.from_file(args.config) if args.config else ScenarioConfig()
-    overrides = _flag_values(args, {key: key for key in _OVERRIDE_KEYS})
-    if args.k is not None:
-        overrides["wavenumbers"] = tuple(args.k)
-    return replace(cfg, **overrides)
+    return replace(cfg, **_flag_items(args))
 
 
 def _cmd_simulate(args) -> int:
@@ -93,17 +93,27 @@ def _cmd_noise(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    from .pipeline import ScenarioConfig, _k_tag, write_images
-    overrides = _flag_values(args, _RECONSTRUCT_FLAGS)
+    from .pipeline import ConfigError, ScenarioConfig, _config_items, _k_tag, write_images
+    given = _config_items(args.config.read_text(encoding="ascii")) if args.config else {}
+    given.update(_flag_items(args))
     jobs = []
     for path in args.ring:
         ring, meta = formats.read_ring_csv(path)
-        # the scenario the ring file records, so grid, exclusion disk,
-        # truncation and mode guard follow the config defaults
-        cfg = ScenarioConfig(side=ring.side, bc=meta.get("bc", "soft"), wavenumbers=(ring.k,),
-                             delta=ring.noise_level, source_radius=ring.sources.radius,
-                             source_count=ring.sources.count, receiver_radius=ring.radius,
-                             receiver_count=ring.n_receivers, **overrides).resolved()
+        # the ring file records the side, k, noise level and source and
+        # receiver circles (and the bc, when it names one); the config and
+        # flags supply the rest, such as the grid, truncation and mode guard
+        header = {"side": ring.side, "bc": meta.get("bc", given.get("bc", "soft")),
+                  "delta": ring.noise_level, "source_radius": ring.sources.radius,
+                  "source_count": ring.sources.count, "receiver_radius": ring.radius,
+                  "receiver_count": ring.n_receivers}
+        for key, value in header.items():
+            if key in given and given[key] != value:
+                raise ConfigError(f"{path} has {key} = {value}, but the config sets "
+                                  f"{key} = {given[key]}")
+        if "wavenumbers" in given and ring.k not in given["wavenumbers"]:
+            raise ConfigError(f"{path} has k = {ring.k}, which is not among the config's "
+                              f"wavenumbers {given['wavenumbers']}")
+        cfg = ScenarioConfig(**{**given, **header, "wavenumbers": (ring.k,)}).resolved()
         jobs.append((path, ring, meta.get("shape", "unknown"), cfg))
     path_by_tag: dict[str, str] = {}
     first_path, *_, first = jobs[0]
@@ -206,9 +216,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("reconstruct", help="indicator images from ring CSVs")
     p.add_argument("--ring", "-r", action="append", required=True,
                    help="ring CSV path (repeat per wavenumber)")
-    p.add_argument("--outdir", "-o", required=True)
-    for dest, key in _RECONSTRUCT_FLAGS.items():
-        p.add_argument(f"--{dest}", default=None, help=f"default: config key {key}")
+    _add_config_args(p, wavenumbers=False)
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("pipeline", help="full scenario run")

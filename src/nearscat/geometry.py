@@ -250,6 +250,22 @@ class ImagingGrid:
         """Reshape a flat per-point array into (ny, nx) with top row = max y."""
         return np.asarray(values).reshape(self.ny, self.nx)
 
+    def quarter_orbits(self) -> np.ndarray | None:
+        """(4, Q) indices of the unmasked points whose row m holds R^-m of row
+        0, R(x, y) = (-y, x); an odd grid's centre is in none.  None unless R
+        maps the grid onto itself: nx = ny, coordinates antisymmetric about 0
+        to 1e-12 relative, and the mask unchanged."""
+        n = self.nx
+        xs, ys = self.points[:n, 0], self.points[::n, 1]
+        tol = 1e-12 * max(abs(self.xmin), abs(self.xmax))
+        mask = self.as_image(self.mask)
+        if (self.ny != n or np.abs(xs + xs[::-1]).max() > tol or np.abs(ys - xs[::-1]).max() > tol
+                or not np.array_equal(mask, np.rot90(mask))):
+            return None
+        idx = self.as_image(np.arange(n * n))    # rot90 holds at each x the index of R^-1 x
+        orbits = np.stack([np.rot90(idx, m)[:n // 2, :(n + 1) // 2].ravel() for m in range(4)])
+        return orbits[:, ~self.mask[orbits[0]]]
+
 
 def imaging_grid(xmin: float, xmax: float, ymin: float, ymax: float,
                  nx: int, ny: int, exclusion=None) -> ImagingGrid:

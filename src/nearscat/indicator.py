@@ -25,11 +25,22 @@ BLOCK_POINTS: only one block's fields, gradients, incident terms and
 reductions exist at a time, and the values go straight into the output.
 The cylinder-function table (``radial_tables``), which serves the field
 and its gradient alike, and the polar angles are formed once for all
-points and gathered per block.  Blocks start at multiples of 64 points, so
-with one BLAS thread the values equal those of one evaluation over every
-point bit for bit.  With several, OpenBLAS's threaded ``zgemm`` rounds the
-columns at its thread split differently, and that split moves with the
-block size: 1-3 values per image differ, by <= 3.5e-16 relative.
+points and gathered per block.
+
+When a quarter turn R(x, y) = (-y, x) maps the layout onto itself (4 | S
+sources centred at the origin, points in ``ImagingGrid.quarter_orbits``),
+source j + qS/4 sits at R^q z_j, so u_i(x; z_{j+qS/4}) = u_i(R^-q x; z_j)
+and grad u_i(x; z_{j+qS/4}) = R^q grad u_i(R^-q x; z_j): S/4 sources give
+every incident term.  The points then go orbit by orbit (x, R^-1 x, R^-2 x,
+R^-3 x, next orbit), so a block holds whole orbits; otherwise each point
+is its own orbit.  Grid coordinates are antisymmetric to rounding only, so
+turned terms differ from direct ones by about 1e-15 relative.  Blocks
+start at multiples of 64 points and the order does not depend on the
+block size, so with one BLAS thread the values equal those of one
+evaluation over every point bit for bit.  With several, OpenBLAS's
+threaded ``zgemm`` rounds the columns at its thread split differently, and
+that split moves with the block size: 1-3 values per image differ, by
+<= 3.5e-16 relative.
 """
 
 from __future__ import annotations
@@ -47,7 +58,8 @@ RECIPROCAL_FLOOR = 1e-12
 DEGENERATE_GRADIENT = 1e-14
 # Points per evaluation block.  A multiple of 64, so that each block's matrix
 # products round like the same columns of one product over every point (a
-# 97-point block changed the last bit of some values).
+# 97-point block changed the last bit of some values), and so of 4: a block
+# holds whole quarter-turn orbits.
 BLOCK_POINTS = 8192
 
 FLAG_OK = 0
@@ -55,11 +67,15 @@ FLAG_DEGENERATE = 1
 
 
 def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
-                     points: np.ndarray, kind: str):
+                     points: np.ndarray, kind: str, orbits: np.ndarray | None = None):
     """Raw indicator values and flags at (P, 2) points; (P,), (P,) uint8.
 
     Evaluated in blocks of BLOCK_POINTS points with r > 0, on one
     cylinder-function table and polar angles formed once for all of them.
+    ``orbits`` (4, Q), rows R^-m of row 0 as in ``ImagingGrid.quarter_orbits``
+    but indexing ``points``, orders them orbit by orbit, and S/4 sources give
+    every incident term, when it covers every point with r > 0 and the S
+    sources are centred at the origin with S divisible by 4.
     """
     if kind not in ("soft", "hard"):
         raise ValueError(f"unknown indicator kind {kind!r}")
@@ -72,30 +88,32 @@ def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
         _diff_to_source(sources.positions, p)
     values = np.zeros(points.shape[0])
     flags = np.full(points.shape[0], FLAG_DEGENERATE, dtype=np.uint8)
-    live = np.flatnonzero(ok)
+    if (orbits is None or sources.count % 4 or any(sources.center)
+            or orbits.size != np.count_nonzero(ok) or not ok[orbits].all()):
+        orbits = np.flatnonzero(ok)[None, :]                    # every point its own orbit
+    live = orbits.T.ravel()
     tables = radial_tables(coeffs, r[live]) if live.size else None
     for start in range(0, live.size, BLOCK_POINTS):
         blk = slice(start, start + BLOCK_POINTS)
         idx = live[blk]
         values[idx], flags[idx] = _block_values(
             coeffs, sources, points[idx], theta[idx],
-            tables._replace(inverse=tables.inverse[blk]), kind)
+            tables._replace(inverse=tables.inverse[blk]), kind, orbits.shape[0])
     return values, flags
 
 
 def _block_values(coeffs: ModeCoefficients, sources: SourceSet, points: np.ndarray,
-                  theta: np.ndarray, tables: RadialTables, kind: str):
+                  theta: np.ndarray, tables: RadialTables, kind: str, turns: int):
     """Indicator values and flags at (B, 2) points with r > 0 and polar angles
-    ``theta``; ``tables`` as in ``eval_field``.  Everything formed here is
-    freed before the next block."""
+    ``theta``, in orbits of ``turns`` consecutive points; ``tables`` as in
+    ``eval_field``.  Everything formed here is freed before the next block."""
     weight = 2.0 * np.pi * sources.radius / sources.count
     if kind == "soft":
         total = eval_field(coeffs, theta, tables)               # (n_src, B)
-        for j, z in enumerate(sources.positions):
-            total[j] += incident_field(points, z, coeffs.k)
+        _add_incident(total, sources, points, coeffs.k, turns)
         return weight * np.abs(total).sum(axis=0), FLAG_OK
 
-    grad, norms, ref = _reference_gradients(coeffs, sources, points, theta, tables)
+    grad, norms, ref = _reference_gradients(coeffs, sources, points, theta, tables, turns)
     cols = np.arange(points.shape[0])
     xi = grad[ref, :, cols].T                                    # (2, B)
     xi_norm = norms[ref, cols]
@@ -110,16 +128,35 @@ def _block_values(coeffs: ModeCoefficients, sources: SourceSet, points: np.ndarr
 
 
 def _reference_gradients(coeffs: ModeCoefficients, sources: SourceSet,
-                         points: np.ndarray, theta: np.ndarray, tables: RadialTables):
+                         points: np.ndarray, theta: np.ndarray, tables: RadialTables,
+                         turns: int = 1):
     """Continued total-field gradients at (P, 2) points with polar angles
-    ``theta``, their norms and the reference source per point (argmax norm,
-    lowest index on ties); shapes (n_src, 2, P), (n_src, P), (P,).
-    ``tables`` as in ``eval_gradient``."""
+    ``theta``, in orbits of ``turns`` consecutive points, their norms and the
+    reference source per point (argmax norm, lowest index on ties); shapes
+    (n_src, 2, P), (n_src, P), (P,).  ``tables`` as in ``eval_gradient``."""
     grad = eval_gradient(coeffs, theta, tables)
-    for j, z in enumerate(sources.positions):
-        grad[j] += incident_gradient(points, z, coeffs.k).T
+    _add_incident(grad, sources, points, coeffs.k, turns)
     norms = np.sqrt(np.abs(grad[:, 0, :]) ** 2 + np.abs(grad[:, 1, :]) ** 2)
     return grad, norms, np.argmax(norms, axis=0)
+
+
+def _add_incident(out: np.ndarray, sources: SourceSet, points: np.ndarray, k: float,
+                  turns: int) -> None:
+    """Add the incident fields (``out`` (n_src, P)) or gradients (``out``
+    (n_src, 2, P)) at (P, 2) points in orbits of ``turns`` consecutive points
+    x, R^-1 x, ...: source j + q S/turns sees at x, turned by R^q, what source
+    j sees at R^-q x."""
+    step = sources.count // turns
+    gradient = out.ndim == 3
+    for j, z in enumerate(sources.positions[:step]):
+        term = incident_gradient(points, z, k).T if gradient else incident_field(points, z, k)
+        term = term.reshape(-1, points.shape[0] // turns, turns)   # (1 or 2, Q, T) view
+        for q in range(turns):
+            turned = np.roll(term, -q, axis=2) if q else term
+            for _ in range(q if gradient else 0):     # R(gx, gy) = (-gy, gx), in place
+                turned = turned[::-1]
+                turned[0] *= -1
+            out[j + q * step] += turned.reshape(out.shape[1:])
 
 
 def _on_grid(coeffs: ModeCoefficients, sources: SourceSet, grid: ImagingGrid,
@@ -127,7 +164,10 @@ def _on_grid(coeffs: ModeCoefficients, sources: SourceSet, grid: ImagingGrid,
     values = np.full(grid.n_points, np.nan)
     flags = np.zeros(grid.n_points, dtype=np.uint8)
     live = ~grid.mask
-    vals, fl = indicator_values(coeffs, sources, grid.points[live], kind)
+    orbits = grid.quarter_orbits()
+    if orbits is not None:                      # grid indices -> indices of the live points
+        orbits = (np.cumsum(live) - 1)[orbits]
+    vals, fl = indicator_values(coeffs, sources, grid.points[live], kind, orbits)
     values[live] = vals
     flags[live] = fl
     return IndicatorImage(grid=grid, values=values, kind=kind,

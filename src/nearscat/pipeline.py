@@ -234,21 +234,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ScenarioConfig":
-        kwargs: dict = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line: {raw!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"unknown config key {key!r}")
-            if key in kwargs:
-                raise ConfigError(f"config key {key!r} given twice")
-            kwargs[key] = _parse_value(key, value)
-        return cls(**kwargs)
+        return cls(**_config_items(text))
 
     def to_file(self, path) -> None:
         Path(path).write_text(self.to_text(), encoding="ascii")
@@ -256,6 +242,25 @@ class ScenarioConfig:
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
         return cls.from_text(Path(path).read_text(encoding="ascii"))
+
+
+def _config_items(text: str) -> dict:
+    """The keys a config text sets, with their parsed values."""
+    kwargs: dict = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"bad config line: {raw!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"unknown config key {key!r}")
+        if key in kwargs:
+            raise ConfigError(f"config key {key!r} given twice")
+        kwargs[key] = _parse_value(key, value)
+    return kwargs
 
 
 _FIELD_TYPES = typing.get_type_hints(ScenarioConfig)

@@ -50,7 +50,7 @@ def test_simulate_noise_reconstruct_chain(tmp_path, small_config):
 
     recon = tmp_path / "recon"
     assert main(["reconstruct", "-r", str(noisy), "-o", str(recon),
-                 "--nx", "30", "--ny", "30"]) == 0
+                 "--grid-nx", "30", "--grid-ny", "30"]) == 0
     img = formats.read_grid_csv(recon / "indicator_k3.csv")
     assert img.state == "normalized"
     assert (recon / "indicator_k3.pgm").exists()
@@ -63,7 +63,7 @@ def test_close_wavenumbers_get_distinct_files(tmp_path, small_config):
     assert main(["simulate", "-c", str(small_config), "-o", str(data),
                  "--k", "3", "3.0000001", "--forward-nodes", "128"]) == 0
     assert sorted(p.name for p in data.iterdir()) == ["ring_k3.0000001.csv", "ring_k3.csv"]
-    args = ["reconstruct", "-o", str(recon), "--truncation", "3", "--nx", "20", "--ny", "20"]
+    args = ["reconstruct", "-o", str(recon), "--truncation", "3", "--grid-nx", "20", "--grid-ny", "20"]
     for path in sorted(data.iterdir()):
         args += ["-r", str(path)]
     assert main(args) == 0
@@ -81,7 +81,7 @@ def test_reconstruct_rejects_two_rings_of_one_k(tmp_path, small_config, capsys):
     for path, seed in ((first, "7"), (second, "8")):
         assert main(["noise", "-i", str(data / "ring_k3.csv"), "-o", str(path),
                      "--delta", "0.05", "--seed", seed]) == 0
-    grid = ["--nx", "20", "--ny", "20"]
+    grid = ["--grid-nx", "20", "--grid-ny", "20"]
     assert main(["reconstruct", "-r", str(first), "-o", str(recon), *grid]) == 0
     before = {p.name: p.read_bytes() for p in recon.iterdir()}
     capsys.readouterr()
@@ -105,7 +105,7 @@ def test_reconstruct_rejects_mixed_rings(tmp_path, small_config, change, capsys)
     first, second = data / "a" / "ring_k3.csv", data / "b" / "ring_k4.csv"
     capsys.readouterr()
     assert main(["reconstruct", "-r", str(first), "-r", str(second), "-o", str(recon),
-                 "--truncation", "3", "--nx", "20", "--ny", "20"]) == 2
+                 "--truncation", "3", "--grid-nx", "20", "--grid-ny", "20"]) == 2
     err = capsys.readouterr().err
     assert "cannot be superposed" in err
     assert str(first) in err and str(second) in err
@@ -128,7 +128,7 @@ def test_reconstruct_rejects_off_layout_ring_before_output(tmp_path, small_confi
     second.write_text("".join(lines))
     capsys.readouterr()
     assert main(["reconstruct", "-r", str(first), "-r", str(second), "-o", str(recon),
-                 "--truncation", "3", "--nx", "20", "--ny", "20"]) == 2
+                 "--truncation", "3", "--grid-nx", "20", "--grid-ny", "20"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"nearscat: error: {second}: data row 6 ") and "theta" in err
     assert not recon.exists()
@@ -252,7 +252,7 @@ def test_reconstruct_bad_flag_value_names_key(tmp_path, capsys):
                               noise_level=0.0, side="exterior", sources=sources)
     path, recon = tmp_path / "ring.csv", tmp_path / "recon"
     formats.write_ring_csv(path, ring)
-    assert main(["reconstruct", "-r", str(path), "-o", str(recon), "--nx", "2.5"]) == 2
+    assert main(["reconstruct", "-r", str(path), "-o", str(recon), "--grid-nx", "2.5"]) == 2
     assert capsys.readouterr().err == ("nearscat: error: config key 'grid_nx': "
                                        "cannot parse '2.5' as int\n")
     assert not recon.exists()
@@ -364,6 +364,57 @@ def test_reconstruct_defaults_follow_config(tmp_path, small_config):
     assert (img.grid.nx, img.grid.ny) == (defaults.grid_nx, defaults.grid_ny)
     assert (img.grid.xmin, img.grid.ymax) == (defaults.grid_xmin, defaults.grid_ymax)
     assert img.grid.exclusion == (0.0, 0.0, defaults.receiver_radius)
+
+
+def test_reconstruct_repeats_pipeline_from_its_config(tmp_path):
+    # a run with a non-default grid, exclusion disk and mode guard, re-imaged
+    # from its own rings with its config.txt, writes the same images byte for
+    # byte; the guard drops the orders +-5 at k = 3 (|J_5(1.5)| = 1.8e-3)
+    cfg = tmp_path / "scenario.txt"
+    cfg.write_text("side = interior\nwavenumbers = 3.0,4.5\nseed = 7\nforward_nodes = 128\n"
+                   "receiver_count = 64\ngrid_xmin = -1.2\ngrid_xmax = 1.2\n"
+                   "grid_ymin = -1.2\ngrid_ymax = 1.2\ngrid_nx = 24\ngrid_ny = 24\n"
+                   "exclusion_radius = 0.4\nmode_guard = 0.01\n")
+    run, recon = tmp_path / "run", tmp_path / "recon"
+    assert main(["pipeline", "-c", str(cfg), "-o", str(run)]) == 0
+    rings = ["-r", str(run / "ring_k3.csv"), "-r", str(run / "ring_k4.5.csv")]
+    assert main(["reconstruct", "-c", str(run / "config.txt"), "-o", str(recon), *rings]) == 0
+    names = sorted(p.name for p in recon.iterdir())
+    assert names == sorted(f"indicator_{tag}.{ext}" for tag in ("k3", "k4.5", "multi")
+                           for ext in ("csv", "pgm"))
+    for name in names:
+        assert (recon / name).read_bytes() == (run / name).read_bytes(), name
+    assert "# excluded=-5 5\n" in (recon / "indicator_k3.csv").read_text()
+    image = formats.read_grid_csv(recon / "indicator_k3.csv")
+    assert (image.grid.nx, image.grid.xmin, image.grid.exclusion) == (24, -1.2, (0.0, 0.0, 0.4))
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--side", "interior"], "side = exterior, but the config sets side = interior"),
+    (["--receiver-count", "16"], "receiver_count = 8, but the config sets receiver_count = 16"),
+    (["--delta", "0.02"], "delta = 0.0, but the config sets delta = 0.02"),
+    (["--bc", "hard"], "bc = soft, but the config sets bc = hard"),
+], ids=["side", "receiver-count", "delta", "bc"])
+def test_reconstruct_refuses_config_against_ring(tmp_path, flags, named, capsys):
+    sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=1)
+    ring = fw.RingMeasurement(radius=2.2, k=3.0, samples=np.ones((1, 8), complex),
+                              noise_level=0.0, side="exterior", sources=sources)
+    path, recon = tmp_path / "ring.csv", tmp_path / "recon"
+    formats.write_ring_csv(path, ring, extra={"bc": "soft"})
+    assert main(["reconstruct", "-r", str(path), "-o", str(recon), "--truncation", "1",
+                 *flags]) == 2
+    assert capsys.readouterr().err == f"nearscat: error: {path} has {named}\n"
+    cfg = tmp_path / "config.txt"
+    cfg.write_text("wavenumbers = 3.5,4.0\n")
+    assert main(["reconstruct", "-r", str(path), "-o", str(recon), "-c", str(cfg)]) == 2
+    assert "k = 3.0, which is not among the config's wavenumbers" in capsys.readouterr().err
+    assert not recon.exists()
+
+
+def test_reconstruct_old_grid_flags_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["reconstruct", "-r", "ring.csv", "-o", str(tmp_path / "recon"), "--nx", "30"])
+    assert exit_.value.code == 2 and "unrecognized arguments: --nx" in capsys.readouterr().err
 
 
 def test_pipeline_command_matches_library(tmp_path, small_config, capsys):

@@ -263,3 +263,31 @@ class TestImagingGrid:
             imaging_grid(0.0, 0.0, 0.0, 1.0, 5, 5)
         with pytest.raises(ValueError):
             imaging_grid(0.0, 1.0, 0.0, 1.0, 1, 5)
+
+
+class TestQuarterOrbits:
+    """ImagingGrid.quarter_orbits: row m of the (4, Q) table holds R^-m of
+    row 0, R(x, y) = (-y, x), over the unmasked points."""
+
+    @pytest.mark.parametrize("n,excl", [(2, None), (3, None), (40, None), (41, None),
+                                        (41, ((0.0, 0.0), 0.45)),
+                                        (300, ((0.0, 0.0), 0.5))])
+    def test_rows_are_turns_of_row_zero(self, n, excl):
+        g = imaging_grid(-1.5, 1.5, -1.5, 1.5, n, n, exclusion=excl)
+        orbits = g.quarter_orbits()
+        x, y = g.points[orbits[0]].T
+        for m, (tx, ty) in enumerate([(x, y), (y, -x), (-x, -y), (-y, x)]):
+            assert np.abs(g.points[orbits[m]] - np.column_stack([tx, ty])).max() <= 1e-15
+        # every unmasked point once, but the centre of an odd grid
+        live = np.flatnonzero(~g.mask)
+        centre = [n * n // 2] if n % 2 and not g.mask[n * n // 2] else []
+        assert np.array_equal(np.sort(np.concatenate([orbits.ravel(), centre])), live)
+
+    @pytest.mark.parametrize("bounds,n,excl", [
+        ((-1.5, 1.5, -1.5, 1.5), (40, 41), None),           # nx != ny
+        ((-1.5, 1.6, -1.5, 1.6), (40, 40), None),           # off-centre bounds
+        ((-1.5, 1.5, -1.0, 1.0), (40, 40), None),           # a rectangle
+        ((-1.2, 1.2, -1.2, 1.2), (41, 41), ((0.6, -0.3), 0.25)),  # off-centre disk
+    ])
+    def test_refused(self, bounds, n, excl):
+        assert imaging_grid(*bounds, *n, exclusion=excl).quarter_orbits() is None

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -176,17 +177,23 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("side", ["exterior", "interior"])
     @pytest.mark.parametrize("kind", ["soft", "hard"])
     def test_blocks_match_one_block(self, monkeypatch, side, kind):
-        grid = imaging_grid(-1.2, 1.2, -1.2, 1.2, 41, 41, exclusion=((0.6, -0.3), 0.25))
-        pts = grid.points[~grid.mask]
-        assert np.hypot(pts[:, 0], pts[:, 1]).min() < 1e-12     # the origin is live
-        assert pts.shape[0] > 4 * 256 and pts.shape[0] % 256   # ragged last block
+        # point by point on an off-centre disk's grid, orbit by orbit on the
+        # centred grid
         co, src = _random_scenario(side)
-        assert pts.shape[0] <= ind.BLOCK_POINTS
-        one_vals, one_flags = ind.indicator_values(co, src, pts, kind)
-        monkeypatch.setattr(ind, "BLOCK_POINTS", 256)
-        vals, flags = ind.indicator_values(co, src, pts, kind)
-        assert vals.tobytes() == one_vals.tobytes()
-        assert flags.dtype == np.uint8 and flags.tobytes() == one_flags.tobytes()
+        one_block = ind.BLOCK_POINTS
+        for excl in (((0.6, -0.3), 0.25), None):
+            grid = imaging_grid(-1.2, 1.2, -1.2, 1.2, 41, 41, exclusion=excl)
+            assert (grid.quarter_orbits() is None) == (excl is not None)
+            pts = grid.points[~grid.mask]
+            assert np.hypot(pts[:, 0], pts[:, 1]).min() < 1e-12     # the origin is live
+            assert pts.shape[0] > 4 * 256 and pts.shape[0] % 256   # ragged last block
+            assert pts.shape[0] <= one_block
+            monkeypatch.setattr(ind, "BLOCK_POINTS", one_block)
+            one = ind._on_grid(co, src, grid, kind)
+            monkeypatch.setattr(ind, "BLOCK_POINTS", 256)
+            image = ind._on_grid(co, src, grid, kind)
+            assert image.values.tobytes() == one.values.tobytes()
+            assert image.flags.dtype == np.uint8 and image.flags.tobytes() == one.flags.tobytes()
 
     def test_source_in_last_block_rejected(self, monkeypatch):
         co, src = _random_scenario("exterior")
@@ -215,6 +222,18 @@ class TestBlockedEvaluation:
         with pytest.raises(fw.SingularityError, match="coincides with a source"):
             ind.indicator_values(co, src, pts, kind)
 
+    def test_node_on_turned_source_rejected(self):
+        # the node (0, 1) sits on z_3, whose incident terms come from z_0's
+        # at the node's turn (1, 0)
+        co, src = _random_scenario("exterior")
+        src = fw.SourceSet(center=(0.0, 0.0), radius=1.0, count=12)
+        assert np.abs(src.positions[3] - [0.0, 1.0]).max() < 1e-9
+        grid = imaging_grid(-1.0, 1.0, -1.0, 1.0, 41, 41)
+        assert grid.quarter_orbits() is not None
+        for kind in ("soft", "hard"):
+            with pytest.raises(fw.SingularityError, match="coincides with a source"):
+                ind._on_grid(co, src, grid, kind)
+
     def test_peak_memory_is_one_block(self):
         # the 300^2 cavity grid of the benchmark, 12 sources; evaluated at
         # once, its (S, 2, P) gradient alone is 31.6 MB and the peak 85 MB
@@ -229,6 +248,62 @@ class TestBlockedEvaluation:
             tracemalloc.stop()
         block_gradient = co.n_sources * 2 * 8192 * 16           # 3.1 MB
         assert peak <= 8 * block_gradient
+
+
+class TestQuarterTurnOrbits:
+    """On a grid that a quarter turn maps onto itself, with 4 | S sources
+    centred at the origin, the incident terms of S/4 sources give the rest
+    through the turn; every other layout evaluates each source in turn."""
+
+    @pytest.mark.parametrize("excl", [None, ((0.0, 0.0), 0.45)])
+    @pytest.mark.parametrize("n", [40, 41])
+    @pytest.mark.parametrize("side", ["exterior", "interior"])
+    @pytest.mark.parametrize("kind", ["soft", "hard"])
+    def test_matches_every_source_in_turn(self, kind, side, n, excl):
+        grid = imaging_grid(-1.2, 1.2, -1.2, 1.2, n, n, exclusion=excl)
+        assert grid.quarter_orbits() is not None
+        co, src = _random_scenario(side, seed=n)
+        image = ind._on_grid(co, src, grid, kind)
+        live = ~grid.mask
+        want, want_flags = ind.indicator_values(co, src, grid.points[live], kind)
+        got = image.values[live]
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        assert np.array_equal(image.flags[live], want_flags)
+        assert np.isnan(image.values[~live]).all()
+
+    def test_quarter_of_the_sources_evaluated(self, monkeypatch):
+        seen = []
+        real = ind.incident_field
+
+        def counting(x, z, k):
+            seen.append(z)
+            return real(x, z, k)
+
+        monkeypatch.setattr(ind, "incident_field", counting)
+        grid = imaging_grid(-1.2, 1.2, -1.2, 1.2, 40, 40)
+        co, src = _random_scenario("exterior")
+        ind._on_grid(co, src, grid, "soft")
+        assert np.array_equal(seen, src.positions[:3])
+
+    @pytest.mark.parametrize("sources", [
+        fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=10),
+        fw.SourceSet(center=(0.1, 0.0), radius=2.2, count=12)])
+    @pytest.mark.parametrize("kind", ["soft", "hard"])
+    def test_refused_source_layouts(self, monkeypatch, kind, sources):
+        # orbits given, but the sources do not turn onto each other: every
+        # source is evaluated on every point, as with no orbits
+        calls = []
+        for name in ("incident_field", "incident_gradient"):
+            real = getattr(ind, name)
+            monkeypatch.setattr(ind, name, lambda x, z, k, real=real: (
+                calls.append(x.shape[0]), real(x, z, k))[1])
+        grid = imaging_grid(-1.2, 1.2, -1.2, 1.2, 40, 40)
+        co, _ = _random_scenario("exterior", n_src=sources.count)
+        orbits = grid.quarter_orbits()
+        got = ind.indicator_values(co, sources, grid.points, kind, orbits)
+        assert calls == [grid.n_points] * sources.count
+        want = ind.indicator_values(co, sources, grid.points, kind)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
 class TestImageAlgebra:
@@ -357,3 +432,56 @@ class TestCircleSymmetry:
         tol = 1e-6 * np.abs(values).max()     # with 13 sources the gap is about 0.2
         assert np.abs(np.rot90(values) - values).max() <= tol
         assert np.abs(np.flipud(values) - values).max() <= tol
+
+
+@functools.lru_cache(maxsize=None)
+def _kite_ring(side, bc, k=3.0, nodes=128):
+    """Clean kite data: 12 sources and 128 receivers at the side's radius."""
+    radius = 2.2 if side == "exterior" else 0.5
+    sources = fw.SourceSet(center=(0.0, 0.0), radius=radius, count=12)
+    curve = make_curve(ShapeSpec(kind="kite", n_nodes=nodes))
+    return fw.simulate_ring(curve, bc, side, k, sources, radius, 128)
+
+
+class TestKiteMirror:
+    """The kite is symmetric under y -> -y, and so is its discrete problem:
+    nodes at t = 2 pi i / M map to -i, source j to -j and receiver m to -m
+    (mod count).  The circle's symmetries are TestCircleSymmetry's; these
+    are the net for a solver change that keeps the circle oracle but breaks
+    a non-circular shape."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(side=st.sampled_from(["exterior", "interior"]), bc=st.sampled_from(["soft", "hard"]),
+           k=st.floats(1.0, 6.0), nodes=st.sampled_from([64, 128, 256]))
+    @example(side="interior", bc="hard", k=3.0, nodes=256)
+    def test_ring_mirror_symmetry(self, side, bc, k, nodes):
+        try:
+            ring = _kite_ring(side, bc, k, nodes)
+        except fw.ResonanceError:
+            reject()
+        u = ring.samples
+        mirror = u[-np.arange(12) % 12][:, -np.arange(128) % 128]
+        assert np.abs(mirror - u).max() <= 1e-12 * np.abs(u).max()
+
+    @pytest.mark.parametrize("side", ["exterior", "interior"])
+    @pytest.mark.parametrize("bc", ["soft", "hard"])
+    def test_image_mirror_symmetry(self, side, bc):
+        # the images take the incident terms of 3 of the 12 sources through
+        # quarter turns, and the turns hold no mirror
+        excl = None if side == "exterior" else ((0.0, 0.0), 0.5)
+        grid = imaging_grid(-1.5, 1.5, -1.5, 1.5, 60, 60, exclusion=excl)
+        assert grid.quarter_orbits() is not None
+        _, image = reconstruct(_kite_ring(side, bc), bc, grid, 6)
+        values = grid.as_image(image.values)
+        assert np.array_equal(np.isnan(values), np.isnan(np.flipud(values)))
+        assert np.nanmax(np.abs(np.flipud(values) - values)) <= 1e-12 * np.nanmax(values)
+
+    @pytest.mark.parametrize("side", ["exterior", "interior"])
+    def test_reference_term_vanishes(self, side):
+        ring = _kite_ring(side, "hard")
+        co = ct.compute_coefficients(ring, 6)
+        for p in np.random.default_rng(4).uniform(-1.4, 1.4, size=(50, 2)):
+            j0, xi = _reference(co, ring.sources, p)
+            norm = np.sqrt(abs(xi[0]) ** 2 + abs(xi[1]) ** 2)
+            nu = np.array([-xi[1], xi[0]]) / norm
+            assert abs(xi[0] * nu[0] + xi[1] * nu[1]) <= 1e-12 * norm

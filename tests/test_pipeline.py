@@ -57,6 +57,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"config key '{key}': cannot parse"):
             ScenarioConfig.from_text(f"side = exterior\n{line}\n")
 
+    @pytest.mark.parametrize("cfg", [ScenarioConfig(),
+                                     ScenarioConfig(side="interior", grid_nx=300, grid_ny=300)])
+    def test_standard_layouts_turn_onto_themselves(self, cfg):
+        # the indicator takes the incident terms of a quarter of the sources
+        # on these: a grid, mask or source change that loses the quarter turn
+        # costs 4x the incident work
+        sources = cfg.sources()
+        assert sources.count % 4 == 0 and sources.center == (0.0, 0.0)
+        assert cfg.grid().quarter_orbits() is not None
+
     def test_side_defaults(self):
         ext = ScenarioConfig(side="exterior").resolved()
         assert ext.source_radius == 2.2 and ext.receiver_radius == 2.2
@@ -375,9 +385,10 @@ class TestBenchmarkHooks:
         counts = tracer.exact_counts(0)
         assert counts["indicator.points"] == 2 * 20 * 20
         # boundary data of the node ladder's one trial solve (k = 4 passes on
-        # 64 nodes, and its ring reuses that solve), of k = 3's solve, and the
-        # indicator per source and wavenumber
-        assert counts["forward.incident.points"] == 2 * 12 * (64 + 20 * 20)
+        # 64 nodes, and its ring reuses that solve) and of k = 3's solve, per
+        # source; and per wavenumber the indicator's 3 of 12 sources, whose
+        # quarter turns give the other 9 on the centred square grid
+        assert counts["forward.incident.points"] == 2 * (12 * 64 + 3 * 20 * 20)
 
     def test_simulate_ring_looked_up_per_k(self, tmp_path, monkeypatch):
         calls = []
