@@ -97,11 +97,13 @@ def compute_coefficients(ring: RingMeasurement, truncation: int,
     """Discrete Fourier coefficients of the ring samples for n = -N..N.
 
     Plain DFT sums (trapezoid rule on the equispaced receivers); requires
-    2N+1 <= number of receivers.  On the interior side, modes whose anchor
-    denominator |J_n(kR)| < mode_guard are zeroed and flagged; the exterior
-    side excludes none.
+    N >= 0 and 2N+1 <= number of receivers.  On the interior side, modes whose
+    anchor denominator |J_n(kR)| < mode_guard are zeroed and flagged; the
+    exterior side excludes none.
     """
     m_rec = ring.n_receivers
+    if truncation < 0:
+        raise ValueError(f"truncation must be >= 0, got {truncation}")
     if 2 * truncation + 1 > m_rec:
         raise ValueError(
             f"truncation {truncation} violates Nyquist (needs >= {2 * truncation + 1} "

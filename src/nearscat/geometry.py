@@ -27,6 +27,9 @@ import numpy as np
 
 N_DENSE = 4096           # curve samples behind BoundaryCurve.radial_profile
 CONTAINS_BLOCK = 1 << 16  # point-edge or edge-edge pairs per block of contains, crossing
+# an exclusion disk also masks points this fraction of its radius outside it, so a
+# point on its circle to rounding is masked in every turn and mirror of a symmetric grid
+EXCLUSION_BAND = 1e-12
 
 
 def equispaced_angles(count: int) -> np.ndarray:
@@ -273,7 +276,7 @@ def imaging_grid(xmin: float, xmax: float, ymin: float, ymax: float,
 
     Ordering: top row (y = ymax) first, x increasing within a row.  The
     optional exclusion is a circle (center, radius); grid points with
-    |p - center| <= radius are masked.
+    |p - center| <= radius (1 + EXCLUSION_BAND) are masked.
     """
     if nx < 2 or ny < 2:
         raise ValueError("nx and ny must be >= 2")
@@ -288,7 +291,7 @@ def imaging_grid(xmin: float, xmax: float, ymin: float, ymax: float,
         if radius < 0.0:
             raise ValueError("exclusion radius must be nonnegative")
         d = points - np.asarray(center, dtype=float)[None, :]
-        mask = np.hypot(d[:, 0], d[:, 1]) <= radius
+        mask = np.hypot(d[:, 0], d[:, 1]) <= radius * (1.0 + EXCLUSION_BAND)
         excl = (float(center[0]), float(center[1]), float(radius))
     else:
         mask = np.zeros(points.shape[0], dtype=bool)
@@ -313,8 +316,11 @@ class SourceSet:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("need at least one source")
-        if self.radius <= 0.0:
-            raise ValueError("source circle radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"source circle radius must be finite and positive, "
+                             f"got {self.radius}")
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError(f"source circle centre must be finite, got {self.center}")
 
     @property
     def positions(self) -> np.ndarray:

@@ -100,22 +100,23 @@ class ScenarioConfig:
     forward_nodes: int = 512     # largest Nystrom node count; see forward_curve
 
     def resolved(self) -> "ScenarioConfig":
-        self.validate()
+        """The config with the side defaults filled in (source and receiver radius;
+        inside a cavity, the receiver disk excluded from the grid), checked."""
+        if self.side not in _RING_RADIUS:
+            raise ConfigError(f"unknown side {self.side!r}")
         ring_default = _RING_RADIUS[self.side]
         src = self.source_radius if self.source_radius is not None else ring_default
         rec = self.receiver_radius if self.receiver_radius is not None else ring_default
         excl = self.exclusion_radius
         if excl is None and self.side == "interior":
             excl = rec
-        return replace(self, source_radius=src, receiver_radius=rec,
-                       exclusion_radius=excl)
+        cfg = replace(self, source_radius=src, receiver_radius=rec, exclusion_radius=excl)
+        cfg._check()
+        return cfg
 
-    def validate(self) -> None:
-        """Raise ConfigError unless every wavenumber can run; the README lists
-        the checks.  Shape and noise rules are ``ShapeSpec.validate`` and
-        ``NoiseSpec.validate``."""
-        if self.side not in _RING_RADIUS:
-            raise ConfigError(f"unknown side {self.side!r}")
+    def _check(self) -> None:
+        """ConfigError unless this resolved config can run every wavenumber (README
+        lists the checks; shape and noise rules are ``ShapeSpec``'s and ``NoiseSpec``'s)."""
         if self.bc not in ("soft", "hard"):
             raise ConfigError(f"unknown boundary condition {self.bc!r}")
         if not self.wavenumbers:
@@ -138,16 +139,14 @@ class ScenarioConfig:
         try:
             self.shape_spec().validate()
             NoiseSpec(level=self.delta, seed=self.seed).validate()
-            n = self.truncation
-            if n is None:
-                n = ct.truncation_order(self.delta, self.side)
+            n = self.truncation_order()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.source_count < 1:
             raise ConfigError(f"source_count must be >= 1, got {self.source_count}")
         for key in ("source_radius", "receiver_radius"):
             radius = getattr(self, key)
-            if radius is not None and not 0.0 < radius < math.inf:
+            if not 0.0 < radius < math.inf:
                 raise ConfigError(f"{key} must be finite and positive, got {radius}")
         excl = self.exclusion_radius
         if excl is not None and not 0.0 <= excl < math.inf:
@@ -162,20 +161,16 @@ class ScenarioConfig:
         # farther grid corner and at the receiver radius
         corner = math.hypot(max(abs(self.grid_xmin), abs(self.grid_xmax)),
                             max(abs(self.grid_ymin), abs(self.grid_ymax)))
-        receiver = _RING_RADIUS[self.side] if self.receiver_radius is None \
-            else self.receiver_radius
-        radius = max(corner, receiver)
+        radius = max(corner, self.receiver_radius)
         if max(self.wavenumbers) * radius > cylfun.MAX_ARG:
             raise ConfigError(
                 f"wavenumbers {self.wavenumbers} reach k r = {max(self.wavenumbers) * radius:g} "
                 f"at radius {radius:g} (farther grid corner or receiver_radius), above the "
                 f"cylinder-function ceiling {cylfun.MAX_ARG:g}")
-        # the disk grid() masks (the receiver circle by default inside a
-        # cavity) holds the whole grid when it holds its four corners
-        if excl is None and self.side == "interior":
-            excl = receiver
-        xs, ys = np.meshgrid((self.grid_xmin, self.grid_xmax), (self.grid_ymin, self.grid_ymax))
-        if excl and np.all(np.hypot(xs, ys) <= excl):
+        # the disk grid() masks holds the whole grid when it masks the four
+        # corners, the 2 x 2 grid on the same bounds
+        if excl and imaging_grid(self.grid_xmin, self.grid_xmax, self.grid_ymin, self.grid_ymax,
+                                 2, 2, exclusion=((0.0, 0.0), excl)).mask.all():
             raise ConfigError(f"exclusion_radius {excl:g} masks the whole imaging grid: "
                               f"its four corners lie in the disk")
         if n < 0:
@@ -199,22 +194,17 @@ class ScenarioConfig:
         return make_curve(self.shape_spec())
 
     def sources(self) -> SourceSet:
-        cfg = self.resolved()
-        return SourceSet(center=(0.0, 0.0), radius=cfg.source_radius,
-                         count=cfg.source_count)
+        """The source circle of a resolved config."""
+        return SourceSet(center=(0.0, 0.0), radius=self.source_radius, count=self.source_count)
 
     def grid(self) -> ImagingGrid:
-        cfg = self.resolved()
-        excl = None
-        if cfg.exclusion_radius is not None and cfg.exclusion_radius > 0.0:
-            excl = ((0.0, 0.0), cfg.exclusion_radius)
-        return imaging_grid(cfg.grid_xmin, cfg.grid_xmax, cfg.grid_ymin,
-                            cfg.grid_ymax, cfg.grid_nx, cfg.grid_ny, exclusion=excl)
+        """The imaging grid of a resolved config, its exclusion disk masked."""
+        excl = ((0.0, 0.0), self.exclusion_radius) if self.exclusion_radius else None
+        return imaging_grid(self.grid_xmin, self.grid_xmax, self.grid_ymin,
+                            self.grid_ymax, self.grid_nx, self.grid_ny, exclusion=excl)
 
     def truncation_order(self) -> int:
-        """Truncation N: ``truncation``, else the noise rule for ``delta``;
-        ConfigError unless the config can run."""
-        self.validate()
+        """Truncation N: ``truncation``, else the noise rule for ``delta``."""
         if self.truncation is not None:
             return self.truncation
         return ct.truncation_order(self.delta, self.side)
@@ -634,7 +624,7 @@ def convergence_study(side: str, *, k: float = 3.0,
         r2 = (anchor + gap) / anchor
         r3 = meas / (anchor + gap)
         noise_rule = "floor(|ln delta|) + 1"
-        rule = lambda d: int(math.floor(abs(math.log(d)))) + 1
+        rule = lambda d: ct.truncation_order(d, "exterior")
     else:
         anchor = 1.2
         gap = anchor - a                        # dist(analysis circle, boundary)

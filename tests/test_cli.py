@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nearscat import formats
+from nearscat import cli, formats, pipeline
 from nearscat import forward as fw
 from nearscat.cli import main
 from nearscat.geometry import IndicatorImage, imaging_grid
@@ -256,6 +257,14 @@ def test_reconstruct_bad_flag_value_names_key(tmp_path, capsys):
     assert capsys.readouterr().err == ("nearscat: error: config key 'grid_nx': "
                                        "cannot parse '2.5' as int\n")
     assert not recon.exists()
+
+
+def test_override_flags_cover_the_scalar_config_keys():
+    # cli keeps its own copy of the list, since deriving it would import the
+    # solver into the numpy-only data commands
+    scalar = [f.name for f in fields(ScenarioConfig)
+              if typing.get_origin(pipeline._FIELD_TYPES[f.name]) is not tuple]
+    assert sorted(cli._OVERRIDE_KEYS) == sorted(scalar)
 
 
 _SCIPY_LOADED = """

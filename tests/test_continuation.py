@@ -90,6 +90,11 @@ class TestComputeCoefficients:
         with pytest.raises(ValueError):
             ct.compute_coefficients(_ring(np.ones(16, complex)), 8)
 
+    def test_negative_truncation(self):
+        # a named error, not numpy's "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
+            ct.compute_coefficients(_ring(np.ones(16, complex)), -1)
+
 
 class TestEvalField:
     def test_anchor_identity(self, oracle_ring_single_source):

@@ -265,6 +265,18 @@ class TestImagingGrid:
             imaging_grid(0.0, 1.0, 0.0, 1.0, 1, 5)
 
 
+class TestSourceSet:
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+    def test_radius_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="source circle radius must be finite and positive"):
+            geometry.SourceSet(center=(0.0, 0.0), radius=radius, count=4)
+
+    @pytest.mark.parametrize("center", [(math.nan, 0.0), (0.0, -math.inf)])
+    def test_centre_finite(self, center):
+        with pytest.raises(ValueError, match="source circle centre must be finite"):
+            geometry.SourceSet(center=center, radius=1.0, count=4)
+
+
 class TestQuarterOrbits:
     """ImagingGrid.quarter_orbits: row m of the (4, Q) table holds R^-m of
     row 0, R(x, y) = (-y, x), over the unmasked points."""
@@ -273,7 +285,18 @@ class TestQuarterOrbits:
                                         (41, ((0.0, 0.0), 0.45)),
                                         (300, ((0.0, 0.0), 0.5))])
     def test_rows_are_turns_of_row_zero(self, n, excl):
-        g = imaging_grid(-1.5, 1.5, -1.5, 1.5, n, n, exclusion=excl)
+        self._assert_orbits(imaging_grid(-1.5, 1.5, -1.5, 1.5, n, n, exclusion=excl))
+
+    @pytest.mark.parametrize("half,n", [(1.5, 61), (1.5, 151), (1.5, 301), (1.0, 41)])
+    def test_odd_cavity_grids(self, half, n):
+        # points on the r = 0.5 circle to rounding, which EXCLUSION_BAND
+        # masks in every quarter turn
+        g = imaging_grid(-half, half, -half, half, n, n, exclusion=((0.0, 0.0), 0.5))
+        self._assert_orbits(g)
+
+    @staticmethod
+    def _assert_orbits(g):
+        n = g.nx
         orbits = g.quarter_orbits()
         x, y = g.points[orbits[0]].T
         for m, (tx, ty) in enumerate([(x, y), (y, -x), (-x, -y), (-y, x)]):

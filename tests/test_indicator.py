@@ -469,7 +469,16 @@ class TestKiteMirror:
         # the images take the incident terms of 3 of the 12 sources through
         # quarter turns, and the turns hold no mirror
         excl = None if side == "exterior" else ((0.0, 0.0), 0.5)
-        grid = imaging_grid(-1.5, 1.5, -1.5, 1.5, 60, 60, exclusion=excl)
+        self._assert_mirror(side, bc, imaging_grid(-1.5, 1.5, -1.5, 1.5, 60, 60, exclusion=excl))
+
+    @pytest.mark.parametrize("bc", ["soft", "hard"])
+    def test_odd_cavity_image_mirror_symmetry(self, bc):
+        # points on the disk's circle to rounding, masked on both sides
+        grid = imaging_grid(-1.5, 1.5, -1.5, 1.5, 61, 61, exclusion=((0.0, 0.0), 0.5))
+        self._assert_mirror("interior", bc, grid)
+
+    @staticmethod
+    def _assert_mirror(side, bc, grid):
         assert grid.quarter_orbits() is not None
         _, image = reconstruct(_kite_ring(side, bc), bc, grid, 6)
         values = grid.as_image(image.values)

@@ -13,7 +13,7 @@ from nearscat import formats
 from nearscat import indicator as ind
 from nearscat import pipeline
 from nearscat.forward import analytic_circle
-from nearscat.geometry import ShapeSpec, imaging_grid, make_curve
+from nearscat.geometry import EXCLUSION_BAND, ShapeSpec, imaging_grid, make_curve
 from nearscat.pipeline import (ConfigError, ScenarioConfig, convergence_study,
                                radial_boundary_error, reconstruct, render_pgm,
                                run_scenario)
@@ -63,6 +63,7 @@ class TestConfig:
         # the indicator takes the incident terms of a quarter of the sources
         # on these: a grid, mask or source change that loses the quarter turn
         # costs 4x the incident work
+        cfg = cfg.resolved()
         sources = cfg.sources()
         assert sources.count % 4 == 0 and sources.center == (0.0, 0.0)
         assert cfg.grid().quarter_orbits() is not None
@@ -86,10 +87,16 @@ class TestConfig:
 
     def test_nyquist_guard(self):
         cfg = ScenarioConfig(delta=0.05, truncation=20, receiver_count=32)
-        with pytest.raises(ValueError):
-            cfg.truncation_order()
         with pytest.raises(ConfigError, match="41 receivers"):
             cfg.resolved()
+
+    def test_run_scenario_checks_config_once(self, tmp_path, monkeypatch):
+        # resolved() fills the side defaults and checks; the builders and
+        # truncation_order() of the resolved config check nothing again
+        calls, check, want = [], ScenarioConfig._check, SMALL.resolved()
+        monkeypatch.setattr(ScenarioConfig, "_check", lambda cfg: calls.append(cfg) or check(cfg))
+        run_scenario(SMALL, tmp_path / "run")
+        assert calls == [want]
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -119,10 +126,10 @@ def _corner_unmasked(cfg: ScenarioConfig) -> bool:
     if excl is None and cfg.side == "interior":
         excl = 0.5 if cfg.receiver_radius is None else cfg.receiver_radius
     xs, ys = np.meshgrid((cfg.grid_xmin, cfg.grid_xmax), (cfg.grid_ymin, cfg.grid_ymax))
-    return not excl or not np.all(np.hypot(xs, ys) <= excl)
+    return not excl or not np.all(np.hypot(xs, ys) <= excl * (1.0 + EXCLUSION_BAND))
 
 
-# every config these draw passes validate(): 2N+1 <= 43 <= receiver_count,
+# every config these draw passes resolved(): 2N+1 <= 43 <= receiver_count,
 # increasing grid bounds, k r <= 500 hypot(10, 10) below cylfun.MAX_ARG, a
 # trig shape runs counter-clockwise: a_1 d_1 >= 1 outweighs the at most
 # 0.01 + 2 (0.02) + 3 (0.02) that the other harmonics take off the signed
@@ -152,7 +159,7 @@ class TestConfigValidation:
     @settings(max_examples=200, deadline=None)
     @given(cfg=_VALID_CONFIGS)
     def test_text_round_trip(self, cfg):
-        cfg.validate()
+        cfg.resolved()
         back = ScenarioConfig.from_text(cfg.to_text())
         assert back == cfg
         for f in fields(cfg):
@@ -184,7 +191,7 @@ class TestConfigValidation:
         # config check refuses before any solve, without calling cylfun
         cfg = replace(SMALL, **changes)
         with pytest.raises(ConfigError, match="wavenumbers .* above the cylinder-function"):
-            cfg.validate()
+            cfg.resolved()
         with pytest.raises(ConfigError, match="wavenumbers"):
             run_scenario(cfg, tmp_path / "run")
         assert not (tmp_path / "run").exists()
@@ -192,8 +199,8 @@ class TestConfigValidation:
     def test_wavenumber_at_cylfun_ceiling(self):
         # k = 4500 reaches k r = 9900 at the receivers (2.2) and 9546 at the
         # grid corner (1.5, 1.5): inside the ceiling
-        replace(SMALL, wavenumbers=(4500.0,)).validate()
-        replace(SMALL, wavenumbers=(1000.0,), grid_xmax=7.0, grid_ymax=7.0).validate()
+        replace(SMALL, wavenumbers=(4500.0,)).resolved()
+        replace(SMALL, wavenumbers=(1000.0,), grid_xmax=7.0, grid_ymax=7.0).resolved()
 
     @pytest.mark.parametrize("key", ["source_radius", "receiver_radius"])
     @pytest.mark.parametrize("radius", [-2.2, 0.0, math.inf, math.nan])
@@ -360,6 +367,8 @@ class TestReconstruct:
         np.testing.assert_array_equal(image.values, result.images[3.0].values)
         with pytest.raises(ValueError, match="boundary condition"):
             reconstruct(ring, "Soft", cfg.grid(), 3)
+        with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
+            reconstruct(ring, "soft", cfg.grid(), -1)
 
 
 class TestBenchmarkHooks:
