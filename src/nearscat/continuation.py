@@ -21,8 +21,13 @@ gathered to the points; the values are those of a per-point evaluation,
 bit for bit.  ``radial_tables`` builds the table once for a whole
 evaluation and is the one check of the radius floor; ``eval_field`` and
 ``eval_gradient`` require it and serve one block of its points at a time,
-given as a (P,) array of theta, and return (n_src, P) values or
-(n_src, 2, P) gradients.
+given as a (Q,) array of theta, and return (n_src, T Q) values or
+(n_src, 2, T Q) gradients at those points and their T - 1 quarter turns
+R^-q x, R(x, y) = (-y, x).  A turn keeps r and shifts theta by -pi/2, so
+the modes at R^-q x are those at x times the exact factors (-i)^(mq): the
+exponentials and the radial gather are formed for the Q points only, and
+each turn takes one product of its n_src coefficient rows, times those
+factors, with them.
 
 The interior ratio J_n(k r)/J_n(k R) blows up whenever k R sits near a
 zero of J_n; ``compute_coefficients`` zeroes and flags such modes.
@@ -161,24 +166,29 @@ def radial_tables(coeffs: ModeCoefficients, r) -> RadialTables:
     return RadialTables(table, np.where(coeffs.excluded, 0.0, scaled), inverse)
 
 
-def eval_field(coeffs: ModeCoefficients, theta: np.ndarray,
-               tables: RadialTables) -> np.ndarray:
-    """Continued field u_N at the (P,) polar angles ``theta`` of the points
+def eval_field(coeffs: ModeCoefficients, theta: np.ndarray, tables: RadialTables,
+               turns: int = 1) -> np.ndarray:
+    """Continued field u_N at the (Q,) polar angles ``theta`` of the points
     whose radii ``tables`` (from ``radial_tables``, ``inverse`` covering
-    these points) were built on; (n_src, P).
+    these points) were built on, and at their ``turns`` - 1 quarter turns;
+    (n_src, turns Q), column q Q + p the value at R^-q x_p.
 
     At r = anchor this is the order-N Fourier partial sum of the ring data.
     """
     table, scaled, inverse = tables
     modes = np.exp(1j * np.outer(coeffs.orders, theta))
-    modes *= table[1:-1, inverse]                            # (2N+1, P)
-    return _gemm(scaled, modes)
+    modes *= table[1:-1, inverse]                            # (2N+1, Q)
+    out = np.empty((coeffs.n_sources, turns * theta.size), dtype=complex)
+    for q, cols in enumerate(np.split(out, turns, axis=1)):
+        cols[:] = _gemm(_turned(scaled, coeffs.orders, q), modes)
+    return out
 
 
-def eval_gradient(coeffs: ModeCoefficients, theta: np.ndarray,
-                  tables: RadialTables) -> np.ndarray:
-    """Cartesian gradient of the continued field at the (P,) polar angles
-    ``theta``; (n_src, 2, P).  ``tables`` as in ``eval_field``.
+def eval_gradient(coeffs: ModeCoefficients, theta: np.ndarray, tables: RadialTables,
+                  turns: int = 1) -> np.ndarray:
+    """Cartesian gradient of the continued field at the (Q,) polar angles
+    ``theta`` and their turns, in the columns of ``eval_field``;
+    (n_src, 2, turns Q).  ``tables`` as there.
 
     By the ladder identity (d_x +- i d_y)[C_n(kr) e^{in theta}]
     = -+k C_{n+-1}(kr) e^{i(n+-1) theta} (DLMF 10.6.2), the sums
@@ -190,12 +200,23 @@ def eval_gradient(coeffs: ModeCoefficients, theta: np.ndarray,
     # not exp(..., out=...): in place, the malloc heap layout it leaves raised
     # the peak resident memory of the 300^2 cavity benchmark by 16 MB
     modes = np.exp(1j * np.outer(np.arange(-n_top, n_top + 1), theta))
-    modes *= table[:, inverse]                               # (2N+3, P)
-    a = _gemm(-coeffs.k * scaled, modes[2:])                 # (d_x + i d_y) u_N
-    b = _gemm(coeffs.k * scaled, modes[:-2])                 # (d_x - i d_y) u_N
-    out = np.empty((coeffs.n_sources, 2, theta.size), dtype=complex)
-    np.add(a, b, out=out[:, 0])
-    np.subtract(a, b, out=out[:, 1])
+    modes *= table[:, inverse]                               # (2N+3, Q)
+    out = np.empty((coeffs.n_sources, 2, turns * theta.size), dtype=complex)
+    for q, cols in enumerate(np.split(out, turns, axis=2)):
+        # (d_x + i d_y) u_N and (d_x - i d_y) u_N, orders n + 1 and n - 1
+        a = _gemm(_turned(-coeffs.k * scaled, coeffs.orders + 1, q), modes[2:])
+        b = _gemm(_turned(coeffs.k * scaled, coeffs.orders - 1, q), modes[:-2])
+        np.add(a, b, out=cols[:, 0])
+        np.subtract(a, b, out=cols[:, 1])
     out[:, 0] /= 2
     out[:, 1] /= 2j
     return out
+
+
+def _turned(weights: np.ndarray, orders: np.ndarray, q: int) -> np.ndarray:
+    """``weights`` (n_src, len(orders)) times (-i)^(m q) per order m, exact:
+    e^{i m theta} at R^-q x, whose angle is theta - q pi/2, is e^{i m theta}
+    at x times that factor."""
+    if q == 0:
+        return weights
+    return weights * np.array([1, -1j, -1, 1j])[orders * q % 4]

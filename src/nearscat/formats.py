@@ -17,7 +17,12 @@ numbers) to `%` itself.  Grid coordinates, receiver angles and indices
 are formatted once per column, row or receiver, flags and pixels come
 from tables, and each block of at most 4096 rows is written as its word
 matrix's bytes with the NULs deleted, so memory stays flat in the file
-size.  Readers parse all data rows with one `np.loadtxt` call and raise
+size.  The ring reader parses all data rows with one `np.loadtxt` call.
+The grid reader reads x and y as text in that call, and when the rows
+are the writer's (a row per live point in grid order, each coordinate
+the `%.17g` text of its grid node) places them without parsing a
+coordinate; any other file is read again with x and y as numbers and
+placed and checked row by row.  Readers raise
 ValueError, naming the row, for a repeated grid point or (source,
 receiver) pair, a point outside the grid or an index out of range, a row
 at a masked grid point, a non-integer index or flag, a non-finite theta,
@@ -57,13 +62,11 @@ def _write_header(f, meta: dict) -> None:
     f.write("".join(f"# {key}={value}\n" for key, value in meta.items()).encode("ascii"))
 
 
-def _read_table(path, fmt: str, dtype: np.dtype, required) -> tuple[dict, np.ndarray]:
-    """Header of a `fmt` CSV and its data rows as a structured array.
+def _read_header(path, fmt: str, required) -> tuple[dict, int]:
+    """Header of a `fmt` CSV and its line count.
 
     The leading `#` lines form the header, which must hold every key in
-    `required`.  The data rows after it are parsed from the file by one
-    `np.loadtxt` call, which skips empty lines and rejects a comment, a
-    wrong column count or, in an integer field, non-integer text.
+    `required`.
     """
     meta: dict[str, str] = {}
     n_header = 0
@@ -81,14 +84,22 @@ def _read_table(path, fmt: str, dtype: np.dtype, required) -> tuple[dict, np.nda
     missing = [key for key in required if key not in meta]
     if missing:
         raise ValueError(f"{path}: header has no {missing[0]!r} line")
+    return meta, n_header
+
+
+def _read_rows(path, dtype: np.dtype, n_header: int) -> np.ndarray:
+    """The data rows after a header of `n_header` lines as a structured
+    array, parsed by one `np.loadtxt` call, which skips empty lines and
+    rejects a comment, a wrong column count or, in an integer field,
+    non-integer text; text in a bytes field longer than it is truncated.
+    """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)     # no data rows
-            rows = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
+            return np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
                               skiprows=n_header, ndmin=1, encoding="ascii")
     except ValueError as exc:
         raise ValueError(f"{path}: data rows: {exc}") from exc
-    return meta, rows
 
 
 def _header_value(path, meta: dict, key: str, convert=float, count: int | None = 1):
@@ -324,7 +335,8 @@ def write_ring_csv(path, ring: RingMeasurement, extra: dict | None = None) -> No
 
 
 def read_ring_csv(path) -> tuple[RingMeasurement, dict]:
-    meta, rows = _read_table(path, "nearscat-ring-1", _RING_ROW, _RING_KEYS)
+    meta, n_header = _read_header(path, "nearscat-ring-1", _RING_KEYS)
+    rows = _read_rows(path, _RING_ROW, n_header)
     if meta["field"] != "scattered":
         raise ValueError(f"{path}: field={meta['field']}, expected the scattered field")
     if meta["side"] not in ("exterior", "interior"):
@@ -399,32 +411,75 @@ def write_grid_csv(path, image: IndicatorImage, extra: dict | None = None) -> No
 
 
 def read_grid_csv(path) -> IndicatorImage:
-    meta, rows = _read_table(path, "nearscat-grid-1", _GRID_ROW, _GRID_KEYS)
-    exclusion = None
-    if "exclusion" in meta:
-        cx, cy, rad = _header_value(path, meta, "exclusion", count=3)
-        exclusion = ((cx, cy), rad)
-    bounds = [_header_value(path, meta, key) for key in ("xmin", "xmax", "ymin", "ymax")]
-    grid = imaging_grid(*bounds, _header_value(path, meta, "nx", int),
-                        _header_value(path, meta, "ny", int), exclusion=exclusion)
-    idx = grid.index_of(rows["x"], rows["y"])
-    _reject(path, rows, idx < 0, "lies outside the grid")
-    _reject(path, rows, grid.mask[idx], "lies at a masked grid point")
-    _reject(path, rows, _repeats(idx, grid.n_points),
-            "repeats the grid point of an earlier row")
-    _reject(path, rows, ~np.isfinite(rows["value"]), "has a non-finite value")
-    flag = rows["flag"]
-    _reject(path, rows, (flag < 0) | (flag > np.iinfo(np.uint8).max),
-            "has a flag outside 0..255")
+    meta, n_header = _read_header(path, "nearscat-grid-1", _GRID_KEYS)
+    try:
+        grid = _header_grid(path, meta)
+    except ValueError:
+        grid = None                    # raised again below, after any data-row error
+    rows = _written_rows(path, grid, n_header) if grid is not None else None
+    if rows is not None:
+        idx = np.flatnonzero(~grid.mask)
+    else:
+        rows = _read_rows(path, _GRID_ROW, n_header)
+        grid = grid if grid is not None else _header_grid(path, meta)
+        idx = grid.index_of(rows["x"], rows["y"])
+        _reject(path, rows, idx < 0, "lies outside the grid")
+        _reject(path, rows, grid.mask[idx], "lies at a masked grid point")
+        _reject(path, rows, _repeats(idx, grid.n_points),
+                "repeats the grid point of an earlier row")
+        _reject(path, rows, ~np.isfinite(rows["value"]), "has a non-finite value")
+        _reject(path, rows, (rows["flag"] < 0) | (rows["flag"] > np.iinfo(np.uint8).max),
+                "has a flag outside 0..255")
     values = np.full(grid.n_points, np.nan)
     flags = np.zeros(grid.n_points, dtype=np.uint8)
     values[idx] = rows["value"]
-    flags[idx] = flag
+    flags[idx] = rows["flag"]
     if np.any(np.isnan(values[~grid.mask])):
         raise ValueError(f"{path}: missing rows for unmasked grid points")
     ks = _header_value(path, meta, "wavenumbers", count=None)
     return IndicatorImage(grid=grid, values=values, kind=meta["kind"],
                           wavenumbers=ks, state=meta["state"], flags=flags)
+
+
+def _header_grid(path, meta: dict):
+    """The imaging grid a grid CSV's header describes."""
+    exclusion = None
+    if "exclusion" in meta:
+        cx, cy, rad = _header_value(path, meta, "exclusion", count=3)
+        exclusion = ((cx, cy), rad)
+    bounds = [_header_value(path, meta, key) for key in ("xmin", "xmax", "ymin", "ymax")]
+    return imaging_grid(*bounds, _header_value(path, meta, "nx", int),
+                        _header_value(path, meta, "ny", int), exclusion=exclusion)
+
+
+def _written_rows(path, grid, n_header: int) -> np.ndarray | None:
+    """The data rows of a grid CSV laid out as `write_grid_csv` lays out
+    `grid` (a row per live point in grid order, x and y as its `%.17g`
+    text), with x and y read as text and not parsed; None for any other
+    file, and for one whose value or flag `read_grid_csv` would reject.
+
+    The text fields are one byte wider than the longest coordinate, so a
+    longer text, which arrives truncated to that width, matches none.  The
+    grid must place its own coordinates at their own indices, so a row
+    that matches its text sits where parsing it would have placed it.
+    """
+    nx = grid.nx
+    xs = np.array([b"%.17g" % x for x in grid.points[:nx, 0].tolist()])
+    ys = np.array([b"%.17g" % y for y in grid.points[::nx, 1].tolist()])
+    text = f"S{max(xs.itemsize, ys.itemsize) + 1}"
+    try:
+        rows = _read_rows(path, np.dtype([("x", text), ("y", text), ("value", np.float64),
+                                          ("flag", np.int64)]), n_header)
+    except ValueError:
+        return None
+    edge = np.r_[:nx, nx:grid.n_points:nx]           # the first row and column
+    row, col = np.divmod(np.flatnonzero(~grid.mask), nx)
+    if (rows.size != row.size or not np.array_equal(grid.index_of(*grid.points[edge].T), edge)
+            or not np.array_equal(rows["x"], xs[col]) or not np.array_equal(rows["y"], ys[row])
+            or not np.isfinite(rows["value"]).all()
+            or not ((0 <= rows["flag"]) & (rows["flag"] <= np.iinfo(np.uint8).max)).all()):
+        return None
+    return rows
 
 
 # ---------------------------------------------------------------------------

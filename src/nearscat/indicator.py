@@ -31,16 +31,21 @@ When a quarter turn R(x, y) = (-y, x) maps the layout onto itself (4 | S
 sources centred at the origin, points in ``ImagingGrid.quarter_orbits``),
 source j + qS/4 sits at R^q z_j, so u_i(x; z_{j+qS/4}) = u_i(R^-q x; z_j)
 and grad u_i(x; z_{j+qS/4}) = R^q grad u_i(R^-q x; z_j): S/4 sources give
-every incident term.  The points then go orbit by orbit (x, R^-1 x, R^-2 x,
-R^-3 x, next orbit), so a block holds whole orbits; otherwise each point
-is its own orbit.  Grid coordinates are antisymmetric to rounding only, so
-turned terms differ from direct ones by about 1e-15 relative.  Blocks
-start at multiples of 64 points and the order does not depend on the
-block size, so with one BLAS thread the values equal those of one
-evaluation over every point bit for bit.  With several, OpenBLAS's
-threaded ``zgemm`` rounds the columns at its thread split differently, and
-that split moves with the block size: 1-3 values per image differ, by
-<= 3.5e-16 relative.
+every incident term.  R^-q x has the radius of x and the angle theta - q pi/2,
+so the continued field and gradient there are those of x with each mode
+e^{im theta} times (-i)^(mq): ``eval_field`` and ``eval_gradient`` form the
+modes at one point per orbit.  A block is BLOCK_POINTS / 4 whole orbits,
+turn-major (x_1..x_Q, then R^-1 x_1..R^-1 x_Q, ...); otherwise each point
+is its own orbit and a block holds BLOCK_POINTS points.  Grid coordinates
+are antisymmetric to rounding only, so turned values differ from direct
+ones by about 1e-14 relative.  Each turn's columns start at multiples of
+64 and the order does not depend on the block size, so with one BLAS
+thread the values equal those of one evaluation over every point bit for
+bit.  With several, OpenBLAS's threaded ``zgemm`` rounds the columns at
+its thread split differently, and that split moves with the product's
+shape.  So each turn has its own n_src-row product: one product stacking
+the four turns' rows was threaded on a 41^2 image where the per-turn ones
+are not, and 5-11 values per image then differed between block sizes.
 """
 
 from __future__ import annotations
@@ -56,10 +61,10 @@ from .geometry import ImagingGrid, IndicatorImage, SourceSet
 
 RECIPROCAL_FLOOR = 1e-12
 DEGENERATE_GRADIENT = 1e-14
-# Points per evaluation block.  A multiple of 64, so that each block's matrix
-# products round like the same columns of one product over every point (a
-# 97-point block changed the last bit of some values), and so of 4: a block
-# holds whole quarter-turn orbits.
+# Points per evaluation block.  A multiple of 4 * 64: a block holds whole
+# quarter-turn orbits, and each turn's matrix products round like the same
+# columns of one product over every point (a 97-point block changed the
+# last bit of some values).
 BLOCK_POINTS = 8192
 
 FLAG_OK = 0
@@ -73,9 +78,10 @@ def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
     Evaluated in blocks of BLOCK_POINTS points with r > 0, on one
     cylinder-function table and polar angles formed once for all of them.
     ``orbits`` (4, Q), rows R^-m of row 0 as in ``ImagingGrid.quarter_orbits``
-    but indexing ``points``, orders them orbit by orbit, and S/4 sources give
-    every incident term, when it covers every point with r > 0 and the S
-    sources are centred at the origin with S divisible by 4.
+    but indexing ``points``, makes the blocks whole orbits, turn-major: the
+    modes are formed at row 0 only, and S/4 sources give every incident
+    term, when it covers every point with r > 0 and the S sources are
+    centred at the origin with S divisible by 4.
     """
     if kind not in ("soft", "hard"):
         raise ValueError(f"unknown indicator kind {kind!r}")
@@ -91,25 +97,30 @@ def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
     if (orbits is None or sources.count % 4 or any(sources.center)
             or orbits.size != np.count_nonzero(ok) or not ok[orbits].all()):
         orbits = np.flatnonzero(ok)[None, :]                    # every point its own orbit
-    live = orbits.T.ravel()
-    tables = radial_tables(coeffs, r[live]) if live.size else None
-    for start in range(0, live.size, BLOCK_POINTS):
-        blk = slice(start, start + BLOCK_POINTS)
-        idx = live[blk]
+    if not orbits.size:
+        return values, flags
+    turns, n_orbits = orbits.shape
+    tables = radial_tables(coeffs, r[orbits.ravel()])
+    inverse = tables.inverse[:n_orbits]                         # row 0's radii
+    step = BLOCK_POINTS // turns
+    for start in range(0, n_orbits, step):
+        reps = slice(start, start + step)
+        idx = orbits[:, reps].ravel()                  # turn-major: every x_p, every R^-1 x_p, ...
         values[idx], flags[idx] = _block_values(
-            coeffs, sources, points[idx], theta[idx],
-            tables._replace(inverse=tables.inverse[blk]), kind, orbits.shape[0])
+            coeffs, sources, points[idx], theta[orbits[0, reps]],
+            tables._replace(inverse=inverse[reps]), kind, turns)
     return values, flags
 
 
 def _block_values(coeffs: ModeCoefficients, sources: SourceSet, points: np.ndarray,
                   theta: np.ndarray, tables: RadialTables, kind: str, turns: int):
-    """Indicator values and flags at (B, 2) points with r > 0 and polar angles
-    ``theta``, in orbits of ``turns`` consecutive points; ``tables`` as in
-    ``eval_field``.  Everything formed here is freed before the next block."""
+    """Indicator values and flags at (B, 2) points with r > 0, turn-major:
+    ``turns`` runs of B / turns points, run q at R^-q of run 0, whose polar
+    angles are ``theta`` and radii ``tables`` (as in ``eval_field``).
+    Everything formed here is freed before the next block."""
     weight = 2.0 * np.pi * sources.radius / sources.count
     if kind == "soft":
-        total = eval_field(coeffs, theta, tables)               # (n_src, B)
+        total = eval_field(coeffs, theta, tables, turns)        # (n_src, B)
         _add_incident(total, sources, points, coeffs.k, turns)
         return weight * np.abs(total).sum(axis=0), FLAG_OK
 
@@ -121,7 +132,11 @@ def _block_values(coeffs: ModeCoefficients, sources: SourceSet, points: np.ndarr
     nu = np.zeros_like(xi)
     nu[0, good] = -xi[1, good] / xi_norm[good]
     nu[1, good] = xi[0, good] / xi_norm[good]
-    dots = grad[:, 0, :] * nu[0][None, :] + grad[:, 1, :] * nu[1][None, :]
+    # grad . nu in place: three fresh (n_src, B) temporaries per block took
+    # 14 ms per 300^2 cavity image, against 3 ms in place
+    grad *= nu
+    dots = grad[:, 0, :]
+    dots += grad[:, 1, :]
     vals = weight * np.abs(dots).sum(axis=0)
     vals[~good] = 0.0
     return vals, np.where(good, FLAG_OK, FLAG_DEGENERATE)
@@ -130,11 +145,11 @@ def _block_values(coeffs: ModeCoefficients, sources: SourceSet, points: np.ndarr
 def _reference_gradients(coeffs: ModeCoefficients, sources: SourceSet,
                          points: np.ndarray, theta: np.ndarray, tables: RadialTables,
                          turns: int = 1):
-    """Continued total-field gradients at (P, 2) points with polar angles
-    ``theta``, in orbits of ``turns`` consecutive points, their norms and the
-    reference source per point (argmax norm, lowest index on ties); shapes
-    (n_src, 2, P), (n_src, P), (P,).  ``tables`` as in ``eval_gradient``."""
-    grad = eval_gradient(coeffs, theta, tables)
+    """Continued total-field gradients at (P, 2) points laid out as in
+    ``_block_values``, ``theta`` and ``tables`` those of run 0, their norms
+    and the reference source per point (argmax norm, lowest index on ties);
+    shapes (n_src, 2, P), (n_src, P), (P,)."""
+    grad = eval_gradient(coeffs, theta, tables, turns)
     _add_incident(grad, sources, points, coeffs.k, turns)
     norms = np.sqrt(np.abs(grad[:, 0, :]) ** 2 + np.abs(grad[:, 1, :]) ** 2)
     return grad, norms, np.argmax(norms, axis=0)
@@ -143,16 +158,16 @@ def _reference_gradients(coeffs: ModeCoefficients, sources: SourceSet,
 def _add_incident(out: np.ndarray, sources: SourceSet, points: np.ndarray, k: float,
                   turns: int) -> None:
     """Add the incident fields (``out`` (n_src, P)) or gradients (``out``
-    (n_src, 2, P)) at (P, 2) points in orbits of ``turns`` consecutive points
-    x, R^-1 x, ...: source j + q S/turns sees at x, turned by R^q, what source
-    j sees at R^-q x."""
+    (n_src, 2, P)) at (P, 2) points in ``turns`` runs x_p, R^-1 x_p, ...:
+    source j + q S/turns sees at x, turned by R^q, what source j sees at
+    R^-q x."""
     step = sources.count // turns
     gradient = out.ndim == 3
     for j, z in enumerate(sources.positions[:step]):
         term = incident_gradient(points, z, k).T if gradient else incident_field(points, z, k)
-        term = term.reshape(-1, points.shape[0] // turns, turns)   # (1 or 2, Q, T) view
+        term = term.reshape(-1, turns, points.shape[0] // turns)   # (1 or 2, T, Q) view
         for q in range(turns):
-            turned = np.roll(term, -q, axis=2) if q else term
+            turned = np.roll(term, -q, axis=1) if q else term
             for _ in range(q if gradient else 0):     # R(gx, gy) = (-gy, gx), in place
                 turned = turned[::-1]
                 turned[0] *= -1

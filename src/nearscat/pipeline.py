@@ -193,12 +193,20 @@ class ScenarioConfig:
     def curve(self) -> BoundaryCurve:
         return make_curve(self.shape_spec())
 
+    def _require_resolved(self) -> None:
+        """ConfigError unless ``resolved`` has filled the side defaults."""
+        if (self.source_radius is None or self.receiver_radius is None
+                or self.side == "interior" and self.exclusion_radius is None):
+            raise ConfigError("config has unset side defaults: call resolved() first")
+
     def sources(self) -> SourceSet:
         """The source circle of a resolved config."""
+        self._require_resolved()
         return SourceSet(center=(0.0, 0.0), radius=self.source_radius, count=self.source_count)
 
     def grid(self) -> ImagingGrid:
         """The imaging grid of a resolved config, its exclusion disk masked."""
+        self._require_resolved()
         excl = ((0.0, 0.0), self.exclusion_radius) if self.exclusion_radius else None
         return imaging_grid(self.grid_xmin, self.grid_xmax, self.grid_ymin,
                             self.grid_ymax, self.grid_nx, self.grid_ny, exclusion=excl)

@@ -390,3 +390,37 @@ def test_gradient_peak_memory(truncation):
     finally:
         tracemalloc.stop()
     assert peak <= 3.0 * out.nbytes
+
+
+class TestTurnedEvaluation:
+    """With ``turns``, the field and gradient at one point per quarter-turn
+    orbit give the other three by the exact phases (-i)^(m q): they match a
+    direct evaluation at the turned points' own angles and radii."""
+
+    @pytest.mark.parametrize("side", ["exterior", "interior"])
+    @pytest.mark.parametrize("truncation,excluded_order", [(0, None), (3, 1), (5, 0), (12, 7)])
+    @pytest.mark.parametrize("n,half_width", [(40, 1.21875), (41, 1.25)])
+    def test_matches_direct_evaluation(self, side, truncation, excluded_order, n, half_width):
+        # spacing 1/16: the turned points are exact, so they share their
+        # orbit's radius, and near a zero of C_n a last-bit radius would move
+        # the value more than the turn does
+        co = _random_coeffs(side, truncation, excluded_order=excluded_order)
+        grid = imaging_grid(-half_width, half_width, -half_width, half_width, n, n)
+        orbits = grid.quarter_orbits()
+        q_reps = orbits.shape[1]
+        pts = grid.points[orbits.ravel()]                    # every x_p, every R^-1 x_p, ...
+        r, th = np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
+        assert np.array_equal(r.reshape(4, q_reps), np.tile(r[:q_reps], (4, 1)))
+        tables = ct.radial_tables(co, r)
+        reps = tables._replace(inverse=tables.inverse[:q_reps])
+        # the sums' rounding scale: the moduli of their terms
+        terms = np.abs(tables.table[:, tables.inverse])
+        field_scale = np.abs(tables.scaled) @ terms[1:-1]
+        gradient_scale = co.k * np.abs(tables.scaled) @ (terms[2:] + terms[:-2])
+        for fn, scale in ((ct.eval_field, field_scale),
+                          (ct.eval_gradient, gradient_scale[:, None])):
+            got = fn(co, th[:q_reps], reps, 4)
+            want = fn(co, th, tables)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+            assert _same_bits(got[..., :q_reps], fn(co, th[:q_reps], reps))

@@ -364,6 +364,70 @@ class TestGridCsv:
         with pytest.raises(ValueError, match="grid.csv: data rows"):
             formats.read_grid_csv(path)
 
+    @staticmethod
+    def _edit_coordinates(path, edit):
+        """Rewrite every data row's x and y text through edit(x, y)."""
+        lines = path.read_text().splitlines()
+        for n, line in enumerate(lines):
+            if not line.startswith("#"):
+                x, y, rest = line.split(",", 2)
+                lines[n] = ",".join([*edit(x, y), rest])
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("edit", [
+        lambda x, y: ("5e-1" if x == "0.5" else x, y),
+        lambda x, y: (x, "+0.5" if y == "0.5" else y),
+        lambda x, y: (x.ljust(40, "0") if x == "0.5" else x, y),     # 40 characters
+        lambda x, y: ("-0.50" if x == "-0.5" else x, y)])           # one byte past "-0.5"
+    def test_coordinate_text_of_another_writer(self, tmp_path, monkeypatch, edit):
+        # rows the writer did not lay out are parsed and placed as numbers
+        img = _image()
+        path, canonical = tmp_path / "grid.csv", tmp_path / "canonical.csv"
+        formats.write_grid_csv(path, img)
+        formats.write_grid_csv(canonical, img)
+        self._edit_coordinates(path, edit)
+        assert path.read_bytes() != canonical.read_bytes()
+        want = formats.read_grid_csv(canonical)
+        passes = []
+        real = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: passes.append(1) or real(*a, **kw))
+        back = formats.read_grid_csv(path)
+        assert back.values.tobytes() == want.values.tobytes()
+        assert back.flags.tobytes() == want.flags.tobytes()
+        assert len(passes) == 2
+
+    def test_shuffled_rows(self, tmp_path):
+        img = _image()
+        path = tmp_path / "grid.csv"
+        formats.write_grid_csv(path, img)
+        want = formats.read_grid_csv(path)
+        lines = path.read_text().splitlines()
+        n_header = sum(line.startswith("#") for line in lines)
+        data = lines[n_header:]
+        order = np.random.default_rng(2).permutation(len(data))
+        path.write_text("\n".join(lines[:n_header] + [data[i] for i in order]) + "\n")
+        back = formats.read_grid_csv(path)
+        assert back.values.tobytes() == want.values.tobytes()
+        assert back.flags.tobytes() == want.flags.tobytes()
+
+    def test_text_past_a_coordinate_rejected(self, tmp_path):
+        # "-0.5x" would read as "-0.5" in a field as wide as the longest
+        # coordinate; the reader's fields are one byte wider
+        path = tmp_path / "grid.csv"
+        formats.write_grid_csv(path, _image())
+        self._edit_coordinates(path, lambda x, y: ("-0.5x" if x == "-0.5" else x, y))
+        with pytest.raises(ValueError, match="grid.csv: data rows"):
+            formats.read_grid_csv(path)
+
+    def test_written_file_takes_one_data_pass(self, tmp_path, monkeypatch):
+        path = tmp_path / "grid.csv"
+        formats.write_grid_csv(path, _image())
+        passes = []
+        real = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: passes.append(1) or real(*a, **kw))
+        formats.read_grid_csv(path)
+        assert len(passes) == 1
+
     def test_blank_lines_skipped(self, tmp_path):
         img = _image()
         path = tmp_path / "grid.csv"

@@ -1,5 +1,9 @@
 import functools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,9 @@ from nearscat import indicator as ind
 from nearscat import noise as nz
 from nearscat.geometry import ShapeSpec, imaging_grid, make_curve
 from nearscat.pipeline import FIRST_J0_ZERO, reconstruct
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def _coeffs(values, radius=2.2, k=3.0, side="exterior"):
@@ -170,17 +177,13 @@ def _random_scenario(side, n_trunc=4, n_src=12, seed=0):
     return co, fw.SourceSet(center=(0.0, 0.0), radius=radius, count=n_src)
 
 
-class TestBlockedEvaluation:
-    """indicator_values works through the live points in blocks of
-    BLOCK_POINTS; the blocks repeat a one-block evaluation bit for bit."""
-
-    @pytest.mark.parametrize("side", ["exterior", "interior"])
-    @pytest.mark.parametrize("kind", ["soft", "hard"])
-    def test_blocks_match_one_block(self, monkeypatch, side, kind):
-        # point by point on an off-centre disk's grid, orbit by orbit on the
-        # centred grid
-        co, src = _random_scenario(side)
-        one_block = ind.BLOCK_POINTS
+def _blocks_match_one_block(side, kind):
+    """Assert that blocks of 256 points give the one-block image bit for bit:
+    point by point on an off-centre disk's grid, orbit by orbit on the
+    centred grid."""
+    co, src = _random_scenario(side)
+    one_block = ind.BLOCK_POINTS
+    try:
         for excl in (((0.6, -0.3), 0.25), None):
             grid = imaging_grid(-1.2, 1.2, -1.2, 1.2, 41, 41, exclusion=excl)
             assert (grid.quarter_orbits() is None) == (excl is not None)
@@ -188,12 +191,39 @@ class TestBlockedEvaluation:
             assert np.hypot(pts[:, 0], pts[:, 1]).min() < 1e-12     # the origin is live
             assert pts.shape[0] > 4 * 256 and pts.shape[0] % 256   # ragged last block
             assert pts.shape[0] <= one_block
-            monkeypatch.setattr(ind, "BLOCK_POINTS", one_block)
+            ind.BLOCK_POINTS = one_block
             one = ind._on_grid(co, src, grid, kind)
-            monkeypatch.setattr(ind, "BLOCK_POINTS", 256)
+            ind.BLOCK_POINTS = 256
             image = ind._on_grid(co, src, grid, kind)
             assert image.values.tobytes() == one.values.tobytes()
             assert image.flags.dtype == np.uint8 and image.flags.tobytes() == one.flags.tobytes()
+    finally:
+        ind.BLOCK_POINTS = one_block
+
+
+class TestBlockedEvaluation:
+    """indicator_values works through the live points in blocks of
+    BLOCK_POINTS; the blocks repeat a one-block evaluation bit for bit."""
+
+    @pytest.mark.parametrize("side", ["exterior", "interior"])
+    @pytest.mark.parametrize("kind", ["soft", "hard"])
+    def test_blocks_match_one_block(self, side, kind):
+        _blocks_match_one_block(side, kind)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two cores")
+    def test_blocks_match_one_block_on_two_blas_threads(self):
+        # OpenBLAS threads the products by their shape, so the check above
+        # holds on one thread whatever the machine; run it again where the
+        # products can take two
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), str(TESTS), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", "from test_indicator import _blocks_match_one_block as check\n"
+             "for side in ('exterior', 'interior'):\n"
+             "    for kind in ('soft', 'hard'):\n"
+             "        check(side, kind)\n"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
 
     def test_source_in_last_block_rejected(self, monkeypatch):
         co, src = _random_scenario("exterior")
@@ -284,6 +314,20 @@ class TestQuarterTurnOrbits:
         co, src = _random_scenario("exterior")
         ind._on_grid(co, src, grid, "soft")
         assert np.array_equal(seen, src.positions[:3])
+
+    @pytest.mark.parametrize("kind", ["soft", "hard"])
+    def test_quarter_of_the_angles_evaluated(self, monkeypatch, kind):
+        # the continued field and gradient are formed at one point per orbit
+        # and turned onto the other three
+        angles = []
+        for name in ("eval_field", "eval_gradient"):
+            real = getattr(ind, name)
+            monkeypatch.setattr(ind, name, lambda co, theta, *rest, real=real: (
+                angles.append(theta.size), real(co, theta, *rest))[1])
+        grid = imaging_grid(-1.2, 1.2, -1.2, 1.2, 40, 40)
+        co, src = _random_scenario("exterior")
+        ind._on_grid(co, src, grid, kind)
+        assert sum(angles) == grid.n_points // 4
 
     @pytest.mark.parametrize("sources", [
         fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=10),

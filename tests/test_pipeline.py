@@ -76,8 +76,20 @@ class TestConfig:
         assert inte.source_radius == 0.5 and inte.receiver_radius == 0.5
         assert inte.exclusion_radius == 0.5
         assert inte.grid().exclusion == (0.0, 0.0, 0.5)
-        no_disk = ScenarioConfig(side="interior", exclusion_radius=0.0)
+        no_disk = ScenarioConfig(side="interior", exclusion_radius=0.0).resolved()
         assert no_disk.grid().exclusion is None and not no_disk.grid().mask.any()
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(), ScenarioConfig(side="interior"),
+        ScenarioConfig(source_radius=2.2), ScenarioConfig(receiver_radius=2.2),
+        ScenarioConfig(side="interior", source_radius=0.5, receiver_radius=0.5)])
+    @pytest.mark.parametrize("builder", ["grid", "sources"])
+    def test_builders_refuse_unresolved_config(self, cfg, builder):
+        # an unresolved interior grid would lack the receiver disk, and
+        # unresolved sources would have no radius
+        with pytest.raises(ConfigError, match=r"call resolved\(\) first"):
+            getattr(cfg, builder)()
+        getattr(cfg.resolved(), builder)()
 
     def test_clean_data_needs_truncation(self):
         cfg = ScenarioConfig(delta=0.0)
