@@ -30,8 +30,12 @@ re, im or grid value, and a ring row whose theta lies more than 1e-12
 from 2 pi m / M for its receiver m of M (the equispaced layout the
 expansion assumes); missing rows are rejected too, and so is a header
 without a key the reader needs or with a value that does not parse or
-is not finite (the key named in the error), and a ring file whose field
-is not `scattered` or whose side is not `exterior` or `interior`.
+is not finite (the key named in the error), a ring header whose k,
+ring_radius, n_receivers, n_sources or source_radius is not positive or
+whose delta lies outside [0, 1), a grid header that describes no grid,
+and a ring file whose field is not `scattered` or whose side is not
+`exterior` or `interior`.  Every error names the file; the header is
+checked before any data row is read.
 `write_pgm` refuses pixels outside 0..maxval, and a PGM must hold
 exactly nx*ny pixels, each in 0..maxval.
 """
@@ -121,7 +125,7 @@ def _reject(path, rows: np.ndarray, bad: np.ndarray, why: str) -> None:
     """Raise ValueError naming the first data row where `bad` holds."""
     if bad.any():
         i = int(np.argmax(bad))
-        row = ",".join(str(v) for v in rows[i].tolist())
+        row = ",".join(v.decode() if isinstance(v, bytes) else str(v) for v in rows[i].tolist())
         raise ValueError(f"{path}: data row {i + 1} ({row}) {why}")
 
 
@@ -336,15 +340,26 @@ def write_ring_csv(path, ring: RingMeasurement, extra: dict | None = None) -> No
 
 def read_ring_csv(path) -> tuple[RingMeasurement, dict]:
     meta, n_header = _read_header(path, "nearscat-ring-1", _RING_KEYS)
-    rows = _read_rows(path, _RING_ROW, n_header)
     if meta["field"] != "scattered":
         raise ValueError(f"{path}: field={meta['field']}, expected the scattered field")
     if meta["side"] not in ("exterior", "interior"):
         raise ValueError(f"{path}: side={meta['side']}, expected exterior or interior")
     n_src = _header_value(path, meta, "n_sources", int)
     n_rec = _header_value(path, meta, "n_receivers", int)
-    sources = SourceSet(center=_header_value(path, meta, "source_center", count=2),
-                        radius=_header_value(path, meta, "source_radius"), count=n_src)
+    k, ring_radius, delta = (_header_value(path, meta, key)
+                             for key in ("k", "ring_radius", "delta"))
+    for key, ok, rule in (("k", k > 0.0, "> 0"), ("ring_radius", ring_radius > 0.0, "> 0"),
+                          ("delta", 0.0 <= delta < 1.0, "in [0, 1)"),
+                          ("n_receivers", n_rec >= 1, ">= 1")):
+        if not ok:
+            raise ValueError(f"{path}: header value {key}={meta[key]!r} is not {rule}")
+    center = _header_value(path, meta, "source_center", count=2)
+    source_radius = _header_value(path, meta, "source_radius")
+    try:
+        sources = SourceSet(center=center, radius=source_radius, count=n_src)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    rows = _read_rows(path, _RING_ROW, n_header)
     if rows.size != n_src * n_rec:
         raise ValueError(f"{path}: expected {n_src * n_rec} rows, found {rows.size}")
     j, m = rows["source"], rows["receiver"]
@@ -359,9 +374,7 @@ def read_ring_csv(path) -> tuple[RingMeasurement, dict]:
     samples = np.zeros((n_src, n_rec), dtype=complex)
     samples.real[j, m] = rows["re"]
     samples.imag[j, m] = rows["im"]
-    ring = RingMeasurement(radius=_header_value(path, meta, "ring_radius"),
-                           k=_header_value(path, meta, "k"), samples=samples,
-                           noise_level=_header_value(path, meta, "delta"),
+    ring = RingMeasurement(radius=ring_radius, k=k, samples=samples, noise_level=delta,
                            side=meta["side"], sources=sources)
     return ring, meta
 
@@ -412,51 +425,51 @@ def write_grid_csv(path, image: IndicatorImage, extra: dict | None = None) -> No
 
 def read_grid_csv(path) -> IndicatorImage:
     meta, n_header = _read_header(path, "nearscat-grid-1", _GRID_KEYS)
-    try:
-        grid = _header_grid(path, meta)
-    except ValueError:
-        grid = None                    # raised again below, after any data-row error
-    rows = _written_rows(path, grid, n_header) if grid is not None else None
+    grid = _header_grid(path, meta)
+    ks = _header_value(path, meta, "wavenumbers", count=None)
+    rows = _written_rows(path, grid, n_header)
     if rows is not None:
         idx = np.flatnonzero(~grid.mask)
     else:
         rows = _read_rows(path, _GRID_ROW, n_header)
-        grid = grid if grid is not None else _header_grid(path, meta)
         idx = grid.index_of(rows["x"], rows["y"])
         _reject(path, rows, idx < 0, "lies outside the grid")
         _reject(path, rows, grid.mask[idx], "lies at a masked grid point")
         _reject(path, rows, _repeats(idx, grid.n_points),
                 "repeats the grid point of an earlier row")
-        _reject(path, rows, ~np.isfinite(rows["value"]), "has a non-finite value")
-        _reject(path, rows, (rows["flag"] < 0) | (rows["flag"] > np.iinfo(np.uint8).max),
-                "has a flag outside 0..255")
+    _reject(path, rows, ~np.isfinite(rows["value"]), "has a non-finite value")
+    _reject(path, rows, (rows["flag"] < 0) | (rows["flag"] > np.iinfo(np.uint8).max),
+            "has a flag outside 0..255")
     values = np.full(grid.n_points, np.nan)
     flags = np.zeros(grid.n_points, dtype=np.uint8)
     values[idx] = rows["value"]
     flags[idx] = rows["flag"]
     if np.any(np.isnan(values[~grid.mask])):
         raise ValueError(f"{path}: missing rows for unmasked grid points")
-    ks = _header_value(path, meta, "wavenumbers", count=None)
     return IndicatorImage(grid=grid, values=values, kind=meta["kind"],
                           wavenumbers=ks, state=meta["state"], flags=flags)
 
 
 def _header_grid(path, meta: dict):
-    """The imaging grid a grid CSV's header describes."""
+    """The imaging grid a grid CSV's header describes; ValueError naming
+    the file when ``imaging_grid`` refuses it."""
     exclusion = None
     if "exclusion" in meta:
         cx, cy, rad = _header_value(path, meta, "exclusion", count=3)
         exclusion = ((cx, cy), rad)
     bounds = [_header_value(path, meta, key) for key in ("xmin", "xmax", "ymin", "ymax")]
-    return imaging_grid(*bounds, _header_value(path, meta, "nx", int),
-                        _header_value(path, meta, "ny", int), exclusion=exclusion)
+    shape = [_header_value(path, meta, key, int) for key in ("nx", "ny")]
+    try:
+        return imaging_grid(*bounds, *shape, exclusion=exclusion)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _written_rows(path, grid, n_header: int) -> np.ndarray | None:
     """The data rows of a grid CSV laid out as `write_grid_csv` lays out
     `grid` (a row per live point in grid order, x and y as its `%.17g`
     text), with x and y read as text and not parsed; None for any other
-    file, and for one whose value or flag `read_grid_csv` would reject.
+    file.
 
     The text fields are one byte wider than the longest coordinate, so a
     longer text, which arrives truncated to that width, matches none.  The
@@ -475,9 +488,7 @@ def _written_rows(path, grid, n_header: int) -> np.ndarray | None:
     edge = np.r_[:nx, nx:grid.n_points:nx]           # the first row and column
     row, col = np.divmod(np.flatnonzero(~grid.mask), nx)
     if (rows.size != row.size or not np.array_equal(grid.index_of(*grid.points[edge].T), edge)
-            or not np.array_equal(rows["x"], xs[col]) or not np.array_equal(rows["y"], ys[row])
-            or not np.isfinite(rows["value"]).all()
-            or not ((0 <= rows["flag"]) & (rows["flag"] <= np.iinfo(np.uint8).max)).all()):
+            or not np.array_equal(rows["x"], xs[col]) or not np.array_equal(rows["y"], ys[row])):
         return None
     return rows
 

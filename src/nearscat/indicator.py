@@ -24,8 +24,8 @@ own incident terms, so the points are evaluated in blocks of
 BLOCK_POINTS: only one block's fields, gradients, incident terms and
 reductions exist at a time, and the values go straight into the output.
 The cylinder-function table (``radial_tables``), which serves the field
-and its gradient alike, and the polar angles are formed once for all
-points and gathered per block.
+and its gradient alike, and the polar angles are formed once, at one
+point per orbit (``_on_grid`` picks the orbits), and gathered per block.
 
 When a quarter turn R(x, y) = (-y, x) maps the layout onto itself (4 | S
 sources centred at the origin, points in ``ImagingGrid.quarter_orbits``),
@@ -75,40 +75,38 @@ def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
                      points: np.ndarray, kind: str, orbits: np.ndarray | None = None):
     """Raw indicator values and flags at (P, 2) points; (P,), (P,) uint8.
 
-    Evaluated in blocks of BLOCK_POINTS points with r > 0, on one
-    cylinder-function table and polar angles formed once for all of them.
-    ``orbits`` (4, Q), rows R^-m of row 0 as in ``ImagingGrid.quarter_orbits``
-    but indexing ``points``, makes the blocks whole orbits, turn-major: the
-    modes are formed at row 0 only, and S/4 sources give every incident
-    term, when it covers every point with r > 0 and the S sources are
-    centred at the origin with S divisible by 4.
+    Evaluated in blocks of BLOCK_POINTS points.  ``orbits`` (T, Q) indexes
+    ``points``; None makes each point with r >= MIN_RADIUS its own orbit,
+    and a point in no orbit stays 0 and degenerate.  T = 4 is trusted to be
+    ``ImagingGrid.quarter_orbits``'s layout with S sources centred at the
+    origin, 4 | S: blocks are whole orbits, turn-major, the radial table,
+    polar angles and modes are formed at row 0 only, and S/4 sources give
+    every incident term.
     """
     if kind not in ("soft", "hard"):
         raise ValueError(f"unknown indicator kind {kind!r}")
     if coeffs.n_sources != sources.count:
         raise ValueError("coefficient rows do not match the source count")
     r = np.hypot(points[:, 0], points[:, 1])
-    theta = np.arctan2(points[:, 1], points[:, 0])
     ok = r >= MIN_RADIUS
     for p in points[~ok]:      # the origin is in no block and gets no incident term
         _diff_to_source(sources.positions, p)
     values = np.zeros(points.shape[0])
     flags = np.full(points.shape[0], FLAG_DEGENERATE, dtype=np.uint8)
-    if (orbits is None or sources.count % 4 or any(sources.center)
-            or orbits.size != np.count_nonzero(ok) or not ok[orbits].all()):
+    if orbits is None:
         orbits = np.flatnonzero(ok)[None, :]                    # every point its own orbit
     if not orbits.size:
         return values, flags
     turns, n_orbits = orbits.shape
-    tables = radial_tables(coeffs, r[orbits.ravel()])
-    inverse = tables.inverse[:n_orbits]                         # row 0's radii
+    theta = np.arctan2(points[orbits[0], 1], points[orbits[0], 0])
+    tables = radial_tables(coeffs, r[orbits[0]])
     step = BLOCK_POINTS // turns
     for start in range(0, n_orbits, step):
         reps = slice(start, start + step)
         idx = orbits[:, reps].ravel()                  # turn-major: every x_p, every R^-1 x_p, ...
         values[idx], flags[idx] = _block_values(
-            coeffs, sources, points[idx], theta[orbits[0, reps]],
-            tables._replace(inverse=inverse[reps]), kind, turns)
+            coeffs, sources, points[idx], theta[reps],
+            tables._replace(inverse=tables.inverse[reps]), kind, turns)
     return values, flags
 
 
@@ -179,7 +177,8 @@ def _on_grid(coeffs: ModeCoefficients, sources: SourceSet, grid: ImagingGrid,
     values = np.full(grid.n_points, np.nan)
     flags = np.zeros(grid.n_points, dtype=np.uint8)
     live = ~grid.mask
-    orbits = grid.quarter_orbits()
+    turning = sources.count % 4 == 0 and not any(sources.center)
+    orbits = grid.quarter_orbits() if turning else None
     if orbits is not None:                      # grid indices -> indices of the live points
         orbits = (np.cumsum(live) - 1)[orbits]
     vals, fl = indicator_values(coeffs, sources, grid.points[live], kind, orbits)

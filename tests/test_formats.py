@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -266,6 +267,26 @@ class TestRingCsv:
         with pytest.raises(ValueError, match="ring.csv: field=total"):
             formats.read_ring_csv(path)
 
+    @pytest.mark.parametrize("line,bad,why", [
+        ("# k=3.0\n", "# k=-3.0\n", "header value k='-3.0' is not > 0"),
+        ("# ring_radius=2.2\n", "# ring_radius=-2.2\n",
+         "header value ring_radius='-2.2' is not > 0"),
+        ("# delta=0.05\n", "# delta=-0.5\n", r"header value delta='-0.5' is not in \[0, 1\)"),
+        ("# delta=0.05\n", "# delta=1.0\n", r"header value delta='1.0' is not in \[0, 1\)"),
+        ("# n_receivers=16\n", "# n_receivers=0\n", "header value n_receivers='0' is not >= 1"),
+        ("# n_sources=2\n", "# n_sources=0\n", "need at least one source"),
+        ("# source_radius=2.2\n", "# source_radius=-2.2\n", "source circle radius")],
+        ids=["k", "ring_radius", "delta_negative", "delta_one", "n_receivers", "n_sources",
+             "source_radius"])
+    def test_rejects_out_of_range_header_value(self, tmp_path, line, bad, why):
+        # refused before the data rows, one of which does not parse
+        path = tmp_path / "ring.csv"
+        formats.write_ring_csv(path, _ring())
+        path.write_text(path.read_text().replace(line, bad))
+        _edit_data_row(path, 0, lambda row: "x" + row)
+        with pytest.raises(ValueError, match=f"ring.csv: {why}"):
+            formats.read_ring_csv(path)
+
     @_FILE_SETTINGS
     @given(n_src=st.integers(1, 5), n_rec=st.integers(1, 40),
            seed=st.integers(0, 2**32 - 1), special=st.lists(_EXTREME, max_size=8))
@@ -320,6 +341,40 @@ class TestGridCsv:
         path.write_text(path.read_text().replace("# nx=5\n", "# nx=abc\n"))
         with pytest.raises(ValueError, match="grid.csv: cannot parse header value nx="):
             formats.read_grid_csv(path)
+
+    @pytest.mark.parametrize("line,bad,why", [
+        ("# nx=5\n", "# nx=1\n", "nx and ny must be >= 2"),
+        ("# xmax=1.0\n", "# xmax=-2.0\n", "degenerate grid bounds"),
+        ("# exclusion=0.0 0.0 0.4\n", "# exclusion=0 0 -1\n",
+         "exclusion radius must be nonnegative")], ids=["nx", "xmax", "exclusion"])
+    def test_rejects_header_of_no_grid(self, tmp_path, line, bad, why):
+        path = tmp_path / "grid.csv"
+        formats.write_grid_csv(path, _image())
+        path.write_text(path.read_text().replace(line, bad))
+        with pytest.raises(ValueError, match=f"grid.csv: {why}"):
+            formats.read_grid_csv(path)
+
+    def test_header_checked_before_data_rows(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        formats.write_grid_csv(path, _image())
+        path.write_text(path.read_text().replace("# nx=5\n", "# nx=abc\n"))
+        _edit_data_row(path, 3, lambda line: line.rsplit(",", 1)[0])      # three columns
+        with pytest.raises(ValueError, match="grid.csv: cannot parse header value nx="):
+            formats.read_grid_csv(path)
+
+    def test_written_file_with_nan_takes_one_data_pass(self, tmp_path, monkeypatch):
+        path = tmp_path / "grid.csv"
+        formats.write_grid_csv(path, _image())
+        _edit_data_row(path, 3, lambda line: ",".join(
+            "nan" if i == 2 else part for i, part in enumerate(line.split(","))))
+        x, y = _data_rows(path, "x,y,value,flag").splitlines()[3].split(",")[:2]
+        passes = []
+        real = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: passes.append(1) or real(*a, **kw))
+        with pytest.raises(ValueError, match=re.escape(
+                f"grid.csv: data row 4 ({x},{y},nan,0) has a non-finite value")):
+            formats.read_grid_csv(path)
+        assert len(passes) == 1
 
     def test_rejects_duplicated_row(self, tmp_path):
         path = tmp_path / "grid.csv"

@@ -334,20 +334,31 @@ class TestQuarterTurnOrbits:
         fw.SourceSet(center=(0.1, 0.0), radius=2.2, count=12)])
     @pytest.mark.parametrize("kind", ["soft", "hard"])
     def test_refused_source_layouts(self, monkeypatch, kind, sources):
-        # orbits given, but the sources do not turn onto each other: every
-        # source is evaluated on every point, as with no orbits
+        # the grid turns onto itself, but the sources do not: every source
+        # is evaluated on every point, as with no orbits
         calls = []
         for name in ("incident_field", "incident_gradient"):
             real = getattr(ind, name)
             monkeypatch.setattr(ind, name, lambda x, z, k, real=real: (
                 calls.append(x.shape[0]), real(x, z, k))[1])
         grid = imaging_grid(-1.2, 1.2, -1.2, 1.2, 40, 40)
+        assert grid.quarter_orbits() is not None
         co, _ = _random_scenario("exterior", n_src=sources.count)
-        orbits = grid.quarter_orbits()
-        got = ind.indicator_values(co, sources, grid.points, kind, orbits)
+        image = ind._on_grid(co, sources, grid, kind)
         assert calls == [grid.n_points] * sources.count
         want = ind.indicator_values(co, sources, grid.points, kind)
-        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert image.values.tobytes() == want[0].tobytes()
+        assert image.flags.tobytes() == want[1].tobytes()
+
+    def test_one_radius_per_orbit_tabulated(self, monkeypatch):
+        radii = []
+        real = ind.radial_tables
+        monkeypatch.setattr(ind, "radial_tables", lambda co, r: (
+            radii.append(np.size(r)), real(co, r))[1])
+        grid = imaging_grid(-1.2, 1.2, -1.2, 1.2, 40, 40)
+        co, src = _random_scenario("exterior")
+        ind._on_grid(co, src, grid, "hard")
+        assert radii == [grid.n_points // 4]
 
 
 class TestImageAlgebra:
