@@ -97,22 +97,30 @@ def truncation_order(delta: float, side: str) -> int:
     return int(math.floor(scale * abs(math.log(delta)))) + 1
 
 
+def _check_truncation(truncation: int, n_receivers: int) -> None:
+    """ValueError unless N >= 0, 2N+1 <= n_receivers (Nyquist) and the
+    cylinder-function tables reach order N + 1, which the gradient reads."""
+    if truncation < 0:
+        raise ValueError(f"truncation must be >= 0, got {truncation}")
+    if 2 * truncation + 1 > n_receivers:
+        raise ValueError(f"truncation {truncation} violates Nyquist (needs >= "
+                         f"{2 * truncation + 1} receivers, have {n_receivers})")
+    if truncation + 1 > cylfun.MAX_ORDER:
+        raise ValueError(f"truncation {truncation} above {cylfun.MAX_ORDER - 1}: the gradient "
+                         f"reads order N + 1 of tables that end at {cylfun.MAX_ORDER}")
+
+
 def compute_coefficients(ring: RingMeasurement, truncation: int,
                          mode_guard: float = DEFAULT_MODE_GUARD) -> ModeCoefficients:
     """Discrete Fourier coefficients of the ring samples for n = -N..N.
 
-    Plain DFT sums (trapezoid rule on the equispaced receivers); requires
-    N >= 0 and 2N+1 <= number of receivers.  On the interior side, modes whose
-    anchor denominator |J_n(kR)| < mode_guard are zeroed and flagged; the
-    exterior side excludes none.
+    Plain DFT sums (trapezoid rule on the equispaced receivers); the
+    truncation N must pass ``_check_truncation``.  On the interior side,
+    modes whose anchor denominator |J_n(kR)| < mode_guard are zeroed and
+    flagged; the exterior side excludes none.
     """
     m_rec = ring.n_receivers
-    if truncation < 0:
-        raise ValueError(f"truncation must be >= 0, got {truncation}")
-    if 2 * truncation + 1 > m_rec:
-        raise ValueError(
-            f"truncation {truncation} violates Nyquist (needs >= {2 * truncation + 1} "
-            f"receivers, have {m_rec})")
+    _check_truncation(truncation, m_rec)
     orders = np.arange(-truncation, truncation + 1)
     basis = np.exp(-1j * np.outer(orders, ring.angles))      # (2N+1, M)
     values = _gemm(ring.samples, basis.T) / m_rec

@@ -17,25 +17,23 @@ numbers) to `%` itself.  Grid coordinates, receiver angles and indices
 are formatted once per column, row or receiver, flags and pixels come
 from tables, and each block of at most 4096 rows is written as its word
 matrix's bytes with the NULs deleted, so memory stays flat in the file
-size.  The ring reader parses all data rows with one `np.loadtxt` call.
-The grid reader reads x and y as text in that call, and when the rows
-are the writer's (a row per live point in grid order, each coordinate
-the `%.17g` text of its grid node) places them without parsing a
-coordinate; any other file is read again with x and y as numbers and
-placed and checked row by row.  Readers raise
-ValueError, naming the row, for a repeated grid point or (source,
-receiver) pair, a point outside the grid or an index out of range, a row
-at a masked grid point, a non-integer index or flag, a non-finite theta,
-re, im or grid value, and a ring row whose theta lies more than 1e-12
-from 2 pi m / M for its receiver m of M (the equispaced layout the
-expansion assumes); missing rows are rejected too, and so is a header
-without a key the reader needs or with a value that does not parse or
-is not finite (the key named in the error), a ring header whose k,
-ring_radius, n_receivers, n_sources or source_radius is not positive or
-whose delta lies outside [0, 1), a grid header that describes no grid,
-and a ring file whose field is not `scattered` or whose side is not
-`exterior` or `interior`.  Every error names the file; the header is
-checked before any data row is read.
+size.  Each reader parses all data rows with one `np.loadtxt` call.  The
+grid reader takes only what the writer writes, a row per unmasked grid
+point in grid order with x and y the `%.17g` text of the point: it
+compares x and y as text, parsing no coordinate, with the writer's texts
+from `_coordinate_texts`.  Readers raise ValueError, naming the row, for
+a grid row off that layout, a repeated (source, receiver) pair, an index
+out of range, a non-integer index or flag, a flag outside 0..255, a
+non-finite theta, re, im or grid value, and a ring row whose theta lies
+more than 1e-12 from 2 pi m / M for its receiver m of M (the equispaced
+layout the expansion assumes); a wrong row count is rejected too, and so
+is a header without a key the reader needs or with a value that does
+not parse or is not finite (the key named in the error), a ring header
+whose k, ring_radius, n_receivers, n_sources or source_radius is not
+positive or whose delta lies outside [0, 1), a grid header that
+describes no grid, and a ring file whose field is not `scattered` or
+whose side is not `exterior` or `interior`.  Every error names the file;
+the header is checked before any data row is read.
 `write_pgm` refuses pixels outside 0..maxval, and a PGM must hold
 exactly nx*ny pixels, each in 0..maxval.
 """
@@ -383,8 +381,6 @@ def read_ring_csv(path) -> tuple[RingMeasurement, dict]:
 # Indicator grids
 # ---------------------------------------------------------------------------
 
-_GRID_ROW = np.dtype([("x", np.float64), ("y", np.float64),
-                      ("value", np.float64), ("flag", np.int64)])
 _GRID_KEYS = ("xmin", "xmax", "ymin", "ymax", "nx", "ny", "kind", "state", "wavenumbers")
 
 
@@ -405,8 +401,7 @@ def write_grid_csv(path, image: IndicatorImage, extra: dict | None = None) -> No
         meta.update(extra)
     # A row is "x," and "y," from tables, the value as words with the comma
     # in its free last byte, and "flag\n" from a table; masked points drop out.
-    xs = _text_words([f"{x:.17g}," for x in g.points[:g.nx, 0].tolist()])
-    ys = _text_words([f"{y:.17g}," for y in g.points[::g.nx, 1].tolist()])
+    xs, ys = (_text_words([t + "," for t in texts]) for texts in _coordinate_texts(g))
 
     def blocks():
         for start in range(0, g.n_points, _BLOCK_ROWS):
@@ -427,16 +422,21 @@ def read_grid_csv(path) -> IndicatorImage:
     meta, n_header = _read_header(path, "nearscat-grid-1", _GRID_KEYS)
     grid = _header_grid(path, meta)
     ks = _header_value(path, meta, "wavenumbers", count=None)
-    rows = _written_rows(path, grid, n_header)
-    if rows is not None:
-        idx = np.flatnonzero(~grid.mask)
-    else:
-        rows = _read_rows(path, _GRID_ROW, n_header)
-        idx = grid.index_of(rows["x"], rows["y"])
-        _reject(path, rows, idx < 0, "lies outside the grid")
-        _reject(path, rows, grid.mask[idx], "lies at a masked grid point")
-        _reject(path, rows, _repeats(idx, grid.n_points),
-                "repeats the grid point of an earlier row")
+    xs, ys = (np.array(texts, dtype=bytes) for texts in _coordinate_texts(grid))
+    # one byte wider than the longest coordinate: a longer text, truncated, matches none
+    text = f"S{max(xs.itemsize, ys.itemsize) + 1}"
+    rows = _read_rows(path, np.dtype([("x", text), ("y", text), ("value", np.float64),
+                                      ("flag", np.int64)]), n_header)
+    idx = np.flatnonzero(~grid.mask)
+    row, col = np.divmod(idx[:rows.size], grid.nx)
+    moved = (rows["x"][:row.size] != xs[col]) | (rows["y"][:row.size] != ys[row])
+    if moved.any():
+        i = int(np.argmax(moved))
+        _reject(path, rows, moved, "does not hold the next unmasked grid point: expected "
+                                   f"x={xs[col[i]].decode()}, y={ys[row[i]].decode()}")
+    if rows.size != idx.size:
+        raise ValueError(f"{path}: expected {idx.size} rows, one per unmasked grid point, "
+                         f"found {rows.size}")
     _reject(path, rows, ~np.isfinite(rows["value"]), "has a non-finite value")
     _reject(path, rows, (rows["flag"] < 0) | (rows["flag"] > np.iinfo(np.uint8).max),
             "has a flag outside 0..255")
@@ -444,10 +444,14 @@ def read_grid_csv(path) -> IndicatorImage:
     flags = np.zeros(grid.n_points, dtype=np.uint8)
     values[idx] = rows["value"]
     flags[idx] = rows["flag"]
-    if np.any(np.isnan(values[~grid.mask])):
-        raise ValueError(f"{path}: missing rows for unmasked grid points")
     return IndicatorImage(grid=grid, values=values, kind=meta["kind"],
                           wavenumbers=ks, state=meta["state"], flags=flags)
+
+
+def _coordinate_texts(grid) -> tuple[list[str], list[str]]:
+    """The `%.17g` texts of the grid's x per column and y per row."""
+    return (["%.17g" % x for x in grid.points[:grid.nx, 0].tolist()],
+            ["%.17g" % y for y in grid.points[::grid.nx, 1].tolist()])
 
 
 def _header_grid(path, meta: dict):
@@ -463,34 +467,6 @@ def _header_grid(path, meta: dict):
         return imaging_grid(*bounds, *shape, exclusion=exclusion)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def _written_rows(path, grid, n_header: int) -> np.ndarray | None:
-    """The data rows of a grid CSV laid out as `write_grid_csv` lays out
-    `grid` (a row per live point in grid order, x and y as its `%.17g`
-    text), with x and y read as text and not parsed; None for any other
-    file.
-
-    The text fields are one byte wider than the longest coordinate, so a
-    longer text, which arrives truncated to that width, matches none.  The
-    grid must place its own coordinates at their own indices, so a row
-    that matches its text sits where parsing it would have placed it.
-    """
-    nx = grid.nx
-    xs = np.array([b"%.17g" % x for x in grid.points[:nx, 0].tolist()])
-    ys = np.array([b"%.17g" % y for y in grid.points[::nx, 1].tolist()])
-    text = f"S{max(xs.itemsize, ys.itemsize) + 1}"
-    try:
-        rows = _read_rows(path, np.dtype([("x", text), ("y", text), ("value", np.float64),
-                                          ("flag", np.int64)]), n_header)
-    except ValueError:
-        return None
-    edge = np.r_[:nx, nx:grid.n_points:nx]           # the first row and column
-    row, col = np.divmod(np.flatnonzero(~grid.mask), nx)
-    if (rows.size != row.size or not np.array_equal(grid.index_of(*grid.points[edge].T), edge)
-            or not np.array_equal(rows["x"], xs[col]) or not np.array_equal(rows["y"], ys[row])):
-        return None
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ class ScenarioConfig:
         try:
             self.shape_spec().validate()
             NoiseSpec(level=self.delta, seed=self.seed).validate()
-            n = self.truncation_order()
+            ct._check_truncation(self.truncation_order(), self.receiver_count)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.source_count < 1:
@@ -173,11 +173,6 @@ class ScenarioConfig:
                                  2, 2, exclusion=((0.0, 0.0), excl)).mask.all():
             raise ConfigError(f"exclusion_radius {excl:g} masks the whole imaging grid: "
                               f"its four corners lie in the disk")
-        if n < 0:
-            raise ConfigError(f"truncation must be >= 0, got {n}")
-        if 2 * n + 1 > self.receiver_count:
-            raise ConfigError(
-                f"truncation {n} needs {2 * n + 1} receivers, have {self.receiver_count}")
         if not self.mode_guard >= 0.0:
             raise ConfigError(f"mode_guard must be >= 0, got {self.mode_guard}")
 

@@ -330,6 +330,34 @@ def test_render_rejects_clip_outside_range(tmp_path, small_config, capsys, clip)
     assert not pgm.exists()
 
 
+def test_render_refuses_shuffled_rows(tmp_path, capsys):
+    # a grid CSV is read only in the writer's row order
+    grid = imaging_grid(-1.0, 1.0, -1.0, 1.0, 4, 4)
+    csv = tmp_path / "grid.csv"
+    formats.write_grid_csv(csv, IndicatorImage(
+        grid=grid, values=np.linspace(0.1, 1.0, 16), kind="soft", wavenumbers=(3.0,),
+        state="normalized", flags=np.zeros(16, dtype=np.uint8)))
+    lines = csv.read_text().splitlines(keepends=True)
+    n_header = sum(line.startswith("#") for line in lines)
+    csv.write_text("".join(lines[:n_header] + lines[:n_header - 1:-1]))
+    pgm = tmp_path / "img.pgm"
+    assert main(["render", "-i", str(csv), "-o", str(pgm)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"nearscat: error: {csv}: data row 1 ({lines[-1].rsplit(',', 2)[0]},")
+    assert "does not hold the next unmasked grid point: expected x=-1, y=1" in err
+    assert not pgm.exists()
+
+
+def test_pipeline_refuses_truncation_beyond_cylfun_tables(tmp_path, capsys):
+    # the delta rule gives N = 208 inside a cavity at delta = 1e-60; the
+    # gradient would read order 209 of tables that end at 200
+    out = tmp_path / "out"
+    assert main(["pipeline", "-o", str(out), "--side", "interior", "--delta", "1e-60",
+                 "--receiver-count", "420"]) == 2
+    assert "truncation 208 above 199" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_unexpected_errors_keep_their_traceback(tmp_path, small_config, monkeypatch):
     # only ValueError and OSError become exit status 2
     def boom(*args, **kwargs):

@@ -380,7 +380,8 @@ class TestGridCsv:
         path = tmp_path / "grid.csv"
         formats.write_grid_csv(path, _image())
         _edit_data_row(path, -1, lambda line: line + "\n" + line.rsplit(",", 2)[0] + ",9.5,0")
-        with pytest.raises(ValueError, match="data row 25 .*repeats"):
+        with pytest.raises(ValueError, match="grid.csv: expected 24 rows, one per unmasked "
+                                             "grid point, found 25"):
             formats.read_grid_csv(path)
 
     def test_rejects_row_at_masked_point(self, tmp_path):
@@ -388,16 +389,22 @@ class TestGridCsv:
         path = tmp_path / "grid.csv"
         formats.write_grid_csv(path, _image())
         _edit_data_row(path, -1, lambda line: line + "\n0,0,0.5,0")
-        with pytest.raises(ValueError, match="data row 25 .*masked"):
+        with pytest.raises(ValueError, match="grid.csv: expected 24 rows, one per unmasked "
+                                             "grid point, found 25"):
             formats.read_grid_csv(path)
 
-    @pytest.mark.parametrize("bad", ["3,4,0.5,0", "0.5,0.5,0.5,1.5", "0.5,0.5,0.5,256"])
-    def test_rejects_bad_row(self, tmp_path, bad):
-        # outside the grid, a non-integer flag, a flag beyond uint8
+    @pytest.mark.parametrize("bad,why", [pytest.param(bad, why, id=bad) for bad, why in [
+        ("3,4,0.5,0", r"data row 1 \(3,4,0.5,0\) does not hold the next unmasked grid point: "
+                      r"expected x=-1, y=1$"),
+        ("0.5,0.5,0.5,1.5", "data rows"),
+        ("0.5,0.5,0.5,256", r"data row 1 \(0.5,0.5,0.5,256\) does not hold the next"),
+        ("-1,1,0.5,256", r"data row 1 \(-1,1,0.5,256\) has a flag outside 0..255")]])
+    def test_rejects_bad_row(self, tmp_path, bad, why):
+        # off the first grid point, a non-integer flag, a flag beyond uint8
         path = tmp_path / "grid.csv"
         formats.write_grid_csv(path, _image())
         _edit_data_row(path, 0, lambda line: bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"grid.csv: {why}"):
             formats.read_grid_csv(path)
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -435,35 +442,36 @@ class TestGridCsv:
         lambda x, y: (x.ljust(40, "0") if x == "0.5" else x, y),     # 40 characters
         lambda x, y: ("-0.50" if x == "-0.5" else x, y)])           # one byte past "-0.5"
     def test_coordinate_text_of_another_writer(self, tmp_path, monkeypatch, edit):
-        # rows the writer did not lay out are parsed and placed as numbers
-        img = _image()
-        path, canonical = tmp_path / "grid.csv", tmp_path / "canonical.csv"
-        formats.write_grid_csv(path, img)
-        formats.write_grid_csv(canonical, img)
+        # the same numbers in another text are not the writer's rows, and the
+        # reader refuses them after its one pass
+        path = tmp_path / "grid.csv"
+        formats.write_grid_csv(path, _image())
+        written = path.read_bytes()
         self._edit_coordinates(path, edit)
-        assert path.read_bytes() != canonical.read_bytes()
-        want = formats.read_grid_csv(canonical)
+        assert path.read_bytes() != written
         passes = []
         real = np.loadtxt
         monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: passes.append(1) or real(*a, **kw))
-        back = formats.read_grid_csv(path)
-        assert back.values.tobytes() == want.values.tobytes()
-        assert back.flags.tobytes() == want.flags.tobytes()
-        assert len(passes) == 2
+        with pytest.raises(ValueError, match=r"grid.csv: data row \d+ \(.*\) does not hold "
+                                             r"the next unmasked grid point: expected "):
+            formats.read_grid_csv(path)
+        assert len(passes) == 1
 
     def test_shuffled_rows(self, tmp_path):
-        img = _image()
+        # rows out of grid order are refused at the first one out of place
         path = tmp_path / "grid.csv"
-        formats.write_grid_csv(path, img)
-        want = formats.read_grid_csv(path)
+        formats.write_grid_csv(path, _image())
         lines = path.read_text().splitlines()
         n_header = sum(line.startswith("#") for line in lines)
         data = lines[n_header:]
         order = np.random.default_rng(2).permutation(len(data))
         path.write_text("\n".join(lines[:n_header] + [data[i] for i in order]) + "\n")
-        back = formats.read_grid_csv(path)
-        assert back.values.tobytes() == want.values.tobytes()
-        assert back.flags.tobytes() == want.flags.tobytes()
+        first = int(np.argmax(order != np.arange(len(data))))
+        (x, y), (want_x, want_y) = (data[i].split(",")[:2] for i in (order[first], first))
+        with pytest.raises(ValueError, match=re.escape(f"grid.csv: data row {first + 1} ({x},{y},")
+                           + r".*\) does not hold the next unmasked grid point: "
+                           + re.escape(f"expected x={want_x}, y={want_y}")):
+            formats.read_grid_csv(path)
 
     def test_text_past_a_coordinate_rejected(self, tmp_path):
         # "-0.5x" would read as "-0.5" in a field as wide as the longest
@@ -471,7 +479,9 @@ class TestGridCsv:
         path = tmp_path / "grid.csv"
         formats.write_grid_csv(path, _image())
         self._edit_coordinates(path, lambda x, y: ("-0.5x" if x == "-0.5" else x, y))
-        with pytest.raises(ValueError, match="grid.csv: data rows"):
+        with pytest.raises(ValueError, match=r"grid.csv: data row 2 \(-0.5x,1,.*\) does not "
+                                             r"hold the next unmasked grid point: expected "
+                                             r"x=-0.5, y=1$"):
             formats.read_grid_csv(path)
 
     def test_written_file_takes_one_data_pass(self, tmp_path, monkeypatch):

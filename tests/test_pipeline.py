@@ -300,6 +300,15 @@ class TestConfigValidation:
             run_scenario(replace(SMALL, **change), tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    def test_truncation_beyond_cylfun_tables(self, tmp_path):
+        # the gradient reads order N + 1 of tables that end at cylfun.MAX_ORDER
+        cfg = ScenarioConfig(truncation=200, receiver_count=402, grid_nx=8, grid_ny=8,
+                             delta=0.0, forward_nodes=128)
+        with pytest.raises(ConfigError, match="truncation 200 above 199"):
+            run_scenario(cfg, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+        replace(cfg, truncation=199).resolved()
+
     def test_unknown_side_and_bc(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(side="outside").resolved()
