@@ -7,7 +7,7 @@ Subcommands mirror the pipeline stages so every experiment is scriptable:
   reconstruct   indicator images from (noisy) ring CSVs
   pipeline      the whole chain for one scenario config
   rates         concentric-circle convergence study
-  render        grid CSV -> PGM
+  render        grid CSV -> binary PGM (P5)
   oracle-check  Nystrom solver vs the analytic circle oracle
 
 Config files are flat ``key = value`` text (keys = ScenarioConfig fields);
@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=_cmd_rates)
 
-    p = sub.add_parser("render", help="grid CSV -> ASCII PGM")
+    p = sub.add_parser("render", help="grid CSV -> binary PGM (P5)")
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--clip", type=float, default=99.0,

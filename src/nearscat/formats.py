@@ -1,21 +1,21 @@
-"""File formats: ring-data CSV, indicator-grid CSV, ASCII PGM, checksums.
+"""File formats: ring-data CSV, indicator-grid CSV, binary PGM (P5), checksums.
 
 Both CSV formats carry `# key=value` header lines followed by data rows
 with 17 significant digits, so a write/read round trip is lossless.
 
 Ring CSV rows:   source_index,receiver_index,theta,re,im
 Grid CSV rows:   x,y,value,flag          (masked grid points are omitted)
-PGM:             P2 (ASCII), maxval 65535, top row = max y.
+PGM:             P5, maxval 65535, 2 bytes a sample, MSB first, top row = max y.
 
-Writers emit exactly the bytes of `%.17g` on every float and `%d` on
+The CSV writers emit exactly the bytes of `%.17g` on every float and `%d` on
 every integer, without formatting each number in Python.  `_g17_words` turns a float64 array
 into fixed-width little-endian uint64 words holding the `%.17g` text and
 NUL padding: it rounds m 2^q 10^s to 17 digits exactly in 128-bit
 integer arithmetic and lays the digits out through 4-digit tables, and
 hands the rare numbers outside 1e-11 <= |v| < 1e17 (and zeros, non-finite
 numbers) to `%` itself.  Grid coordinates, receiver angles and indices
-are formatted once per column, row or receiver, flags and pixels come
-from tables, and each block of at most 4096 rows is written as its word
+are formatted once per column, row or receiver, flags come from a
+table, and each block of at most 4096 rows is written as its word
 matrix's bytes with the NULs deleted, so memory stays flat in the file
 size.  Each reader parses all data rows with one `np.loadtxt` call.  The
 grid reader takes only what the writer writes, a row per unmasked grid
@@ -34,14 +34,15 @@ positive or whose delta lies outside [0, 1), a grid header that
 describes no grid, and a ring file whose field is not `scattered` or
 whose side is not `exterior` or `interior`.  Every error names the file;
 the header is checked before any data row is read.
-`write_pgm` refuses pixels outside 0..maxval, and a PGM must hold
-exactly nx*ny pixels, each in 0..maxval.
+`write_pgm` refuses pixels outside 0..65535, and `read_pgm` any header
+or payload length but what `write_pgm` writes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -119,11 +120,13 @@ def _header_value(path, meta: dict, key: str, convert=float, count: int | None =
     return values[0] if count == 1 else values
 
 
-def _reject(path, rows: np.ndarray, bad: np.ndarray, why: str) -> None:
-    """Raise ValueError naming the first data row where `bad` holds."""
+def _reject(path, n_header: int, bad: np.ndarray, why: str) -> None:
+    """Raise ValueError naming the first data row where `bad` holds, quoted
+    as written: the data rows are the non-empty lines after the header."""
     if bad.any():
         i = int(np.argmax(bad))
-        row = ",".join(v.decode() if isinstance(v, bytes) else str(v) for v in rows[i].tolist())
+        with open(path, "r", encoding="ascii") as f:
+            row = [line for line in f.read().split("\n")[n_header:] if line][i]
         raise ValueError(f"{path}: data row {i + 1} ({row}) {why}")
 
 
@@ -166,10 +169,6 @@ _LEAD = np.array([0, 0x2E << 16] + [int.from_bytes(b"\0" + b"0." + b"0" * z, "li
 _LEAD_SHIFT = np.array([8, 8, 24, 32, 40, 48], dtype="<u8")
 _EXP_SIGN = np.array([0x2B00, 0x2D00], dtype="<u8")      # "+", "-" after the "e"
 _FLAG_WORDS = np.array([int.from_bytes(b"%d\n" % i, "little") for i in range(256)],
-                       dtype="<u8")
-# A pixel's five digit bytes with the leading zeros masked, by its digit count - 1
-_PIXEL_TENS = np.array([10, 100, 1000, 10000])
-_PIXEL_MASK = np.array([((1 << 40) - 1) ^ ((1 << 8 * (4 - n)) - 1) for n in range(5)],
                        dtype="<u8")
 
 
@@ -361,13 +360,13 @@ def read_ring_csv(path) -> tuple[RingMeasurement, dict]:
     if rows.size != n_src * n_rec:
         raise ValueError(f"{path}: expected {n_src * n_rec} rows, found {rows.size}")
     j, m = rows["source"], rows["receiver"]
-    _reject(path, rows, (j < 0) | (j >= n_src) | (m < 0) | (m >= n_rec),
+    _reject(path, n_header, (j < 0) | (j >= n_src) | (m < 0) | (m >= n_rec),
             "has a source or receiver index out of range")
-    _reject(path, rows, _repeats(j * n_rec + m, n_src * n_rec),
+    _reject(path, n_header, _repeats(j * n_rec + m, n_src * n_rec),
             "repeats the (source, receiver) pair of an earlier row")
-    _reject(path, rows, ~(np.isfinite(rows["theta"]) & np.isfinite(rows["re"])
-                          & np.isfinite(rows["im"])), "has a non-finite theta, re or im")
-    _reject(path, rows, np.abs(rows["theta"] - 2.0 * np.pi * m / n_rec) > 1e-12,
+    _reject(path, n_header, ~(np.isfinite(rows["theta"]) & np.isfinite(rows["re"])
+                              & np.isfinite(rows["im"])), "has a non-finite theta, re or im")
+    _reject(path, n_header, np.abs(rows["theta"] - 2.0 * np.pi * m / n_rec) > 1e-12,
             "has a theta more than 1e-12 from 2 pi m / M for its receiver m")
     samples = np.zeros((n_src, n_rec), dtype=complex)
     samples.real[j, m] = rows["re"]
@@ -432,13 +431,13 @@ def read_grid_csv(path) -> IndicatorImage:
     moved = (rows["x"][:row.size] != xs[col]) | (rows["y"][:row.size] != ys[row])
     if moved.any():
         i = int(np.argmax(moved))
-        _reject(path, rows, moved, "does not hold the next unmasked grid point: expected "
-                                   f"x={xs[col[i]].decode()}, y={ys[row[i]].decode()}")
+        _reject(path, n_header, moved, "does not hold the next unmasked grid point: expected "
+                                       f"x={xs[col[i]].decode()}, y={ys[row[i]].decode()}")
     if rows.size != idx.size:
         raise ValueError(f"{path}: expected {idx.size} rows, one per unmasked grid point, "
                          f"found {rows.size}")
-    _reject(path, rows, ~np.isfinite(rows["value"]), "has a non-finite value")
-    _reject(path, rows, (rows["flag"] < 0) | (rows["flag"] > np.iinfo(np.uint8).max),
+    _reject(path, n_header, ~np.isfinite(rows["value"]), "has a non-finite value")
+    _reject(path, n_header, (rows["flag"] < 0) | (rows["flag"] > np.iinfo(np.uint8).max),
             "has a flag outside 0..255")
     values = np.full(grid.n_points, np.nan)
     flags = np.zeros(grid.n_points, dtype=np.uint8)
@@ -497,52 +496,38 @@ def pixels_from_image(image: IndicatorImage, clip_percent: float = 99.0) -> np.n
 
 
 def render_pgm(csv_path, out_path, clip_percent: float = 99.0) -> None:
-    """Render an indicator grid CSV to an ASCII PGM."""
+    """Render an indicator grid CSV to a binary PGM (P5)."""
     image = read_grid_csv(csv_path)
     write_pgm(out_path, pixels_from_image(image, clip_percent))
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
-    """Write a (ny, nx) array of integers in 0..PGM_MAXVAL as an ASCII PGM;
-    ValueError, before anything is written, for a pixel outside that range."""
+    """Write a (ny, nx) array of integers in 0..PGM_MAXVAL as a binary PGM
+    (P5); ValueError, before anything is written, for a pixel outside it."""
     pixels = np.asarray(pixels).astype(np.int64)
     ny, nx = pixels.shape
     if pixels.size and (pixels.min() < 0 or pixels.max() > PGM_MAXVAL):
         raise ValueError(f"{path}: pixel value outside 0..{PGM_MAXVAL}")
-    # A pixel is one word: five digits from the tables with the leading
-    # zeros masked, then a space, or a newline at the end of an image row.
-    ends = np.full(nx, _U(0x20 << 40))
-    ends[-1:] = 0x0A << 40
-    rows_per_block = max(1, _BLOCK_ROWS // max(nx, 1))    # about _BLOCK_ROWS pixels
-
-    def blocks():
-        for start in range(0, ny, rows_per_block):
-            p = pixels[start:start + rows_per_block]
-            high = p // 10000
-            words = (high.astype("<u8") + _U(0x30)) | _DIGITS4.take(p - high * 10000) << _U(8)
-            yield words & _PIXEL_MASK.take(np.searchsorted(_PIXEL_TENS, p, side="right")) | ends
-
     with open(path, "wb") as f:
-        f.write(b"P2\n%d %d\n%d\n" % (nx, ny, PGM_MAXVAL))
-        _write_words(f, blocks())
+        f.write(b"P5\n%d %d\n%d\n" % (nx, ny, PGM_MAXVAL))
+        f.write(pixels.astype(">u2").tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
     """Pixels of a PGM that `write_pgm` wrote, as a (ny, nx) int64 array.
 
-    The pipeline never reads a PGM back.  This reader is kept on purpose
-    as the writer's round-trip partner: the tests check every written
-    image through it.
+    Exactly one whitespace byte ends the header (Netpbm's rule), as the
+    first payload byte may be whitespace too.  The pipeline never reads a
+    PGM back: this is the writer's round-trip partner in the tests.
     """
-    tokens = Path(path).read_text(encoding="ascii").split()
-    if not tokens or tokens[0] != "P2":
-        raise ValueError(f"{path}: not an ASCII PGM")
-    if len(tokens) < 4:
-        raise ValueError(f"{path}: truncated PGM header")
-    nx, ny, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if nx < 1 or ny < 1 or len(tokens) != 4 + nx * ny or maxval != PGM_MAXVAL:
-        raise ValueError(f"{path}: malformed PGM payload")
-    data = np.array(tokens[4:], dtype=np.int64)
-    if data.min() < 0 or data.max() > maxval:
-        raise ValueError(f"{path}: pixel value outside 0..{maxval}")
-    return data.reshape(ny, nx)
+    data = Path(path).read_bytes()
+    header = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
+    if header is None:
+        raise ValueError(f"{path}: no binary PGM (P5) header")
+    nx, ny, maxval = map(int, header.groups())
+    if nx < 1 or ny < 1 or maxval != PGM_MAXVAL:
+        raise ValueError(f"{path}: {nx}x{ny} pixels, maxval {maxval}; expected >= 1x1, {PGM_MAXVAL}")
+    n_bytes = len(data) - header.end()
+    if n_bytes != 2 * nx * ny:
+        raise ValueError(f"{path}: expected {2 * nx * ny} payload bytes, found {n_bytes}")
+    return np.frombuffer(data, ">u2", offset=header.end()).astype(np.int64).reshape(ny, nx)

@@ -1,4 +1,5 @@
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -59,10 +60,8 @@ def _ring_rows_by_loop(ring):
 
 def _pgm_by_loop(pixels):
     ny, nx = pixels.shape
-    lines = ["P2", f"{nx} {ny}", str(formats.PGM_MAXVAL)]
-    for row in pixels:
-        lines.append(" ".join(str(int(p)) for p in row))
-    return "\n".join(lines) + "\n"
+    header = f"P5\n{nx} {ny}\n{formats.PGM_MAXVAL}\n".encode("ascii")
+    return header + b"".join(struct.pack(">H", int(p)) for row in pixels for p in row)
 
 
 # Finite values spanning the subnormals up to 1e300, and both zeros.
@@ -206,6 +205,18 @@ class TestRingCsv:
         _edit_data_row(path, edited, lambda line: ",".join(
             line.split(",")[:2] + ["2.5"] + line.split(",")[3:]))
         with pytest.raises(ValueError, match=f"data row {edited + 1} .*theta"):
+            formats.read_ring_csv(path)
+
+    def test_refused_row_quoted_as_written(self, tmp_path):
+        # the row is quoted as the file has it, not as parsed (1.0 for theta)
+        sources = fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=2)
+        ring = fw.RingMeasurement(radius=2.2, k=3.0, samples=np.ones((2, 4), dtype=complex),
+                                  noise_level=0.0, side="exterior", sources=sources)
+        path = tmp_path / "ring.csv"
+        formats.write_ring_csv(path, ring)
+        row = "0,1,1.00000000000000000000000000,1,0"
+        _edit_data_row(path, 1, lambda line: row)
+        with pytest.raises(ValueError, match=re.escape(f"ring.csv: data row 2 ({row}) has a ")):
             formats.read_ring_csv(path)
 
     @pytest.mark.parametrize("column,value", [(2, "nan"), (3, "inf"), (4, "-nan"),
@@ -484,6 +495,17 @@ class TestGridCsv:
                                              r"x=-0.5, y=1$"):
             formats.read_grid_csv(path)
 
+    def test_refused_row_quoted_as_written(self, tmp_path):
+        # an x longer than the reader's text field is quoted whole
+        path = tmp_path / "grid.csv"
+        formats.write_grid_csv(path, _image())
+        self._edit_coordinates(path, lambda x, y: (x.ljust(30, "0") if x == "-0.5" else x, y))
+        row = _data_rows(path, "x,y,value,flag").splitlines()[1]
+        assert row.startswith("-0.5".ljust(30, "0") + ",1,")
+        with pytest.raises(ValueError, match=re.escape(f"grid.csv: data row 2 ({row}) does not "
+                                                       "hold the next unmasked grid point")):
+            formats.read_grid_csv(path)
+
     def test_written_file_takes_one_data_pass(self, tmp_path, monkeypatch):
         path = tmp_path / "grid.csv"
         formats.write_grid_csv(path, _image())
@@ -599,19 +621,45 @@ class TestPgm:
         assert pix.shape == (2, 2)
         assert pix[0, 1] == 65535            # top row = max y
 
-    def test_rejects_trailing_tokens(self, tmp_path):
+    def test_rejects_payload_of_wrong_length(self, tmp_path):
         path = tmp_path / "img.pgm"
         formats.write_pgm(path, np.array([[0, 1], [2, 3]]))
-        path.write_text(path.read_text() + "7\n")
-        with pytest.raises(ValueError):
+        written = path.read_bytes()
+        for payload, n in ((written + b"\0", 9), (written[:-1], 7)):
+            path.write_bytes(payload)
+            with pytest.raises(ValueError, match=f"img.pgm: expected 8 payload bytes, found {n}"):
+                formats.read_pgm(path)
+
+    def test_rejects_other_magic_or_maxval(self, tmp_path):
+        # an 8-bit P5, and an ASCII P2 of the same pixels
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n2 1\n255\n\x00\x01")
+        with pytest.raises(ValueError, match="img.pgm: 2x1 pixels, maxval 255; expected "):
+            formats.read_pgm(path)
+        path.write_text(f"P2\n2 1\n{formats.PGM_MAXVAL}\n0 1\n")
+        with pytest.raises(ValueError, match=re.escape("img.pgm: no binary PGM (P5) header")):
             formats.read_pgm(path)
 
-    def test_rejects_pixel_above_maxval(self, tmp_path):
+    @pytest.mark.parametrize("header,why", [
+        pytest.param(b"P5\n2 1\n", re.escape("no binary PGM (P5) header"), id="no maxval"),
+        pytest.param(b"P5\n2 1 65535", re.escape("no binary PGM (P5) header"), id="no end byte"),
+        pytest.param(b"P5\n0 1\n65535\n", "0x1 pixels", id="zero width"),
+        pytest.param(b"P5\n2 0\n65535\n", "2x0 pixels", id="zero height")])
+    def test_rejects_header(self, tmp_path, header, why):
         path = tmp_path / "img.pgm"
-        formats.write_pgm(path, np.array([[0, 1], [2, 3]]))
-        path.write_text(path.read_text().replace("2 3\n", f"2 {formats.PGM_MAXVAL + 1}\n"))
-        with pytest.raises(ValueError):
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match=f"img.pgm: .*{why}"):
             formats.read_pgm(path)
+
+    @pytest.mark.parametrize("first", [0x0A00, 0x2000, 0x0900])
+    def test_payload_led_by_a_whitespace_byte(self, tmp_path, first):
+        # one whitespace byte ends the header: the payload's first byte,
+        # here a newline, space or tab, belongs to the first pixel
+        pixels = np.array([[first, 7, formats.PGM_MAXVAL], [1, 0, 2]])
+        path = tmp_path / "img.pgm"
+        formats.write_pgm(path, pixels)
+        assert path.read_bytes() == _pgm_by_loop(pixels)
+        assert np.array_equal(formats.read_pgm(path), pixels)
 
     @pytest.mark.parametrize("pixels", [[[70000, -1]], [[0, formats.PGM_MAXVAL + 1]], [[-1]]])
     def test_writer_rejects_pixel_outside_range(self, tmp_path, pixels):
@@ -627,16 +675,16 @@ class TestPgm:
         pixels = np.random.default_rng(seed).integers(0, formats.PGM_MAXVAL + 1, (ny, nx))
         path = tmp_path / "img.pgm"
         formats.write_pgm(path, pixels)
-        assert path.read_text() == _pgm_by_loop(pixels)
+        assert path.read_bytes() == _pgm_by_loop(pixels)
         assert np.array_equal(formats.read_pgm(path), pixels)
 
     def test_full_size_bytes_with_extremes(self, tmp_path):
-        # a 300^2 image holding 0 and 65535, byte for byte the per-row join
+        # a 300^2 image holding 0 and 65535, byte for byte the per-pixel packing
         pixels = np.random.default_rng(11).integers(0, formats.PGM_MAXVAL + 1, (300, 300))
         pixels[0, 0], pixels[-1, -1], pixels[150, :7] = 0, formats.PGM_MAXVAL, formats.PGM_MAXVAL
         path = tmp_path / "img.pgm"
         formats.write_pgm(path, pixels)
-        assert path.read_bytes() == _pgm_by_loop(pixels).encode("ascii")
+        assert path.read_bytes() == _pgm_by_loop(pixels)
 
     def test_masked_points_render_zero(self):
         img = _image()

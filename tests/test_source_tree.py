@@ -1,6 +1,7 @@
 """No test-only code in src/: every public function, class and method of the
 package is reached from the program itself or from the benchmark harness,
-and every parameter with a default is passed by one of their calls."""
+and every parameter with a default is passed by one of their calls.  No
+dead private constants either: every private module-level name is read."""
 
 import ast
 from pathlib import Path
@@ -58,6 +59,30 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             if node.name not in elsewhere:
                 unreached.append(f"{path.stem}.{node.name}")
     assert unreached == []
+
+
+def _private_assignments(tree):
+    """(name, statement) for each private module-level name a tree assigns;
+    dunders such as ``__all__`` are read by Python itself."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if name.id.startswith("_") and not name.id.startswith("__"):
+                    yield name.id, node
+
+
+def test_every_private_module_name_is_read():
+    modules = {path: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    names = {path: _names(tree) for path, tree in modules.items()}
+    unread = []
+    for path, tree in modules.items():
+        for name, node in _private_assignments(tree):
+            elsewhere = _names(tree, skip=node).union(
+                *(found for other, found in names.items() if other != path))
+            if name not in elsewhere:
+                unread.append(f"{path.stem}.{name}")
+    assert unread == []
 
 
 # the console-script entry point: ``nearscat`` calls main() and tests pass argv
