@@ -11,10 +11,11 @@ Subcommands mirror the pipeline stages so every experiment is scriptable:
   oracle-check  Nystrom solver vs the analytic circle oracle
 
 Config files are flat ``key = value`` text (keys = ScenarioConfig fields);
-command-line flags override config-file keys.  ``reconstruct`` takes the
-same config file and flags for its grid, truncation and mode guard; each
-ring file's header supplies the side, k, noise level and source and
-receiver circles, and a config value that contradicts it is an error.
+command-line flags override config-file keys.  ``simulate`` and ``pipeline``
+run the checked ``Scenario`` these resolve to; ``reconstruct`` resolves one
+per ring file, whose header supplies the side, k, noise level and source
+and receiver circles (a config value that contradicts it is an error), and
+takes its grid, truncation and mode guard from the config file and flags.
 Flags that set config keys parse like config-file values.  A ValueError
 (every error the package names is one) or an OSError prints
 ``nearscat: error: <message>`` to stderr and exits with status 2.
@@ -38,7 +39,7 @@ _OVERRIDE_KEYS = ("side", "bc", "shape", "shape_radius", "delta", "seed", "trunc
                   "source_radius", "source_count", "receiver_radius", "receiver_count",
                   "forward_nodes", "grid_xmin", "grid_xmax", "grid_ymin", "grid_ymax",
                   "grid_nx", "grid_ny", "exclusion_radius", "mode_guard")
-# resolved config keys that rings must share for their images to be superposed
+# scenario keys that rings must share for their images to be superposed
 _IMAGE_KEYS = ("side", "bc", "grid_xmin", "grid_xmax", "grid_ymin", "grid_ymax", "grid_nx",
                "grid_ny", "exclusion_radius")
 
@@ -130,7 +131,7 @@ def _cmd_reconstruct(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     results, superposed, _ = write_images(
-        outdir, [(ring, cfg.truncation_order(), shape) for _, ring, shape, cfg in jobs],
+        outdir, [(ring, cfg.order, shape) for _, ring, shape, cfg in jobs],
         first.bc, first.grid(), first.mode_guard)
     for coeffs, _ in results:
         print(f"wrote {outdir}/indicator_k{_k_tag(coeffs.k)}.csv (N={coeffs.truncation})")

@@ -211,13 +211,12 @@ def eval_gradient(coeffs: ModeCoefficients, theta: np.ndarray, tables: RadialTab
     modes *= table[:, inverse]                               # (2N+3, Q)
     out = np.empty((coeffs.n_sources, 2, turns * theta.size), dtype=complex)
     for q, cols in enumerate(np.split(out, turns, axis=2)):
-        # (d_x + i d_y) u_N and (d_x - i d_y) u_N, orders n + 1 and n - 1
-        a = _gemm(_turned(-coeffs.k * scaled, coeffs.orders + 1, q), modes[2:])
-        b = _gemm(_turned(coeffs.k * scaled, coeffs.orders - 1, q), modes[:-2])
+        # A/2 and B/2, orders n + 1 and n - 1 (the power-of-two scale is exact)
+        a = _gemm(_turned(-coeffs.k / 2 * scaled, coeffs.orders + 1, q), modes[2:])
+        b = _gemm(_turned(coeffs.k / 2 * scaled, coeffs.orders - 1, q), modes[:-2])
         np.add(a, b, out=cols[:, 0])
-        np.subtract(a, b, out=cols[:, 1])
-    out[:, 0] /= 2
-    out[:, 1] /= 2j
+        np.subtract(b, a, out=cols[:, 1])
+        cols[:, 1] *= 1j
     return out
 
 

@@ -2,16 +2,16 @@
 indicate -> render, plus convergence-rate studies and boundary-localization
 diagnostics.
 
-A scenario is described by a flat ``key = value`` config (see
-``ScenarioConfig``); ``run_scenario`` writes, per wavenumber, the noisy
-ring CSV, the normalized indicator grid CSV and a reciprocal-image PGM,
-plus a superposed image when several wavenumbers are given, a
-round-trippable ``config.txt`` and a ``manifest.txt`` with sha-256
-checksums of every artifact.  Identical config + seed reproduces
-identical checksums at a fixed BLAS thread count (``OPENBLAS_NUM_THREADS``):
-OpenBLAS's threaded products round the entries at a thread split
-differently, so the ring and indicator CSVs of 1 and 2 threads differ in
-last bits.
+A scenario is described by a flat ``key = value`` config (``ScenarioConfig``),
+whose ``resolved()`` is the checked ``Scenario`` the stages take (see there).
+``run_scenario`` writes, per wavenumber, the noisy ring CSV, the normalized
+indicator grid CSV and a reciprocal-image PGM, plus a superposed image when
+several wavenumbers are given, a round-trippable ``config.txt`` and a
+``manifest.txt`` with sha-256 checksums of every artifact.  Identical config
++ seed reproduces identical checksums at a fixed BLAS thread count
+(``OPENBLAS_NUM_THREADS``): OpenBLAS's threaded products round the entries
+at a thread split differently, so the ring and indicator CSVs of 1 and 2
+threads differ in last bits.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import io
 import math
 import typing
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,7 @@ _RING_RADIUS = {"exterior": 2.2, "interior": 0.5}     # source/receiver default 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full experiment description; unset radii default per problem side.
+    """Experiment description as given; unset radii default per problem side.
 
     Side defaults mirror the standard setup: sources/receivers at radius
     2.2 (exterior) or 0.5 (interior), imaging grid 150x150 on
@@ -99,24 +100,74 @@ class ScenarioConfig:
     seed: int = 1
     forward_nodes: int = 512     # largest Nystrom node count; see forward_curve
 
-    def resolved(self) -> "ScenarioConfig":
-        """The config with the side defaults filled in (source and receiver radius;
-        inside a cavity, the receiver disk excluded from the grid), checked."""
+    def resolved(self) -> Scenario:
+        """The checked scenario of this config, the side defaults filled in."""
+        return Scenario(**vars(self))
+
+    def shape_spec(self, n_nodes: int | None = None) -> ShapeSpec:
+        return ShapeSpec(kind=self.shape, center=self.shape_center,
+                         radius=self.shape_radius,
+                         x_cos=self.shape_x_cos, x_sin=self.shape_x_sin,
+                         y_cos=self.shape_y_cos, y_sin=self.shape_y_sin,
+                         n_nodes=n_nodes or self.forward_nodes)
+
+    def curve(self) -> BoundaryCurve:
+        return make_curve(self.shape_spec())
+
+    # -- flat text form --------------------------------------------------------
+
+    def to_text(self) -> str:
+        out = io.StringIO()
+        for f_ in fields(self):
+            value = getattr(self, f_.name)
+            if value is None:
+                continue
+            if isinstance(value, tuple):
+                value = ",".join(repr(v) for v in value)
+            out.write(f"{f_.name} = {value}\n")
+        return out.getvalue()
+
+    @classmethod
+    def from_text(cls, text: str) -> "ScenarioConfig":
+        return cls(**_config_items(text))
+
+    def to_file(self, path) -> None:
+        Path(path).write_text(self.to_text(), encoding="ascii")
+
+    @classmethod
+    def from_file(cls, path) -> "ScenarioConfig":
+        return cls.from_text(Path(path).read_text(encoding="ascii"))
+
+
+@dataclass(frozen=True)
+class Scenario(ScenarioConfig):
+    """A config with the side defaults filled in, checked on construction (so
+    ``replace`` checks again); it alone builds the sources and the imaging
+    grid, and ``order`` is its truncation N."""
+
+    def __post_init__(self) -> None:
         if self.side not in _RING_RADIUS:
             raise ConfigError(f"unknown side {self.side!r}")
-        ring_default = _RING_RADIUS[self.side]
-        src = self.source_radius if self.source_radius is not None else ring_default
-        rec = self.receiver_radius if self.receiver_radius is not None else ring_default
-        excl = self.exclusion_radius
-        if excl is None and self.side == "interior":
-            excl = rec
-        cfg = replace(self, source_radius=src, receiver_radius=rec, exclusion_radius=excl)
-        cfg._check()
-        return cfg
+        for key in ("source_radius", "receiver_radius"):
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, _RING_RADIUS[self.side])
+        if self.exclusion_radius is None and self.side == "interior":
+            object.__setattr__(self, "exclusion_radius", self.receiver_radius)
+        self._check()
+
+    def resolved(self) -> Scenario:
+        return self
+
+    @cached_property
+    def order(self) -> int:
+        """Truncation N: ``truncation``, else the noise rule for ``delta``."""
+        if self.truncation is not None:
+            return self.truncation
+        return ct.truncation_order(self.delta, self.side)
 
     def _check(self) -> None:
-        """ConfigError unless this resolved config can run every wavenumber (README
-        lists the checks; shape and noise rules are ``ShapeSpec``'s and ``NoiseSpec``'s)."""
+        """ConfigError unless this scenario can run every wavenumber (README lists
+        the checks; shape and noise rules are ``ShapeSpec``'s and ``NoiseSpec``'s)."""
         if self.bc not in ("soft", "hard"):
             raise ConfigError(f"unknown boundary condition {self.bc!r}")
         if not self.wavenumbers:
@@ -139,7 +190,7 @@ class ScenarioConfig:
         try:
             self.shape_spec().validate()
             NoiseSpec(level=self.delta, seed=self.seed).validate()
-            ct._check_truncation(self.truncation_order(), self.receiver_count)
+            ct._check_truncation(self.order, self.receiver_count)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.source_count < 1:
@@ -176,65 +227,14 @@ class ScenarioConfig:
         if not self.mode_guard >= 0.0:
             raise ConfigError(f"mode_guard must be >= 0, got {self.mode_guard}")
 
-    # -- geometry builders ---------------------------------------------------
-
-    def shape_spec(self, n_nodes: int | None = None) -> ShapeSpec:
-        return ShapeSpec(kind=self.shape, center=self.shape_center,
-                         radius=self.shape_radius,
-                         x_cos=self.shape_x_cos, x_sin=self.shape_x_sin,
-                         y_cos=self.shape_y_cos, y_sin=self.shape_y_sin,
-                         n_nodes=n_nodes or self.forward_nodes)
-
-    def curve(self) -> BoundaryCurve:
-        return make_curve(self.shape_spec())
-
-    def _require_resolved(self) -> None:
-        """ConfigError unless ``resolved`` has filled the side defaults."""
-        if (self.source_radius is None or self.receiver_radius is None
-                or self.side == "interior" and self.exclusion_radius is None):
-            raise ConfigError("config has unset side defaults: call resolved() first")
-
     def sources(self) -> SourceSet:
-        """The source circle of a resolved config."""
-        self._require_resolved()
         return SourceSet(center=(0.0, 0.0), radius=self.source_radius, count=self.source_count)
 
     def grid(self) -> ImagingGrid:
-        """The imaging grid of a resolved config, its exclusion disk masked."""
-        self._require_resolved()
+        """The imaging grid, its exclusion disk masked."""
         excl = ((0.0, 0.0), self.exclusion_radius) if self.exclusion_radius else None
         return imaging_grid(self.grid_xmin, self.grid_xmax, self.grid_ymin,
                             self.grid_ymax, self.grid_nx, self.grid_ny, exclusion=excl)
-
-    def truncation_order(self) -> int:
-        """Truncation N: ``truncation``, else the noise rule for ``delta``."""
-        if self.truncation is not None:
-            return self.truncation
-        return ct.truncation_order(self.delta, self.side)
-
-    # -- flat text form --------------------------------------------------------
-
-    def to_text(self) -> str:
-        out = io.StringIO()
-        for f_ in fields(self):
-            value = getattr(self, f_.name)
-            if value is None:
-                continue
-            if isinstance(value, tuple):
-                value = ",".join(repr(v) for v in value)
-            out.write(f"{f_.name} = {value}\n")
-        return out.getvalue()
-
-    @classmethod
-    def from_text(cls, text: str) -> "ScenarioConfig":
-        return cls(**_config_items(text))
-
-    def to_file(self, path) -> None:
-        Path(path).write_text(self.to_text(), encoding="ascii")
-
-    @classmethod
-    def from_file(cls, path) -> "ScenarioConfig":
-        return cls.from_text(Path(path).read_text(encoding="ascii"))
 
 
 def _config_items(text: str) -> dict:
@@ -325,9 +325,9 @@ def _node_ladder(least: float, ceiling: int):
     yield ceiling
 
 
-def forward_curve(cfg: ScenarioConfig, sources: SourceSet
+def forward_curve(cfg: Scenario, sources: SourceSet
                   ) -> tuple[BoundaryCurve, DensitySolution | None, list[str]]:
-    """The curve the rings of a resolved config and its ``sources`` are
+    """The curve the rings of a scenario and its ``sources`` are
     solved on; its accepted solve of the largest k for ``sources`` (None
     when no count was accepted); and the warnings (README, Forward
     resolution).
@@ -383,8 +383,8 @@ def forward_curve(cfg: ScenarioConfig, sources: SourceSet
         f"density tail {tail:.1e} (at most {DENSITY_TAIL_TOL:g})"]
 
 
-def simulate_rings(cfg: ScenarioConfig) -> tuple[list[RingMeasurement], int, list[str]]:
-    """Clean rings of a resolved config, one per wavenumber in order, all on
+def simulate_rings(cfg: Scenario) -> tuple[list[RingMeasurement], int, list[str]]:
+    """Clean rings of a scenario, one per wavenumber in order, all on
     ``forward_curve``'s curve; the largest k reuses the node ladder's
     accepted solve.  With that curve's node count and the forward warnings,
     among them one per ring whose reciprocity error is above FORWARD_WARN.
@@ -406,7 +406,7 @@ def simulate_rings(cfg: ScenarioConfig) -> tuple[list[RingMeasurement], int, lis
     return rings, curve.n_nodes, warnings
 
 
-def _write_ring(out: Path, ring: RingMeasurement, cfg: ScenarioConfig) -> Path:
+def _write_ring(out: Path, ring: RingMeasurement, cfg: Scenario) -> Path:
     """Write ``ring`` to ``out/ring_k<k>.csv`` with the scenario's bc, shape and seed."""
     path = out / f"ring_k{_k_tag(ring.k)}.csv"
     formats.write_ring_csv(path, ring, extra={"bc": cfg.bc, "shape": cfg.shape,
@@ -447,7 +447,7 @@ def write_images(out: Path, jobs, bc: str, grid: ImagingGrid, mode_guard: float)
 
 
 def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
-    """Execute the full imaging pipeline and write all artifacts."""
+    """Run ``config.resolved()`` and write all artifacts; ``config.txt`` echoes ``config``."""
     cfg = config.resolved()
     grid = cfg.grid()
     # All rings first: a config error surfaces before the output directory
@@ -466,9 +466,8 @@ def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
     # Noise is seeded per (seed, source): writing all rings first moves no byte.
     rings = [add_noise(ring, NoiseSpec(level=cfg.delta, seed=cfg.seed)) for ring in rings]
     files = {path.name: path for path in (_write_ring(out, ring, cfg) for ring in rings)}
-    truncation = cfg.truncation_order()
     results, superposed, image_files = write_images(
-        out, [(ring, truncation, cfg.shape) for ring in rings], cfg.bc, grid, cfg.mode_guard)
+        out, [(ring, cfg.order, cfg.shape) for ring in rings], cfg.bc, grid, cfg.mode_guard)
     files.update(image_files)
     images = {coeffs.k: raw for coeffs, raw in results}
     truncation_by_k = {coeffs.k: coeffs.truncation for coeffs, _ in results}

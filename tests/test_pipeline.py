@@ -14,13 +14,17 @@ from nearscat import indicator as ind
 from nearscat import pipeline
 from nearscat.forward import analytic_circle
 from nearscat.geometry import EXCLUSION_BAND, ShapeSpec, imaging_grid, make_curve
-from nearscat.pipeline import (ConfigError, ScenarioConfig, convergence_study,
+from nearscat.pipeline import (ConfigError, Scenario, ScenarioConfig, convergence_study,
                                radial_boundary_error, reconstruct, render_pgm,
                                run_scenario)
 
 SMALL = ScenarioConfig(side="exterior", bc="soft", shape="circle",
                        wavenumbers=(3.0,), delta=0.05, seed=7,
                        grid_nx=40, grid_ny=40, forward_nodes=256)
+
+_UNRESOLVED = [ScenarioConfig(), ScenarioConfig(side="interior"),
+               ScenarioConfig(source_radius=2.2), ScenarioConfig(receiver_radius=2.2),
+               ScenarioConfig(side="interior", source_radius=0.5, receiver_radius=0.5)]
 
 
 class TestConfig:
@@ -79,23 +83,46 @@ class TestConfig:
         no_disk = ScenarioConfig(side="interior", exclusion_radius=0.0).resolved()
         assert no_disk.grid().exclusion is None and not no_disk.grid().mask.any()
 
-    @pytest.mark.parametrize("cfg", [
-        ScenarioConfig(), ScenarioConfig(side="interior"),
-        ScenarioConfig(source_radius=2.2), ScenarioConfig(receiver_radius=2.2),
-        ScenarioConfig(side="interior", source_radius=0.5, receiver_radius=0.5)])
+    @pytest.mark.parametrize("cfg", _UNRESOLVED)
     @pytest.mark.parametrize("builder", ["grid", "sources"])
     def test_builders_refuse_unresolved_config(self, cfg, builder):
         # an unresolved interior grid would lack the receiver disk, and
-        # unresolved sources would have no radius
-        with pytest.raises(ConfigError, match=r"call resolved\(\) first"):
+        # unresolved sources would have no radius: a config has no builders,
+        # only the Scenario that resolved() returns
+        assert not hasattr(cfg, builder) and not hasattr(cfg, "order")
+        with pytest.raises(AttributeError):
             getattr(cfg, builder)()
         getattr(cfg.resolved(), builder)()
 
+    @pytest.mark.parametrize("cfg", _UNRESOLVED)
+    def test_resolved_is_a_filled_scenario(self, cfg):
+        scenario = cfg.resolved()
+        assert type(scenario) is Scenario and scenario == Scenario(**vars(cfg))
+        assert None not in (scenario.source_radius, scenario.receiver_radius)
+        assert (scenario.exclusion_radius is None) == (cfg.side == "exterior")
+        assert scenario.sources().radius == scenario.source_radius
+        assert scenario.grid().exclusion == (None if cfg.side == "exterior" else (0.0, 0.0, 0.5))
+        assert scenario.to_text() == replace(cfg, source_radius=scenario.source_radius,
+                                             receiver_radius=scenario.receiver_radius,
+                                             exclusion_radius=scenario.exclusion_radius).to_text()
+
+    def test_replace_checks_again(self):
+        scenario = SMALL.resolved()
+        with pytest.raises(ConfigError, match="grid_nx and grid_ny must be >= 2"):
+            replace(scenario, grid_nx=1)
+        with pytest.raises(ConfigError, match="unknown side"):
+            replace(scenario, side="sideways")
+        assert replace(scenario, seed=8).seed == 8
+
+    def test_scenario_resolves_to_itself(self):
+        scenario = SMALL.resolved()
+        assert scenario.resolved() is scenario
+
     def test_clean_data_needs_truncation(self):
-        cfg = ScenarioConfig(delta=0.0)
-        with pytest.raises(ValueError):
-            cfg.truncation_order()
-        assert ScenarioConfig(delta=0.0, truncation=9).truncation_order() == 9
+        with pytest.raises(ConfigError, match="clean data"):
+            ScenarioConfig(delta=0.0).resolved()
+        assert ScenarioConfig(delta=0.0, truncation=9).resolved().order == 9
+        assert ScenarioConfig(side="interior", delta=0.02).resolved().order == 6
 
     def test_nyquist_guard(self):
         cfg = ScenarioConfig(delta=0.05, truncation=20, receiver_count=32)
@@ -103,10 +130,10 @@ class TestConfig:
             cfg.resolved()
 
     def test_run_scenario_checks_config_once(self, tmp_path, monkeypatch):
-        # resolved() fills the side defaults and checks; the builders and
-        # truncation_order() of the resolved config check nothing again
-        calls, check, want = [], ScenarioConfig._check, SMALL.resolved()
-        monkeypatch.setattr(ScenarioConfig, "_check", lambda cfg: calls.append(cfg) or check(cfg))
+        # resolved() fills the side defaults and checks; the stages take the
+        # Scenario it returns, whose builders and order check nothing again
+        calls, check, want = [], Scenario._check, SMALL.resolved()
+        monkeypatch.setattr(Scenario, "_check", lambda cfg: calls.append(cfg) or check(cfg))
         run_scenario(SMALL, tmp_path / "run")
         assert calls == [want]
 
@@ -382,7 +409,7 @@ class TestReconstruct:
         result = run_scenario(SMALL, tmp_path)
         ring, _ = formats.read_ring_csv(result.files["ring_k3.csv"])
         cfg = SMALL.resolved()
-        coeffs, image = reconstruct(ring, cfg.bc, cfg.grid(), cfg.truncation_order())
+        coeffs, image = reconstruct(ring, cfg.bc, cfg.grid(), cfg.order)
         assert coeffs.truncation == result.truncation_by_k[3.0]
         assert image.state == "raw" and image.kind == "soft"
         np.testing.assert_array_equal(image.values, result.images[3.0].values)
@@ -444,6 +471,21 @@ class TestBenchmarkHooks:
                                           cfg.receiver_radius, cfg.receiver_count)
             assert ring.k == k and ring.radius == cfg.receiver_radius
             assert ring.samples.shape == (cfg.source_count, cfg.receiver_count)
+
+    def test_checks_take_an_unresolved_config(self, tmp_path, monkeypatch):
+        # perfbench/checks.py gets the workload's config as given: the circle
+        # oracle resolves it for its sources, the guard reads its curve()
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import checks
+        cfg = replace(SMALL, wavenumbers=(3.0, 4.0), grid_nx=20, grid_ny=20,
+                      forward_nodes=128)
+        oracle = checks.circle_oracle(cfg)
+        rings, _, _ = pipeline.simulate_rings(cfg.resolved())
+        assert [u.shape for u in oracle] == [(12, 128)] * 2
+        for ring, u in zip(rings, oracle):
+            assert np.abs(ring.samples - u).max() <= checks.A2_GATE * np.abs(u).max()
+        result = run_scenario(cfg, tmp_path)
+        assert 0.0 <= checks.loc_err_cells(cfg, result) <= 1.0
 
     def test_geometry_shared_and_released_before_imaging(self, tmp_path, monkeypatch):
         # one curve serves every k and is freed by reference counting alone
