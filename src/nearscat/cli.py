@@ -7,7 +7,7 @@ Subcommands mirror the pipeline stages so every experiment is scriptable:
   reconstruct   indicator images from (noisy) ring CSVs
   pipeline      the whole chain for one scenario config
   rates         concentric-circle convergence study
-  render        grid CSV -> binary PGM (P5)
+  render        grid CSV -> binary PGM (P5) of its values as they are
   oracle-check  Nystrom solver vs the analytic circle oracle
 
 Config files are flat ``key = value`` text (keys = ScenarioConfig fields);
@@ -117,17 +117,17 @@ def _cmd_reconstruct(args) -> int:
         cfg = ScenarioConfig(**{**given, **header, "wavenumbers": (ring.k,)}).resolved()
         jobs.append((path, ring, meta.get("shape", "unknown"), cfg))
     path_by_tag: dict[str, str] = {}
-    first_path, *_, first = jobs[0]
-    for path, ring, _, cfg in jobs:
+    first_path, _, first_shape, first = jobs[0]
+    for path, ring, shape, cfg in jobs:
         tag = _k_tag(ring.k)
         if tag in path_by_tag:
             raise ValueError(f"ring files {path_by_tag[tag]} and {path} both have k = {tag}; "
                              f"their indicator_k{tag} images would overwrite each other")
         path_by_tag[tag] = path
-        if any(getattr(cfg, key) != getattr(first, key) for key in _IMAGE_KEYS):
-            raise ValueError(f"ring files {first_path} ({first.side} {first.bc}) and {path} "
-                             f"({cfg.side} {cfg.bc}) differ in side, bc or imaging grid; "
-                             f"their images cannot be superposed")
+        if shape != first_shape or any(getattr(cfg, k) != getattr(first, k) for k in _IMAGE_KEYS):
+            raise ValueError(f"ring files {first_path} ({first.side} {first.bc} {first_shape}) "
+                             f"and {path} ({cfg.side} {cfg.bc} {shape}) differ in side, bc, "
+                             f"shape or imaging grid; their images cannot be superposed")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     results, superposed, _ = write_images(
@@ -231,7 +231,9 @@ def main(argv=None) -> int:
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=_cmd_rates)
 
-    p = sub.add_parser("render", help="grid CSV -> binary PGM (P5)")
+    p = sub.add_parser("render", help="grid CSV -> binary PGM (P5)", description=(
+        "Draw a grid CSV's values as they are: a normalized indicator is dark on the "
+        "boundary, where the pipeline's indicator_k*.pgm, its reciprocal, are bright."))
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--clip", type=float, default=99.0,

@@ -302,15 +302,15 @@ _RING_KEYS = ("k", "side", "field", "ring_radius", "n_receivers", "n_sources",
 def write_ring_csv(path, ring: RingMeasurement, extra: dict | None = None) -> None:
     meta = {
         "format": "nearscat-ring-1",
-        "k": repr(ring.k),
+        "k": ring.k,
         "side": ring.side,
         "field": "scattered",
-        "ring_radius": repr(ring.radius),
+        "ring_radius": ring.radius,
         "n_receivers": ring.n_receivers,
         "n_sources": ring.sources.count,
-        "source_radius": repr(ring.sources.radius),
-        "source_center": f"{ring.sources.center[0]!r} {ring.sources.center[1]!r}",
-        "delta": repr(ring.noise_level),
+        "source_radius": ring.sources.radius,
+        "source_center": " ".join(map(format, ring.sources.center)),
+        "delta": ring.noise_level,
     }
     if extra:
         meta.update(extra)
@@ -387,15 +387,14 @@ def write_grid_csv(path, image: IndicatorImage, extra: dict | None = None) -> No
     g = image.grid
     meta = {
         "format": "nearscat-grid-1",
-        "xmin": repr(g.xmin), "xmax": repr(g.xmax),
-        "ymin": repr(g.ymin), "ymax": repr(g.ymax),
+        "xmin": g.xmin, "xmax": g.xmax, "ymin": g.ymin, "ymax": g.ymax,
         "nx": g.nx, "ny": g.ny,
         "kind": image.kind,
         "state": image.state,
-        "wavenumbers": " ".join(repr(k) for k in image.wavenumbers),
+        "wavenumbers": " ".join(map(format, image.wavenumbers)),
     }
     if g.exclusion is not None:
-        meta["exclusion"] = f"{g.exclusion[0]!r} {g.exclusion[1]!r} {g.exclusion[2]!r}"
+        meta["exclusion"] = " ".join(map(format, g.exclusion))
     if extra:
         meta.update(extra)
     # A row is "x," and "y," from tables, the value as words with the comma

@@ -25,7 +25,7 @@ BLOCK_POINTS: only one block's fields, gradients, incident terms and
 reductions exist at a time, and the values go straight into the output.
 The cylinder-function table (``radial_tables``), which serves the field
 and its gradient alike, and the polar angles are formed once, at one
-point per orbit (``_on_grid`` picks the orbits), and gathered per block.
+point per orbit (see ``indicator_values``), and gathered per block.
 
 When a quarter turn R(x, y) = (-y, x) maps the layout onto itself (4 | S
 sources centred at the origin, points in ``ImagingGrid.quarter_orbits``),
@@ -75,13 +75,13 @@ def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
                      points: np.ndarray, kind: str, orbits: np.ndarray | None = None):
     """Raw indicator values and flags at (P, 2) points; (P,), (P,) uint8.
 
-    Evaluated in blocks of BLOCK_POINTS points.  ``orbits`` (T, Q) indexes
-    ``points``; None makes each point with r >= MIN_RADIUS its own orbit,
-    and a point in no orbit stays 0 and degenerate.  T = 4 is trusted to be
-    ``ImagingGrid.quarter_orbits``'s layout with S sources centred at the
-    origin, 4 | S: blocks are whole orbits, turn-major, the radial table,
-    polar angles and modes are formed at row 0 only, and S/4 sources give
-    every incident term.
+    Evaluated in blocks of BLOCK_POINTS points.  ``orbits``, a (4, Q)
+    ``ImagingGrid.quarter_orbits`` table indexing ``points``, is used only
+    when the quarter turn maps the S sources onto themselves (4 | S,
+    centred at the origin): blocks are then whole orbits, turn-major, the
+    radial table, polar angles and modes are formed at row 0 only, S/4
+    sources give every incident term, and a point in no orbit stays 0 and
+    degenerate.  Otherwise each point with r >= MIN_RADIUS is its own orbit.
     """
     if kind not in ("soft", "hard"):
         raise ValueError(f"unknown indicator kind {kind!r}")
@@ -93,7 +93,7 @@ def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
         _diff_to_source(sources.positions, p)
     values = np.zeros(points.shape[0])
     flags = np.full(points.shape[0], FLAG_DEGENERATE, dtype=np.uint8)
-    if orbits is None:
+    if orbits is None or orbits.shape[0] != 4 or sources.count % 4 or any(sources.center):
         orbits = np.flatnonzero(ok)[None, :]                    # every point its own orbit
     if not orbits.size:
         return values, flags
@@ -177,8 +177,7 @@ def _on_grid(coeffs: ModeCoefficients, sources: SourceSet, grid: ImagingGrid,
     values = np.full(grid.n_points, np.nan)
     flags = np.zeros(grid.n_points, dtype=np.uint8)
     live = ~grid.mask
-    turning = sources.count % 4 == 0 and not any(sources.center)
-    orbits = grid.quarter_orbits() if turning else None
+    orbits = grid.quarter_orbits()
     if orbits is not None:                      # grid indices -> indices of the live points
         orbits = (np.cumsum(live) - 1)[orbits]
     vals, fl = indicator_values(coeffs, sources, grid.points[live], kind, orbits)

@@ -123,7 +123,7 @@ class ScenarioConfig:
             if value is None:
                 continue
             if isinstance(value, tuple):
-                value = ",".join(repr(v) for v in value)
+                value = ",".join(map(format, value))
             out.write(f"{f_.name} = {value}\n")
         return out.getvalue()
 
@@ -176,10 +176,6 @@ class Scenario(ScenarioConfig):
             raise ConfigError(f"wavenumbers must be finite and positive: {self.wavenumbers}")
         if len(set(self.wavenumbers)) != len(self.wavenumbers):
             raise ConfigError(f"repeated wavenumbers: {self.wavenumbers}")
-        for key in _INT_KEYS:
-            value = getattr(self, key)
-            if value is not None and not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if len(self.shape_center) != 2:
             raise ConfigError(f"shape_center needs 2 entries, got {self.shape_center}")
         for key in ("shape_radius", "shape_center", "shape_x_cos", "shape_x_sin",
@@ -226,6 +222,13 @@ class Scenario(ScenarioConfig):
                               f"its four corners lie in the disk")
         if not self.mode_guard >= 0.0:
             raise ConfigError(f"mode_guard must be >= 0, got {self.mode_guard}")
+        # config.txt records the run, so every value must read back as itself
+        back = ScenarioConfig.from_text(self.to_text())
+        for f_ in fields(self):
+            value = getattr(self, f_.name)
+            if getattr(back, f_.name) != value:
+                raise ConfigError(f"config key {f_.name!r}: {value!r} reads back from its "
+                                  f"config text as {getattr(back, f_.name)!r}")
 
     def sources(self) -> SourceSet:
         return SourceSet(center=(0.0, 0.0), radius=self.source_radius, count=self.source_count)
@@ -266,9 +269,6 @@ def _value_type(key: str) -> type:
     return next((a for a in typing.get_args(hint) if a not in (type(None), Ellipsis)), hint)
 
 
-_INT_KEYS = [key for key in _FIELD_TYPES if _value_type(key) is int]
-
-
 def _parse_value(key: str, value: str):
     convert = _value_type(key)
     many = typing.get_origin(_FIELD_TYPES[key]) is tuple
@@ -298,9 +298,9 @@ class RunResult:
 
 def _k_tag(k: float) -> str:
     """Artifact-name tag for k: the short %g form when it reads back as k,
-    else the exact repr, so that distinct wavenumbers never share a tag."""
+    else the shortest text that does, so distinct wavenumbers never share one."""
     tag = f"{k:g}"
-    return tag if float(tag) == k else repr(k)
+    return tag if float(tag) == k else format(k)
 
 
 def reconstruct(ring: RingMeasurement, bc: str, grid: ImagingGrid, truncation: int,

@@ -113,6 +113,28 @@ def test_reconstruct_rejects_mixed_rings(tmp_path, small_config, change, capsys)
     assert not recon.exists()
 
 
+def test_reconstruct_rejects_mixed_shapes(tmp_path, small_config, capsys):
+    # a kite ring and a circle ring were superposed into one indicator_multi
+    # labelled with the last ring's shape; rings without a shape label, all
+    # "unknown", still combine
+    data, recon = tmp_path / "data", tmp_path / "recon"
+    simulate = ["simulate", "-c", str(small_config), "--forward-nodes", "128"]
+    assert main([*simulate, "-o", str(data / "a"), "--shape", "kite"]) == 0
+    assert main([*simulate, "-o", str(data / "b"), "--k", "4"]) == 0
+    first, second = data / "a" / "ring_k3.csv", data / "b" / "ring_k4.csv"
+    reconstruct = ["reconstruct", "--truncation", "3", "--grid-nx", "20", "--grid-ny", "20"]
+    capsys.readouterr()
+    assert main([*reconstruct, "-r", str(first), "-r", str(second), "-o", str(recon)]) == 2
+    err = capsys.readouterr().err
+    assert f"{first} (exterior soft kite) and {second} (exterior soft circle)" in err
+    assert "cannot be superposed" in err and not recon.exists()
+
+    for path in (first, second):
+        formats.write_ring_csv(path, formats.read_ring_csv(path)[0])    # no shape key
+    assert main([*reconstruct, "-r", str(first), "-r", str(second), "-o", str(recon)]) == 0
+    assert "# shape=unknown\n" in (recon / "indicator_multi.csv").read_text()
+
+
 def test_reconstruct_rejects_off_layout_ring_before_output(tmp_path, small_config, capsys):
     # receiver 5 of the second ring sits 1e-6 off 2 pi m / M in every row;
     # the first ring's images must not be written before that is found

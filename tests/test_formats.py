@@ -1,6 +1,7 @@
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,6 +150,66 @@ class TestG17Words:
         words = formats._g17_words(values)
         assert not np.any(words[:, -1] >> np.uint64(56))
         assert _g17(values) == _percent_g17(values)
+
+
+_HEADER_FLOAT = st.floats(-1e6, 1e6)
+_HEADER_POSITIVE = st.floats(1e-3, 1e3)
+
+
+class TestHeaderNumbers:
+    """Header numbers are written with ``format``: a Python float's repr, and
+    for a numpy scalar the same shortest text, where numpy 2's repr,
+    ``np.float64(0.05)``, does not parse."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=_RAW_BITS)
+    def test_format_of_float64_is_repr_of_float(self, bits):
+        # so a run whose numbers are Python floats writes the bytes it wrote
+        # when the headers used repr
+        v = struct.unpack("<d", struct.pack("<Q", bits))[0]
+        if np.isfinite(v):
+            assert format(np.float64(v)) == format(v) == repr(v)
+
+    @_FILE_SETTINGS
+    @given(k=_HEADER_POSITIVE, radius=_HEADER_POSITIVE, source_radius=_HEADER_POSITIVE,
+           center=st.tuples(_HEADER_FLOAT, _HEADER_FLOAT), delta=st.floats(0.0, 0.99),
+           n_src=st.integers(1, 3), n_rec=st.integers(1, 6))
+    def test_numpy_scalar_ring_header_reads_back(self, tmp_path, k, radius, source_radius,
+                                                 center, delta, n_src, n_rec):
+        f64 = np.float64
+        sources = fw.SourceSet(center=(f64(center[0]), f64(center[1])),
+                               radius=f64(source_radius), count=np.int64(n_src))
+        ring = fw.RingMeasurement(radius=f64(radius), k=f64(k),
+                                  samples=np.ones((n_src, n_rec), dtype=complex),
+                                  noise_level=f64(delta), side="interior", sources=sources)
+        path = tmp_path / "ring.csv"
+        formats.write_ring_csv(path, ring, extra={"seed": np.int64(7)})
+        back, meta = formats.read_ring_csv(path)
+        assert (back.k, back.radius, back.noise_level) == (k, radius, delta)
+        assert (back.sources.center, back.sources.radius) == (center, source_radius)
+        assert (back.sources.count, back.n_receivers, meta["seed"]) == (n_src, n_rec, "7")
+
+    @_FILE_SETTINGS
+    @given(x0=_HEADER_FLOAT, y0=_HEADER_FLOAT, width=_HEADER_POSITIVE,
+           height=_HEADER_POSITIVE, nx=st.integers(2, 6), ny=st.integers(2, 6),
+           disk=st.tuples(_HEADER_FLOAT, _HEADER_FLOAT, _HEADER_POSITIVE),
+           wavenumbers=st.lists(_HEADER_POSITIVE, min_size=1, max_size=3))
+    def test_numpy_scalar_grid_header_reads_back(self, tmp_path, x0, y0, width, height,
+                                                 nx, ny, disk, wavenumbers):
+        f64 = np.float64
+        grid = imaging_grid(f64(x0), f64(x0) + f64(width), f64(y0), f64(y0) + f64(height),
+                            np.int64(nx), np.int64(ny), exclusion=(disk[:2], disk[2]))
+        grid = replace(grid, exclusion=tuple(map(f64, disk)))     # imaging_grid takes float()
+        image = ind.IndicatorImage(grid=grid, values=np.ones(grid.n_points), kind="soft",
+                                   wavenumbers=tuple(map(f64, wavenumbers)), state="raw",
+                                   flags=np.zeros(grid.n_points, dtype=np.uint8))
+        path = tmp_path / "grid.csv"
+        formats.write_grid_csv(path, image)
+        back = formats.read_grid_csv(path)
+        g = back.grid
+        assert (g.xmin, g.xmax, g.ymin, g.ymax) == (grid.xmin, grid.xmax, grid.ymin, grid.ymax)
+        assert (g.nx, g.ny, g.exclusion) == (nx, ny, disk)
+        assert back.wavenumbers == tuple(wavenumbers)
 
 
 class TestRingCsv:

@@ -350,6 +350,22 @@ class TestQuarterTurnOrbits:
         assert image.values.tobytes() == want[0].tobytes()
         assert image.flags.tobytes() == want[1].tobytes()
 
+    @pytest.mark.parametrize("sources", [
+        fw.SourceSet(center=(0.3, 0.0), radius=2.2, count=12),
+        fw.SourceSet(center=(0.0, 0.0), radius=2.2, count=10)])
+    @pytest.mark.parametrize("kind", ["soft", "hard"])
+    def test_orbit_table_ignored_for_unturned_sources(self, kind, sources):
+        # indicator_values itself decides whether the turn applies: given the
+        # orbits of a turning grid with sources that do not turn, the values
+        # were off the direct ones by 2e-3 of the maximum
+        grid = imaging_grid(-1.2, 1.2, -1.2, 1.2, 40, 40)
+        orbits = grid.quarter_orbits()
+        co, _ = _random_scenario("exterior", n_src=sources.count)
+        got = ind.indicator_values(co, sources, grid.points, kind, orbits)
+        want = ind.indicator_values(co, sources, grid.points, kind)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
     def test_one_radius_per_orbit_tabulated(self, monkeypatch):
         radii = []
         real = ind.radial_tables

@@ -2,6 +2,7 @@ import gc
 import math
 import weakref
 from dataclasses import fields, replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from nearscat import formats
 from nearscat import indicator as ind
 from nearscat import pipeline
+from nearscat.cli import main
 from nearscat.forward import analytic_circle
 from nearscat.geometry import EXCLUSION_BAND, ShapeSpec, imaging_grid, make_curve
 from nearscat.pipeline import (ConfigError, Scenario, ScenarioConfig, convergence_study,
@@ -298,13 +300,26 @@ class TestConfigValidation:
         pytest.param(dict(truncation=-1), "truncation must be >= 0", id="negative-truncation"),
         pytest.param(dict(seed=-1), "seed must be >= 0", id="negative-seed"),
         pytest.param(dict(seed=1.5), "seed must be an integer", id="fractional-seed"),
-        pytest.param(dict(grid_nx=150.0), "grid_nx must be an integer", id="float-grid-nx"),
-        pytest.param(dict(receiver_count=64.0), "receiver_count must be an integer",
+        # config.txt must read back as the config: an integer key given a
+        # float, a bool seed or a list of wavenumbers writes text that does not
+        pytest.param(dict(grid_nx=150.0), "config key 'grid_nx': cannot parse '150.0' as int",
+                     id="float-grid-nx"),
+        pytest.param(dict(receiver_count=64.0),
+                     "config key 'receiver_count': cannot parse '64.0' as int",
                      id="float-receiver-count"),
-        pytest.param(dict(forward_nodes=256.0), "forward_nodes must be an integer",
+        pytest.param(dict(forward_nodes=256.0),
+                     "config key 'forward_nodes': cannot parse '256.0' as int",
                      id="float-forward-nodes"),
-        pytest.param(dict(truncation=3.0), "truncation must be an integer",
+        pytest.param(dict(truncation=3.0), "config key 'truncation': cannot parse '3.0' as int",
                      id="float-truncation"),
+        pytest.param(dict(seed=True), "config key 'seed': cannot parse 'True' as int",
+                     id="bool-seed"),
+        pytest.param(dict(wavenumbers=[3.0]),
+                     r"config key 'wavenumbers': cannot parse '\[3.0\]' as comma-separated float",
+                     id="list-wavenumbers"),
+        pytest.param(dict(delta=Decimal("0.05")),
+                     r"config key 'delta': Decimal\('0.05'\) reads back from its config text "
+                     r"as 0.05", id="decimal-delta"),
         pytest.param(dict(side="interior", mode_guard=math.nan), "mode_guard", id="nan-guard"),
         pytest.param(dict(side="interior", exclusion_radius=math.nan), "exclusion_radius",
                      id="nan-exclusion"),
@@ -375,6 +390,32 @@ class TestRunScenario:
         manifest = (tmp_path / "manifest.txt").read_text().splitlines()
         assert "# N_k3 = 3" in manifest and "# N_k3.0000001 = 3" in manifest
         assert sum(line.startswith("# sha256 ring_k") for line in manifest) == 2
+
+    def test_k_tag_of_a_numpy_scalar(self):
+        # the manifest's N_k... keys must match the file names
+        assert pipeline._k_tag(np.float64(3.0000001)) == "3.0000001"
+        assert pipeline._k_tag(np.float64(3.0)) == "3"
+
+    def test_numpy_scalar_config_repeats(self, tmp_path):
+        # numpy 2 writes a scalar's repr as np.float64(0.05): in the ring
+        # headers and config.txt that text made the run unreadable
+        f64 = np.float64
+        cfg = replace(SMALL, delta=f64(0.05), source_radius=f64(2.2), shape_radius=f64(1.0),
+                      grid_xmin=f64(-1.5), grid_ymax=f64(1.5), mode_guard=f64(1e-8),
+                      wavenumbers=tuple(np.linspace(3.0, 4.0, 2)), seed=np.int64(7),
+                      grid_nx=np.int64(20), grid_ny=20, forward_nodes=128)
+        out, recon = tmp_path / "run", tmp_path / "recon"
+        result = run_scenario(cfg, out)
+        assert ScenarioConfig.from_file(out / "config.txt") == cfg
+        for name in ("ring_k3.csv", "ring_k4.csv"):
+            ring, meta = formats.read_ring_csv(out / name)
+            assert ring.noise_level == 0.05 and ring.sources.radius == 2.2
+        assert main(["reconstruct", "-c", str(out / "config.txt"), "-r", str(out / "ring_k3.csv"),
+                     "-o", str(recon)]) == 0
+        repeated = (recon / "indicator_k3.csv").read_bytes()
+        assert repeated == (out / "indicator_k3.csv").read_bytes()
+        assert formats.sha256_file(recon / "indicator_k3.csv") == \
+            result.checksums["indicator_k3.csv"]
 
     def test_config_echo_reproduces(self, tmp_path):
         r1 = run_scenario(SMALL, tmp_path / "a")

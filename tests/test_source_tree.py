@@ -145,3 +145,21 @@ def test_every_defaulted_parameter_is_passed_by_the_program():
                 if not any(_passes(c, param, position) for c in calls.get(name, [])):
                     never.append(f"{path.stem}.{fn.name}({param}=)")
     assert never == []
+
+
+def test_no_repr_outside_error_messages():
+    # numpy 2's repr of a scalar is ``np.float64(0.05)``, which no reader of
+    # nearscat's headers or config text parses: numbers are written with
+    # ``format``, and repr quotes values in error messages only
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        in_raise = {id(node) for stmt in ast.walk(tree) if isinstance(stmt, ast.Raise)
+                    for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            called = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "repr")
+            converted = isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+            if (called or converted) and id(node) not in in_raise:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
