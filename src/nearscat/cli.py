@@ -131,8 +131,8 @@ def _cmd_reconstruct(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     results, superposed, _ = write_images(
-        outdir, [(ring, cfg.order, shape) for _, ring, shape, cfg in jobs],
-        first.bc, first.grid(), first.mode_guard)
+        outdir, [(ring, cfg.order) for _, ring, _, cfg in jobs],
+        first.bc, first_shape, first.grid(), first.mode_guard)
     for coeffs, _ in results:
         print(f"wrote {outdir}/indicator_k{_k_tag(coeffs.k)}.csv (N={coeffs.truncation})")
     if superposed is not None:

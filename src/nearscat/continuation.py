@@ -23,11 +23,12 @@ evaluation and is the one check of the radius floor; ``eval_field`` and
 ``eval_gradient`` require it and serve one block of its points at a time,
 given as a (Q,) array of theta, and return (n_src, T Q) values or
 (n_src, 2, T Q) gradients at those points and their T - 1 quarter turns
-R^-q x, R(x, y) = (-y, x).  A turn keeps r and shifts theta by -pi/2, so
-the modes at R^-q x are those at x times the exact factors (-i)^(mq): the
-exponentials and the radial gather are formed for the Q points only, and
-each turn takes one product of its n_src coefficient rows, times those
-factors, with them.
+R^-q x, R(x, y) = (-y, x), each turn's gradient in its own turned frame.
+A turn keeps r and shifts theta by -pi/2, so the modes at R^-q x are those
+at x times the exact factors (-i)^(mq), and the gradient's ladder rows
+m = n +- 1 take the factor of n, which turns their frame by R^q: the
+exponentials and radial gather are formed for the Q points only, and each
+turn takes one product of its coefficient rows times those factors.
 
 The interior ratio J_n(k r)/J_n(k R) blows up whenever k R sits near a
 zero of J_n; ``compute_coefficients`` zeroes and flags such modes.
@@ -196,7 +197,8 @@ def eval_gradient(coeffs: ModeCoefficients, theta: np.ndarray, tables: RadialTab
                   turns: int = 1) -> np.ndarray:
     """Cartesian gradient of the continued field at the (Q,) polar angles
     ``theta`` and their turns, in the columns of ``eval_field``;
-    (n_src, 2, turns Q).  ``tables`` as there.
+    (n_src, 2, turns Q).  ``tables`` as there.  Run q holds R^q grad u_N(R^-q x),
+    the gradient at x of the turned field u_N(R^-q .).
 
     By the ladder identity (d_x +- i d_y)[C_n(kr) e^{in theta}]
     = -+k C_{n+-1}(kr) e^{i(n+-1) theta} (DLMF 10.6.2), the sums
@@ -211,9 +213,11 @@ def eval_gradient(coeffs: ModeCoefficients, theta: np.ndarray, tables: RadialTab
     modes *= table[:, inverse]                               # (2N+3, Q)
     out = np.empty((coeffs.n_sources, 2, turns * theta.size), dtype=complex)
     for q, cols in enumerate(np.split(out, turns, axis=2)):
-        # A/2 and B/2, orders n + 1 and n - 1 (the power-of-two scale is exact)
-        a = _gemm(_turned(-coeffs.k / 2 * scaled, coeffs.orders + 1, q), modes[2:])
-        b = _gemm(_turned(coeffs.k / 2 * scaled, coeffs.orders - 1, q), modes[:-2])
+        # A/2 and B/2 (the power-of-two scale is exact); the phases of the
+        # orders n, not n +- 1, turn the frame with the point
+        half = _turned(coeffs.k / 2 * scaled, coeffs.orders, q)
+        a = _gemm(-half, modes[2:])
+        b = _gemm(half, modes[:-2])
         np.add(a, b, out=cols[:, 0])
         np.subtract(b, a, out=cols[:, 1])
         cols[:, 1] *= 1j

@@ -29,23 +29,22 @@ point per orbit (see ``indicator_values``), and gathered per block.
 
 When a quarter turn R(x, y) = (-y, x) maps the layout onto itself (4 | S
 sources centred at the origin, points in ``ImagingGrid.quarter_orbits``),
-source j + qS/4 sits at R^q z_j, so u_i(x; z_{j+qS/4}) = u_i(R^-q x; z_j)
-and grad u_i(x; z_{j+qS/4}) = R^q grad u_i(R^-q x; z_j): S/4 sources give
-every incident term.  R^-q x has the radius of x and the angle theta - q pi/2,
-so the continued field and gradient there are those of x with each mode
-e^{im theta} times (-i)^(mq): ``eval_field`` and ``eval_gradient`` form the
-modes at one point per orbit.  A block is BLOCK_POINTS / 4 whole orbits,
-turn-major (x_1..x_Q, then R^-1 x_1..R^-1 x_Q, ...); otherwise each point
-is its own orbit and a block holds BLOCK_POINTS points.  Grid coordinates
-are antisymmetric to rounding only, so turned values differ from direct
-ones by about 1e-14 relative.  Each turn's columns start at multiples of
-64 and the order does not depend on the block size, so with one BLAS
-thread the values equal those of one evaluation over every point bit for
-bit.  With several, OpenBLAS's threaded ``zgemm`` rounds the columns at
-its thread split differently, and that split moves with the product's
-shape.  So each turn has its own n_src-row product: one product stacking
-the four turns' rows was threaded on a 41^2 image where the per-turn ones
-are not, and 5-11 values per image then differed between block sizes.
+each point R^-q x is evaluated in the frame turned by R^q, which moves
+neither indicator, and no gradient is turned.  In that frame the point is
+its orbit's representative x and source j sits at R^q z_j = z_{j+qS/4}:
+every source's incident terms at x serve the four turns, relabelled, and
+``eval_field`` and ``eval_gradient`` give the turns from the modes at x by
+exact phases.  A block is BLOCK_POINTS / 4 whole orbits, turn-major (x_1..x_Q,
+then R^-1 x_1..R^-1 x_Q, ...); otherwise each point is its own orbit and a
+block holds BLOCK_POINTS points.  The grid and sources turn onto themselves
+to rounding only, so turned values differ from direct ones by about 1e-14
+relative.  Each turn's columns start at multiples of 64 and the order does
+not depend on the block size, so with one BLAS thread the values equal
+those of one evaluation over every point bit for bit.  With several,
+OpenBLAS's threaded ``zgemm`` rounds the columns at its thread split,
+which moves with the product's shape, so each turn has its own n_src-row
+product: one product stacking the four turns' rows was threaded on a 41^2
+image, where the per-turn ones are not, and 5-11 values then differed.
 """
 
 from __future__ import annotations
@@ -79,9 +78,9 @@ def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
     ``ImagingGrid.quarter_orbits`` table indexing ``points``, is used only
     when the quarter turn maps the S sources onto themselves (4 | S,
     centred at the origin): blocks are then whole orbits, turn-major, the
-    radial table, polar angles and modes are formed at row 0 only, S/4
-    sources give every incident term, and a point in no orbit stays 0 and
-    degenerate.  Otherwise each point with r >= MIN_RADIUS is its own orbit.
+    radial table, polar angles, modes and incident terms are formed at row
+    0 only, and a point in no orbit stays 0 and degenerate.  Otherwise each
+    point with r >= MIN_RADIUS is its own orbit.
     """
     if kind not in ("soft", "hard"):
         raise ValueError(f"unknown indicator kind {kind!r}")
@@ -105,26 +104,26 @@ def indicator_values(coeffs: ModeCoefficients, sources: SourceSet,
         reps = slice(start, start + step)
         idx = orbits[:, reps].ravel()                  # turn-major: every x_p, every R^-1 x_p, ...
         values[idx], flags[idx] = _block_values(
-            coeffs, sources, points[idx], theta[reps],
+            coeffs, sources, points[orbits[0, reps]], theta[reps],
             tables._replace(inverse=tables.inverse[reps]), kind, turns)
     return values, flags
 
 
 def _block_values(coeffs: ModeCoefficients, sources: SourceSet, points: np.ndarray,
                   theta: np.ndarray, tables: RadialTables, kind: str, turns: int):
-    """Indicator values and flags at (B, 2) points with r > 0, turn-major:
-    ``turns`` runs of B / turns points, run q at R^-q of run 0, whose polar
-    angles are ``theta`` and radii ``tables`` (as in ``eval_field``).
-    Everything formed here is freed before the next block."""
+    """Indicator values and flags (T Q,) at the (Q, 2) points x_p, r > 0,
+    with polar angles ``theta`` and radii ``tables`` (as in ``eval_field``),
+    and turn-major at their turns: run q at R^-q x_p, in the frame turned by
+    R^q.  Everything formed here is freed before the next block."""
     weight = 2.0 * np.pi * sources.radius / sources.count
     if kind == "soft":
-        total = eval_field(coeffs, theta, tables, turns)        # (n_src, B)
+        total = eval_field(coeffs, theta, tables, turns)        # (n_src, T Q)
         _add_incident(total, sources, points, coeffs.k, turns)
         return weight * np.abs(total).sum(axis=0), FLAG_OK
 
     grad, norms, ref = _reference_gradients(coeffs, sources, points, theta, tables, turns)
-    cols = np.arange(points.shape[0])
-    xi = grad[ref, :, cols].T                                    # (2, B)
+    cols = np.arange(ref.size)
+    xi = grad[ref, :, cols].T                                    # (2, T Q)
     xi_norm = norms[ref, cols]
     good = xi_norm > DEGENERATE_GRADIENT
     nu = np.zeros_like(xi)
@@ -143,10 +142,10 @@ def _block_values(coeffs: ModeCoefficients, sources: SourceSet, points: np.ndarr
 def _reference_gradients(coeffs: ModeCoefficients, sources: SourceSet,
                          points: np.ndarray, theta: np.ndarray, tables: RadialTables,
                          turns: int = 1):
-    """Continued total-field gradients at (P, 2) points laid out as in
-    ``_block_values``, ``theta`` and ``tables`` those of run 0, their norms
-    and the reference source per point (argmax norm, lowest index on ties);
-    shapes (n_src, 2, P), (n_src, P), (P,)."""
+    """Continued total-field gradients at the (Q, 2) points and their
+    turns, laid out as in ``_block_values``, their norms and the reference
+    source per point (argmax norm, lowest index on ties); shapes
+    (n_src, 2, T Q), (n_src, T Q), (T Q,)."""
     grad = eval_gradient(coeffs, theta, tables, turns)
     _add_incident(grad, sources, points, coeffs.k, turns)
     norms = np.sqrt(np.abs(grad[:, 0, :]) ** 2 + np.abs(grad[:, 1, :]) ** 2)
@@ -155,21 +154,15 @@ def _reference_gradients(coeffs: ModeCoefficients, sources: SourceSet,
 
 def _add_incident(out: np.ndarray, sources: SourceSet, points: np.ndarray, k: float,
                   turns: int) -> None:
-    """Add the incident fields (``out`` (n_src, P)) or gradients (``out``
-    (n_src, 2, P)) at (P, 2) points in ``turns`` runs x_p, R^-1 x_p, ...:
-    source j + q S/turns sees at x, turned by R^q, what source j sees at
-    R^-q x."""
-    step = sources.count // turns
-    gradient = out.ndim == 3
-    for j, z in enumerate(sources.positions[:step]):
-        term = incident_gradient(points, z, k).T if gradient else incident_field(points, z, k)
-        term = term.reshape(-1, turns, points.shape[0] // turns)   # (1 or 2, T, Q) view
-        for q in range(turns):
-            turned = np.roll(term, -q, axis=1) if q else term
-            for _ in range(q if gradient else 0):     # R(gx, gy) = (-gy, gx), in place
-                turned = turned[::-1]
-                turned[0] *= -1
-            out[j + q * step] += turned.reshape(out.shape[1:])
+    """Add the incident fields (``out`` (n_src, T Q)) or gradients (``out``
+    (n_src, 2, T Q)) laid out as in ``_block_values``, from each source's
+    terms at the (Q, 2) points x_p: run q's row j takes the terms of source
+    j + q S/T, which sits at R^q z_j."""
+    runs = np.split(out, turns, axis=-1)
+    for j, z in enumerate(sources.positions):
+        term = incident_gradient(points, z, k).T if out.ndim == 3 else incident_field(points, z, k)
+        for q, run in enumerate(runs):
+            run[(j - q * sources.count // turns) % sources.count] += term
 
 
 def _on_grid(coeffs: ModeCoefficients, sources: SourceSet, grid: ImagingGrid,

@@ -9,9 +9,10 @@ indicator grid CSV and a reciprocal-image PGM, plus a superposed image when
 several wavenumbers are given, a round-trippable ``config.txt`` and a
 ``manifest.txt`` with sha-256 checksums of every artifact.  Identical config
 + seed reproduces identical checksums at a fixed BLAS thread count
-(``OPENBLAS_NUM_THREADS``): OpenBLAS's threaded products round the entries
-at a thread split differently, so the ring and indicator CSVs of 1 and 2
-threads differ in last bits.
+(``OPENBLAS_NUM_THREADS``): OpenBLAS threads the LU of 128 and more nodes,
+whose factors then differ in last bits between 1 and 2 threads, and so do
+the ring and indicator CSVs; the products and the imaging are
+thread-invariant.
 """
 
 from __future__ import annotations
@@ -427,13 +428,13 @@ def _write_indicator(out: Path, stem: str, norm: IndicatorImage, bc: str, shape:
     return paths
 
 
-def write_images(out: Path, jobs, bc: str, grid: ImagingGrid, mode_guard: float):
-    """Reconstruct each (ring, truncation, shape) job on ``grid``, write it
+def write_images(out: Path, jobs, bc: str, shape: str, grid: ImagingGrid, mode_guard: float):
+    """Reconstruct each (ring, truncation) job on ``grid``, write it
     normalized as ``indicator_k<k>`` and, for several, their superposition
-    as ``indicator_multi``.  Returns the (coefficients, raw image) pairs,
-    the superposed image (or None) and the written files by name."""
+    as ``indicator_multi``, all labelled ``shape``.  Returns the (coefficients,
+    raw image) pairs, the superposed image (or None) and the files by name."""
     results, normalized, files = [], [], {}
-    for ring, truncation, shape in jobs:
+    for ring, truncation in jobs:
         coeffs, raw = reconstruct(ring, bc, grid, truncation, mode_guard)
         results.append((coeffs, raw))
         normalized.append(ind.normalize(raw))
@@ -467,7 +468,7 @@ def run_scenario(config: ScenarioConfig, outdir) -> RunResult:
     rings = [add_noise(ring, NoiseSpec(level=cfg.delta, seed=cfg.seed)) for ring in rings]
     files = {path.name: path for path in (_write_ring(out, ring, cfg) for ring in rings)}
     results, superposed, image_files = write_images(
-        out, [(ring, cfg.order, cfg.shape) for ring in rings], cfg.bc, grid, cfg.mode_guard)
+        out, [(ring, cfg.order) for ring in rings], cfg.bc, cfg.shape, grid, cfg.mode_guard)
     files.update(image_files)
     images = {coeffs.k: raw for coeffs, raw in results}
     truncation_by_k = {coeffs.k: coeffs.truncation for coeffs, _ in results}

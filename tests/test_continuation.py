@@ -395,7 +395,8 @@ def test_gradient_peak_memory(truncation):
 class TestTurnedEvaluation:
     """With ``turns``, the field and gradient at one point per quarter-turn
     orbit give the other three by the exact phases (-i)^(m q): they match a
-    direct evaluation at the turned points' own angles and radii."""
+    direct evaluation at the turned points' own angles and radii, run q of
+    the gradient in the frame turned by R^q."""
 
     @pytest.mark.parametrize("side", ["exterior", "interior"])
     @pytest.mark.parametrize("truncation,excluded_order", [(0, None), (3, 1), (5, 0), (12, 7)])
@@ -421,6 +422,10 @@ class TestTurnedEvaluation:
                           (ct.eval_gradient, gradient_scale[:, None])):
             got = fn(co, th[:q_reps], reps, 4)
             want = fn(co, th, tables)
+            if want.ndim == 3:           # R^q grad u_N(R^-q x_p), R = [[0, -1], [1, 0]]
+                for q, run in enumerate(np.split(want, 4, axis=2)):
+                    turn = np.linalg.matrix_power([[0, -1], [1, 0]], q)
+                    run[:] = np.einsum("ij,sjp->sip", turn, run)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-13 * scale)
             assert _same_bits(got[..., :q_reps], fn(co, th[:q_reps], reps))

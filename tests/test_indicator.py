@@ -253,8 +253,9 @@ class TestBlockedEvaluation:
             ind.indicator_values(co, src, pts, kind)
 
     def test_node_on_turned_source_rejected(self):
-        # the node (0, 1) sits on z_3, whose incident terms come from z_0's
-        # at the node's turn (1, 0)
+        # the nodes (0, 1), (-1, 0), (0, -1) and (1, 0) sit on z_3, z_6, z_9
+        # and z_0 and form one orbit, caught at its representative (0, 1),
+        # where every source is evaluated
         co, src = _random_scenario("exterior")
         src = fw.SourceSet(center=(0.0, 0.0), radius=1.0, count=12)
         assert np.abs(src.positions[3] - [0.0, 1.0]).max() < 1e-9
@@ -282,8 +283,9 @@ class TestBlockedEvaluation:
 
 class TestQuarterTurnOrbits:
     """On a grid that a quarter turn maps onto itself, with 4 | S sources
-    centred at the origin, the incident terms of S/4 sources give the rest
-    through the turn; every other layout evaluates each source in turn."""
+    centred at the origin, each source's incident terms at one point per
+    orbit give the other three points' through the turn; every other
+    layout evaluates each source on every point."""
 
     @pytest.mark.parametrize("excl", [None, ((0.0, 0.0), 0.45)])
     @pytest.mark.parametrize("n", [40, 41])
@@ -301,19 +303,22 @@ class TestQuarterTurnOrbits:
         assert np.array_equal(image.flags[live], want_flags)
         assert np.isnan(image.values[~live]).all()
 
-    def test_quarter_of_the_sources_evaluated(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["soft", "hard"])
+    def test_every_source_on_the_representatives(self, monkeypatch, kind):
+        # all S sources on one point per orbit: the same quarter of the
+        # S-by-P incident terms as S/4 sources on every point
         seen = []
-        real = ind.incident_field
-
-        def counting(x, z, k):
-            seen.append(z)
-            return real(x, z, k)
-
-        monkeypatch.setattr(ind, "incident_field", counting)
+        for name in ("incident_field", "incident_gradient"):
+            real = getattr(ind, name)
+            monkeypatch.setattr(ind, name, lambda x, z, k, real=real: (
+                seen.append((x, z)), real(x, z, k))[1])
         grid = imaging_grid(-1.2, 1.2, -1.2, 1.2, 40, 40)
         co, src = _random_scenario("exterior")
-        ind._on_grid(co, src, grid, "soft")
-        assert np.array_equal(seen, src.positions[:3])
+        ind._on_grid(co, src, grid, kind)
+        assert np.array_equal([z for _, z in seen], src.positions)
+        reps = grid.points[grid.quarter_orbits()[0]]
+        assert reps.shape[0] == grid.n_points // 4
+        assert all(np.array_equal(x, reps) for x, _ in seen)
 
     @pytest.mark.parametrize("kind", ["soft", "hard"])
     def test_quarter_of_the_angles_evaluated(self, monkeypatch, kind):

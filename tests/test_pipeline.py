@@ -66,9 +66,9 @@ class TestConfig:
     @pytest.mark.parametrize("cfg", [ScenarioConfig(),
                                      ScenarioConfig(side="interior", grid_nx=300, grid_ny=300)])
     def test_standard_layouts_turn_onto_themselves(self, cfg):
-        # the indicator takes the incident terms of a quarter of the sources
-        # on these: a grid, mask or source change that loses the quarter turn
-        # costs 4x the incident work
+        # the indicator evaluates one point per quarter-turn orbit on these:
+        # a grid, mask or source change that loses the quarter turn costs 4x
+        # the incident work
         cfg = cfg.resolved()
         sources = cfg.sources()
         assert sources.count % 4 == 0 and sources.center == (0.0, 0.0)
@@ -458,6 +458,15 @@ class TestReconstruct:
             reconstruct(ring, "Soft", cfg.grid(), 3)
         with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
             reconstruct(ring, "soft", cfg.grid(), -1)
+
+    def test_write_images_labels_with_the_given_shape(self, tmp_path):
+        cfg = replace(SMALL, wavenumbers=(3.0, 4.0)).resolved()
+        result = run_scenario(cfg, tmp_path / "run")
+        rings = [formats.read_ring_csv(result.files[f"ring_k{k}.csv"])[0] for k in (3, 4)]
+        _, _, files = pipeline.write_images(tmp_path, [(ring, cfg.order) for ring in rings],
+                                            cfg.bc, "kite", cfg.grid(), cfg.mode_guard)
+        for name in ("indicator_k3.csv", "indicator_k4.csv", "indicator_multi.csv"):
+            assert "# shape=kite" in files[name].read_text(encoding="ascii").splitlines()
 
 
 class TestBenchmarkHooks:

@@ -163,3 +163,38 @@ def test_no_repr_outside_error_messages():
             if (called or converted) and id(node) not in in_raise:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# np.random names that draw from a caller-held seeded generator; every other
+# one (np.random.seed, np.random.normal, ...) reads or moves the global state
+SEEDED_RNG = {"Generator", "PCG64", "SeedSequence", "default_rng"}
+
+
+def _global_rng(tree):
+    """(line, name) for each np.random name outside SEEDED_RNG that a tree
+    uses, and each import of numpy's or the standard library's random module."""
+    for node in ast.walk(tree):
+        names = []
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in ("np.random",
+                                                                           "numpy.random"):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                              and node.module == "numpy"):
+            names = [a.name for a in node.names if a.name in ("numpy.random", "random")]
+        yield from ((node.lineno, name) for name in names if name not in SEEDED_RNG)
+
+
+def test_no_global_rng():
+    # a library call may not touch global state: the noise draws from
+    # generators seeded per (seed, source), and nothing else is random
+    caught = _global_rng(ast.parse(
+        "import random\nfrom numpy import random\nimport numpy.random\n"
+        "from numpy.random import default_rng, rand\nnp.random.seed(1)\n"
+        "np.random.default_rng(1)\n"))
+    assert sorted(caught) == [(1, "random"), (2, "random"), (3, "numpy.random"), (4, "rand"),
+                              (5, "seed")]
+    found = [f"{path.name}:{line} {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in _global_rng(_parse(path))]
+    assert found == []
