@@ -17,7 +17,7 @@ numbers) to `%` itself.  Grid coordinates, receiver angles and indices
 are formatted once per column, row or receiver, flags come from a
 table, and each block of at most 4096 rows is written as its word
 matrix's bytes with the NULs deleted, so memory stays flat in the file
-size.  Each reader parses all data rows with one `np.loadtxt` call.  The
+size; each reader parses at most 4096 data rows per `np.loadtxt` call.  The
 grid reader takes only what the writer writes, a row per unmasked grid
 point in grid order with x and y the `%.17g` text of the point: it
 compares x and y as text, parsing no coordinate, with the writer's texts
@@ -41,6 +41,7 @@ or payload length but what `write_pgm` writes.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import re
 import warnings
@@ -90,19 +91,26 @@ def _read_header(path, fmt: str, required) -> tuple[dict, int]:
     return meta, n_header
 
 
-def _read_rows(path, dtype: np.dtype, n_header: int) -> np.ndarray:
-    """The data rows after a header of `n_header` lines as a structured
-    array, parsed by one `np.loadtxt` call, which skips empty lines and
-    rejects a comment, a wrong column count or, in an integer field,
-    non-integer text; text in a bytes field longer than it is truncated.
+def _read_rows(path, dtype: np.dtype, n_header: int):
+    """The data rows after a header of `n_header` lines as structured
+    arrays of _BLOCK_ROWS rows, the last one shorter (maybe empty), each
+    parsed by one `np.loadtxt` call, which skips empty lines and rejects a
+    comment, a wrong column count or, in an integer field, non-integer
+    text; text in a bytes field longer than it is truncated.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)     # no data rows
-            return np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
-                              skiprows=n_header, ndmin=1, encoding="ascii")
-    except ValueError as exc:
-        raise ValueError(f"{path}: data rows: {exc}") from exc
+    with open(path, "r", encoding="ascii") as f:
+        lines = itertools.islice(f, n_header, None)
+        for start in itertools.count(1, _BLOCK_ROWS):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)     # empty lines, no rows
+                    rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                                      ndmin=1, max_rows=_BLOCK_ROWS)
+            except ValueError as exc:
+                raise ValueError(f"{path}: data rows from row {start}: {exc}") from exc
+            yield rows
+            if rows.size < _BLOCK_ROWS:
+                return
 
 
 def _header_value(path, meta: dict, key: str, convert=float, count: int | None = 1):
@@ -356,7 +364,7 @@ def read_ring_csv(path) -> tuple[RingMeasurement, dict]:
         sources = SourceSet(center=center, radius=source_radius, count=n_src)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    rows = _read_rows(path, _RING_ROW, n_header)
+    rows = np.concatenate([*_read_rows(path, _RING_ROW, n_header)])
     if rows.size != n_src * n_rec:
         raise ValueError(f"{path}: expected {n_src * n_rec} rows, found {rows.size}")
     j, m = rows["source"], rows["receiver"]
@@ -423,25 +431,29 @@ def read_grid_csv(path) -> IndicatorImage:
     xs, ys = (np.array(texts, dtype=bytes) for texts in _coordinate_texts(grid))
     # one byte wider than the longest coordinate: a longer text, truncated, matches none
     text = f"S{max(xs.itemsize, ys.itemsize) + 1}"
-    rows = _read_rows(path, np.dtype([("x", text), ("y", text), ("value", np.float64),
-                                      ("flag", np.int64)]), n_header)
     idx = np.flatnonzero(~grid.mask)
-    row, col = np.divmod(idx[:rows.size], grid.nx)
-    moved = (rows["x"][:row.size] != xs[col]) | (rows["y"][:row.size] != ys[row])
+    moved, value, flag = [], [], []          # per block, without the coordinate texts
+    for rows in _read_rows(path, np.dtype([("x", text), ("y", text), ("value", np.float64),
+                                           ("flag", np.int64)]), n_header):
+        row, col = np.divmod(idx[sum(map(len, value)):][:rows.size], grid.nx)
+        moved.append((rows["x"][:row.size] != xs[col]) | (rows["y"][:row.size] != ys[row]))
+        value.append(rows["value"].copy())
+        flag.append(rows["flag"].copy())
+    moved, value, flag = map(np.concatenate, (moved, value, flag))
     if moved.any():
-        i = int(np.argmax(moved))
+        row, col = divmod(int(idx[np.argmax(moved)]), grid.nx)
         _reject(path, n_header, moved, "does not hold the next unmasked grid point: expected "
-                                       f"x={xs[col[i]].decode()}, y={ys[row[i]].decode()}")
-    if rows.size != idx.size:
+                                       f"x={xs[col].decode()}, y={ys[row].decode()}")
+    if value.size != idx.size:
         raise ValueError(f"{path}: expected {idx.size} rows, one per unmasked grid point, "
-                         f"found {rows.size}")
-    _reject(path, n_header, ~np.isfinite(rows["value"]), "has a non-finite value")
-    _reject(path, n_header, (rows["flag"] < 0) | (rows["flag"] > np.iinfo(np.uint8).max),
+                         f"found {value.size}")
+    _reject(path, n_header, ~np.isfinite(value), "has a non-finite value")
+    _reject(path, n_header, (flag < 0) | (flag > np.iinfo(np.uint8).max),
             "has a flag outside 0..255")
     values = np.full(grid.n_points, np.nan)
     flags = np.zeros(grid.n_points, dtype=np.uint8)
-    values[idx] = rows["value"]
-    flags[idx] = rows["flag"]
+    values[idx] = value
+    flags[idx] = flag
     return IndicatorImage(grid=grid, values=values, kind=meta["kind"],
                           wavenumbers=ks, state=meta["state"], flags=flags)
 

@@ -653,6 +653,50 @@ class TestGridCsv:
         assert abs(peaks[600] - peaks[300]) <= 0.1 * peaks[300], peaks
         assert peaks[300] < (tmp_path / "grid300.csv").stat().st_size, peaks
 
+    @staticmethod
+    def _two_block_file(path):
+        """A grid CSV with more data rows than one reader block; its image,
+        live point indices and header line count."""
+        grid = imaging_grid(-1.0, 1.0, -1.0, 1.0, 70, 70, exclusion=((0.1, 0.0), 0.3))
+        values = np.random.default_rng(70).uniform(0.01, 2.0, grid.n_points)
+        values[grid.mask] = np.nan
+        image = ind.IndicatorImage(grid=grid, values=values, kind="soft", wavenumbers=(3.0,),
+                                   state="raw", flags=np.zeros(grid.n_points, dtype=np.uint8))
+        formats.write_grid_csv(path, image)
+        n_header = sum(line.startswith("#") for line in path.read_text().splitlines())
+        return image, np.flatnonzero(~grid.mask), n_header
+
+    def test_rows_parsed_a_block_at_a_time(self, tmp_path, monkeypatch):
+        # memory stays flat in the file size: no parse holds more than a block
+        path = tmp_path / "grid.csv"
+        image, live, _ = self._two_block_file(path)
+        sizes = []
+        real = np.loadtxt
+
+        def counted(*a, **kw):
+            rows = real(*a, **kw)
+            sizes.append(rows.size)
+            return rows
+        monkeypatch.setattr(np, "loadtxt", counted)
+        back = formats.read_grid_csv(path)
+        assert sizes == [formats._BLOCK_ROWS, live.size - formats._BLOCK_ROWS]
+        assert back.values[live].tobytes() == image.values[live].tobytes()
+
+    def test_refusals_past_the_first_block_name_the_file_row(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        image, live, n_header = self._two_block_file(path)
+        i = formats._BLOCK_ROWS + 10
+        x, y = ("%.17g" % v for v in image.grid.points[live[i]])
+        _edit_data_row(path, i, lambda line: "9" + line[len(x):])
+        with pytest.raises(ValueError, match=re.escape(
+                f"grid.csv: data row {i + 1} (9,{y},") + r".*\) does not hold the next unmasked "
+                + re.escape(f"grid point: expected x={x}, y={y}")):
+            formats.read_grid_csv(path)
+        _edit_data_row(path, i, lambda line: line.rsplit(",", 1)[0])      # three columns
+        with pytest.raises(ValueError, match=f"grid.csv: data rows from row "
+                                             f"{formats._BLOCK_ROWS + 1}: "):
+            formats.read_grid_csv(path)
+
 
 class TestPgm:
     def test_constant_grid_uniform_pixels(self, tmp_path):
